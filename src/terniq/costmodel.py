@@ -18,11 +18,11 @@ import io
 import math
 from dataclasses import dataclass, field
 
+from .arithmetic import ones_weight
 from .errors import SizeError
 
 LOG3_2 = math.log(2, 3)
 GAMMA_DEFAULT = math.log(15, 3)      # distillation width exponent
-GAMMA_ALT = math.log(3, 2)
 
 PLATFORMS = (
     "generic-P9-distillation",
@@ -177,7 +177,7 @@ def modexp_cost(scenario: Scenario) -> CostReport:
             width_f, width = "n+4", n + 4
             depth_f, depth = "48 n^3", 48.0 * n**3
         else:
-            width_f, width = "2m - w1(m)", 2 * m - _w1(m)
+            width_f, width = "2m - w1(m)", 2 * m - ones_weight(m)
             depth_f, depth = "76.35 n^3", 76.35 * n**3
         if s.platform == "MTQC-inline":
             if s.encoding == "binary":
@@ -193,22 +193,22 @@ def modexp_cost(scenario: Scenario) -> CostReport:
                           "R2" if s.platform == "MTQC-inline" else "P9")
     # lookahead
     if s.platform == "binary-CliffordT-reference":
-        return CostReport(s, "4n - w1(n)", 4 * n - _w1(n, 2),
+        return CostReport(s, "4n - w1(n)", 4 * n - ones_weight(n, 2),
                           "72 n^2 log2 n", 72.0 * n**2 * ln2,
                           "3n (6 log2 n)^gamma", 3 * n * (6 * ln2) ** s.gamma, "T")
     if s.encoding == "binary":
-        width_f, width = "4n - w1(n)", 4 * n - _w1(n, 2)
+        width_f, width = "4n - w1(n)", 4 * n - ones_weight(n, 2)
         depth_f, depth = "120 n^2 log2 n", 120.0 * n**2 * ln2
     else:
-        width_f, width = "4m - w1(m)", 4 * m - _w1(m)
+        width_f, width = "4m - w1(m)", 4 * m - ones_weight(m)
         depth_f, depth = "127.4 n^2 log2 n", 127.4 * n**2 * ln2
     if s.platform == "MTQC-inline":
         if s.encoding == "binary":
-            width_f, width = "3n - w1(n)", 3 * n - _w1(n, 2)
+            width_f, width = "3n - w1(n)", 3 * n - ones_weight(n, 2)
             depth_f, depth = "384 n^2 log3(2) (log2 n)^2", 384.0 * n**2 * LOG3_2 * ln2**2
             prep_f, prep = "3n", 3.0 * n
         else:
-            width_f, width = "3m - w1(m)", 3 * m - _w1(m)
+            width_f, width = "3m - w1(m)", 3 * m - ones_weight(m)
             depth_f, depth = "1630.5 n^2 log3(2) (log2 n)^2", 1630.5 * n**2 * LOG3_2 * ln2**2
             prep_f, prep = "3m", 3.0 * m
     elif s.platform == "MTQC-P9-preparation":
@@ -221,14 +221,6 @@ def modexp_cost(scenario: Scenario) -> CostReport:
         prep_f, prep = "12n (3 log2 n)^3", 12.0 * n * (3 * ln2) ** 3
     return CostReport(s, width_f, width, depth_f, depth, prep_f, prep,
                       "R2" if s.platform == "MTQC-inline" else "P9")
-
-
-def _w1(x: int, base: int = 3) -> int:
-    w = 0
-    while x:
-        w += (x % base) == 1
-        x //= base
-    return w
 
 
 def modeled_controlled_shift_count(scenario: Scenario) -> int:

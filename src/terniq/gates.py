@@ -67,6 +67,7 @@ class GateMatrix:
     def dim(self) -> int:
         return 3**self.arity
 
+    @lru_cache(maxsize=None)
     def adjoint(self) -> "GateMatrix":
         if np.allclose(self.matrix, self.matrix.conj().T, atol=ATOL):
             return self
@@ -326,7 +327,6 @@ def states_equal_up_to_phase(u: np.ndarray, v: np.ndarray, atol: float = 1e-10) 
 def _pauli_products(n: int):
     """All n-qutrit Pauli tensor products X^a Z^b per wire, modulo phase."""
     singles = [[_pauli(a, b) for b in range(3)] for a in range(3)]
-    mats = [np.eye(3**n, dtype=np.complex128)]
     out = []
     choices = [(a, b) for a in range(3) for b in range(3)]
 

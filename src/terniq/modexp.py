@@ -40,7 +40,6 @@ class ModExpSpec:
     modulus: int
     encoding: str = "binary"
     exponent_digits: int | None = None   # default 2n (or 2m)
-    control_strategy: str = "full-register"
 
     def __post_init__(self):
         if gcd(self.base, self.modulus) != 1:

@@ -26,11 +26,12 @@ from math import gcd
 
 import numpy as np
 
+from .circuit import Circuit
 from .errors import SizeError
 from .gates import matrix_for_name
 from .modexp import ModExpSpec, _binary_ctrl_mult_ops, _ternary_ctrl_mult_ops
 from .arithmetic import _pool_size
-from .sim import permutation_table
+from .sim import compile_classical, run_compiled
 
 
 # ------------------------------------------------------------ oracle pipeline
@@ -166,24 +167,11 @@ class _SparseState:
         self.width = width
         self.amps: dict[int, complex] = {0: 1.0 + 0j}
 
+    def permute(self, compiled):
+        """Map every basis index through a compiled permutation circuit."""
+        self.amps = {run_compiled(compiled, idx): amp for idx, amp in self.amps.items()}
+
     def apply(self, gate, wires):
-        table = permutation_table(gate.name)
-        if table is not None:
-            strides = [3**w for w in wires]
-            a = len(wires)
-            new = {}
-            for idx, amp in self.amps.items():
-                loc = 0
-                for s in strides:
-                    loc = loc * 3 + (idx // s) % 3
-                tgt = table[loc]
-                for jj, s in enumerate(strides):
-                    old_t = (idx // s) % 3
-                    new_t = (tgt // 3 ** (a - 1 - jj)) % 3
-                    idx += (new_t - old_t) * s
-                new[idx] = new.get(idx, 0.0) + amp
-            self.amps = new
-            return
         if gate.arity != 1:
             raise SizeError(f"sparse path: unsupported gate {gate.name}")
         m = gate.matrix
@@ -246,8 +234,7 @@ def semiclassical_gate_run(spec: ModExpSpec, seed: int = 0) -> int:
                 ops, _ = _binary_ctrl_mult_ops(ctrl, acc, acc2, A, T, x, marker, mu, mult, N)
             else:
                 ops, _ = _ternary_ctrl_mult_ops(ctrl, acc, acc2, A, T, x, marker, u1, u, pool, mult, N)
-            for op in ops:
-                state.apply(op.gate, op.wires)
+            state.permute(compile_classical(Circuit(width, tuple(ops))))
         state.apply(_phase_feedback(feed, t, d), (ctrl,))
         state.apply(had_inv, (ctrl,))
         m = state.measure(ctrl, rng)

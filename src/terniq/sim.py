@@ -9,10 +9,10 @@ Two gate modes:
     pool wire (appended after the circuit's wires) hosts the consumed
     resource states and is measured back to |0> after every use.
 
-The classical fast path (:func:`compile_classical` / :func:`run_compiled`)
-executes circuits whose gates are all basis permutations by integer index
-arithmetic; it is what makes exhaustive adder and modular-exponentiation
-verification cheap.
+The classical path compiles a permutation circuit into per-gate trit tables
+(:func:`compile_classical`), walks one basis index through them on Python-int
+trits with no width ceiling (:func:`run_compiled`), or applies them to every
+index at once (:func:`circuit_permutation`); exhaustive arithmetic uses it.
 """
 
 from __future__ import annotations
@@ -221,9 +221,8 @@ class _Exec:
             return self._inject_p9(state, wires[0], inverse=g.name.endswith("_INV"))
         if self.mode == "injected" and base == "R2" and g.arity == 1:
             return self._inject_r2(state, wires[0])
-        if base in ("LOADMU", "LOADMUDG", "LOADPSI"):
-            self.record.consumed[{"LOADMU": "mu", "LOADMUDG": "mu_dag",
-                                  "LOADPSI": "psi"}[base]] += 1
+        if base in _LOADER_STATES:
+            self.record.consumed[_LOADER_STATES[base]] += 1
         if kind == "p9":
             self.record.p9_executed += 1
         elif kind == "r2":
@@ -381,60 +380,77 @@ def circuit_unitary(c: Circuit, cap: int = 8) -> np.ndarray:
 # ------------------------------------------------------------ classical path
 
 @lru_cache(maxsize=None)
-def permutation_table(name: str):
-    """Permutation array for classical (0/1-entry) gates, else None."""
+def trit_table(name: str):
+    """Trit table of a classical (0/1-entry) gate, else None.
+
+    Entry ``loc`` (the gate-local input index, first wire most significant)
+    is the tuple of output trits on the gate's wires, in wire order.
+    """
     g = matrix_for_name(name)
-    m = g.matrix
-    table = np.full(g.dim, -1, dtype=np.int64)
-    for col in range(g.dim):
-        rows = np.nonzero(np.abs(m[:, col]) > 1e-12)[0]
-        if len(rows) != 1 or abs(m[rows[0], col] - 1.0) > 1e-12:
-            return None
-        table[col] = rows[0]
-    return table
+    rows = np.abs(g.matrix).argmax(axis=0)
+    if not np.allclose(g.matrix, np.eye(g.dim)[:, rows], rtol=0, atol=1e-12):
+        return None
+    return tuple(trits_of_index(int(r), g.arity)[::-1] for r in rows)
 
 
-def compile_classical(c: Circuit):
-    """Flatten a measurement-free permutation circuit for fast index walks."""
+@dataclass(frozen=True)
+class CompiledCircuit:
+    """A permutation circuit as ``(arity, wires, trit table)`` per gate."""
+
+    width: int
+    ops: tuple
+
+    def __len__(self) -> int:
+        return len(self.ops)
+
+
+def compile_classical(c: Circuit) -> CompiledCircuit:
+    """Flatten a measurement-free permutation circuit for fast walks."""
     ops = []
     for op in c.instructions:
-        if isinstance(op, GateOp):
-            table = permutation_table(op.gate.name)
-            if table is None:
-                raise NonUnitaryError(f"{op.gate.name} is not a classical permutation")
-            ops.append((table, op.wires, tuple(3**w for w in op.wires)))
-        else:
+        if not isinstance(op, GateOp):
             raise NonUnitaryError(f"classical path cannot run {type(op).__name__}")
-    return ops
+        table = trit_table(op.gate.name)
+        if table is None:
+            raise NonUnitaryError(f"{op.gate.name} is not a classical permutation")
+        ops.append((len(op.wires), op.wires, table))
+    return CompiledCircuit(c.width, tuple(ops))
 
 
-def run_compiled(compiled, index: int) -> int:
-    for table, wires, strides in compiled:
-        loc = 0
-        for s in strides:
-            loc = loc * 3 + (index // s) % 3
-        new = table[loc]
-        a = len(wires)
-        for j, s in enumerate(strides):
-            old_t = (index // s) % 3
-            new_t = (new // 3 ** (a - 1 - j)) % 3
-            index += (new_t - old_t) * s
-    return index
+def run_compiled(compiled: CompiledCircuit, index: int) -> int:
+    """Basis index that the compiled permutation maps ``index`` to."""
+    if not 0 <= index < 3**compiled.width:
+        raise SizeError(f"basis index {index} outside width {compiled.width}")
+    t = list(trits_of_index(int(index), compiled.width))
+    for a, wires, table in compiled.ops:
+        if a == 2:
+            w0, w1 = wires
+            t[w0], t[w1] = table[3 * t[w0] + t[w1]]
+        elif a == 1:
+            w0, = wires
+            t[w0], = table[t[w0]]
+        elif a == 3:
+            w0, w1, w2 = wires
+            t[w0], t[w1], t[w2] = table[9 * t[w0] + 3 * t[w1] + t[w2]]
+        else:
+            loc = 0
+            for w in wires:
+                loc = 3 * loc + t[w]
+            for w, v in zip(wires, table[loc]):
+                t[w] = v
+    return index_of_trits(t)
 
 
 def circuit_permutation(c: Circuit, width_cap_: int = 12) -> np.ndarray:
-    """Vectorized full basis permutation of a classical circuit."""
+    """Full basis permutation of a classical circuit, all indices at once."""
     if c.width > width_cap_:
         raise WidthCapError(f"width {c.width} > {width_cap_}")
-    vals = np.arange(3**c.width, dtype=np.int64)
-    for table, wires, strides in compile_classical(c):
-        a = len(wires)
-        loc = np.zeros_like(vals)
-        for s in strides:
-            loc = loc * 3 + (vals // s) % 3
-        new = table[loc]
-        for j, s in enumerate(strides):
-            old_t = (vals // s) % 3
-            new_t = (new // 3 ** (a - 1 - j)) % 3
-            vals = vals + (new_t - old_t) * s
-    return vals
+    dim = 3**c.width
+    trits = np.array([(np.arange(dim) // 3**w) % 3 for w in range(c.width)],
+                     dtype=np.int8).reshape(c.width, dim)
+    for _, wires, table in compile_classical(c).ops:
+        loc = np.zeros(dim, dtype=np.intp)
+        for w in wires:
+            loc = 3 * loc + trits[w]
+        trits[list(wires)] = np.array(table, dtype=np.int8).T[:, loc]
+    return (3 ** np.arange(c.width, dtype=np.int64)) @ trits

@@ -17,8 +17,7 @@ from terniq.shor import (
 from terniq.sim import compile_classical, index_of_trits, run_compiled, trits_of_index
 
 
-def run_modexp(layout, spec, k):
-    comp = compile_classical(layout.circuit)
+def run_modexp(layout, comp, spec, k):
     base = spec.radix
     trits = [0] * layout.circuit.width
     for j, w in enumerate(layout.exponent):
@@ -34,8 +33,9 @@ def run_modexp(layout, spec, k):
 def test_modexp_n15_binary(a):
     spec = ModExpSpec(a, 15, "binary")
     layout = modexp_circuit(spec)
+    comp = compile_classical(layout.circuit)
     for k in range(16):
-        value, kept, clean = run_modexp(layout, spec, k)
+        value, kept, clean = run_modexp(layout, comp, spec, k)
         assert value == pow(a, k, 15)
         assert kept == k and clean
 
@@ -43,7 +43,7 @@ def test_modexp_n15_binary(a):
 def test_modexp_k0_gives_one():
     spec = ModExpSpec(7, 15, "binary")
     layout = modexp_circuit(spec)
-    value, _, _ = run_modexp(layout, spec, 0)
+    value, _, _ = run_modexp(layout, compile_classical(layout.circuit), spec, 0)
     assert value == 1
 
 
@@ -53,7 +53,7 @@ def test_modexp_permutation_full_range():
     comp = compile_classical(layout.circuit)
     seen = set()
     for k in range(256):
-        value, kept, clean = run_modexp(layout, spec, k)
+        value, kept, clean = run_modexp(layout, comp, spec, k)
         assert value == pow(7, k, 15) and kept == k and clean
         seen.add((k, value))
     assert len(seen) == 256
@@ -62,8 +62,9 @@ def test_modexp_permutation_full_range():
 def test_modexp_n21():
     spec = ModExpSpec(2, 21, "binary")
     layout = modexp_circuit(spec)
+    comp = compile_classical(layout.circuit)
     for k in range(64):
-        value, kept, clean = run_modexp(layout, spec, k)
+        value, kept, clean = run_modexp(layout, comp, spec, k)
         assert value == pow(2, k, 21)
         assert kept == k and clean
 
@@ -71,8 +72,9 @@ def test_modexp_n21():
 def test_modexp_ternary():
     spec = ModExpSpec(2, 15, "ternary")
     layout = modexp_circuit(spec)
+    comp = compile_classical(layout.circuit)
     for k in range(81):
-        value, kept, clean = run_modexp(layout, spec, k)
+        value, kept, clean = run_modexp(layout, comp, spec, k)
         assert value == pow(2, k, 15), k
         assert kept == k and clean
 
@@ -212,3 +214,14 @@ def test_modexp_n21_full_exponent_range():
         got = sum(out[w] << j for j, w in enumerate(layout.accumulator))
         assert got == pow(2, k, 21)
         assert all(out[w] == 0 for w in layout.scratch)
+
+
+@pytest.mark.slow
+def test_modexp_ternary_n21_full_exponent_range():
+    spec = ModExpSpec(2, 21, "ternary")
+    layout = modexp_circuit(spec)
+    comp = compile_classical(layout.circuit)
+    for k in range(3**spec.exp_digits):
+        value, kept, clean = run_modexp(layout, comp, spec, k)
+        assert value == pow(2, k, 21), k
+        assert kept == k and clean

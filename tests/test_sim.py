@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_state_vector
+from conftest import assert_clean, classical_map, random_state_vector
 from terniq.circuit import Circuit, GateOp, MeasureOp
 from terniq.errors import NonUnitaryError, RusCapError, SizeError, WidthCapError
 from terniq.gates import matrix_for_name, states_equal_up_to_phase
@@ -22,6 +22,8 @@ from terniq.sim import (
     trits_of_index,
 )
 from terniq import widgets
+from terniq.arithmetic import ShiftSpec, ripple_add_const
+from terniq.shor import _SparseState
 
 
 def g(name, *wires):
@@ -124,7 +126,6 @@ def test_classical_path_matches_dense(rng):
     # toffoli contains P9 phases: not classical
     with pytest.raises(NonUnitaryError):
         compile_classical(circ)
-    from terniq.arithmetic import ShiftSpec, ripple_add_const
     ac = ripple_add_const(ShiftSpec(3, 3, "binary"))
     comp = compile_classical(ac.circuit)
     perm = circuit_permutation(ac.circuit)
@@ -133,6 +134,54 @@ def test_classical_path_matches_dense(rng):
         out = run_compiled(comp, int(idx))
         assert perm[idx] == out
         assert abs(u[out, idx] - 1.0) < 1e-12
+
+
+def test_walk_above_int64_index_width(rng):
+    # width 42: 3**42 > 2**63, so the walk must not use fixed-width indices
+    n = 40
+    a = int(rng.integers(0, 2**n))
+    ac = ripple_add_const(ShiftSpec(a, n, "binary"))
+    assert ac.circuit.width == 42
+    values = [int(b) for b in rng.integers(0, 2**n, size=6)] + [2**n - 1]
+    for b, got, carry, ot in classical_map(ac, 2, values):
+        assert got == (a + b) % 2**n and carry == (a + b) >> n
+        assert_clean(ac, ot)
+    comp = compile_classical(ac.circuit)
+    assert type(run_compiled(comp, 3**41)) is int
+    with pytest.raises(SizeError):
+        run_compiled(comp, 3**42)
+
+
+PERMUTATION_GATES = ("INC", "INC_INV", "SUM", "SUM_INV", "TSWAP", "C0[INC]",
+                     "C1[INC]", "C2[INC]", "L[INC]", "TAU1[0,1]", "TAU1[1,2]",
+                     "TAU2[0,4]", "C1[SUM]", "C2[INC]_INV", "C2[C1[SUM]]")
+
+
+def test_classical_paths_agree_on_random_circuits():
+    rng = np.random.default_rng(5150)
+    for _ in range(12):
+        width = int(rng.integers(1, 6))
+        ops = []
+        for _ in range(int(rng.integers(1, 40))):
+            name = PERMUTATION_GATES[rng.integers(len(PERMUTATION_GATES))]
+            gate = matrix_for_name(name)
+            if gate.arity > width:
+                continue
+            ops.append(GateOp(gate, tuple(int(w) for w in
+                                          rng.permutation(width)[:gate.arity])))
+        circ = Circuit(width, tuple(ops))
+        comp = compile_classical(circ)
+        perm = circuit_permutation(circ)
+        u = circuit_unitary(circ)
+        for idx in range(3**width):
+            out = run_compiled(comp, idx)
+            assert perm[idx] == out
+            assert np.flatnonzero(np.abs(u[:, idx]) > 1e-12).tolist() == [out]
+            assert abs(u[out, idx] - 1.0) < 1e-12
+            sparse = _SparseState(width)
+            sparse.amps = {idx: 1.0}
+            sparse.permute(comp)
+            assert sparse.amps == {out: 1.0}
 
 
 def test_injected_equivalence_all_widgets(rng):
