@@ -11,8 +11,9 @@ Two gate modes:
 
 The classical path compiles a permutation circuit into per-gate trit tables
 (:func:`compile_classical`), walks one basis index through them on Python-int
-trits with no width ceiling (:func:`run_compiled`), or applies them to every
-index at once (:func:`circuit_permutation`); exhaustive arithmetic uses it.
+trits with no width ceiling (:func:`run_compiled`); exhaustive arithmetic uses
+it.  :func:`circuit_permutation` tabulates that walk over every basis index of
+a circuit of width at most 12.
 """
 
 from __future__ import annotations
@@ -442,15 +443,8 @@ def run_compiled(compiled: CompiledCircuit, index: int) -> int:
 
 
 def circuit_permutation(c: Circuit, width_cap_: int = 12) -> np.ndarray:
-    """Full basis permutation of a classical circuit, all indices at once."""
+    """Full basis permutation of a classical circuit: ``run_compiled`` per index."""
     if c.width > width_cap_:
         raise WidthCapError(f"width {c.width} > {width_cap_}")
-    dim = 3**c.width
-    trits = np.array([(np.arange(dim) // 3**w) % 3 for w in range(c.width)],
-                     dtype=np.int8).reshape(c.width, dim)
-    for _, wires, table in compile_classical(c).ops:
-        loc = np.zeros(dim, dtype=np.intp)
-        for w in wires:
-            loc = 3 * loc + trits[w]
-        trits[list(wires)] = np.array(table, dtype=np.int8).T[:, loc]
-    return (3 ** np.arange(c.width, dtype=np.int64)) @ trits
+    comp = compile_classical(c)
+    return np.array([run_compiled(comp, i) for i in range(3**c.width)], dtype=np.int64)
