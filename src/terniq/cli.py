@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from math import gcd
 
 import numpy as np
 
@@ -16,8 +16,9 @@ from .arithmetic import ShiftSpec, ripple_add_const, ripple_add_const_ternary
 from .circuit import count_resources
 from .errors import TerniqError
 from .gates import matrix_for_name
+from .modexp import ModExpSpec
 from .qft import dft_matrix, qft3n
-from .shor import shor_factor
+from .shor import period_finding_run, shor_factor
 from .sim import circuit_unitary, run
 from .textfmt import deserialize
 
@@ -167,9 +168,6 @@ def cmd_qft_verify(args) -> int:
 
 def cmd_shor_run(args) -> int:
     if args.base is not None:
-        from math import gcd
-        from .modexp import ModExpSpec
-        from .shor import period_finding_run
         if gcd(args.base, args.n) != 1:
             g = gcd(args.base, args.n)
             print(f"gcd({args.base}, {args.n}) = {g}: factors {g} x {args.n // g}")
@@ -179,21 +177,16 @@ def cmd_shor_run(args) -> int:
         print(f"measurement j={cand.measurement} of Q={cand.register_modulus}; "
               f"period candidate r={cand.period} verified={cand.verified}")
         if cand.verified and cand.period and cand.period % 2 == 0:
-            from math import gcd as _g
             y = pow(args.base, cand.period // 2, args.n)
-            p = _g(y - 1, args.n)
+            p = gcd(y - 1, args.n)
             if 1 < p < args.n:
                 print(f"factors {p} x {args.n // p}")
                 return 0
         return 1
 
-    def one(trial):
-        return shor_factor(args.n, seed=args.seed + trial,
-                           encoding=args.encoding, mode=args.mode)
-    with ThreadPoolExecutor(max_workers=min(8, args.trials)) as pool:
-        reports = list(pool.map(one, range(args.trials)))
     ok = 0
-    for i, rep in enumerate(reports):
+    for i in range(args.trials):
+        rep = shor_factor(args.n, seed=args.seed + i, encoding=args.encoding, mode=args.mode)
         if rep.factors:
             ok += 1
             print(f"trial {i}: factors {rep.factors[0]} x {rep.factors[1]}  "
@@ -201,6 +194,13 @@ def cmd_shor_run(args) -> int:
         else:
             print(f"trial {i}: failed  log={rep.trials}")
     return 0 if ok == args.trials else 1
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def cmd_cost_table(args) -> int:
@@ -250,7 +250,7 @@ def main(argv=None) -> int:
     p.add_argument("--encoding", choices=("binary", "ternary"), default="binary")
     p.add_argument("--mode", default="semiclassical",
                    choices=("semiclassical", "semiclassical-gate", "full-register"))
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--trials", type=_positive_int, default=1)
     p.set_defaults(fn=cmd_shor_run)
 
     p = sub.add_parser("cost-table", help="emit a resource table")

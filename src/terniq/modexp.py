@@ -15,11 +15,13 @@ circuit is exact on every basis state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .circuit import Circuit, GateOp
 from .errors import SizeError
 from .gates import matrix_for_name
+from .sim import CompiledCircuit, compile_classical
 from .widgets import adjoint_ops
 from .arithmetic import (
     cnot_prim_ops,
@@ -78,8 +80,30 @@ class ModExpLayout:
     dctrl_shift_count: int
 
 
-def _binary_ctrl_mult_ops(kappa, acc, acc2, A, T, x, marker, mu, mult, N):
+@dataclass(frozen=True)
+class _Registers:
+    """modexp wires in order: exponent, acc, acc2, then the scratch A, T, x,
+    marker and mu (binary) or u1, u and the ternary adders' constant pool."""
+
+    exponent: tuple[int, ...]
+    acc: tuple[int, ...]
+    acc2: tuple[int, ...]
+    scratch: tuple[int, ...]
+
+
+def _registers(spec: ModExpSpec) -> _Registers:
+    N, e, v = spec.modulus, spec.exp_digits, spec.value_digits
+    n_scratch = 5 if spec.encoding == "binary" else 6 + _pool_size(
+        [(w - N) % 3**v for w in range(N)] + [N % 3**v], v)
+    s = e + 2 * v
+    return _Registers(tuple(range(e)), tuple(range(e, e + v)), tuple(range(e + v, s)),
+                      tuple(range(s, s + n_scratch)))
+
+
+def _binary_ctrl_mult_ops(kappa, regs, mult, N):
     """acc2 (=0) <- d_kappa * acc * mult; then swap; then uncompute acc2."""
+    acc, acc2 = regs.acc, regs.acc2
+    A, T, x, marker, mu = regs.scratch
     n = len(acc)
     inv = pow(mult, -1, N)
     ops: list[GateOp] = []
@@ -105,8 +129,10 @@ def _binary_ctrl_mult_ops(kappa, acc, acc2, A, T, x, marker, mu, mult, N):
     return ops, shifts
 
 
-def _ternary_ctrl_mult_ops(kappa, acc, acc2, A, T, x, marker, u1, u, pool, a_pow, N):
+def _ternary_ctrl_mult_ops(kappa, regs, a_pow, N):
     """Ternary-digit controlled multiply: acc2 <- acc * a_pow^(k) for k on kappa."""
+    acc, acc2 = regs.acc, regs.acc2
+    A, T, x, marker, u1, u, *pool = regs.scratch
     m = len(acc)
     ops: list[GateOp] = []
     shifts = 0
@@ -146,55 +172,41 @@ def _ternary_ctrl_mult_ops(kappa, acc, acc2, A, T, x, marker, u1, u, pool, a_pow
     return ops, shifts
 
 
+def _ctrl_mult_ops(spec: ModExpSpec, regs: _Registers, kappa: int, mult: int):
+    build = _binary_ctrl_mult_ops if spec.encoding == "binary" else _ternary_ctrl_mult_ops
+    return build(kappa, regs, mult, spec.modulus)
+
+
 def modexp_circuit(spec: ModExpSpec) -> ModExpLayout:
     """Full-register modular exponentiation circuit."""
-    N, base = spec.modulus, spec.base
-    d = spec.radix
-    e = spec.exp_digits
-    v = spec.value_digits
-    k_wires = tuple(range(e))
-    acc = tuple(range(e, e + v))
-    acc2 = tuple(range(e + v, e + 2 * v))
-    nxt = e + 2 * v
-    A, T, x, marker = nxt, nxt + 1, nxt + 2, nxt + 3
-    ops: list[GateOp] = []
+    N, base, d = spec.modulus, spec.base, spec.radix
+    regs = _registers(spec)
+    ops = [_g("TAU1[0,1]" if d == 2 else "INC", regs.acc[0])]  # acc <- 1
     total_shifts = 0
-
-    if spec.encoding == "binary":
-        mu = nxt + 4
-        width = nxt + 5
-        scratch = (A, T, x, marker, mu)
-        ops.append(_g("TAU1[0,1]", acc[0]))  # acc <- 1
-        for j in range(e):
-            mult = pow(base, 2**j, N)
-            if mult == 1:
-                continue
-            sub, shifts = _binary_ctrl_mult_ops(
-                k_wires[j], acc, acc2, A, T, x, marker, mu, mult, N)
-            ops += sub
-            total_shifts += shifts
-    else:
-        u1, u = nxt + 4, nxt + 5
-        pool_base = nxt + 6
-        consts = [(w - N) % 3**v for w in range(N)] + [N % 3**v]
-        npool = _pool_size(consts, v)
-        pool = list(range(pool_base, pool_base + npool))
-        width = pool_base + npool
-        scratch = (A, T, x, marker, u1, u, *pool)
-        ops.append(_g("INC", acc[0]))  # acc <- 1
-        for j in range(e):
-            a_pow = pow(base, 3**j, N)
-            if a_pow == 1:
-                continue
-            sub, shifts = _ternary_ctrl_mult_ops(
-                k_wires[j], acc, acc2, A, T, x, marker, u1, u, pool, a_pow, N)
-            ops += sub
-            total_shifts += shifts
-
-    circ = Circuit(width, tuple(ops),
-                   ancillas=frozenset(acc2) | frozenset(scratch),
+    for j, kappa in enumerate(regs.exponent):
+        mult = pow(base, d**j, N)
+        if mult == 1:
+            continue
+        sub, shifts = _ctrl_mult_ops(spec, regs, kappa, mult)
+        ops += sub
+        total_shifts += shifts
+    circ = Circuit(regs.scratch[-1] + 1, tuple(ops),
+                   ancillas=frozenset(regs.acc2) | frozenset(regs.scratch),
                    name=f"modexp-{base}^k mod {N}-{spec.encoding}")
-    return ModExpLayout(circ, k_wires, acc, scratch, total_shifts)
+    return ModExpLayout(circ, regs.exponent, regs.acc, regs.scratch, total_shifts)
+
+
+@lru_cache(maxsize=16)
+def controlled_multiply(encoding: str, N: int, multiplier: int) -> CompiledCircuit:
+    """Compiled acc <- acc * multiplier^c, one semiclassical round's multiply.
+
+    Wires as in ``modexp_circuit`` with a one-digit exponent: the control c
+    on wire 0, the accumulator from wire 1, least significant digit first.
+    """
+    spec = ModExpSpec(multiplier, N, encoding, exponent_digits=1)
+    regs = _registers(spec)
+    ops, _ = _ctrl_mult_ops(spec, regs, regs.exponent[0], multiplier)
+    return compile_classical(Circuit(regs.scratch[-1] + 1, tuple(ops)))
 
 
 def modeled_shift_count(spec: ModExpSpec) -> int:

@@ -4,14 +4,15 @@ Three period-finding executions are provided:
 
   * ``full-register``  -- the textbook pipeline: the uniform-exponent
     superposition with the modular-power value register, inverse Fourier
-    transform, measurement.  The joint state is built from the verified
-    classical modular-power map, so the outcome distribution is exact.
+    transform, measurement; exact from one FFT over the residue classes of
+    the exponent modulo the order of a.
   * ``semiclassical``  -- one control qudit recycled through 2n (or 2m)
     rounds of controlled modular multiplication with measurement-conditioned
-    phase feedback; simulated on the multiplicative residue support.
+    phase feedback; sampled on the multiplicative residue support, and
+    enumerated exactly, all branches at once, over the orbit of a.
   * ``semiclassical-gate`` -- the same protocol executed instruction by
     instruction on a sparse state vector over the full wire register, with
-    the controlled multiplies taken from the modular-exponentiation gate
+    the memoised controlled multiplies of the modular-exponentiation gate
     constructions.  Used to pin the abstract rounds to the gate level.
 
 Outcome conventions: round t measures the t-th least significant digit of
@@ -22,45 +23,42 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, log2
 
 import numpy as np
 
-from .circuit import Circuit
 from .errors import SizeError
 from .gates import matrix_for_name
-from .modexp import ModExpSpec, _binary_ctrl_mult_ops, _ternary_ctrl_mult_ops
-from .arithmetic import _pool_size
-from .sim import compile_classical, run_compiled
+from .modexp import ModExpSpec, controlled_multiply
+from .sim import run_compiled
 
 
 # ------------------------------------------------------------ oracle pipeline
+
+def _order(a: int, N: int) -> int:
+    """Multiplicative order of a mod N (a coprime to N)."""
+    r, y = 1, a % N
+    while y != 1:
+        y = y * a % N
+        r += 1
+    return r
+
 
 def full_register_distribution(spec: ModExpSpec) -> np.ndarray:
     """Exact measurement distribution of the first register.
 
     Builds sum_k |k>|a^k mod N>, applies the inverse Fourier transform over
-    Z_Q on the exponent register, and returns p(j).
+    Z_Q on the exponent register, and returns p(j).  The value register
+    splits the exponents into the r residue classes k = i (mod r); one FFT
+    of their (r, Q) indicator rows gives p(j) = sum_i |row_i(j)|^2 / Q^2.
     """
-    d, N, a = spec.radix, spec.modulus, spec.base
-    Q = d**spec.exp_digits
-    residues: dict[int, list[int]] = {}
-    val = 1
-    for k in range(Q):
-        residues.setdefault(val, []).append(k)
-        val = (val * a) % N
-    p = np.zeros(Q)
-    ks = np.arange(Q)
-    for y, klist in residues.items():
-        amp = np.zeros(Q, dtype=np.complex128)
-        karr = np.asarray(klist)
-        for j_chunk in range(0, Q, 4096):
-            sl = slice(j_chunk, min(j_chunk + 4096, Q))
-            phases = np.exp(-2j * np.pi * np.outer(ks[sl], karr) / Q)
-            amp[sl] = phases.sum(axis=1)
-        p += np.abs(amp) ** 2
-    p /= Q * Q
-    return p
+    Q = spec.radix**spec.exp_digits
+    r = _order(spec.base, spec.modulus)
+    k = np.arange(Q)
+    classes = np.zeros((r, Q))
+    classes[k % r, k] = 1.0
+    amps = np.fft.fft(classes, axis=1)
+    return (np.abs(amps) ** 2).sum(axis=0) / Q**2
 
 
 # ------------------------------------------------------------ semiclassical
@@ -81,7 +79,6 @@ def semiclassical_period_rounds(spec: ModExpSpec, rng) -> int:
     hadamard = matrix_for_name("HBIN" if d == 2 else "H").matrix
     inv_h = hadamard.conj().T
     state = {1: 1.0 + 0j}  # accumulator residue amplitudes
-    bits: list[int] = []
     feed = 0  # j mod d^t: digits measured so far, ascending significance
     for t in range(e):
         mult = pow(a, d ** (e - 1 - t), N)
@@ -111,51 +108,35 @@ def semiclassical_period_rounds(spec: ModExpSpec, rng) -> int:
         m = int(rng.choice(d, p=probs))
         norm = np.sqrt(sum(abs(v) ** 2 for v in post[m].values()))
         state = {y: v / norm for y, v in post[m].items() if abs(v) > 1e-15}
-        bits.append(m)
         feed += m * d**t
-    return sum(m * d**t for t, m in enumerate(bits))
+    return feed
 
 
 def semiclassical_distribution(spec: ModExpSpec) -> np.ndarray:
-    """Exact outcome distribution of the semiclassical protocol."""
+    """Exact outcome distribution of the semiclassical protocol.
+
+    All branches run at once, breadth first: row b holds the unnormalised
+    amplitudes over the orbit index i (accumulator a^i mod N) of the branch
+    whose outcome so far is j mod d^t = b, which is also its phase feedback.
+    The round multiply by a^(d^(e-1-t)) is a cyclic shift of i, and one
+    einsum takes the (B, r) rows to (d*B, r) through the Hadamard, each
+    row's feedback phase and the inverse Hadamard.  p(j) = |row j|^2.
+    """
     d, N, a = spec.radix, spec.modulus, spec.base
     e = spec.exp_digits
-    Q = d**e
-    hadamard = matrix_for_name("HBIN" if d == 2 else "H").matrix
+    r = _order(a, N)
+    hadamard = matrix_for_name("HBIN" if d == 2 else "H").matrix[:d, :d]
     inv_h = hadamard.conj().T
-    out = np.zeros(Q)
-
-    def walk(t, state, prob, feed, j_acc):
-        if prob < 1e-18:
-            return
-        if t == e:
-            out[j_acc] += prob
-            return
-        mult = pow(a, d ** (e - 1 - t), N)
-        r = d ** (t + 1)
-        phase = np.exp(-2j * np.pi * ((feed % r) / r))
-        branches = []
-        for c in range(d):
-            mc = pow(mult, c, N)
-            branches.append({(y * mc) % N: amp * phase**c * hadamard[c, 0]
-                             for y, amp in state.items()})
-        for m in range(d):
-            acc: dict[int, complex] = {}
-            for c in range(d):
-                w = inv_h[m, c]
-                if abs(w) < 1e-15:
-                    continue
-                for y, amp in branches[c].items():
-                    acc[y] = acc.get(y, 0.0) + w * amp
-            pm = sum(abs(v) ** 2 for v in acc.values())
-            if pm < 1e-18:
-                continue
-            norm = np.sqrt(pm)
-            walk(t + 1, {y: v / norm for y, v in acc.items() if abs(v) > 1e-15},
-                 prob * pm, feed + m * d**t, j_acc + m * d**t)
-
-    walk(0, {1: 1.0 + 0j}, 1.0, 0, 0)
-    return out
+    rows = np.zeros((1, r), dtype=np.complex128)
+    rows[0, 0] = 1.0
+    for t in range(e):
+        shift = pow(d, e - 1 - t, r)
+        B = len(rows)
+        phases = np.exp(-2j * np.pi * np.outer(np.arange(B), np.arange(d)) / d ** (t + 1))
+        weights = inv_h[:, None, :] * phases[None] * hadamard[:, 0]   # (m, b, c)
+        shifted = np.stack([np.roll(rows, c * shift, axis=1) for c in range(d)])
+        rows = np.einsum("mbc,cbi->mbi", weights, shifted).reshape(d * B, r)
+    return (np.abs(rows) ** 2).sum(axis=1)
 
 
 # ------------------------------------------------------------ gate-level rounds
@@ -163,8 +144,7 @@ def semiclassical_distribution(spec: ModExpSpec) -> np.ndarray:
 class _SparseState:
     """Sparse amplitude map over a wide register for semiclassical runs."""
 
-    def __init__(self, width: int):
-        self.width = width
+    def __init__(self):
         self.amps: dict[int, complex] = {0: 1.0 + 0j}
 
     def permute(self, compiled):
@@ -204,45 +184,25 @@ def semiclassical_gate_run(spec: ModExpSpec, seed: int = 0) -> int:
     """Instruction-level semiclassical run (sparse state vector); returns j."""
     d, N, a = spec.radix, spec.modulus, spec.base
     e = spec.exp_digits
-    v = spec.value_digits
-    ctrl = 0
-    acc = tuple(range(1, v + 1))
-    acc2 = tuple(range(v + 1, 2 * v + 1))
-    nxt = 2 * v + 1
-    A, T, x, marker = nxt, nxt + 1, nxt + 2, nxt + 3
-    if d == 2:
-        mu = nxt + 4
-        width = nxt + 5
-    else:
-        u1, u = nxt + 4, nxt + 5
-        pool = list(range(nxt + 6, nxt + 6 + _pool_size(
-            [(w - N) % 3**v for w in range(N)] + [N % 3**v], v)))
-        width = pool[-1] + 1
+    ctrl, acc0 = 0, 1  # controlled_multiply's control and accumulator digit 0
     rng = np.random.default_rng(seed)
-    state = _SparseState(width)
-    # acc <- 1
-    state.apply(matrix_for_name("TAU1[0,1]" if d == 2 else "INC"), (acc[0],))
+    state = _SparseState()
+    state.apply(matrix_for_name("TAU1[0,1]" if d == 2 else "INC"), (acc0,))  # acc <- 1
     had = matrix_for_name("HBIN" if d == 2 else "H")
     had_inv = had.adjoint()
-    bits = []
     feed = 0
     for t in range(e):
         mult = pow(a, d ** (e - 1 - t), N)
         state.apply(had, (ctrl,))
         if mult != 1:
-            if d == 2:
-                ops, _ = _binary_ctrl_mult_ops(ctrl, acc, acc2, A, T, x, marker, mu, mult, N)
-            else:
-                ops, _ = _ternary_ctrl_mult_ops(ctrl, acc, acc2, A, T, x, marker, u1, u, pool, mult, N)
-            state.permute(compile_classical(Circuit(width, tuple(ops))))
+            state.permute(controlled_multiply(spec.encoding, N, mult))
         state.apply(_phase_feedback(feed, t, d), (ctrl,))
         state.apply(had_inv, (ctrl,))
         m = state.measure(ctrl, rng)
         if m:
             state.apply(matrix_for_name("INC_INV" if m == 1 else "INC"), (ctrl,))
-        bits.append(m)
         feed += m * d**t
-    return sum(m * d**t for t, m in enumerate(bits))
+    return feed
 
 
 # ------------------------------------------------------------ classical post
@@ -313,11 +273,42 @@ class FactorReport:
     seed: int
 
 
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin: the first twelve primes as bases decide n < 3.18e23."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % p == 0 for p in bases):
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    return not any(pow(b, d, n) != 1 and all(pow(b, d << i, n) != n - 1 for i in range(s))
+                   for b in bases)
+
+
+def _perfect_power(N: int) -> tuple[int, int] | None:
+    """(b, k) with b**k == N for the largest k >= 2, or None (exact for N < 2**53)."""
+    for k in range(N.bit_length(), 1, -1):
+        b = round(2 ** (log2(N) / k))
+        if b**k == N:
+            return b, k
+    return None
+
+
 def shor_factor(N: int, seed: int = 0, encoding: str = "binary",
                 mode: str = "semiclassical", max_trials: int = 32) -> FactorReport:
-    """Factor an odd composite by repeated period finding."""
+    """Factor an odd composite by repeated period finding.
+
+    Primes are rejected with ``SizeError``.  A perfect power b^k, every
+    prime power among them, is answered classically with no period-finding
+    attempt and logged as ``(b, "perfect-power", k)``.
+    """
     if N % 2 == 0 or N < 9:
         raise SizeError("N must be an odd composite")
+    if _is_prime(N):
+        raise SizeError(f"N={N} is prime")
+    power = _perfect_power(N)
+    if power is not None:
+        b, k = power
+        return FactorReport((b, N // b), ((b, "perfect-power", k),), seed)
     rng = np.random.default_rng(seed)
     log = []
     for trial in range(max_trials):
@@ -339,12 +330,9 @@ def shor_factor(N: int, seed: int = 0, encoding: str = "binary",
         if y == N - 1:
             log.append((a, "trivial", r))
             continue
-        p, q = gcd(y - 1, N), gcd(y + 1, N)
+        p = gcd(y - 1, N)  # y^2 = 1 and y != +-1 mod N make this a proper factor
         if 1 < p < N:
             log.append((a, "ok", r))
             return FactorReport((p, N // p), tuple(log), seed)
-        if 1 < q < N:
-            log.append((a, "ok", r))
-            return FactorReport((q, N // q), tuple(log), seed)
-        log.append((a, "degenerate", r))
+        log.append((a, "degenerate", r))  # y = 1: r/2 is already a period
     return FactorReport(None, tuple(log), seed)

@@ -78,3 +78,24 @@ def test_shor_run(capsys):
     assert run_cli(["shor-run", "--n", "15", "--seed", "7", "--trials", "2"]) == 0
     out = capsys.readouterr().out
     assert "3 x 5" in out or "5 x 3" in out
+
+
+def test_shor_run_trials_in_order(capsys):
+    assert run_cli(["shor-run", "--n", "15", "--seed", "7", "--trials", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["trial 0", "trial 1", "trial 2"]
+    assert all("factors" in line for line in lines)
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_shor_run_rejects_trials_below_one(trials, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["shor-run", "--n", "15", "--trials", trials])
+    assert exc.value.code == 2
+    assert "--trials" in capsys.readouterr().err
+
+
+def test_shor_run_prime_exits_1(capsys):
+    assert run_cli(["shor-run", "--n", "13"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "prime" in err

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from terniq.errors import SizeError
-from terniq.modexp import ModExpSpec, modexp_circuit, modeled_shift_count
+from terniq.modexp import ModExpSpec, controlled_multiply, modexp_circuit, modeled_shift_count
 from terniq.shor import (
     FactorReport,
     PeriodCandidate,
@@ -105,6 +105,25 @@ def test_full_register_distribution_peaks():
     assert p[[1, 63, 100]].max() < 1e-12
 
 
+def phase_sum_distribution(spec):
+    """Direct reference: p(j) = sum_y |sum_{k: a^k = y} e^(-2 pi i j k / Q)|^2 / Q^2."""
+    Q = spec.radix**spec.exp_digits
+    values = [pow(spec.base, k, spec.modulus) for k in range(Q)]
+    onehot = np.zeros((Q, spec.modulus))
+    onehot[np.arange(Q), values] = 1.0
+    phases = np.exp(-2j * np.pi * np.outer(np.arange(Q), np.arange(Q)) / Q)
+    return (np.abs(phases @ onehot) ** 2).sum(axis=1) / Q**2
+
+
+@pytest.mark.parametrize("N,a,enc", [(15, 7, "binary"), (21, 2, "binary"), (15, 4, "binary"),
+                                     (15, 16, "binary"), (15, 2, "ternary"), (21, 2, "ternary"),
+                                     (13, 2, "ternary"), (21, 5, "ternary")])
+def test_full_register_matches_phase_sum(N, a, enc):
+    spec = ModExpSpec(a, N, enc)
+    assert spec.radix**spec.exp_digits <= 1024
+    assert np.abs(full_register_distribution(spec) - phase_sum_distribution(spec)).max() < 1e-12
+
+
 def test_trivial_base_measures_zero():
     spec = ModExpSpec(16, 15, "binary")   # 16 = 1 mod 15
     p = full_register_distribution(spec)
@@ -114,12 +133,14 @@ def test_trivial_base_measures_zero():
 
 
 @pytest.mark.parametrize("N,a,enc", [(15, 7, "binary"), (21, 2, "binary"),
-                                     (15, 2, "ternary"), (13, 2, "ternary")])
+                                     (15, 2, "ternary"), (13, 2, "ternary"),
+                                     (21, 2, "ternary"), (33, 2, "binary"), (33, 2, "ternary"),
+                                     (35, 2, "binary"), (35, 2, "ternary")])
 def test_semiclassical_matches_full_register(N, a, enc):
     spec = ModExpSpec(a, N, enc)
     pf = full_register_distribution(spec)
     ps = semiclassical_distribution(spec)
-    assert 0.5 * np.abs(pf - ps).sum() < 1e-9
+    assert 0.5 * np.abs(pf - ps).sum() < 1e-12
 
 
 def test_semiclassical_sampled_tv():
@@ -135,11 +156,31 @@ def test_semiclassical_sampled_tv():
 
 def test_gate_level_semiclassical_bridge():
     """Instruction-level rounds agree with the residue-map rounds per seed."""
-    spec = ModExpSpec(7, 15, "binary")
-    for seed in (0, 1, 7, 40, 123):
-        j_gate = semiclassical_gate_run(spec, seed)
-        j_map = semiclassical_period_rounds(spec, np.random.default_rng(seed))
-        assert j_gate == j_map
+    for spec, seeds in ((ModExpSpec(7, 15, "binary"), (0, 1, 7, 40, 123)),
+                        (ModExpSpec(2, 21, "binary"), (0, 1, 2)),
+                        (ModExpSpec(2, 15, "ternary"), (0, 1, 2))):
+        for seed in seeds:
+            j_gate = semiclassical_gate_run(spec, seed)
+            j_map = semiclassical_period_rounds(spec, np.random.default_rng(seed))
+            assert j_gate == j_map, (spec, seed)
+
+
+@pytest.mark.parametrize("enc,mult", [("binary", 7), ("ternary", 2)])
+def test_controlled_multiply_memoised(enc, mult):
+    """Control on wire 0, accumulator from wire 1: acc <- acc * mult^c; built once."""
+    comp = controlled_multiply(enc, 15, mult)
+    assert controlled_multiply(enc, 15, mult) is comp
+    d = 2 if enc == "binary" else 3
+    v = ModExpSpec(mult, 15, enc).value_digits
+    for c in range(d):
+        for y in (1, 4, 14):
+            trits = [0] * comp.width
+            trits[0] = c
+            for j in range(v):
+                trits[1 + j] = (y // d**j) % d
+            out = trits_of_index(run_compiled(comp, index_of_trits(trits)), comp.width)
+            assert sum(out[1 + j] * d**j for j in range(v)) == y * mult**c % 15
+            assert out[0] == c and not any(out[1 + v:])
 
 
 def test_gate_level_semiclassical_distribution():
@@ -198,6 +239,19 @@ def test_shor_factor_21_documented_seed():
 def test_shor_factor_rejects_even():
     with pytest.raises(SizeError):
         shor_factor(16)
+
+
+@pytest.mark.parametrize("N", [13, 97])
+def test_shor_factor_rejects_prime(N):
+    with pytest.raises(SizeError, match="prime"):
+        shor_factor(N)
+
+
+@pytest.mark.parametrize("N,b,k", [(9, 3, 2), (25, 5, 2), (27, 3, 3), (49, 7, 2), (121, 11, 2)])
+def test_shor_factor_prime_power_is_classical(N, b, k):
+    rep = shor_factor(N, seed=0)
+    assert rep.factors == (b, N // b)
+    assert rep.trials == ((b, "perfect-power", k),)   # no period-finding attempt
 
 
 @pytest.mark.slow

@@ -178,7 +178,7 @@ def test_classical_paths_agree_on_random_circuits():
             assert perm[idx] == out
             assert np.flatnonzero(np.abs(u[:, idx]) > 1e-12).tolist() == [out]
             assert abs(u[out, idx] - 1.0) < 1e-12
-            sparse = _SparseState(width)
+            sparse = _SparseState()
             sparse.amps = {idx: 1.0}
             sparse.permute(comp)
             assert sparse.amps == {out: 1.0}
