@@ -28,16 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import ceil, log
 
-from .circuit import Circuit, GateOp
+from .circuit import Circuit, GateOp, adjoint_ops, gate_op
 from .errors import SizeError
-from .gates import matrix_for_name
-from .widgets import adjoint_ops
 
 TAU_01_20 = "TAU2[1,6]"  # |01> <-> |20| on a (carry, digit) pair
-
-
-def _g(name: str, *wires: int) -> GateOp:
-    return GateOp(matrix_for_name(name), tuple(wires))
 
 
 def trit_count(n_bits: int) -> int:
@@ -144,36 +138,36 @@ class AdderCircuit:
 def cnot_prim_ops(c: int, t: int) -> list[GateOp]:
     """CNOT on binary data as two costed binary-controlled increments."""
     return [
-        _g("SUM_INV", t, c), _g("TAU1[1,2]", c), _g("TAU1[1,2]", t),
-        _g("C1[INC_INV]", c, t), _g("C1[INC]", t, c),
-        _g("TSWAP", c, t), _g("TAU1[1,2]", c), _g("TAU1[1,2]", t),
-        _g("SUM", t, c),
+        gate_op("SUM_INV", t, c), gate_op("TAU1[1,2]", c), gate_op("TAU1[1,2]", t),
+        gate_op("C1[INC_INV]", c, t), gate_op("C1[INC]", t, c),
+        gate_op("TSWAP", c, t), gate_op("TAU1[1,2]", c), gate_op("TAU1[1,2]", t),
+        gate_op("SUM", t, c),
     ]
 
 
 def toffoli_prim_ops(c1: int, c2: int, t: int, marker: int) -> list[GateOp]:
     """Toffoli on binary data; 12 P9 with one clean marker wire."""
     return (
-        [_g("SUM", c1, c2), _g("C2[INC]", c2, marker)]
+        [gate_op("SUM", c1, c2), gate_op("C2[INC]", c2, marker)]
         + cnot_prim_ops(marker, t)
-        + [_g("C2[INC]_INV", c2, marker), _g("SUM_INV", c1, c2)]
+        + [gate_op("C2[INC]_INV", c2, marker), gate_op("SUM_INV", c1, c2)]
     )
 
 
 def ctrl_toffoli_prim_ops(c1: int, c2: int, c3: int, t: int, m2: int, m1: int) -> list[GateOp]:
     """Binary-controlled Toffoli; 18 P9 with two clean markers."""
     return (
-        [_g("SUM", c1, c2), _g("C2[INC]", c2, m2)]
+        [gate_op("SUM", c1, c2), gate_op("C2[INC]", c2, m2)]
         + toffoli_prim_ops(m2, c3, t, m1)
-        + [_g("C2[INC]_INV", c2, m2), _g("SUM_INV", c1, c2)]
+        + [gate_op("C2[INC]_INV", c2, m2), gate_op("SUM_INV", c1, c2)]
     )
 
 
 def y_ops(a_bit: int, c: int, b: int) -> list[GateOp]:
     """Carry gadget: |c_j, b_j> -> |c'_j, c_{j+1}> for the classical bit a_j."""
     if a_bit == 0:
-        return [_g("TAU1[0,1]", c), _g("SUM", b, c), _g("C2[INC]_INV", c, b)]
-    return [_g("TAU1[0,1]", b), _g("SUM", b, c), _g("TAU1[0,1]", b), _g("C2[INC]", c, b)]
+        return [gate_op("TAU1[0,1]", c), gate_op("SUM", b, c), gate_op("C2[INC]_INV", c, b)]
+    return [gate_op("TAU1[0,1]", b), gate_op("SUM", b, c), gate_op("TAU1[0,1]", b), gate_op("C2[INC]", c, b)]
 
 
 def y_gate(a_bit: int) -> Circuit:
@@ -202,7 +196,7 @@ class _BinaryStages:
 
     def abit_gate(self, b: int) -> list[GateOp]:
         if not self.controls:
-            return [_g("TAU1[0,1]", b)]
+            return [gate_op("TAU1[0,1]", b)]
         if len(self.controls) == 1:
             return cnot_prim_ops(self.controls[0], b)
         return toffoli_prim_ops(self.controls[0], self.controls[1], b, self.markers[0])
@@ -246,7 +240,7 @@ def ripple_add_const(spec: ShiftSpec) -> AdderCircuit:
     stages = _BinaryStages(controls, markers)
     ops = binary_add_ops(spec.constant, data, A, T, stages)
     if spec.control == "single" and spec.control_mode == 0:
-        ops = [_g("TAU1[0,1]", controls[0])] + ops + [_g("TAU1[0,1]", controls[0])]
+        ops = [gate_op("TAU1[0,1]", controls[0])] + ops + [gate_op("TAU1[0,1]", controls[0])]
     circ = Circuit(w, tuple(ops), ancillas=frozenset({A, T, *markers}),
                    name=f"add{spec.constant}n{n}-{spec.control}")
     return AdderCircuit(circ, data, A, T, controls, spec=spec)
@@ -257,13 +251,13 @@ def ripple_add_const(spec: ShiftSpec) -> AdderCircuit:
 def ternary_carry_ops(digit: int, c_loc: int, b: int, anc: int | None) -> list[GateOp]:
     """Per-digit carry gadget; 15 P9 for every classical digit value."""
     if digit == 1:
-        return [_g("TSWAP", c_loc, b), _g(TAU_01_20, c_loc, b)]
+        return [gate_op("TSWAP", c_loc, b), gate_op(TAU_01_20, c_loc, b)]
     if digit == 0:
-        return [_g("C2[SUM]", b, c_loc, anc)]
+        return [gate_op("C2[SUM]", b, c_loc, anc)]
     return [
-        _g("TAU1[0,1]", c_loc), _g("INC_INV", b),
-        _g("C2[SUM]", b, c_loc, anc),
-        _g("INC", b), _g("TAU1[0,1]", c_loc), _g("TAU1[0,1]", anc),
+        gate_op("TAU1[0,1]", c_loc), gate_op("INC_INV", b),
+        gate_op("C2[SUM]", b, c_loc, anc),
+        gate_op("INC", b), gate_op("TAU1[0,1]", c_loc), gate_op("TAU1[0,1]", anc),
     ]
 
 
@@ -299,9 +293,9 @@ class _TernaryLadder:
 
 def _inc_pow_ops(wire: int, d: int) -> list[GateOp]:
     if d == 1:
-        return [_g("INC", wire)]
+        return [gate_op("INC", wire)]
     if d == 2:
-        return [_g("INC_INV", wire)]
+        return [gate_op("INC_INV", wire)]
     return []
 
 
@@ -322,16 +316,16 @@ def ternary_add_ops(a: int, data, carry_in: int, carry_out: int | None,
     if carry_out is not None:
         if double is not None:
             kap, f, mult, helper = double
-            ops += [_g("L[SUM]", mult, ladder.top, helper),
-                    _g(f"C{f}[SUM]", kap, helper, carry_out),
-                    _g("L[SUM]_INV", mult, ladder.top, helper)]
+            ops += [gate_op("L[SUM]", mult, ladder.top, helper),
+                    gate_op(f"C{f}[SUM]", kap, helper, carry_out),
+                    gate_op("L[SUM]_INV", mult, ladder.top, helper)]
         elif u is not None:
             if xor_top_marker is not None:
                 ops += toffoli_prim_ops(u, ladder.top, carry_out, xor_top_marker)
             else:
-                ops += [_g("L[SUM]", u, ladder.top, carry_out)]
+                ops += [gate_op("L[SUM]", u, ladder.top, carry_out)]
         else:
-            ops += [_g("SUM", ladder.top, carry_out)]
+            ops += [gate_op("SUM", ladder.top, carry_out)]
     for i in reversed(range(len(data))):
         ops += ladder.digit_unwind(i)
         d = ladder.digits[i]
@@ -339,16 +333,16 @@ def ternary_add_ops(a: int, data, carry_in: int, carry_out: int | None,
         if double is not None:
             kap, f, mult, helper = double
             ops += _inc_pow_ops(loc, d)
-            ops += [_g("L[SUM]", mult, loc, helper),
-                    _g(f"C{f}[SUM]", kap, helper, data[i]),
-                    _g("L[SUM]_INV", mult, loc, helper)]
+            ops += [gate_op("L[SUM]", mult, loc, helper),
+                    gate_op(f"C{f}[SUM]", kap, helper, data[i]),
+                    gate_op("L[SUM]_INV", mult, loc, helper)]
             ops += _inc_pow_ops(loc, (3 - d) % 3)
         elif u is not None:
             ops += _inc_pow_ops(loc, d)
-            ops += [_g("L[SUM]", u, loc, data[i])]
+            ops += [gate_op("L[SUM]", u, loc, data[i])]
             ops += _inc_pow_ops(loc, (3 - d) % 3)
         else:
-            ops += [_g("SUM", loc, data[i])]
+            ops += [gate_op("SUM", loc, data[i])]
             ops += _inc_pow_ops(data[i], d)
     return ops
 
@@ -383,9 +377,9 @@ def ripple_add_const_ternary(spec: ShiftSpec) -> AdderCircuit:
         pool = list(range(nxt + 2, nxt + 2 + _pool_size([a], m)))
         w = pool[-1] + 1
         f = spec.control_mode
-        ops = ([_g(f"C{f}[INC]", kap, u)]
+        ops = ([gate_op(f"C{f}[INC]", kap, u)]
                + ternary_add_ops(a, data, A, T, pool, u=u)
-               + [_g(f"C{f}[INC]_INV", kap, u)])
+               + [gate_op(f"C{f}[INC]_INV", kap, u)])
         circ = Circuit(w, tuple(ops), ancillas=frozenset({A, T, u, *pool}),
                        name=f"tadd{a}m{m}-c{f}")
         return AdderCircuit(circ, data, A, T, (kap,), spec=spec, ancilla_pool=tuple(pool))
@@ -400,9 +394,9 @@ def ripple_add_const_ternary(spec: ShiftSpec) -> AdderCircuit:
         w = pool[-1] + 1
         ops = []
         for f, const in ((1, a), (2, a2)):
-            ops += [_g(f"C{f}[INC]", kap, u)]
+            ops += [gate_op(f"C{f}[INC]", kap, u)]
             ops += ternary_add_ops(const, data, A, T, pool, u=u)
-            ops += [_g(f"C{f}[INC]_INV", kap, u)]
+            ops += [gate_op(f"C{f}[INC]_INV", kap, u)]
         circ = Circuit(w, tuple(ops), ancillas=frozenset({A, T, u, *pool}),
                        name=f"tadd{a}m{m}-fold")
         return AdderCircuit(circ, data, A, T, (kap,), spec=spec,
@@ -437,13 +431,13 @@ def binary_compare_ops(t: int, data, carry_in: int, result: int,
     n = len(data)
     bits = digits_of(t % 2**n, 2, n)
     prev = [carry_in] + list(data[:-1])
-    neg = [_g("TAU1[0,1]", w) for w in data]
+    neg = [gate_op("TAU1[0,1]", w) for w in data]
     ladder: list[GateOp] = []
     for j in range(n):
         ladder += y_ops(bits[j], prev[j], data[j])
     top = data[n - 1]
     if u is None:
-        update = [_g("TAU1[0,1]", result)] + cnot_prim_ops(top, result)
+        update = [gate_op("TAU1[0,1]", result)] + cnot_prim_ops(top, result)
     else:
         update = cnot_prim_ops(u, result) + toffoli_prim_ops(u, top, result, marker)
     return neg + ladder + update + adjoint_ops(ladder) + neg
@@ -453,10 +447,10 @@ def ternary_compare_ops(t: int, data, carry_in: int, result: int, pool: list[int
                         u: int | None = None, marker: int | None = None) -> list[GateOp]:
     """Ternary-encoding comparator; same structure on trit-negated data."""
     m = len(data)
-    neg = [_g("TAU1[0,2]", w) for w in data]
+    neg = [gate_op("TAU1[0,2]", w) for w in data]
     ladder = _TernaryLadder(t % 3**m, data, carry_in, pool)
     if u is None:
-        update = [_g("TAU1[0,1]", result)] + cnot_prim_ops(ladder.top, result)
+        update = [gate_op("TAU1[0,1]", result)] + cnot_prim_ops(ladder.top, result)
     else:
         update = cnot_prim_ops(u, result) + toffoli_prim_ops(u, ladder.top, result, marker)
     return neg + ladder.ops + update + adjoint_ops(ladder.ops) + neg
@@ -494,10 +488,10 @@ def mod_add_binary_ops(a: int, N: int, data, A: int, T: int, x: int, marker: int
     stage_x = _BinaryStages((x,), (marker,))
     ops = binary_add_ops(w1, data, A, T, stage0)
     if u is None:
-        ops += [_g("TAU1[0,1]", T)]
+        ops += [gate_op("TAU1[0,1]", T)]
     else:
         ops += cnot_prim_ops(u, T)
-    ops += [_g("SUM", T, x)]
+    ops += [gate_op("SUM", T, x)]
     ops += binary_add_ops(N % D, data, A, T, stage_x)
     ops += binary_compare_ops(a, data, A, x, u=u, marker=marker)
     return ops
@@ -523,14 +517,14 @@ def mod_add_ternary_ops(a: int, N: int, data, A: int, T: int, x: int, marker: in
     ops: list[GateOp] = []
     if fold is None and u is None:
         ops += ternary_add_ops(w1, data, A, T, pool)
-        ops += [_g("TAU1[0,1]", T), _g("SUM", T, x)]
+        ops += [gate_op("TAU1[0,1]", T), gate_op("SUM", T, x)]
         ops += _tern_strict_block(N % D, data, A, T, pool, x, marker)
         ops += ternary_compare_ops(a, data, A, x, pool)
         return ops
     if fold is None:
         ops += _tern_strict_block(w1, data, A, T, pool, u, marker)
         ops += cnot_prim_ops(u, T)
-        ops += [_g("SUM", T, x)]
+        ops += [gate_op("SUM", T, x)]
         ops += _tern_strict_block(N % D, data, A, T, pool, x, marker)
         ops += ternary_compare_ops(a, data, A, x, pool, u=u, marker=marker)
         return ops
@@ -540,19 +534,19 @@ def mod_add_ternary_ops(a: int, N: int, data, A: int, T: int, x: int, marker: in
     if branch:
         lanes.append((2, N % D))
     thresholds = ((1, a), (2, 2 * a if branch else 2 * a - N))
-    ops += [_g("C1[INC]", kappa, d), _g("C2[INC]", kappa, d)]
+    ops += [gate_op("C1[INC]", kappa, d), gate_op("C2[INC]", kappa, d)]
     for f, wv in lanes:
-        ops += [_g(f"C{f}[INC]", kappa, u_aux)]
+        ops += [gate_op(f"C{f}[INC]", kappa, u_aux)]
         ops += _tern_strict_block(wv, data, A, T, pool, u_aux, marker)
-        ops += [_g(f"C{f}[INC]_INV", kappa, u_aux)]
+        ops += [gate_op(f"C{f}[INC]_INV", kappa, u_aux)]
     ops += cnot_prim_ops(d, T)
-    ops += [_g("SUM", T, x)]
+    ops += [gate_op("SUM", T, x)]
     ops += _tern_strict_block(N % D, data, A, T, pool, x, marker)
     for f, t in thresholds:
-        ops += [_g(f"C{f}[INC]", kappa, u_aux)]
+        ops += [gate_op(f"C{f}[INC]", kappa, u_aux)]
         ops += ternary_compare_ops(t, data, A, x, pool, u=u_aux, marker=marker)
-        ops += [_g(f"C{f}[INC]_INV", kappa, u_aux)]
-    ops += [_g("C2[INC]_INV", kappa, d), _g("C1[INC]_INV", kappa, d)]
+        ops += [gate_op(f"C{f}[INC]_INV", kappa, u_aux)]
+    ops += [gate_op("C2[INC]_INV", kappa, d), gate_op("C1[INC]_INV", kappa, d)]
     return ops
 
 
@@ -583,13 +577,13 @@ def mod_add_const(spec: ShiftSpec) -> AdderCircuit:
             kap = nxt
             ops = mod_add_binary_ops(a, N, data, A, T, x, marker, u=kap)
             if spec.control_mode == 0:
-                ops = [_g("TAU1[0,1]", kap)] + ops + [_g("TAU1[0,1]", kap)]
+                ops = [gate_op("TAU1[0,1]", kap)] + ops + [gate_op("TAU1[0,1]", kap)]
             circ = Circuit(nxt + 1, tuple(ops), ancillas=frozenset({A, T, x, marker}),
                            name=f"modadd{a}N{N}b-c")
             return AdderCircuit(circ, data, A, T, (kap,), spec=spec, ladder_blocks=3)
         if spec.control == "double":
             kap1, kap2, mu = nxt, nxt + 1, nxt + 2
-            pro = [_g("SUM", kap1, kap2), _g("C2[INC]", kap2, mu)]
+            pro = [gate_op("SUM", kap1, kap2), gate_op("C2[INC]", kap2, mu)]
             ops = pro + mod_add_binary_ops(a, N, data, A, T, x, marker, u=mu) + adjoint_ops(pro)
             circ = Circuit(nxt + 3, tuple(ops), ancillas=frozenset({A, T, x, marker, mu}),
                            name=f"modadd{a}N{N}b-cc")
@@ -618,9 +612,9 @@ def mod_add_const(spec: ShiftSpec) -> AdderCircuit:
         pool = list(range(nxt + 2, nxt + 2 + npool))
         w = pool[-1] + 1
         f = spec.control_mode
-        ops = ([_g(f"C{f}[INC]", kap, u)]
+        ops = ([gate_op(f"C{f}[INC]", kap, u)]
                + mod_add_ternary_ops(a, N, data, A, T, x, marker, pool, u=u)
-               + [_g(f"C{f}[INC]_INV", kap, u)])
+               + [gate_op(f"C{f}[INC]_INV", kap, u)])
         circ = Circuit(w, tuple(ops), ancillas=frozenset({A, T, x, marker, u, *pool}),
                        name=f"modadd{a}N{N}t-c{f}")
         return AdderCircuit(circ, data, A, T, (kap,), spec=spec, ladder_blocks=4,
@@ -641,7 +635,7 @@ def mod_add_const(spec: ShiftSpec) -> AdderCircuit:
         u2, d, u = nxt + 2, nxt + 3, nxt + 4
         pool = list(range(nxt + 5, nxt + 5 + npool))
         w = pool[-1] + 1
-        pro = [_g(f"C{f}[SUM]", kap1, kap2, u2)]
+        pro = [gate_op(f"C{f}[SUM]", kap1, kap2, u2)]
         ops = (pro
                + mod_add_ternary_ops(a, N, data, A, T, x, marker, pool, fold=(u2, d, u))
                + adjoint_ops(pro))

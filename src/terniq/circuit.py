@@ -150,14 +150,25 @@ def compose(a: Circuit, b: Circuit, name: str = "") -> Circuit:
                    name or f"{a.name}+{b.name}")
 
 
+def gate_op(name: str, *wires: int) -> GateOp:
+    """The named gate of the catalog grammar on ``wires``."""
+    return GateOp(gates.matrix_for_name(name), wires)
+
+
+def adjoint_ops(ops: Sequence[Instruction]) -> list[GateOp]:
+    """Reverse a gate list taking each gate to its adjoint."""
+    out = []
+    for op in reversed(ops):
+        if not isinstance(op, GateOp):
+            raise NonUnitaryError(f"no adjoint for non-unitary {type(op).__name__}")
+        out.append(GateOp(op.gate.adjoint(), op.wires))
+    return out
+
+
 def inverse(a: Circuit) -> Circuit:
     """Reverse instruction order taking each gate to its adjoint."""
-    out = []
-    for op in reversed(a.instructions):
-        if not isinstance(op, GateOp):
-            raise NonUnitaryError(f"inverse: non-unitary instruction {type(op).__name__}")
-        out.append(GateOp(op.gate.adjoint(), op.wires))
-    return Circuit(a.width, tuple(out), a.ancillas, f"{a.name}^-1" if a.name else "")
+    return Circuit(a.width, tuple(adjoint_ops(a.instructions)), a.ancillas,
+                   f"{a.name}^-1" if a.name else "")
 
 
 def remap_wires(a: Circuit, mapping: Mapping[int, int], width: int, name: str = "") -> Circuit:

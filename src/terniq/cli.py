@@ -189,8 +189,9 @@ def cmd_shor_run(args) -> int:
         rep = shor_factor(args.n, seed=args.seed + i, encoding=args.encoding, mode=args.mode)
         if rep.factors:
             ok += 1
+            attempts = sum(kind not in ("gcd", "perfect-power") for _, kind, _ in rep.trials)
             print(f"trial {i}: factors {rep.factors[0]} x {rep.factors[1]}  "
-                  f"({len(rep.trials)} period-finding attempts)")
+                  f"({attempts} period-finding attempts)")
         else:
             print(f"trial {i}: failed  log={rep.trials}")
     return 0 if ok == args.trials else 1
@@ -268,7 +269,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except TerniqError as exc:
+    except (TerniqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -188,8 +188,6 @@ _FIXED = {
     "LOADPSI": (1, lambda: _loader("psi")),
 }
 
-CATALOG_NAMES = ("INC", "Z", "H", "Q", "TSWAP", "SUM", "P9", "R2")
-
 _TAU_RE = re.compile(r"^TAU(\d)\[(\d+),(\d+)\]$")
 _PHASE_RE = re.compile(r"^(PHASE1?)\[(-?\d+),(\d+)\]$")
 _PAULI_RE = re.compile(r"^X(\d)Z(\d)$")
@@ -265,10 +263,7 @@ def controlled(u: GateMatrix, mode) -> GateMatrix:
 @lru_cache(maxsize=None)
 def _resolve(name: str) -> GateMatrix:
     if name.endswith("_INV"):
-        base = _resolve(name[:-4])
-        if np.allclose(base.matrix, base.matrix.conj().T, atol=ATOL):
-            return base
-        return GateMatrix(name, base.arity, base.matrix.conj().T.copy())
+        return _resolve(name[:-4]).adjoint()
     m = _CTRL_RE.match(name)
     if m:
         mode = "ternary" if m.group(1) == "L" else int(m.group(1)[1])
@@ -324,6 +319,7 @@ def states_equal_up_to_phase(u: np.ndarray, v: np.ndarray, atol: float = 1e-10) 
 
 # ------------------------------------------------------- Clifford test
 
+@lru_cache(maxsize=8)
 def _pauli_products(n: int):
     """All n-qutrit Pauli tensor products X^a Z^b per wire, modulo phase."""
     singles = [[_pauli(a, b) for b in range(3)] for a in range(3)]
@@ -341,17 +337,12 @@ def _pauli_products(n: int):
     return out
 
 
-@lru_cache(maxsize=8)
-def _pauli_products_cached(n: int):
-    return _pauli_products(n)
-
-
 def is_clifford(u: GateMatrix, atol: float = 1e-10) -> bool:
     """True when u conjugates every Pauli generator to a Pauli, up to phase."""
     n = u.arity
     if n > 2:
         raise SizeError("is_clifford supports arity <= 2")
-    paulis = _pauli_products_cached(n)
+    paulis = _pauli_products(n)
     gens = []
     for w in range(n):
         for g in (_inc(), _z()):

@@ -18,11 +18,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .circuit import Circuit, GateOp
+from .circuit import Circuit, GateOp, adjoint_ops, gate_op
 from .errors import SizeError
-from .gates import matrix_for_name
 from .sim import CompiledCircuit, compile_classical
-from .widgets import adjoint_ops
 from .arithmetic import (
     cnot_prim_ops,
     mod_add_binary_ops,
@@ -30,10 +28,6 @@ from .arithmetic import (
     toffoli_prim_ops,
     _pool_size,
 )
-
-
-def _g(name: str, *wires: int) -> GateOp:
-    return GateOp(matrix_for_name(name), tuple(wires))
 
 
 @dataclass(frozen=True)
@@ -101,74 +95,61 @@ def _registers(spec: ModExpSpec) -> _Registers:
 
 
 def _binary_ctrl_mult_ops(kappa, regs, mult, N):
-    """acc2 (=0) <- d_kappa * acc * mult; then swap; then uncompute acc2."""
+    """acc2 (=0) <- d_kappa * acc * mult; then swap; then uncompute acc2.
+
+    The uncompute pass adds acc * (-mult^-1), which clears acc2 after the swap.
+    """
     acc, acc2 = regs.acc, regs.acc2
     A, T, x, marker, mu = regs.scratch
-    n = len(acc)
-    inv = pow(mult, -1, N)
     ops: list[GateOp] = []
     shifts = 0
-    for ell in range(n):
-        w = (2**ell * mult) % N
-        if w == 0:
-            continue
-        pro = [_g("SUM", kappa, acc[ell]), _g("C2[INC]", acc[ell], mu)]
-        ops += pro + mod_add_binary_ops(w, N, acc2, A, T, x, marker, u=mu) + adjoint_ops(pro)
-        shifts += 1
-    for ell in range(n):
-        ops += cnot_prim_ops(acc2[ell], acc[ell])
-        ops += toffoli_prim_ops(kappa, acc[ell], acc2[ell], marker)
-        ops += cnot_prim_ops(acc2[ell], acc[ell])
-    for ell in range(n):
-        w = (2**ell * inv) % N
-        if w == 0:
-            continue
-        pro = [_g("SUM", kappa, acc[ell]), _g("C2[INC]", acc[ell], mu)]
-        ops += pro + mod_add_binary_ops((N - w) % N, N, acc2, A, T, x, marker, u=mu) + adjoint_ops(pro)
-        shifts += 1
+    for uncompute, sign in enumerate((1, -1)):
+        factor = sign * pow(mult, sign, N)
+        for ell in range(len(acc)):
+            w = (2**ell * factor) % N
+            if w == 0:
+                continue
+            pro = [gate_op("SUM", kappa, acc[ell]), gate_op("C2[INC]", acc[ell], mu)]
+            ops += pro + mod_add_binary_ops(w, N, acc2, A, T, x, marker, u=mu) + adjoint_ops(pro)
+            shifts += 1
+        if not uncompute:
+            for ell in range(len(acc)):
+                ops += cnot_prim_ops(acc2[ell], acc[ell])
+                ops += toffoli_prim_ops(kappa, acc[ell], acc2[ell], marker)
+                ops += cnot_prim_ops(acc2[ell], acc[ell])
     return ops, shifts
 
 
 def _ternary_ctrl_mult_ops(kappa, regs, a_pow, N):
-    """Ternary-digit controlled multiply: acc2 <- acc * a_pow^(k) for k on kappa."""
+    """Ternary-digit controlled multiply: acc2 <- acc * a_pow^(k) for k on kappa.
+
+    As in the binary multiply, the uncompute pass adds acc * (-a_pow^-f).
+    """
     acc, acc2 = regs.acc, regs.acc2
     A, T, x, marker, u1, u, *pool = regs.scratch
     m = len(acc)
     ops: list[GateOp] = []
     shifts = 0
-    for f in (1, 2):
-        mult = pow(a_pow, f, N)
-        ops += [_g(f"C{f}[INC]", kappa, u1)]
-        for ell in range(m):
-            for gval in (1, 2):
-                w = (gval * 3**ell * mult) % N
-                if w == 0:
-                    continue
-                ops += [_g(f"C{gval}[SUM]", acc[ell], u1, u)]
-                ops += mod_add_ternary_ops(w, N, acc2, A, T, x, marker, pool, u=u)
-                ops += [_g(f"C{gval}[SUM]_INV", acc[ell], u1, u)]
-                shifts += 1
-        ops += [_g(f"C{f}[INC]_INV", kappa, u1)]
-    # k = 0 branch: digitwise copy
-    for ell in range(m):
-        ops += [_g("C0[SUM]", kappa, acc[ell], acc2[ell])]
-    for ell in range(m):
-        ops += [_g("TSWAP", acc[ell], acc2[ell])]
-    for f in (1, 2):
-        inv = pow(a_pow, -f, N)
-        ops += [_g(f"C{f}[INC]", kappa, u1)]
-        for ell in range(m):
-            for gval in (1, 2):
-                w = (gval * 3**ell * inv) % N
-                if w == 0:
-                    continue
-                ops += [_g(f"C{gval}[SUM]", acc[ell], u1, u)]
-                ops += mod_add_ternary_ops((N - w) % N, N, acc2, A, T, x, marker, pool, u=u)
-                ops += [_g(f"C{gval}[SUM]_INV", acc[ell], u1, u)]
-                shifts += 1
-        ops += [_g(f"C{f}[INC]_INV", kappa, u1)]
-    for ell in range(m):
-        ops += [_g("C0[SUM]_INV", kappa, acc[ell], acc2[ell])]
+    for uncompute, sign in enumerate((1, -1)):
+        for f in (1, 2):
+            factor = sign * pow(a_pow, sign * f, N)
+            ops += [gate_op(f"C{f}[INC]", kappa, u1)]
+            for ell in range(m):
+                for gval in (1, 2):
+                    w = (gval * 3**ell * factor) % N
+                    if w == 0:
+                        continue
+                    ops += [gate_op(f"C{gval}[SUM]", acc[ell], u1, u)]
+                    ops += mod_add_ternary_ops(w, N, acc2, A, T, x, marker, pool, u=u)
+                    ops += [gate_op(f"C{gval}[SUM]_INV", acc[ell], u1, u)]
+                    shifts += 1
+            ops += [gate_op(f"C{f}[INC]_INV", kappa, u1)]
+        if uncompute:
+            ops += [gate_op("C0[SUM]_INV", kappa, acc[ell], acc2[ell]) for ell in range(m)]
+        else:
+            # k = 0 branch: digitwise copy, then swap
+            ops += [gate_op("C0[SUM]", kappa, acc[ell], acc2[ell]) for ell in range(m)]
+            ops += [gate_op("TSWAP", acc[ell], acc2[ell]) for ell in range(m)]
     return ops, shifts
 
 
@@ -181,7 +162,7 @@ def modexp_circuit(spec: ModExpSpec) -> ModExpLayout:
     """Full-register modular exponentiation circuit."""
     N, base, d = spec.modulus, spec.base, spec.radix
     regs = _registers(spec)
-    ops = [_g("TAU1[0,1]" if d == 2 else "INC", regs.acc[0])]  # acc <- 1
+    ops = [gate_op("TAU1[0,1]" if d == 2 else "INC", regs.acc[0])]  # acc <- 1
     total_shifts = 0
     for j, kappa in enumerate(regs.exponent):
         mult = pow(base, d**j, N)

@@ -3,11 +3,17 @@
 Two gate modes:
 
   * ``ideal``    -- every gate is applied as its matrix.
-  * ``injected`` -- each explicit P9 (or P9_INV) instruction is replaced at
-    run time by the deterministic magic-state injection protocol, and each
-    R2 instruction by the repeat-until-success injection loop.  One extra
-    pool wire (appended after the circuit's wires) hosts the consumed
-    resource states and is measured back to |0> after every use.
+  * ``injected`` -- each P9 (or P9_INV) gate runs the widget circuits of
+    deterministic magic-state injection: the LOADMU (LOADMUDG) loader, then
+    :func:`~terniq.widgets.p9_injection_widget`; each R2 gate runs the
+    :func:`~terniq.widgets.r2_injection_rus` repeat-until-success block.  One
+    extra pool wire (appended after the circuit's wires) hosts the consumed
+    resource states and is reset to |0> from its last measured outcome after
+    every use.  The protocols keep their own classical slots, so they never
+    touch the circuit's.
+
+:func:`run` checks the norm of the final state; every measurement checks
+the norm of the state it measures.
 
 The classical path compiles a permutation circuit into per-gate trit tables
 (:func:`compile_classical`), walks one basis index through them on Python-int
@@ -20,21 +26,27 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .circuit import Circuit, CondGateOp, GateOp, MeasureOp, RusOp, _gate_class
+from .circuit import (Circuit, CondGateOp, GateOp, MeasureOp, RusOp, _base_name, _gate_class,
+                      gate_op, remap_wires)
 from .errors import NonUnitaryError, RusCapError, SizeError, WidthCapError
 from .gates import GateMatrix, matrix_for_name, root_of_unity
+from .widgets import p9_injection_widget, r2_injection_rus, reset_ops
 
 DEFAULT_WIDTH_CAP = 14
 _NORM_TOL = 1e-10
 
 
 def width_cap() -> int:
-    return int(os.environ.get("TERNIQ_WIDTH_CAP", DEFAULT_WIDTH_CAP))
+    text = os.environ.get("TERNIQ_WIDTH_CAP", str(DEFAULT_WIDTH_CAP))
+    try:
+        return int(text)
+    except ValueError:
+        raise WidthCapError(f"TERNIQ_WIDTH_CAP={text!r} is not an integer") from None
 
 
 # ------------------------------------------------------------ resource states
@@ -121,21 +133,40 @@ def _expanded(name: str, wires: tuple, width: int) -> np.ndarray:
 _LOADER_STATES = {"LOADMU": "mu", "LOADMUDG": "mu_dag", "LOADPSI": "psi"}
 
 
+@lru_cache(maxsize=4096)
+def _tally(names: tuple) -> tuple:
+    """P9 count, R2 count and loaded resource states of a gate-name sequence."""
+    kinds = [_gate_class(name)[0] for name in names]
+    loads = tuple(_LOADER_STATES[b] for b in map(_base_name, names) if b in _LOADER_STATES)
+    return kinds.count("p9"), kinds.count("r2"), loads
+
+
 @lru_cache(maxsize=1024)
 def _fused_segment(width: int, key: tuple):
-    """Product operator of consecutive gates plus its cost/consumption tally."""
+    """Product operator of consecutive gates plus its tally."""
     mat = np.eye(3**width, dtype=np.complex128)
-    p9 = r2 = 0
-    loads: list[str] = []
     for name, wires in key:
         mat = _expanded(name, wires, width) @ mat
-        kind = _gate_class(name)[0]
-        p9 += kind == "p9"
-        r2 += kind == "r2"
-        base = name[:-4] if name.endswith("_INV") else name
-        if base in _LOADER_STATES:
-            loads.append(_LOADER_STATES[base])
-    return mat, p9, r2, tuple(loads)
+    return mat, _tally(tuple(name for name, _ in key))
+
+
+@lru_cache(maxsize=256)
+def _injection(name: str, wire: int, width: int) -> tuple:
+    """Injection protocol standing in for a P9, P9_INV or R2 gate on ``wire``.
+
+    The widget's resource wire 1 becomes the pool (the top wire), which the
+    closing reset returns to |0> from the outcome last measured into slot 0.
+    Injected R2 trials are recorded under ``injected-r2``, apart from any
+    ``r2-rus`` block the circuit itself holds.
+    """
+    if _base_name(name) == "R2":
+        ops = (replace(r2_injection_rus().instructions[0], label="injected-r2"),)
+    else:
+        inverse = name == "P9_INV"
+        ops = ((gate_op("LOADMUDG" if inverse else "LOADMU", 1),)
+               + p9_injection_widget(inverse).instructions)
+    ops += tuple(reset_ops(1, 0))
+    return remap_wires(Circuit(2, ops), {0: wire, 1: width - 1}, width).instructions
 
 
 def _apply(amps: np.ndarray, gate: GateMatrix, wires, width: int) -> np.ndarray:
@@ -213,69 +244,19 @@ class _Exec:
         self.rng = np.random.default_rng(seed)
         self.mode = mode
         self.record = record
-        self.check_norm = width <= 10
+
+    def _count(self, tally):
+        p9, r2, loads = tally
+        self.record.p9_executed += p9
+        self.record.r2_executed += r2
+        for name in loads:
+            self.record.consumed[name] += 1
 
     def gate(self, state, g, wires):
-        kind = _gate_class(g.name)[0]
-        base = g.name[:-4] if g.name.endswith("_INV") else g.name
-        if self.mode == "injected" and base == "P9" and g.arity == 1:
-            return self._inject_p9(state, wires[0], inverse=g.name.endswith("_INV"))
-        if self.mode == "injected" and base == "R2" and g.arity == 1:
-            return self._inject_r2(state, wires[0])
-        if base in _LOADER_STATES:
-            self.record.consumed[_LOADER_STATES[base]] += 1
-        if kind == "p9":
-            self.record.p9_executed += 1
-        elif kind == "r2":
-            self.record.r2_executed += 1
-        state = apply_gate(state, g, wires)
-        if self.check_norm and abs(state.norm() - 1.0) > _NORM_TOL:
-            raise NonUnitaryError(f"norm drift after {g.name}")
-        return state
-
-    def _pool(self):
-        return self.width - 1
-
-    def _load(self, state, name):
-        loader = {"mu": "LOADMU", "mu_dag": "LOADMUDG", "psi": "LOADPSI"}[name]
-        self.record.consumed[name] += 1
-        return apply_gate(state, matrix_for_name(loader), (self._pool(),))
-
-    def _measure_reset_pool(self, state):
-        pool = self._pool()
-        m, state = measure_wire(state, pool, self.rng)
-        self.record.measurements += 1
-        if m:
-            state = apply_gate(state, matrix_for_name("INC" if m == 2 else "INC_INV"), (pool,))
-        return m, state
-
-    def _inject_p9(self, state, wire, inverse):
-        pool = self._pool()
-        state = self._load(state, "mu_dag" if inverse else "mu")
-        state = apply_gate(state, matrix_for_name("L[INC_INV]"), (wire, pool))
-        m, state = self._measure_reset_pool(state)
-        if m:
-            corr = matrix_for_name(f"CMU_INV[{m}]" if inverse else f"CMU[{m}]")
-            state = apply_gate(state, corr, (wire,))
-        self.record.p9_executed += 1
-        return state
-
-    def _inject_r2(self, state, wire):
-        flips = [0, 0, 0]
-        trials = 0
-        log = []
-        while trials < 1000:
-            trials += 1
-            state = self._load(state, "psi")
-            state = apply_gate(state, matrix_for_name("SUM"), (wire, self._pool()))
-            m, state = self._measure_reset_pool(state)
-            log.append(m)
-            flips[(m + 2) % 3] ^= 1
-            if flips == [0, 0, 1] or flips == [1, 1, 0]:
-                self.record.r2_executed += 1
-                self.record.rus_trials.setdefault("injected-r2", []).append(trials)
-                return state
-        raise RusCapError("R2 injection did not absorb", log)
+        self._count(_tally((g.name,)))
+        if self.mode == "injected" and g.arity == 1 and _base_name(g.name) in ("P9", "R2"):
+            return self.run_ops(state, _injection(g.name, wires[0], self.width), {})
+        return apply_gate(state, g, wires)
 
     def run_ops(self, state, instructions, slots):
         i, n = 0, len(instructions)
@@ -290,12 +271,9 @@ class _Exec:
                     if j - i > 1:
                         key = tuple((instructions[k].gate.name, instructions[k].wires)
                                     for k in range(i, j))
-                        mat, p9, r2, loads = _fused_segment(self.width, key)
+                        mat, tally = _fused_segment(self.width, key)
                         state = StateVector(self.width, mat @ state.amps)
-                        self.record.p9_executed += p9
-                        self.record.r2_executed += r2
-                        for name in loads:
-                            self.record.consumed[name] += 1
+                        self._count(tally)
                         i = j
                         continue
                 state = self.gate(state, op.gate, op.wires)
@@ -340,13 +318,14 @@ class _Exec:
 
 
 def run(c: Circuit, initial: StateVector | None = None, seed: int = 0,
-        gate_mode: str = "ideal", cap: int | None = None) -> RunRecord:
+        gate_mode: str = "ideal") -> RunRecord:
     """Execute a circuit, returning the final state and classical record."""
     if gate_mode not in ("ideal", "injected"):
         raise SizeError(f"gate_mode {gate_mode!r}")
     width = c.width + (1 if gate_mode == "injected" else 0)
-    if width > (cap if cap is not None else width_cap()):
-        raise WidthCapError(f"width {width} above cap {cap if cap is not None else width_cap()}")
+    cap = width_cap()
+    if width > cap:
+        raise WidthCapError(f"width {width} above cap {cap}")
     if initial is None:
         state = basis_state(width, 0)
     elif initial.width == width:
@@ -360,6 +339,8 @@ def run(c: Circuit, initial: StateVector | None = None, seed: int = 0,
     record = RunRecord(state=state, slots={}, seed=seed)
     ex = _Exec(width, seed, gate_mode, record)
     record.state = ex.run_ops(state, c.instructions, record.slots)
+    if abs(record.state.norm() - 1.0) > _NORM_TOL:
+        raise NonUnitaryError(f"final state norm {record.state.norm()}")
     return record
 
 
@@ -442,9 +423,9 @@ def run_compiled(compiled: CompiledCircuit, index: int) -> int:
     return index_of_trits(t)
 
 
-def circuit_permutation(c: Circuit, width_cap_: int = 12) -> np.ndarray:
+def circuit_permutation(c: Circuit) -> np.ndarray:
     """Full basis permutation of a classical circuit: ``run_compiled`` per index."""
-    if c.width > width_cap_:
-        raise WidthCapError(f"width {c.width} > {width_cap_}")
+    if c.width > 12:
+        raise WidthCapError(f"width {c.width} > 12")
     comp = compile_classical(c)
     return np.array([run_compiled(comp, i) for i in range(3**c.width)], dtype=np.int64)

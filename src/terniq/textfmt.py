@@ -1,6 +1,6 @@
 """Line-oriented text format for circuits.
 
-    circuit <width> [<name>]
+    circuit <width> [<name, the rest of the line>]
     ancilla <w> <w> ...
     gate <NAME> <wire...>
     measure <wire> -> c<k>
@@ -17,6 +17,8 @@
 """
 
 from __future__ import annotations
+
+import math
 
 from .circuit import Chain, Circuit, CondGateOp, GateOp, MeasureOp, RusOp
 from .errors import ParseError
@@ -92,11 +94,10 @@ def deserialize(text: str) -> Circuit:
     parts = line.split()
     if parts[0] != "circuit" or len(parts) < 2:
         raise ParseError("expected 'circuit <width>'", ln)
-    try:
-        width = int(parts[1])
-    except ValueError:
-        raise ParseError(f"bad width {parts[1]!r}", ln) from None
-    name = parts[2] if len(parts) > 2 else ""
+    width = _int(parts[1], ln)
+    if width < 0:
+        raise ParseError(f"negative width {width}", ln)
+    name = line.split(None, 2)[2] if len(parts) > 2 else ""
     ancillas: frozenset[int] = frozenset()
     ops = []
     while True:
@@ -118,6 +119,14 @@ def _int(tok: str, ln: int) -> int:
         return int(tok)
     except ValueError:
         raise ParseError(f"expected integer, got {tok!r}", ln) from None
+
+
+def _consumed(item: str, ln: int) -> tuple[str, int]:
+    # "<name>:<k>"
+    name, sep, k = item.partition(":")
+    if not sep:
+        raise ParseError(f"expected <name>:<k>, got {item!r}", ln)
+    return name, _int(k, ln)
 
 
 def _gate_from(parts, ln, width, start=1):
@@ -194,11 +203,13 @@ def _parse_rus(cur, width):
         transitions = {}
         if opts.get("trans"):
             for item in opts["trans"].split("|"):
-                s, m, t = (int(x) for x in item.split(","))
-                transitions[(s, m)] = t
-        chain = Chain(int(opts.get("start", 0)),
+                smt = [_int(x, ln) for x in item.split(",")]
+                if len(smt) != 3:
+                    raise ParseError(f"expected <s>,<m>,<s'>, got {item!r}", ln)
+                transitions[(smt[0], smt[1])] = smt[2]
+        chain = Chain(_int(opts.get("start", "0"), ln),
                       transitions,
-                      frozenset(int(x) for x in opts.get("accept", "").split("|") if x))
+                      frozenset(_int(x, ln) for x in opts.get("accept", "").split("|") if x))
     else:
         predicate = tuple(_parse_slot(t, ln) for t in tail[i].split("&&"))
         i += 1
@@ -207,20 +218,27 @@ def _parse_rus(cur, width):
     corrections = []
     while i < len(tail):
         tok = tail[i]
+        if tok not in ("maxiter", "expected", "label", "consumes", "corrections"):
+            raise ParseError(f"unknown rus option {tok!r}", ln)
+        if i + 1 == len(tail):
+            raise ParseError(f"rus option {tok!r} needs a value", ln)
+        value = tail[i + 1]
+        i += 2
         if tok == "maxiter":
-            max_iters = _int(tail[i + 1], ln)
-            i += 2
+            max_iters = _int(value, ln)
         elif tok == "expected":
-            expected = float(tail[i + 1])
-            i += 2
+            try:
+                expected = float(value)
+            except ValueError:
+                raise ParseError(f"expected a number, got {value!r}", ln) from None
+            if not math.isfinite(expected) or expected <= 0:
+                raise ParseError(f"expected trials must be positive and finite, got {value!r}", ln)
         elif tok == "label":
-            label = tail[i + 1]
-            i += 2
+            label = value
         elif tok == "consumes":
-            consumes = tuple((n.split(":")[0], int(n.split(":")[1])) for n in tail[i + 1].split(","))
-            i += 2
-        elif tok == "corrections":
-            if i + 1 >= len(tail) or tail[i + 1] != "{":
+            consumes = tuple(_consumed(item, ln) for item in value.split(","))
+        else:
+            if value != "{":
                 raise ParseError("expected 'corrections {'", ln)
             while True:
                 cline, cln = cur.next_line()
@@ -237,7 +255,5 @@ def _parse_rus(cur, width):
                 g, wires = _gate_from(parts, cln, width, start=1)
                 corrections.append((_int(key_s, cln), g, wires))
             i = len(tail)
-        else:
-            raise ParseError(f"unknown rus option {tok!r}", ln)
     return RusOp(Circuit(width, tuple(body_ops)), predicate, chain, outcome_slot,
                  tuple(corrections), max_iters, consumes, expected, label)

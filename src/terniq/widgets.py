@@ -16,25 +16,17 @@ from __future__ import annotations
 from collections import deque
 from functools import lru_cache
 
-from .circuit import Chain, Circuit, CondGateOp, GateOp, MeasureOp, RusOp, remap_wires
+from .circuit import (Chain, Circuit, CondGateOp, GateOp, MeasureOp, RusOp, adjoint_ops, gate_op,
+                      remap_wires)
 from .errors import SizeError
 from .gates import matrix_for_name
-from .sim import resource_state  # re-exported; also the simulator's source of truth
 
 __all__ = [
-    "resource_state", "p9_injection_widget", "r2_injection_rus",
+    "p9_injection_widget", "r2_injection_rus",
     "c1z_from_p9", "c1z_depth_one", "c_binary_inc", "cnot_emulated",
     "toffoli_emulated", "ccc_not", "add_binary_control", "horner_gates",
-    "resource_state_prep", "tau2_ops",
+    "resource_state_prep", "tau2_ops", "reset_ops",
 ]
-
-
-def _g(name: str, *wires: int) -> GateOp:
-    return GateOp(matrix_for_name(name), tuple(wires))
-
-
-def adjoint_ops(ops) -> list[GateOp]:
-    return [GateOp(op.gate.adjoint(), op.wires) for op in reversed(ops)]
 
 
 # ------------------------------------------------------------ C_l(Z), C_l(INC)
@@ -42,9 +34,9 @@ def adjoint_ops(ops) -> list[GateOp]:
 def _c1z_core_ops(c: int, t: int) -> list[GateOp]:
     # Three-P9 network equal to C_0(w3^-1 Z); see _c1z_dressing.
     return [
-        _g("P9", t), _g("L[INC]", c, t),
-        _g("P9", t), _g("L[INC]", c, t),
-        _g("P9", t), _g("L[INC]", c, t),
+        gate_op("P9", t), gate_op("L[INC]", c, t),
+        gate_op("P9", t), gate_op("L[INC]", c, t),
+        gate_op("P9", t), gate_op("L[INC]", c, t),
     ]
 
 
@@ -52,20 +44,20 @@ def _c1z_depth_one_core_ops(c: int, t: int, a: int) -> list[GateOp]:
     # Same unitary as _c1z_core_ops but with the P9s in one parallel layer,
     # using a clean helper wire ``a``.
     return [
-        _g("L[INC_INV]", c, a),
-        _g("L[INC]", t, c),
-        _g("L[INC]", t, a),
-        _g("P9", c), _g("P9", t), _g("P9", a),
-        _g("L[INC_INV]", t, a),
-        _g("L[INC_INV]", t, c),
-        _g("L[INC]", c, a),
+        gate_op("L[INC_INV]", c, a),
+        gate_op("L[INC]", t, c),
+        gate_op("L[INC]", t, a),
+        gate_op("P9", c), gate_op("P9", t), gate_op("P9", a),
+        gate_op("L[INC_INV]", t, a),
+        gate_op("L[INC_INV]", t, c),
+        gate_op("L[INC]", c, a),
     ]
 
 
 def _c1z_dressing(core: list[GateOp], c: int) -> list[GateOp]:
     # The raw cores realize C_0(w3^-1 Z).  Swapping control levels 0 and 1
     # and adding an w3 phase on control value 1 turns them into C_1(Z).
-    return [_g("TAU1[0,1]", c)] + core + [_g("TAU1[0,1]", c), _g("Q1", c)]
+    return [gate_op("TAU1[0,1]", c)] + core + [gate_op("TAU1[0,1]", c), gate_op("Q1", c)]
 
 
 def c1z_from_p9() -> Circuit:
@@ -87,11 +79,11 @@ def _c_inc_ops(c: int, t: int, level: int = 1, dagger: bool = False,
     ``helper`` wire.  ``dagger`` gives the adjoint (= C_level(INC^2)).
     """
     core = _c1z_depth_one_core_ops(c, t, helper) if depth_one else _c1z_core_ops(c, t)
-    ops = [_g("H", t)] + _c1z_dressing(core, c) + [_g("H_INV", t)]
+    ops = [gate_op("H", t)] + _c1z_dressing(core, c) + [gate_op("H_INV", t)]
     if level == 0:
-        ops = [_g("TAU1[0,1]", c)] + ops + [_g("TAU1[0,1]", c)]
+        ops = [gate_op("TAU1[0,1]", c)] + ops + [gate_op("TAU1[0,1]", c)]
     elif level == 2:
-        ops = [_g("TAU1[1,2]", c)] + ops + [_g("TAU1[1,2]", c)]
+        ops = [gate_op("TAU1[1,2]", c)] + ops + [gate_op("TAU1[1,2]", c)]
     elif level != 1:
         raise SizeError(f"control level {level}")
     return adjoint_ops(ops) if dagger else ops
@@ -157,7 +149,7 @@ def _tau_02_20_core_ops(x: int, y: int) -> list[GateOp]:
     # tau_{|02>,|20>} as five binary-controlled increments plus a swap.
     a = _c_inc_ops(y, x, level=1)           # C_1(INC)_{2,1}
     b = _c_inc_ops(x, y, level=1)
-    return a + b + a + b + a + [_g("TSWAP", x, y)]
+    return a + b + a + b + a + [gate_op("TSWAP", x, y)]
 
 
 def tau2_ops(x: int, y: int, p1: tuple[int, int], p2: tuple[int, int]) -> list[GateOp]:
@@ -166,7 +158,7 @@ def tau2_ops(x: int, y: int, p1: tuple[int, int], p2: tuple[int, int]) -> list[G
         raise SizeError("degenerate reflection")
     word = _conjugator_word(p1, p2)
     wires = (x, y)
-    pre = [_g(name, *(wires[i] for i in idx)) for name, idx, _, _ in word]
+    pre = [gate_op(name, *(wires[i] for i in idx)) for name, idx, _, _ in word]
     return pre + _tau_02_20_core_ops(x, y) + adjoint_ops(pre)
 
 
@@ -174,10 +166,10 @@ def tau2_ops(x: int, y: int, p1: tuple[int, int], p2: tuple[int, int]) -> list[G
 
 def _cnot_ops(c: int, t: int, depth_one: bool = False, helper: int | None = None) -> list[GateOp]:
     return (
-        [_g("SUM_INV", t, c), _g("TAU1[1,2]", c), _g("TAU1[1,2]", t)]
+        [gate_op("SUM_INV", t, c), gate_op("TAU1[1,2]", c), gate_op("TAU1[1,2]", t)]
         + _c_inc_ops(c, t, level=1, dagger=True, depth_one=depth_one, helper=helper)
         + _c_inc_ops(t, c, level=1, depth_one=depth_one, helper=helper)
-        + [_g("TSWAP", c, t), _g("TAU1[1,2]", c), _g("TAU1[1,2]", t), _g("SUM", t, c)]
+        + [gate_op("TSWAP", c, t), gate_op("TAU1[1,2]", c), gate_op("TAU1[1,2]", t), gate_op("SUM", t, c)]
     )
 
 
@@ -195,19 +187,19 @@ def cnot_emulated(depth_two: bool = False) -> Circuit:
 def _toffoli15_ops(c1: int, c2: int, t: int) -> list[GateOp]:
     # (SUM^dag x I) (I x tau_{|20>,|21>}) (SUM x I): reflection on |110>,|111>.
     return (
-        [_g("SUM", c1, c2)]
+        [gate_op("SUM", c1, c2)]
         + tau2_ops(c2, t, (2, 0), (2, 1))
-        + [_g("SUM_INV", c1, c2)]
+        + [gate_op("SUM_INV", c1, c2)]
     )
 
 
 def _toffoli12_ops(c1: int, c2: int, t: int, marker: int, helper: int) -> list[GateOp]:
     return (
-        [_g("SUM", c1, c2)]
+        [gate_op("SUM", c1, c2)]
         + _c_inc_ops(c2, marker, level=2, depth_one=True, helper=helper)
         + _cnot_ops(marker, t, depth_one=True, helper=helper)
         + _c_inc_ops(c2, marker, level=2, dagger=True, depth_one=True, helper=helper)
-        + [_g("SUM_INV", c1, c2)]
+        + [gate_op("SUM_INV", c1, c2)]
     )
 
 
@@ -233,20 +225,20 @@ def ccc_not(ancilla_mode: str = "two_clean") -> Circuit:
     """
     if ancilla_mode == "two_clean":
         ops = (
-            [_g("SUM", 0, 1)]
+            [gate_op("SUM", 0, 1)]
             + _c_inc_ops(1, 4, level=2, depth_one=True, helper=6)
             + _toffoli12_ops(4, 2, 3, 5, 6)
             + _c_inc_ops(1, 4, level=2, dagger=True, depth_one=True, helper=6)
-            + [_g("SUM_INV", 0, 1)]
+            + [gate_op("SUM_INV", 0, 1)]
         )
         return Circuit(7, tuple(ops), ancillas=frozenset({4, 5, 6}), name="cccnot18")
     if ancilla_mode == "one_clean":
         ops = (
-            [_g("SUM", 0, 1)]
+            [gate_op("SUM", 0, 1)]
             + _c_inc_ops(1, 4, level=2)
             + _toffoli15_ops(4, 2, 3)
             + _c_inc_ops(1, 4, level=2, dagger=True)
-            + [_g("SUM_INV", 0, 1)]
+            + [gate_op("SUM_INV", 0, 1)]
         )
         return Circuit(5, tuple(ops), ancillas=frozenset({4}), name="cccnot21")
     raise SizeError(f"ancilla_mode {ancilla_mode!r}")
@@ -266,7 +258,7 @@ def add_binary_control(c: Circuit, control: int) -> Circuit:
     mapping = {w: w for w in range(c.width)}
     mapping[control] = marker
     body = remap_wires(c, mapping, width)
-    pro = [_g("SUM", control, new_ctrl)] + _c_inc_ops(new_ctrl, marker, level=2)
+    pro = [gate_op("SUM", control, new_ctrl)] + _c_inc_ops(new_ctrl, marker, level=2)
     return Circuit(
         width,
         tuple(pro) + body.instructions + tuple(adjoint_ops(pro)),
@@ -286,14 +278,14 @@ def horner_gates(kind: str, f: int = 1) -> Circuit:
     ``CF_SUM``    wires (0,1,2):  adds d_{i,f}*j;                      15 P9.
     """
     if kind == "LSUM":
-        return Circuit(3, (_g("L[SUM]", 0, 1, 2),), name="lsum")
+        return Circuit(3, (gate_op("L[SUM]", 0, 1, 2),), name="lsum")
     if kind == "CF_SUM":
-        return Circuit(3, (_g(f"C{f}[SUM]", 0, 1, 2),), name=f"c{f}sum")
+        return Circuit(3, (gate_op(f"C{f}[SUM]", 0, 1, 2),), name=f"c{f}sum")
     if kind == "LLSUM":
-        ops = [_g("L[SUM]", 0, 1, 4), _g("L[SUM]", 2, 4, 3), _g("L[SUM]_INV", 0, 1, 4)]
+        ops = [gate_op("L[SUM]", 0, 1, 4), gate_op("L[SUM]", 2, 4, 3), gate_op("L[SUM]_INV", 0, 1, 4)]
         return Circuit(5, tuple(ops), ancillas=frozenset({4}), name="llsum")
     if kind == "CF_LSUM":
-        ops = [_g("L[SUM]", 1, 2, 4), _g(f"C{f}[SUM]", 0, 4, 3), _g("L[SUM]_INV", 1, 2, 4)]
+        ops = [gate_op("L[SUM]", 1, 2, 4), gate_op(f"C{f}[SUM]", 0, 4, 3), gate_op("L[SUM]_INV", 1, 2, 4)]
         return Circuit(5, tuple(ops), ancillas=frozenset({4}), name=f"c{f}lsum")
     raise SizeError(f"unknown horner kind {kind!r}")
 
@@ -309,7 +301,7 @@ def p9_injection_widget(inverse: bool = False) -> Circuit:
     """
     suffix = "_INV" if inverse else ""
     ops = [
-        _g("L[INC_INV]", 0, 1),
+        gate_op("L[INC_INV]", 0, 1),
         MeasureOp(1, 0),
         CondGateOp(0, 1, matrix_for_name(f"CMU{suffix}[1]"), (0,)),
         CondGateOp(0, 2, matrix_for_name(f"CMU{suffix}[2]"), (0,)),
@@ -339,11 +331,9 @@ def r2_injection_rus(max_iters: int = 1000) -> Circuit:
     the loop absorbs when the accumulated sign flips equal R2 up to a global
     sign, which is tracked classically and discarded.
     """
-    body = Circuit(2, (
-        CondGateOp(0, 1, matrix_for_name("INC_INV"), (1,)),
-        CondGateOp(0, 2, matrix_for_name("INC"), (1,)),
-        _g("LOADPSI", 1),
-        _g("SUM", 0, 1),
+    body = Circuit(2, tuple(reset_ops(1, 0)) + (
+        gate_op("LOADPSI", 1),
+        gate_op("SUM", 0, 1),
         MeasureOp(1, 0),
     ))
     rus = RusOp(body, chain=R2_CHAIN, outcome_slot=0, max_iters=max_iters,
@@ -353,13 +343,17 @@ def r2_injection_rus(max_iters: int = 1000) -> Circuit:
 
 # ------------------------------------------------------------ resource-state factories
 
-def _measured_reset_ops(wire: int, slot: int) -> list:
-    # Return a wire to |0> regardless of its current state.
+def reset_ops(wire: int, slot: int) -> list[CondGateOp]:
+    """Return ``wire`` to |0> from the trit last measured off it into ``slot``."""
     return [
-        MeasureOp(wire, slot),
         CondGateOp(slot, 1, matrix_for_name("INC_INV"), (wire,)),
         CondGateOp(slot, 2, matrix_for_name("INC"), (wire,)),
     ]
+
+
+def _measured_reset_ops(wire: int, slot: int) -> list:
+    # Return a wire to |0> regardless of its current state.
+    return [MeasureOp(wire, slot)] + reset_ops(wire, slot)
 
 
 def _plus_prep_trial_ops(data: int, syndrome: int, phase_power: int,
@@ -370,7 +364,7 @@ def _plus_prep_trial_ops(data: int, syndrome: int, phase_power: int,
     return (
         _measured_reset_ops(data, aux_slot)
         + _measured_reset_ops(syndrome, aux_slot + 1)
-        + [_g(init, data), _g("H", data)]
+        + [gate_op(init, data), gate_op("H", data)]
         + _c_inc_ops(data, syndrome, level=2)
         + [MeasureOp(syndrome, slot)]
     )
@@ -406,8 +400,8 @@ def resource_state_prep(target: str, max_iters: int = 1000) -> Circuit:
     if target == "psi":
         eta = resource_state_prep("eta", max_iters)
         body = Circuit(4, eta.instructions + (
-            _g("SUM", 0, 2),
-            _g("H_INV", 0),
+            gate_op("SUM", 0, 2),
+            gate_op("H_INV", 0),
             MeasureOp(0, 2),
         ))
         # outcome 0 -> psi; outcome 1 -> psi after Z^dag; outcome 2 -> retry

@@ -115,6 +115,7 @@ def test_injection_widget_composes_to_p9_squared(rng):
 # -------------------------------------------------------- serialization
 
 from terniq.arithmetic import ShiftSpec, mod_add_const, ripple_add_const
+from terniq.modexp import ModExpSpec, modexp_circuit
 from terniq.qft import qft3n
 
 WIDGET_CIRCUITS = [
@@ -135,6 +136,7 @@ WIDGET_CIRCUITS = [
     mod_add_const(ShiftSpec(7, 4, "ternary", modulus=13,
                             control="single", control_mode="ternary")).circuit,
     qft3n(4),
+    modexp_circuit(ModExpSpec(7, 15)).circuit,  # a name with spaces
 ]
 
 
@@ -207,6 +209,16 @@ def test_rus_body_requires_measurement():
     "circuit 2\ngate TAU2[1,99] 0 1",
     "circuit 1\ngate PHASE[1,0] 0",
     "circuit 1\nancilla 5\n",
+    "circuit -1",
+    *(pytest.param(f"circuit 1\nrus {{\nmeasure 0 -> c0\n}} until {tail}", id=tail) for tail in (
+        "c0==0 maxiter",
+        "c0==0 consumes psi",
+        "c0==0 consumes psi:x",
+        "c0==0 expected nan",
+        "c0==0 expected inf",
+        "chain(c0) start=x",
+        "chain(c0) start=0 accept=1 trans=0,0",
+    )),
 ])
 def test_malformed_documents_raise_parse_errors(text):
     from terniq.errors import ParseError

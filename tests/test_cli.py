@@ -99,3 +99,17 @@ def test_shor_run_prime_exits_1(capsys):
     assert run_cli(["shor-run", "--n", "13"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "prime" in err
+
+
+def test_shor_run_counts_only_period_finding_attempts(capsys):
+    # N = 9 is a perfect power: answered classically, with no attempt
+    assert run_cli(["shor-run", "--n", "9", "--trials", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"trial {i}: factors 3 x 3  (0 period-finding attempts)" for i in (0, 1)]
+
+
+@pytest.mark.parametrize("cmd", ["circuit-count", "circuit-sim"])
+def test_missing_circuit_file_exits_1(cmd, tmp_path, capsys):
+    assert run_cli([cmd, str(tmp_path / "missing.tq")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "missing.tq" in err

@@ -1,8 +1,11 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from conftest import assert_clean, classical_map, random_state_vector
-from terniq.circuit import Circuit, GateOp, MeasureOp
+from terniq.circuit import Circuit, CondGateOp, GateOp, MeasureOp
 from terniq.errors import NonUnitaryError, RusCapError, SizeError, WidthCapError
 from terniq.gates import matrix_for_name, states_equal_up_to_phase
 from terniq.sim import (
@@ -121,6 +124,26 @@ def test_width_cap(monkeypatch):
         run(Circuit(4, ()), seed=0)
 
 
+def test_width_cap_not_an_integer(monkeypatch):
+    monkeypatch.setenv("TERNIQ_WIDTH_CAP", "abc")
+    with pytest.raises(WidthCapError, match="TERNIQ_WIDTH_CAP"):
+        run(Circuit(1, ()), seed=0)
+
+
+def test_final_norm_checked_at_every_width():
+    amps = np.zeros(3**11, dtype=np.complex128)
+    amps[0] = 2.0
+    with pytest.raises(NonUnitaryError):
+        run(Circuit(11, (g("H", 0),)), StateVector(11, amps), seed=0)
+
+
+@pytest.mark.parametrize("module", ["terniq.sim", "terniq.widgets"])
+def test_import_order(module):
+    # sim imports widgets; either may be the first module a program loads
+    proc = subprocess.run([sys.executable, "-c", f"import {module}"], capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
 def test_classical_path_matches_dense(rng):
     circ = widgets.toffoli_emulated("none")
     # toffoli contains P9 phases: not classical
@@ -221,3 +244,15 @@ def test_injected_r2_gate():
         want = matrix_for_name("R2").matrix @ v
         assert states_equal_up_to_phase(out, want, 1e-10)
         assert rec.consumed["psi"] == rec.rus_trials["injected-r2"][0]
+
+
+@pytest.mark.parametrize("name", ["P9", "R2"])
+def test_injection_keeps_user_slots(name):
+    # the protocol measures into its own slot 0, between the user's measure
+    # into slot 0 and the gate conditioned on it
+    circ = Circuit(2, (g("INC", 0), MeasureOp(0, 0), g(name, 1),
+                       CondGateOp(0, 1, matrix_for_name("INC"), (1,))))
+    for seed in range(20):
+        rec = run(circ, seed=seed, gate_mode="injected")
+        assert rec.slots == {0: 1}
+        assert abs(abs(rec.state.amps[index_of_trits([1, 1, 0])]) - 1.0) < 1e-10
