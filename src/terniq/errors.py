@@ -30,6 +30,10 @@ class ParseError(TerniqError):
         self.column = column
 
 
+class CircuitNameError(TerniqError):
+    """Circuit name the text format cannot carry (a comment mark or a line break)."""
+
+
 class WidthCapError(TerniqError):
     """Dense simulation request above the configured qutrit cap."""
 

@@ -1,5 +1,13 @@
 """Dense state-vector execution with measurement, feedback, and RUS loops.
 
+Up to width 5 a gate is one product with its cached full-register operator.
+Wider (and for :func:`circuit_unitary`'s batched columns), a diagonal gate is
+one broadcast multiply on a view splitting out its wires, another single-wire
+gate one stacked matmul on the ``(3^(w-1-wire), 3, 3^wire)`` view when its rows
+are long, and the rest one matmul after moving their axes to the front.  A
+measurement reduces that view once for the Born probabilities and keeps the
+measured slice.
+
 Two gate modes:
 
   * ``ideal``    -- every gate is applied as its matrix.
@@ -175,13 +183,29 @@ def _apply(amps: np.ndarray, gate: GateMatrix, wires, width: int) -> np.ndarray:
     return _apply_tensordot(amps, gate, wires, width)
 
 
+@lru_cache(maxsize=4096)
+def _diagonal(gate: GateMatrix):
+    """Diagonal of a diagonal gate as a ``(3,) * arity`` tensor, first wire first, else None."""
+    d = np.diagonal(gate.matrix)
+    return None if np.count_nonzero(gate.matrix - np.diag(d)) else d.reshape((3,) * gate.arity)
+
+
 def _apply_tensordot(amps: np.ndarray, gate: GateMatrix, wires, width: int) -> np.ndarray:
-    """Apply gate to a (3**width,) or (3**width, batch) array."""
-    batched = amps.ndim == 2
-    batch = amps.shape[1] if batched else 1
+    """Apply gate to a (3**width,) or (3**width, batch) array; see the module docstring."""
+    batch = amps.shape[1] if amps.ndim == 2 else 1
     a = gate.arity
+    diag = _diagonal(gate)
+    if diag is not None:
+        order = sorted(range(a), key=lambda k: -wires[k])
+        tops = [width] + [wires[k] for k in order]
+        shape = [n for hi, lo in zip(tops, tops[1:]) for n in (3 ** (hi - lo - 1), 3)]
+        d = diag.transpose(order).reshape([1, 3] * a + [1])
+        return (amps.reshape(shape + [3 ** tops[-1] * batch]) * d).reshape(amps.shape)
+    if a == 1 and 3 ** wires[0] * batch > 9:  # on shorter rows the moveaxis path is faster
+        view = amps.reshape(-1, 3, 3 ** wires[0] * batch)
+        return np.matmul(gate.matrix, view).reshape(amps.shape)
     # axis for wire w is (width-1-w); gate tensor row axes follow wires order
-    tens = amps.reshape([3] * width + ([batch] if batched else []))
+    tens = amps.reshape([3] * width + list(amps.shape[1:]))
     axes = [width - 1 - w for w in wires]
     moved = np.moveaxis(tens, axes, range(a))
     out = gate.matrix @ moved.reshape(3**a, -1)
@@ -199,16 +223,9 @@ def apply_gate(s: StateVector, g: GateMatrix, wires) -> StateVector:
     return StateVector(s.width, _apply(s.amps, g, wires, s.width))
 
 
-@lru_cache(maxsize=256)
-def _trit_masks(width: int, wire: int) -> tuple:
-    trits = (np.arange(3**width) // 3**wire) % 3
-    return tuple(trits == v for v in range(3))
-
-
 def born_probabilities(s: StateVector, wire: int) -> np.ndarray:
-    masks = _trit_masks(s.width, wire)
-    p2 = np.abs(s.amps) ** 2
-    return np.array([p2[m].sum() for m in masks])
+    view = s.amps.reshape(3 ** (s.width - 1 - wire), 3, 3**wire)
+    return (view.real**2 + view.imag**2).sum(axis=(0, 2))
 
 
 def measure_wire(s: StateVector, wire: int, rng) -> tuple[int, StateVector]:
@@ -216,12 +233,16 @@ def measure_wire(s: StateVector, wire: int, rng) -> tuple[int, StateVector]:
     total = probs.sum()
     if abs(total - 1.0) > 1e-8:
         raise NonUnitaryError(f"state norm drifted to {total}")
-    outcome = int(rng.choice(3, p=probs / total))
+    # the draw Generator.choice(3, p=probs / total) makes, without its checks
+    cdf = (probs / total).cumsum()
+    cdf /= cdf[-1]
+    outcome = int(cdf.searchsorted(rng.random(), side="right"))
     norm = np.sqrt(probs[outcome])
     if norm < 1e-12:
         raise NonUnitaryError("measured a zero-probability branch")
-    amps = np.where(_trit_masks(s.width, wire)[outcome], s.amps, 0.0) / norm
-    return outcome, StateVector(s.width, amps)
+    out = np.zeros_like(s.amps).reshape(-1, 3, 3**wire)
+    out[:, outcome] = s.amps.reshape(out.shape)[:, outcome] / norm
+    return outcome, StateVector(s.width, out.reshape(-1))
 
 
 # ------------------------------------------------------------ run records

@@ -21,11 +21,14 @@ from __future__ import annotations
 import math
 
 from .circuit import Chain, Circuit, CondGateOp, GateOp, MeasureOp, RusOp
-from .errors import ParseError
+from .errors import CircuitNameError, ParseError
 from .gates import matrix_for_name
 
 
 def serialize(c: Circuit) -> str:
+    cut = [ch for ch in c.name if ch == "#" or ch.splitlines() != [ch]]
+    if cut:
+        raise CircuitNameError(f"circuit name {c.name!r} holds {cut[0]!r}, which the reader cuts")
     lines = [f"circuit {c.width}" + (f" {c.name}" if c.name else "")]
     if c.ancillas:
         lines.append("ancilla " + " ".join(str(w) for w in sorted(c.ancillas)))
@@ -193,6 +196,8 @@ def _parse_rus(cur, width):
     outcome_slot = 0
     if tail[i].startswith("chain(c"):
         head = tail[i]
+        if not head.endswith(")"):
+            raise ParseError(f"expected chain(c<k>), got {head!r}", ln)
         outcome_slot = _int(head[len("chain(c"):-1], ln)
         opts = {}
         i += 1

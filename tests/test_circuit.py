@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from terniq.circuit import (
     count_resources,
     inverse,
 )
-from terniq.errors import NonUnitaryError, ParseError, WidthMismatchError
+from terniq.errors import CircuitNameError, NonUnitaryError, ParseError, WidthMismatchError
 from terniq.gates import GateMatrix, matrix_for_name
 from terniq.sim import basis_state, circuit_unitary, run
 from terniq.textfmt import deserialize, serialize
@@ -148,6 +150,13 @@ def test_round_trip_identity(circ):
     assert serialize(back) == text
 
 
+@pytest.mark.parametrize("name", ["a#b", "a\nb", "a\r\nb", "a\u2028b"])
+def test_serialize_rejects_names_the_reader_would_cut(name):
+    # the reader strips '#' comments and splits lines, so these names would not round trip
+    with pytest.raises(CircuitNameError, match=re.escape(repr(name[1]))):
+        serialize(Circuit(1, (), name=name))
+
+
 def test_parse_simple_gate_line():
     c = deserialize("circuit 2\ngate SUM 0 1\n")
     assert len(c.instructions) == 1
@@ -218,6 +227,7 @@ def test_rus_body_requires_measurement():
         "c0==0 expected inf",
         "chain(c0) start=x",
         "chain(c0) start=0 accept=1 trans=0,0",
+        "chain(c0x start=0 accept=1 trans=0,1,1",
     )),
 ])
 def test_malformed_documents_raise_parse_errors(text):

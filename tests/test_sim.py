@@ -62,6 +62,84 @@ def test_wire_clash_rejected():
         apply_gate(basis_state(2, 0), matrix_for_name("SUM"), (1, 1))
 
 
+def _moveaxis_apply(amps, matrix, wires, width):
+    # reference: move the gate's axes to the front, one matmul, move them back
+    a = len(wires)
+    axes = [width - 1 - w for w in wires]
+    moved = np.moveaxis(amps.reshape([3] * width), axes, range(a))
+    out = (matrix @ moved.reshape(3**a, -1)).reshape(moved.shape)
+    return np.moveaxis(out, range(a), axes).reshape(-1)
+
+
+# diagonal (P9, controlled phases, the asymmetric C1[Z] and C2[C1[Z]]), dense
+# single-wire (H, H_INV, and INC, which is not symmetric) and 2- and 3-wire
+# non-diagonal gates (SUM, TSWAP, L[SUM])
+KERNEL_GATES = ["P9", "P9_INV", "L[PHASE[1,9]]", "L[PHASE[2,27]]_INV", "L[L[PHASE[1,9]]]",
+                "C1[Z]", "C2[C1[Z]]", "H", "H_INV", "INC", "SUM", "TSWAP", "L[SUM]"]
+
+
+def _random_gate_ops(rng, width, count):
+    ops = []
+    for _ in range(count):
+        gm = matrix_for_name(KERNEL_GATES[rng.integers(len(KERNEL_GATES))])
+        wires = tuple(int(w) for w in rng.choice(width, size=gm.arity, replace=False))
+        ops.append(GateOp(gm, wires))
+    return ops
+
+
+@pytest.mark.parametrize("width", [6, 7, 8, 9])
+def test_gate_kernel_matches_moveaxis_formula(rng, width):
+    ops = _random_gate_ops(rng, width, 40)
+    ops += [g("C1[Z]", 0, width - 1), g("C1[Z]", width - 1, 0),
+            *(g(name, w) for name in ("H", "INC") for w in (0, 1, 2, 3, width - 1))]
+    for op in ops:
+        s = StateVector(width, random_state_vector(rng, width))
+        got = apply_gate(s, op.gate, op.wires).amps
+        want = _moveaxis_apply(s.amps, op.gate.matrix, op.wires, width)
+        assert np.abs(got - want).max() < 1e-12, (op.gate.name, op.wires)
+
+
+@pytest.mark.parametrize("width", [6, 7])
+def test_circuit_unitary_matches_single_gate_applies(rng, width):
+    circ = Circuit(width, tuple(_random_gate_ops(rng, width, 12)))
+    u = circuit_unitary(circ)
+    for idx in rng.choice(3**width, size=6, replace=False):
+        col = basis_state(width, int(idx)).amps
+        for op in circ.instructions:
+            col = _moveaxis_apply(col, op.gate.matrix, op.wires, width)
+        assert np.abs(u[:, idx] - col).max() < 1e-12
+
+
+def test_measurement_is_the_choice_draw_on_the_masked_state():
+    for seed in range(1000):
+        rng = np.random.default_rng(10_000 + seed)
+        width = int(rng.integers(1, 7))
+        wire = int(rng.integers(width))
+        amps = random_state_vector(rng, width)
+        trits = (np.arange(3**width) // 3**wire) % 3
+        if seed % 4 == 0:  # a branch of probability zero
+            amps[trits == rng.integers(3)] = 0
+            amps /= np.linalg.norm(amps)
+        s = StateVector(width, amps)
+        probs = born_probabilities(s, wire)
+        masked = [np.abs(amps[trits == v]) ** 2 for v in range(3)]
+        assert np.allclose(probs, [m.sum() for m in masked], rtol=0, atol=1e-14)
+        m, post = measure_wire(s, wire, np.random.default_rng(seed))
+        assert m == np.random.default_rng(seed).choice(3, p=probs)
+        want = np.where(trits == m, amps, 0) / np.sqrt(probs[m])
+        assert np.abs(post.amps - want).max() < 1e-14
+
+
+@pytest.mark.parametrize("width", [6, 12])
+def test_run_leaves_initial_amplitudes_alone(rng, width):
+    init = StateVector(width, random_state_vector(rng, width))
+    before = init.amps.copy()
+    for op in (g("P9", 2), g("L[PHASE[1,9]]", 0, 1), g("H", 0), g("H", width - 1),
+               g("SUM", 3, 1), MeasureOp(4, 0)):
+        run(Circuit(width, (op,)), init, seed=1)
+        assert np.array_equal(init.amps, before), op
+
+
 def test_measure_deterministic():
     m, s = measure_wire(basis_state(1, 1), 0, np.random.default_rng(0))
     assert m == 1
