@@ -10,8 +10,11 @@ Both encodings are supported:
 
 Gates are emitted as costed primitives (C?[INC], C?[SUM], TAU2[..], L[SUM]),
 which keeps every instruction a basis permutation so that the classical
-simulator path can verify circuits exhaustively.  The widgets module pins
-each primitive to its explicit P9-level network.
+simulator path can verify circuits exhaustively.  Every controlled NOT on
+binary data comes from :func:`mcx_ops`, which folds the controls pairwise
+into clean markers with :func:`and_ops`: X, CNOT (6 P9), Toffoli (12 P9),
+controlled Toffoli (18 P9).  The widgets module expands these costed lists
+into their explicit P9-level networks.
 
 Controlled shift variants attach controls to the digit-sum stage only; the
 carry ladder always runs and is always undone.  Strict (binary-activated)
@@ -25,7 +28,7 @@ strict-strict decomposition used when full ternary multipliers are needed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import ceil, log
 
 from .circuit import Circuit, GateOp, adjoint_ops, gate_op
@@ -90,11 +93,12 @@ def binary_leakage(state, wires) -> float:
 class ShiftSpec:
     """Compile-time description of an additive shift |b> -> |b + a>.
 
-    ``control`` is ``"none"``, ``"single"`` or ``"double"``; for single
-    controls ``control_mode`` is a strict activation level (0, 1 or 2) or
-    ``"ternary"`` for the c-fold shift.  Double controls follow the
-    modular-exponentiation convention: one strict level plus one multiplier
-    control.
+    ``control`` is ``"none"``, ``"single"`` or ``"double"``.
+    ``control_mode`` is the strict activation level of the first control:
+    0 or 1 on binary registers, 0, 1 or 2 on ternary ones, or ``"ternary"``
+    for the c-fold shift of a ternary single control.  Double controls
+    follow the modular-exponentiation convention: one strict level plus one
+    multiplier control.
     """
 
     constant: int
@@ -107,6 +111,14 @@ class ShiftSpec:
     def __post_init__(self):
         if self.encoding not in ("binary", "ternary"):
             raise SizeError(f"encoding {self.encoding!r}")
+        if self.control not in ("none", "single", "double"):
+            raise SizeError(f"control {self.control!r}")
+        modes = (0, 1) if self.encoding == "binary" else (0, 1, 2)
+        if self.encoding == "ternary" and self.control == "single":
+            modes += ("ternary",)
+        if self.control_mode not in modes:
+            raise SizeError(f"control_mode {self.control_mode!r} for a {self.encoding} "
+                            f"{self.control} control; expected one of {modes}")
         base = 2 if self.encoding == "binary" else 3
         if self.modulus is None:
             if not 0 <= self.constant < base**self.digits:
@@ -124,43 +136,45 @@ class AdderCircuit:
 
     circuit: Circuit
     data: tuple[int, ...]
-    carry_in: int
     carry_out: int | None
     controls: tuple[int, ...] = ()
     result: int | None = None          # comparator output wire
     ladder_blocks: int = 1             # carry-ladder passes (reporting)
-    spec: ShiftSpec | None = None
-    ancilla_pool: tuple[int, ...] = field(default=())
 
 
-# ---------------------------------------------------------------- primitives
+# ---------------------------------------------------------------- binary controlled NOT
 
-def cnot_prim_ops(c: int, t: int) -> list[GateOp]:
-    """CNOT on binary data as two costed binary-controlled increments."""
-    return [
-        gate_op("SUM_INV", t, c), gate_op("TAU1[1,2]", c), gate_op("TAU1[1,2]", t),
-        gate_op("C1[INC_INV]", c, t), gate_op("C1[INC]", t, c),
-        gate_op("TSWAP", c, t), gate_op("TAU1[1,2]", c), gate_op("TAU1[1,2]", t),
-        gate_op("SUM", t, c),
-    ]
+def and_ops(c1: int, c2: int, marker: int) -> list[GateOp]:
+    """XOR c1 AND c2 of two binary controls onto ``marker``; 3 P9.
 
-
-def toffoli_prim_ops(c1: int, c2: int, t: int, marker: int) -> list[GateOp]:
-    """Toffoli on binary data; 12 P9 with one clean marker wire."""
-    return (
-        [gate_op("SUM", c1, c2), gate_op("C2[INC]", c2, marker)]
-        + cnot_prim_ops(marker, t)
-        + [gate_op("C2[INC]_INV", c2, marker), gate_op("SUM_INV", c1, c2)]
-    )
+    SUM takes c2 to 2 exactly when both controls are 1, and C2[INC] marks it.
+    Its adjoint restores c2 and a clean marker.
+    """
+    return [gate_op("SUM", c1, c2), gate_op("C2[INC]", c2, marker)]
 
 
-def ctrl_toffoli_prim_ops(c1: int, c2: int, c3: int, t: int, m2: int, m1: int) -> list[GateOp]:
-    """Binary-controlled Toffoli; 18 P9 with two clean markers."""
-    return (
-        [gate_op("SUM", c1, c2), gate_op("C2[INC]", c2, m2)]
-        + toffoli_prim_ops(m2, c3, t, m1)
-        + [gate_op("C2[INC]_INV", c2, m2), gate_op("SUM_INV", c1, c2)]
-    )
+def mcx_ops(controls, target: int, markers=()) -> list[GateOp]:
+    """NOT on binary ``target`` iff every binary control is 1.
+
+    No control is X; one is CNOT, two costed binary-controlled increments
+    (6 P9).  Each further control first ANDs the leading two into the next
+    clean marker: Toffoli 12 P9, controlled Toffoli 18 P9.  Needs one clean
+    marker per control beyond the first; all are restored.
+    """
+    if len(markers) < len(controls) - 1:
+        raise SizeError(f"{len(controls)} controls need {len(controls) - 1} markers")
+    if not controls:
+        return [gate_op("TAU1[0,1]", target)]
+    if len(controls) == 1:
+        c, t = controls[0], target
+        return [
+            gate_op("SUM_INV", t, c), gate_op("TAU1[1,2]", c), gate_op("TAU1[1,2]", t),
+            gate_op("C1[INC_INV]", c, t), gate_op("C1[INC]", t, c),
+            gate_op("TSWAP", c, t), gate_op("TAU1[1,2]", c), gate_op("TAU1[1,2]", t),
+            gate_op("SUM", t, c),
+        ]
+    pro = and_ops(controls[0], controls[1], markers[0])
+    return pro + mcx_ops((markers[0], *controls[2:]), target, markers[1:]) + adjoint_ops(pro)
 
 
 def y_ops(a_bit: int, c: int, b: int) -> list[GateOp]:
@@ -179,32 +193,13 @@ def y_gate(a_bit: int) -> Circuit:
 
 # ---------------------------------------------------------------- binary adder
 
-class _BinaryStages:
-    """Digit-sum emitters for the chosen control configuration."""
-
-    def __init__(self, control_wires: tuple[int, ...], markers: tuple[int, ...]):
-        self.controls = control_wires
-        self.markers = markers
-
-    def sum_gate(self, c: int, b: int) -> list[GateOp]:
-        if not self.controls:
-            return cnot_prim_ops(c, b)
-        if len(self.controls) == 1:
-            return toffoli_prim_ops(self.controls[0], c, b, self.markers[0])
-        return ctrl_toffoli_prim_ops(self.controls[0], self.controls[1], c, b,
-                                     self.markers[0], self.markers[1])
-
-    def abit_gate(self, b: int) -> list[GateOp]:
-        if not self.controls:
-            return [gate_op("TAU1[0,1]", b)]
-        if len(self.controls) == 1:
-            return cnot_prim_ops(self.controls[0], b)
-        return toffoli_prim_ops(self.controls[0], self.controls[1], b, self.markers[0])
-
-
 def binary_add_ops(a: int, data, carry_in: int, carry_out: int | None,
-                   stages: _BinaryStages) -> list[GateOp]:
-    """Shift |b> -> |b + a mod 2^n> (carry XORed onto carry_out if given)."""
+                   controls=(), markers=()) -> list[GateOp]:
+    """Shift |b> -> |b + a mod 2^n> (carry XORed onto carry_out if given).
+
+    The digit-sum stage is controlled on the binary ``controls``, with
+    ``markers`` as the clean wires of :func:`mcx_ops`.
+    """
     n = len(data)
     bits = digits_of(a, 2, n)
     prev = [carry_in] + list(data[:-1])
@@ -212,13 +207,13 @@ def binary_add_ops(a: int, data, carry_in: int, carry_out: int | None,
     for j in range(n):
         ops += y_ops(bits[j], prev[j], data[j])
     if carry_out is not None:
-        ops += stages.sum_gate(data[n - 1], carry_out)
+        ops += mcx_ops((*controls, data[n - 1]), carry_out, markers)
     for j in reversed(range(n)):
         ops += adjoint_ops(y_ops(bits[j], prev[j], data[j]))
         if j >= 1:
-            ops += stages.sum_gate(prev[j], data[j])
+            ops += mcx_ops((*controls, prev[j]), data[j], markers)
         if bits[j]:
-            ops += stages.abit_gate(data[j])
+            ops += mcx_ops(controls, data[j], markers)
     return ops
 
 
@@ -229,21 +224,14 @@ def ripple_add_const(spec: ShiftSpec) -> AdderCircuit:
     n = spec.digits
     A, data, T = 0, tuple(range(1, n + 1)), n + 1
     w = n + 2
-    controls: tuple[int, ...] = ()
-    markers: tuple[int, ...] = ()
-    if spec.control == "single":
-        controls, markers = (w,), (w + 1,)
-        w += 2
-    elif spec.control == "double":
-        controls, markers = (w, w + 1), (w + 2, w + 3)
-        w += 4
-    stages = _BinaryStages(controls, markers)
-    ops = binary_add_ops(spec.constant, data, A, T, stages)
-    if spec.control == "single" and spec.control_mode == 0:
+    k = {"none": 0, "single": 1, "double": 2}[spec.control]
+    controls, markers = tuple(range(w, w + k)), tuple(range(w + k, w + 2 * k))
+    ops = binary_add_ops(spec.constant, data, A, T, controls, markers)
+    if controls and spec.control_mode == 0:
         ops = [gate_op("TAU1[0,1]", controls[0])] + ops + [gate_op("TAU1[0,1]", controls[0])]
-    circ = Circuit(w, tuple(ops), ancillas=frozenset({A, T, *markers}),
+    circ = Circuit(w + 2 * k, tuple(ops), ancillas=frozenset({A, T, *markers}),
                    name=f"add{spec.constant}n{n}-{spec.control}")
-    return AdderCircuit(circ, data, A, T, controls, spec=spec)
+    return AdderCircuit(circ, data, T, controls)
 
 
 # ---------------------------------------------------------------- ternary adder
@@ -307,25 +295,20 @@ def ternary_add_ops(a: int, data, carry_in: int, carry_out: int | None,
 
     ``u``: binary marker wire making the digit-sum stage strict (Horner
     finalizers).  ``double``: (strict wire, strict level, multiplier wire,
-    helper) for the C_f(Lambda(SUM)) finalizer structure.  When
-    ``xor_top_marker`` is given the top carry is XORed onto ``carry_out``
-    (Toffoli) instead of added, for use inside modular blocks.
+    helper) for the C_f(Lambda(SUM)) finalizer structure, which has no
+    carry-out stage.  When ``xor_top_marker`` is given with ``u`` the top
+    carry is XORed onto ``carry_out`` (Toffoli) instead of added, for use
+    inside modular blocks.
     """
     ladder = _TernaryLadder(a, data, carry_in, pool)
     ops = list(ladder.ops)
     if carry_out is not None:
-        if double is not None:
-            kap, f, mult, helper = double
-            ops += [gate_op("L[SUM]", mult, ladder.top, helper),
-                    gate_op(f"C{f}[SUM]", kap, helper, carry_out),
-                    gate_op("L[SUM]_INV", mult, ladder.top, helper)]
-        elif u is not None:
-            if xor_top_marker is not None:
-                ops += toffoli_prim_ops(u, ladder.top, carry_out, xor_top_marker)
-            else:
-                ops += [gate_op("L[SUM]", u, ladder.top, carry_out)]
-        else:
+        if u is None:
             ops += [gate_op("SUM", ladder.top, carry_out)]
+        elif xor_top_marker is None:
+            ops += [gate_op("L[SUM]", u, ladder.top, carry_out)]
+        else:
+            ops += mcx_ops((u, ladder.top), carry_out, (xor_top_marker,))
     for i in reversed(range(len(data))):
         ops += ladder.digit_unwind(i)
         d = ladder.digits[i]
@@ -366,109 +349,82 @@ def ripple_add_const_ternary(spec: ShiftSpec) -> AdderCircuit:
 
     if spec.control == "none":
         pool = list(range(nxt, nxt + _pool_size([a], m)))
-        w = (pool[-1] + 1) if pool else nxt
         ops = ternary_add_ops(a, data, A, T, pool)
-        circ = Circuit(w, tuple(ops), ancillas=frozenset({A, T, *pool}),
+        circ = Circuit(pool[-1] + 1, tuple(ops), ancillas=frozenset({A, T, *pool}),
                        name=f"tadd{a}m{m}")
-        return AdderCircuit(circ, data, A, T, spec=spec, ancilla_pool=tuple(pool))
+        return AdderCircuit(circ, data, T)
 
-    if spec.control == "single" and spec.control_mode in (0, 1, 2):
+    if spec.control == "single":
+        # One strict lane C_f(S_a) per (level f, constant).  The c-fold shift
+        # is Lambda(S_a) = C_1(S_a) C_2(S_{2a}), exact for c in {0,1,2}; its
+        # carry-out reports the wrap of the branch-reduced constant, i.e.
+        # [b + (c*a mod 3^m) >= 3^m].
         kap, u = nxt, nxt + 1
-        pool = list(range(nxt + 2, nxt + 2 + _pool_size([a], m)))
-        w = pool[-1] + 1
-        f = spec.control_mode
-        ops = ([gate_op(f"C{f}[INC]", kap, u)]
-               + ternary_add_ops(a, data, A, T, pool, u=u)
-               + [gate_op(f"C{f}[INC]_INV", kap, u)])
-        circ = Circuit(w, tuple(ops), ancillas=frozenset({A, T, u, *pool}),
-                       name=f"tadd{a}m{m}-c{f}")
-        return AdderCircuit(circ, data, A, T, (kap,), spec=spec, ancilla_pool=tuple(pool))
-
-    if spec.control == "single" and spec.control_mode == "ternary":
-        # c-fold shift: Lambda(S_a) = C_1(S_a) C_2(S_{2a}); exact for c in
-        # {0,1,2}.  The carry-out reports the wrap of the branch-reduced
-        # constant, i.e. [b + (c*a mod 3^m) >= 3^m].
-        kap, u = nxt, nxt + 1
-        a2 = (2 * a) % D
-        pool = list(range(nxt + 2, nxt + 2 + _pool_size([a, a2], m)))
-        w = pool[-1] + 1
+        if spec.control_mode == "ternary":
+            lanes, name = ((1, a), (2, (2 * a) % D)), f"tadd{a}m{m}-fold"
+        else:
+            lanes, name = ((spec.control_mode, a),), f"tadd{a}m{m}-c{spec.control_mode}"
+        pool = list(range(nxt + 2, nxt + 2 + _pool_size([c for _, c in lanes], m)))
         ops = []
-        for f, const in ((1, a), (2, a2)):
+        for f, const in lanes:
             ops += [gate_op(f"C{f}[INC]", kap, u)]
             ops += ternary_add_ops(const, data, A, T, pool, u=u)
             ops += [gate_op(f"C{f}[INC]_INV", kap, u)]
-        circ = Circuit(w, tuple(ops), ancillas=frozenset({A, T, u, *pool}),
-                       name=f"tadd{a}m{m}-fold")
-        return AdderCircuit(circ, data, A, T, (kap,), spec=spec,
-                            ladder_blocks=2, ancilla_pool=tuple(pool))
+        circ = Circuit(pool[-1] + 1, tuple(ops), ancillas=frozenset({A, T, u, *pool}),
+                       name=name)
+        return AdderCircuit(circ, data, T, (kap,), ladder_blocks=len(lanes))
 
-    if spec.control == "double":
-        # strict level f on the first control, multiplier on the second;
-        # exact for multiplier values {0,1} (the ledgered 53m structure).
-        # No carry-out stage: modular use wraps this in its own carry logic.
-        f = spec.control_mode if isinstance(spec.control_mode, int) else 1
-        kap1, kap2, helper = nxt, nxt + 1, nxt + 2
-        pool = list(range(nxt + 3, nxt + 3 + _pool_size([a], m)))
-        w = pool[-1] + 1
-        ops = ternary_add_ops(a, data, A, None, pool,
-                              double=(kap1, f, kap2, helper))
-        circ = Circuit(w, tuple(ops), ancillas=frozenset({A, helper, *pool}),
-                       name=f"tadd{a}m{m}-double")
-        return AdderCircuit(circ, data, A, None, (kap1, kap2), spec=spec, ancilla_pool=tuple(pool))
-
-    raise SizeError(f"control {spec.control!r} / {spec.control_mode!r}")
+    # double: strict level f on the first control, multiplier on the second;
+    # exact for multiplier values {0,1} (the ledgered 53m structure).
+    # No carry-out stage: modular use wraps this in its own carry logic.
+    kap1, kap2, helper = nxt, nxt + 1, nxt + 2
+    pool = list(range(nxt + 3, nxt + 3 + _pool_size([a], m)))
+    ops = ternary_add_ops(a, data, A, None, pool,
+                          double=(kap1, spec.control_mode, kap2, helper))
+    circ = Circuit(pool[-1] + 1, tuple(ops), ancillas=frozenset({A, helper, *pool}),
+                   name=f"tadd{a}m{m}-double")
+    return AdderCircuit(circ, data, None, (kap1, kap2))
 
 
 # ---------------------------------------------------------------- comparators
 
-def binary_compare_ops(t: int, data, carry_in: int, result: int,
-                       u: int | None = None, marker: int | None = None) -> list[GateOp]:
+def compare_ops(encoding: str, t: int, data, carry_in: int, result: int, pool=(),
+                u: int | None = None, marker: int | None = None) -> list[GateOp]:
     """Flip ``result`` iff the register value >= t (XOR semantics).
 
-    Compute-copy-uncompute: negate, run the carry ladder of +t, copy the
-    inverted top carry, unwind.  The register is restored.
+    Compute-copy-uncompute: negate the digits, run the carry ladder of +t,
+    copy the inverted top carry, unwind.  The register is restored.  ``u``
+    (a binary wire, with a clean ``marker``) makes the flip strict.  The
+    ternary ladder takes its ancillas from ``pool``.
     """
-    n = len(data)
-    bits = digits_of(t % 2**n, 2, n)
-    prev = [carry_in] + list(data[:-1])
-    neg = [gate_op("TAU1[0,1]", w) for w in data]
-    ladder: list[GateOp] = []
-    for j in range(n):
-        ladder += y_ops(bits[j], prev[j], data[j])
-    top = data[n - 1]
-    if u is None:
-        update = [gate_op("TAU1[0,1]", result)] + cnot_prim_ops(top, result)
+    if encoding == "binary":
+        n = len(data)
+        bits = digits_of(t % 2**n, 2, n)
+        prev = [carry_in] + list(data[:-1])
+        negate = "TAU1[0,1]"
+        ladder = [op for j in range(n) for op in y_ops(bits[j], prev[j], data[j])]
+        top = data[-1]
     else:
-        update = cnot_prim_ops(u, result) + toffoli_prim_ops(u, top, result, marker)
+        negate = "TAU1[0,2]"
+        tl = _TernaryLadder(t % 3**len(data), data, carry_in, pool)
+        ladder, top = tl.ops, tl.top
+    neg = [gate_op(negate, w) for w in data]
+    us = () if u is None else (u,)
+    update = mcx_ops(us, result) + mcx_ops((*us, top), result, (marker,))
     return neg + ladder + update + adjoint_ops(ladder) + neg
-
-
-def ternary_compare_ops(t: int, data, carry_in: int, result: int, pool: list[int],
-                        u: int | None = None, marker: int | None = None) -> list[GateOp]:
-    """Ternary-encoding comparator; same structure on trit-negated data."""
-    m = len(data)
-    neg = [gate_op("TAU1[0,2]", w) for w in data]
-    ladder = _TernaryLadder(t % 3**m, data, carry_in, pool)
-    if u is None:
-        update = [gate_op("TAU1[0,1]", result)] + cnot_prim_ops(ladder.top, result)
-    else:
-        update = cnot_prim_ops(u, result) + toffoli_prim_ops(u, ladder.top, result, marker)
-    return neg + ladder.ops + update + adjoint_ops(ladder.ops) + neg
 
 
 def compare_to_threshold(t: int, digits: int, encoding: str = "binary") -> AdderCircuit:
     """Standalone comparator: data wires 1..digits, result wire digits+1."""
+    if encoding not in ("binary", "ternary"):
+        raise SizeError(f"encoding {encoding!r}")
     A, data, R = 0, tuple(range(1, digits + 1)), digits + 1
-    if encoding == "binary":
-        ops = binary_compare_ops(t, data, A, R)
-        circ = Circuit(digits + 2, tuple(ops), ancillas=frozenset({A}),
-                       name=f"cmp{t}-b{digits}")
-        return AdderCircuit(circ, data, A, None, result=R)
-    pool = list(range(digits + 2, digits + 2 + _pool_size([t % 3**digits], digits)))
-    ops = ternary_compare_ops(t, data, A, R, pool)
-    circ = Circuit(pool[-1] + 1, tuple(ops), ancillas=frozenset({A, *pool}),
-                   name=f"cmp{t}-t{digits}")
-    return AdderCircuit(circ, data, A, None, result=R, ancilla_pool=tuple(pool))
+    npool = 0 if encoding == "binary" else _pool_size([t % 3**digits], digits)
+    pool = list(range(R + 1, R + 1 + npool))
+    ops = compare_ops(encoding, t, data, A, R, pool)
+    circ = Circuit(R + 1 + npool, tuple(ops), ancillas=frozenset({A, *pool}),
+                   name=f"cmp{t}-{encoding[0]}{digits}")
+    return AdderCircuit(circ, data, None, result=R)
 
 
 # ---------------------------------------------------------------- modular shifts
@@ -481,73 +437,53 @@ def mod_add_binary_ops(a: int, N: int, data, A: int, T: int, x: int, marker: int
     comparator against threshold a cleans x.  ``u`` (binary wire) makes the
     whole shift strict.
     """
-    n = len(data)
-    D = 2**n
-    w1 = (a - N) % D
-    stage0 = _BinaryStages(() if u is None else (u,), () if u is None else (marker,))
-    stage_x = _BinaryStages((x,), (marker,))
-    ops = binary_add_ops(w1, data, A, T, stage0)
-    if u is None:
-        ops += [gate_op("TAU1[0,1]", T)]
-    else:
-        ops += cnot_prim_ops(u, T)
+    D = 2**len(data)
+    us = () if u is None else (u,)
+    ops = binary_add_ops((a - N) % D, data, A, T, us, (marker,))
+    ops += mcx_ops(us, T)
     ops += [gate_op("SUM", T, x)]
-    ops += binary_add_ops(N % D, data, A, T, stage_x)
-    ops += binary_compare_ops(a, data, A, x, u=u, marker=marker)
+    ops += binary_add_ops(N % D, data, A, T, (x,), (marker,))
+    ops += compare_ops("binary", a, data, A, x, u=u, marker=marker)
     return ops
-
-
-def _tern_strict_block(w: int, data, A, T, pool, u, marker) -> list[GateOp]:
-    return ternary_add_ops(w, data, A, T, pool, u=u, xor_top_marker=marker)
 
 
 def mod_add_ternary_ops(a: int, N: int, data, A: int, T: int, x: int, marker: int,
                         pool: list[int], u: int | None = None,
                         fold: tuple[int, int, int] | None = None) -> list[GateOp]:
-    """Ternary modular shift.
+    """Ternary modular shift, built like :func:`mod_add_binary_ops`.
 
     ``u`` (binary wire): strict shift by a.  ``fold``: (kappa, d, u_aux)
-    implements |b> -> |(b + c*a) mod N> for the ternary control c on kappa,
-    compiled on the 2a<N branch with the extra strict +N lane and threshold
-    c*a, else with threshold c(a-N)+N.
+    implements |b> -> |(b + c*a) mod N> for the ternary control c on kappa:
+    d marks c != 0, and each speculative lane and comparator threshold runs
+    strictly on u_aux for one level f of c.  It is compiled on the 2a<N
+    branch with the extra strict +N lane and threshold c*a, else with
+    threshold c(a-N)+N.
     """
-    m = len(data)
-    D = 3**m
-    w1 = (a - N) % D
-    ops: list[GateOp] = []
-    if fold is None and u is None:
-        ops += ternary_add_ops(w1, data, A, T, pool)
-        ops += [gate_op("TAU1[0,1]", T), gate_op("SUM", T, x)]
-        ops += _tern_strict_block(N % D, data, A, T, pool, x, marker)
-        ops += ternary_compare_ops(a, data, A, x, pool)
-        return ops
+    D = 3**len(data)
     if fold is None:
-        ops += _tern_strict_block(w1, data, A, T, pool, u, marker)
-        ops += cnot_prim_ops(u, T)
-        ops += [gate_op("SUM", T, x)]
-        ops += _tern_strict_block(N % D, data, A, T, pool, x, marker)
-        ops += ternary_compare_ops(a, data, A, x, pool, u=u, marker=marker)
-        return ops
-    kappa, d, u_aux = fold
-    branch = 2 * a < N
-    lanes = [(1, (a - N) % D), (2, (2 * (a - N)) % D)]
-    if branch:
-        lanes.append((2, N % D))
-    thresholds = ((1, a), (2, 2 * a if branch else 2 * a - N))
-    ops += [gate_op("C1[INC]", kappa, d), gate_op("C2[INC]", kappa, d)]
-    for f, wv in lanes:
-        ops += [gate_op(f"C{f}[INC]", kappa, u_aux)]
-        ops += _tern_strict_block(wv, data, A, T, pool, u_aux, marker)
-        ops += [gate_op(f"C{f}[INC]_INV", kappa, u_aux)]
-    ops += cnot_prim_ops(d, T)
+        kappa, flag = None, u
+        lanes, thresholds = [(None, (a - N) % D)], [(None, a)]
+    else:
+        kappa, flag, u = fold
+        branch = 2 * a < N
+        lanes = [(1, (a - N) % D), (2, (2 * (a - N)) % D)] + ([(2, N % D)] if branch else [])
+        thresholds = [(1, a), (2, 2 * a if branch else 2 * a - N)]
+
+    def at_level(f, body):
+        if f is None:
+            return body
+        return [gate_op(f"C{f}[INC]", kappa, u)] + body + [gate_op(f"C{f}[INC]_INV", kappa, u)]
+
+    pro = [] if fold is None else [gate_op("C1[INC]", kappa, flag), gate_op("C2[INC]", kappa, flag)]
+    ops = list(pro)
+    for f, w in lanes:
+        ops += at_level(f, ternary_add_ops(w, data, A, T, pool, u=u, xor_top_marker=marker))
+    ops += mcx_ops(() if flag is None else (flag,), T)
     ops += [gate_op("SUM", T, x)]
-    ops += _tern_strict_block(N % D, data, A, T, pool, x, marker)
+    ops += ternary_add_ops(N % D, data, A, T, pool, u=x, xor_top_marker=marker)
     for f, t in thresholds:
-        ops += [gate_op(f"C{f}[INC]", kappa, u_aux)]
-        ops += ternary_compare_ops(t, data, A, x, pool, u=u_aux, marker=marker)
-        ops += [gate_op(f"C{f}[INC]_INV", kappa, u_aux)]
-    ops += [gate_op("C2[INC]_INV", kappa, d), gate_op("C1[INC]_INV", kappa, d)]
-    return ops
+        ops += at_level(f, compare_ops("ternary", t, data, A, x, pool, u=u, marker=marker))
+    return ops + adjoint_ops(pro)
 
 
 def mod_add_const(spec: ShiftSpec) -> AdderCircuit:
@@ -559,89 +495,71 @@ def mod_add_const(spec: ShiftSpec) -> AdderCircuit:
         raise SizeError("mod_add_const needs a modulus")
     N, a = spec.modulus, spec.constant % spec.modulus
     dig = spec.digits
-    A, data = 0, tuple(range(1, dig + 1))
-    T, x = dig + 1, dig + 2
+    data = tuple(range(1, dig + 1))
+    A, T, x, marker = 0, dig + 1, dig + 2, dig + 3
+    nxt = dig + 4
+    if a == 0 and spec.control != "double":
+        return AdderCircuit(Circuit(nxt, (), name="mod-add-identity"), data, T, ladder_blocks=0)
 
     if spec.encoding == "binary":
-        marker = dig + 3
-        nxt = dig + 4
-        if a == 0 and spec.control != "double":
-            circ = Circuit(nxt, (), name="mod-add-identity")
-            return AdderCircuit(circ, data, A, T, spec=spec, ladder_blocks=0)
         if spec.control == "none":
             ops = mod_add_binary_ops(a, N, data, A, T, x, marker)
             circ = Circuit(nxt, tuple(ops), ancillas=frozenset({A, T, x, marker}),
                            name=f"modadd{a}N{N}b")
-            return AdderCircuit(circ, data, A, T, spec=spec, ladder_blocks=3)
+            return AdderCircuit(circ, data, T, ladder_blocks=3)
+        ancillas = {A, T, x, marker}
         if spec.control == "single":
-            kap = nxt
-            ops = mod_add_binary_ops(a, N, data, A, T, x, marker, u=kap)
-            if spec.control_mode == 0:
-                ops = [gate_op("TAU1[0,1]", kap)] + ops + [gate_op("TAU1[0,1]", kap)]
-            circ = Circuit(nxt + 1, tuple(ops), ancillas=frozenset({A, T, x, marker}),
-                           name=f"modadd{a}N{N}b-c")
-            return AdderCircuit(circ, data, A, T, (kap,), spec=spec, ladder_blocks=3)
-        if spec.control == "double":
-            kap1, kap2, mu = nxt, nxt + 1, nxt + 2
-            pro = [gate_op("SUM", kap1, kap2), gate_op("C2[INC]", kap2, mu)]
-            ops = pro + mod_add_binary_ops(a, N, data, A, T, x, marker, u=mu) + adjoint_ops(pro)
-            circ = Circuit(nxt + 3, tuple(ops), ancillas=frozenset({A, T, x, marker, mu}),
-                           name=f"modadd{a}N{N}b-cc")
-            return AdderCircuit(circ, data, A, T, (kap1, kap2), spec=spec, ladder_blocks=3)
-        raise SizeError(f"control {spec.control!r}")
+            controls, u = (nxt,), nxt
+            ops = mod_add_binary_ops(a, N, data, A, T, x, marker, u=u)
+        else:
+            # the AND of both controls on the clean wire u drives a strict shift
+            controls, u = (nxt, nxt + 1), nxt + 2
+            ancillas.add(u)
+            pro = and_ops(*controls, u)
+            ops = pro + mod_add_binary_ops(a, N, data, A, T, x, marker, u=u) + adjoint_ops(pro)
+        if spec.control_mode == 0:
+            ops = [gate_op("TAU1[0,1]", nxt)] + ops + [gate_op("TAU1[0,1]", nxt)]
+        circ = Circuit(u + 1, tuple(ops), ancillas=frozenset(ancillas),
+                       name=f"modadd{a}N{N}b-{'c' * len(controls)}")
+        return AdderCircuit(circ, data, T, controls, ladder_blocks=3)
 
     # ternary encoding
-    marker = dig + 3
-    nxt = dig + 4
     consts = [(a - N) % 3**dig, (2 * (a - N)) % 3**dig, N % 3**dig, a % 3**dig,
               (2 * a) % 3**dig, abs(2 * a - N) % 3**dig]
     npool = _pool_size(consts, dig)
-    if a == 0 and spec.control != "double":
-        circ = Circuit(nxt, (), name="mod-add-identity")
-        return AdderCircuit(circ, data, A, T, spec=spec, ladder_blocks=0)
     if spec.control == "none":
         pool = list(range(nxt, nxt + npool))
-        w = pool[-1] + 1
         ops = mod_add_ternary_ops(a, N, data, A, T, x, marker, pool)
-        circ = Circuit(w, tuple(ops), ancillas=frozenset({A, T, x, marker, *pool}),
+        circ = Circuit(pool[-1] + 1, tuple(ops), ancillas=frozenset({A, T, x, marker, *pool}),
                        name=f"modadd{a}N{N}t")
-        return AdderCircuit(circ, data, A, T, spec=spec, ladder_blocks=4,
-                            ancilla_pool=tuple(pool))
-    if spec.control == "single" and spec.control_mode in (0, 1, 2):
+        return AdderCircuit(circ, data, T, ladder_blocks=4)
+    if spec.control == "single" and spec.control_mode != "ternary":
         kap, u = nxt, nxt + 1
         pool = list(range(nxt + 2, nxt + 2 + npool))
-        w = pool[-1] + 1
         f = spec.control_mode
         ops = ([gate_op(f"C{f}[INC]", kap, u)]
                + mod_add_ternary_ops(a, N, data, A, T, x, marker, pool, u=u)
                + [gate_op(f"C{f}[INC]_INV", kap, u)])
-        circ = Circuit(w, tuple(ops), ancillas=frozenset({A, T, x, marker, u, *pool}),
+        circ = Circuit(pool[-1] + 1, tuple(ops), ancillas=frozenset({A, T, x, marker, u, *pool}),
                        name=f"modadd{a}N{N}t-c{f}")
-        return AdderCircuit(circ, data, A, T, (kap,), spec=spec, ladder_blocks=4,
-                            ancilla_pool=tuple(pool))
-    if spec.control == "single" and spec.control_mode == "ternary":
+        return AdderCircuit(circ, data, T, (kap,), ladder_blocks=4)
+    blocks = (4 if 2 * a < N else 3) + 2  # strict lanes + +N + comparators
+    if spec.control == "single":
         kap, d, u = nxt, nxt + 1, nxt + 2
         pool = list(range(nxt + 3, nxt + 3 + npool))
-        w = pool[-1] + 1
         ops = mod_add_ternary_ops(a, N, data, A, T, x, marker, pool, fold=(kap, d, u))
-        circ = Circuit(w, tuple(ops), ancillas=frozenset({A, T, x, marker, d, u, *pool}),
+        circ = Circuit(pool[-1] + 1, tuple(ops),
+                       ancillas=frozenset({A, T, x, marker, d, u, *pool}),
                        name=f"modadd{a}N{N}t-fold")
-        blocks = (4 if 2 * a < N else 3) + 2  # strict lanes + +N + comparators
-        return AdderCircuit(circ, data, A, T, (kap,), spec=spec, ladder_blocks=blocks,
-                            ancilla_pool=tuple(pool))
-    if spec.control == "double":
-        f = spec.control_mode if isinstance(spec.control_mode, int) else 1
-        kap1, kap2 = nxt, nxt + 1
-        u2, d, u = nxt + 2, nxt + 3, nxt + 4
-        pool = list(range(nxt + 5, nxt + 5 + npool))
-        w = pool[-1] + 1
-        pro = [gate_op(f"C{f}[SUM]", kap1, kap2, u2)]
-        ops = (pro
-               + mod_add_ternary_ops(a, N, data, A, T, x, marker, pool, fold=(u2, d, u))
-               + adjoint_ops(pro))
-        circ = Circuit(w, tuple(ops), ancillas=frozenset({A, T, x, marker, u2, d, u, *pool}),
-                       name=f"modadd{a}N{N}t-cc")
-        return AdderCircuit(circ, data, A, T, (kap1, kap2), spec=spec,
-                            ladder_blocks=(4 if 2 * a < N else 3) + 2,
-                            ancilla_pool=tuple(pool))
-    raise SizeError(f"control {spec.control!r}")
+        return AdderCircuit(circ, data, T, (kap,), ladder_blocks=blocks)
+    kap1, kap2 = nxt, nxt + 1
+    u2, d, u = nxt + 2, nxt + 3, nxt + 4
+    pool = list(range(nxt + 5, nxt + 5 + npool))
+    pro = [gate_op(f"C{spec.control_mode}[SUM]", kap1, kap2, u2)]
+    ops = (pro
+           + mod_add_ternary_ops(a, N, data, A, T, x, marker, pool, fold=(u2, d, u))
+           + adjoint_ops(pro))
+    circ = Circuit(pool[-1] + 1, tuple(ops),
+                   ancillas=frozenset({A, T, x, marker, u2, d, u, *pool}),
+                   name=f"modadd{a}N{N}t-cc")
+    return AdderCircuit(circ, data, T, (kap1, kap2), ladder_blocks=blocks)

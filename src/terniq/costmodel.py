@@ -43,13 +43,13 @@ class Scenario:
     adder: str = "ripple"               # "ripple" | "lookahead"
     platform: str = "MTQC-P9-preparation"
     control_level: int = 0
-    epsilon: float | None = None        # end-to-end precision; default 1/log n
-    delta: float | None = None          # per-gate precision
     gamma: float = GAMMA_DEFAULT
 
     def __post_init__(self):
         if self.bitsize < 2:
             raise SizeError("bitsize >= 2")
+        if self.encoding not in ("binary", "ternary"):
+            raise SizeError(f"encoding {self.encoding!r}")
         if self.platform not in PLATFORMS:
             raise SizeError(f"platform {self.platform!r}")
         if self.adder not in ("ripple", "lookahead"):
@@ -58,10 +58,6 @@ class Scenario:
     @property
     def tritsize(self) -> int:
         return trit_size(self.bitsize)
-
-    @property
-    def end_to_end_epsilon(self) -> float:
-        return self.epsilon if self.epsilon is not None else 1.0 / math.log(self.bitsize)
 
 
 @dataclass(frozen=True)

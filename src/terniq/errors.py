@@ -31,7 +31,11 @@ class ParseError(TerniqError):
 
 
 class CircuitNameError(TerniqError):
-    """Circuit name the text format cannot carry (a comment mark or a line break)."""
+    """Circuit name or RUS label the text format cannot carry.
+
+    A comment mark or a line break in either, edge whitespace on a name, or
+    any whitespace in a label.
+    """
 
 
 class WidthCapError(TerniqError):

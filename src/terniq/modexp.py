@@ -21,13 +21,7 @@ from math import gcd
 from .circuit import Circuit, GateOp, adjoint_ops, gate_op
 from .errors import SizeError
 from .sim import CompiledCircuit, compile_classical
-from .arithmetic import (
-    cnot_prim_ops,
-    mod_add_binary_ops,
-    mod_add_ternary_ops,
-    toffoli_prim_ops,
-    _pool_size,
-)
+from .arithmetic import and_ops, mcx_ops, mod_add_binary_ops, mod_add_ternary_ops, _pool_size
 
 
 @dataclass(frozen=True)
@@ -109,14 +103,13 @@ def _binary_ctrl_mult_ops(kappa, regs, mult, N):
             w = (2**ell * factor) % N
             if w == 0:
                 continue
-            pro = [gate_op("SUM", kappa, acc[ell]), gate_op("C2[INC]", acc[ell], mu)]
+            pro = and_ops(kappa, acc[ell], mu)
             ops += pro + mod_add_binary_ops(w, N, acc2, A, T, x, marker, u=mu) + adjoint_ops(pro)
             shifts += 1
         if not uncompute:
-            for ell in range(len(acc)):
-                ops += cnot_prim_ops(acc2[ell], acc[ell])
-                ops += toffoli_prim_ops(kappa, acc[ell], acc2[ell], marker)
-                ops += cnot_prim_ops(acc2[ell], acc[ell])
+            for ell in range(len(acc)):   # controlled swap of acc and acc2
+                swap = mcx_ops((acc2[ell],), acc[ell])
+                ops += swap + mcx_ops((kappa, acc[ell]), acc2[ell], (marker,)) + swap
     return ops, shifts
 
 

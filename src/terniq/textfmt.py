@@ -13,7 +13,8 @@
 
 ``<pred>`` is either ``c<k>==<v>`` terms joined by ``&&`` or
 ``chain(c<k>) start=<s> accept=<s|...> trans=<s,m,s'|...>``.
-``#`` starts a comment.  Round trips are bit-exact.
+``#`` starts a comment.  Round trips are bit-exact: ``serialize`` raises
+``CircuitNameError`` for a name or label the reader would cut.
 """
 
 from __future__ import annotations
@@ -25,10 +26,18 @@ from .errors import CircuitNameError, ParseError
 from .gates import matrix_for_name
 
 
-def serialize(c: Circuit) -> str:
-    cut = [ch for ch in c.name if ch == "#" or ch.splitlines() != [ch]]
+def _check_text(kind: str, text: str, space_ok: bool) -> None:
+    # the reader strips '#' comments, splits lines and strips or splits on whitespace
+    cut = [ch for ch in text if ch == "#" or ch.splitlines() != [ch]
+           or (ch.isspace() and not space_ok)]
     if cut:
-        raise CircuitNameError(f"circuit name {c.name!r} holds {cut[0]!r}, which the reader cuts")
+        raise CircuitNameError(f"{kind} {text!r} holds {cut[0]!r}, which the reader cuts")
+    if text != text.strip():
+        raise CircuitNameError(f"{kind} {text!r} has edge whitespace, which the reader strips")
+
+
+def serialize(c: Circuit) -> str:
+    _check_text("circuit name", c.name, space_ok=True)
     lines = [f"circuit {c.width}" + (f" {c.name}" if c.name else "")]
     if c.ancillas:
         lines.append("ancilla " + " ".join(str(w) for w in sorted(c.ancillas)))
@@ -51,6 +60,7 @@ def _emit(op) -> list[str]:
         tail = "} until " + _emit_pred(op)
         tail += f" maxiter {op.max_iters} expected {op.expected_trials!r}"
         if op.label:
+            _check_text("rus label", op.label, space_ok=False)
             tail += f" label {op.label}"
         if op.consumes:
             tail += " consumes " + ",".join(f"{n}:{k}" for n, k in op.consumes)

@@ -1,11 +1,14 @@
 """Exact circuit constructions for the non-Clifford gate widgets.
 
-Everything here is emitted at P9 level: binary-controlled increments are
-expanded into their three-P9 networks, two-qutrit classical reflections into
-the five-increment network conjugated by Clifford permutations.  The
-arithmetic module instead emits the same gates as opaque costed primitives;
-``tests/test_widgets.py`` pins the two representations to identical
-unitaries.
+Everything here is emitted at P9 level.  The arithmetic module emits
+binary-controlled increments C_l[INC] and two-qutrit classical reflections
+TAU2[j,k] as opaque costed primitives, and builds every controlled NOT on
+binary data there (``arithmetic.mcx_ops``).  The CNOT, Toffoli and CCC(NOT)
+widgets and ``add_binary_control`` expand those costed lists with
+``_expand``: each C_l[INC] becomes its three-P9 network (depth one on a
+shared clean helper wire), each TAU2[j,k] the five-increment network
+conjugated by Clifford permutations.  ``tests/test_widgets.py`` pins the two
+representations to identical unitaries and P9 counts.
 
 Wire convention for every constructor: data wires first, then markers, then
 the shared depth-one helper wire, all listed in each docstring.
@@ -13,9 +16,11 @@ the shared depth-one helper wire, all listed in each docstring.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from functools import lru_cache
 
+from .arithmetic import and_ops, mcx_ops
 from .circuit import (Chain, Circuit, CondGateOp, GateOp, MeasureOp, RusOp, adjoint_ops, gate_op,
                       remap_wires)
 from .errors import SizeError
@@ -164,13 +169,28 @@ def tau2_ops(x: int, y: int, p1: tuple[int, int], p2: tuple[int, int]) -> list[G
 
 # ------------------------------------------------------------ CNOT / Toffoli family
 
-def _cnot_ops(c: int, t: int, depth_one: bool = False, helper: int | None = None) -> list[GateOp]:
-    return (
-        [gate_op("SUM_INV", t, c), gate_op("TAU1[1,2]", c), gate_op("TAU1[1,2]", t)]
-        + _c_inc_ops(c, t, level=1, dagger=True, depth_one=depth_one, helper=helper)
-        + _c_inc_ops(t, c, level=1, depth_one=depth_one, helper=helper)
-        + [gate_op("TSWAP", c, t), gate_op("TAU1[1,2]", c), gate_op("TAU1[1,2]", t), gate_op("SUM", t, c)]
-    )
+_C_INC_RE = re.compile(r"^C([012])\[INC(_INV)?\](_INV)?$")
+_TAU2_RE = re.compile(r"^TAU2\[(\d+),(\d+)\]$")
+
+
+def _expand(ops, helper: int | None = None) -> list[GateOp]:
+    """P9-level network of a costed gate list.
+
+    Each C_l[INC] (or an adjoint) becomes :func:`_c_inc_ops`, at depth one
+    on the clean ``helper`` wire when one is given; each TAU2[j,k] becomes
+    :func:`tau2_ops`; every other gate is kept.
+    """
+    out: list[GateOp] = []
+    for op in ops:
+        name = op.gate.name
+        if m := _C_INC_RE.match(name):
+            out += _c_inc_ops(*op.wires, level=int(m[1]), dagger=bool(m[2]) != bool(m[3]),
+                              depth_one=helper is not None, helper=helper)
+        elif m := _TAU2_RE.match(name):
+            out += tau2_ops(*op.wires, divmod(int(m[1]), 3), divmod(int(m[2]), 3))
+        else:
+            out.append(op)
+    return out
 
 
 def cnot_emulated(depth_two: bool = False) -> Circuit:
@@ -179,28 +199,14 @@ def cnot_emulated(depth_two: bool = False) -> Circuit:
     ``depth_two`` uses a clean helper on wire 2 for P9-depth 2.
     """
     if depth_two:
-        ops = _cnot_ops(0, 1, depth_one=True, helper=2)
+        ops = _expand(mcx_ops((0,), 1), helper=2)
         return Circuit(3, tuple(ops), ancillas=frozenset({2}), name="cnot-depth2")
-    return Circuit(2, tuple(_cnot_ops(0, 1)), name="cnot")
+    return Circuit(2, tuple(_expand(mcx_ops((0,), 1))), name="cnot")
 
 
 def _toffoli15_ops(c1: int, c2: int, t: int) -> list[GateOp]:
     # (SUM^dag x I) (I x tau_{|20>,|21>}) (SUM x I): reflection on |110>,|111>.
-    return (
-        [gate_op("SUM", c1, c2)]
-        + tau2_ops(c2, t, (2, 0), (2, 1))
-        + [gate_op("SUM_INV", c1, c2)]
-    )
-
-
-def _toffoli12_ops(c1: int, c2: int, t: int, marker: int, helper: int) -> list[GateOp]:
-    return (
-        [gate_op("SUM", c1, c2)]
-        + _c_inc_ops(c2, marker, level=2, depth_one=True, helper=helper)
-        + _cnot_ops(marker, t, depth_one=True, helper=helper)
-        + _c_inc_ops(c2, marker, level=2, dagger=True, depth_one=True, helper=helper)
-        + [gate_op("SUM_INV", c1, c2)]
-    )
+    return [gate_op("SUM", c1, c2), gate_op("TAU2[6,7]", c2, t), gate_op("SUM_INV", c1, c2)]
 
 
 def toffoli_emulated(ancilla_mode: str = "none") -> Circuit:
@@ -210,9 +216,9 @@ def toffoli_emulated(ancilla_mode: str = "none") -> Circuit:
     a marker on wire 3 and the shared depth helper on wire 4.
     """
     if ancilla_mode == "none":
-        return Circuit(3, tuple(_toffoli15_ops(0, 1, 2)), name="toffoli15")
+        return Circuit(3, tuple(_expand(_toffoli15_ops(0, 1, 2))), name="toffoli15")
     if ancilla_mode == "one_clean":
-        ops = _toffoli12_ops(0, 1, 2, 3, 4)
+        ops = _expand(mcx_ops((0, 1), 2, (3,)), helper=4)
         return Circuit(5, tuple(ops), ancillas=frozenset({3, 4}), name="toffoli12")
     raise SizeError(f"ancilla_mode {ancilla_mode!r}")
 
@@ -224,22 +230,11 @@ def ccc_not(ancilla_mode: str = "two_clean") -> Circuit:
     ``one_clean``: 21 P9 ancilla-lean (marker 4 only).
     """
     if ancilla_mode == "two_clean":
-        ops = (
-            [gate_op("SUM", 0, 1)]
-            + _c_inc_ops(1, 4, level=2, depth_one=True, helper=6)
-            + _toffoli12_ops(4, 2, 3, 5, 6)
-            + _c_inc_ops(1, 4, level=2, dagger=True, depth_one=True, helper=6)
-            + [gate_op("SUM_INV", 0, 1)]
-        )
+        ops = _expand(mcx_ops((0, 1, 2), 3, (4, 5)), helper=6)
         return Circuit(7, tuple(ops), ancillas=frozenset({4, 5, 6}), name="cccnot18")
     if ancilla_mode == "one_clean":
-        ops = (
-            [gate_op("SUM", 0, 1)]
-            + _c_inc_ops(1, 4, level=2)
-            + _toffoli15_ops(4, 2, 3)
-            + _c_inc_ops(1, 4, level=2, dagger=True)
-            + [gate_op("SUM_INV", 0, 1)]
-        )
+        pro = and_ops(0, 1, 4)
+        ops = _expand(pro + _toffoli15_ops(4, 2, 3) + adjoint_ops(pro))
         return Circuit(5, tuple(ops), ancillas=frozenset({4}), name="cccnot21")
     raise SizeError(f"ancilla_mode {ancilla_mode!r}")
 
@@ -258,7 +253,7 @@ def add_binary_control(c: Circuit, control: int) -> Circuit:
     mapping = {w: w for w in range(c.width)}
     mapping[control] = marker
     body = remap_wires(c, mapping, width)
-    pro = [gate_op("SUM", control, new_ctrl)] + _c_inc_ops(new_ctrl, marker, level=2)
+    pro = _expand(and_ops(control, new_ctrl, marker))
     return Circuit(
         width,
         tuple(pro) + body.instructions + tuple(adjoint_ops(pro)),

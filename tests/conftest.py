@@ -1,9 +1,27 @@
 """Shared oracles and helpers for the test suite."""
 
+import atexit
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
 
 from terniq.sim import compile_classical, index_of_trits, run_compiled, trits_of_index
+
+try:
+    from hypothesis import settings
+    from hypothesis.configuration import set_hypothesis_home_dir
+except ImportError:  # property tests skip themselves without the test extra
+    pass
+else:
+    # derandomized: every run draws the same examples and keeps no example
+    # database; the source-constant cache goes to a directory removed at exit
+    settings.register_profile("terniq", derandomize=True, database=None, deadline=None)
+    settings.load_profile("terniq")
+    _home = tempfile.mkdtemp(prefix="terniq-hypothesis-")
+    atexit.register(shutil.rmtree, _home, ignore_errors=True)
+    set_hypothesis_home_dir(_home)
 
 
 @pytest.fixture

@@ -91,6 +91,20 @@ def test_binary_adder_double_control(cv):
             assert_clean(ac, ot, cv)
 
 
+def test_binary_double_control_level_zero():
+    # control_mode 0 fires the first control on 0, for the adder and the modular shift
+    ac = ripple_add_const(ShiftSpec(5, 4, "binary", control="double", control_mode=0))
+    mod = mod_add_const(ShiftSpec(5, 5, "binary", modulus=13, control="double", control_mode=0))
+    for cv in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        fire = (1 - cv[0]) * cv[1]
+        for b, got, carry, ot in classical_map(ac, 2, range(16), controls=cv):
+            assert got == (b + 5 * fire) % 16 and carry == (b + 5 * fire) >> 4
+            assert_clean(ac, ot, cv)
+        for b, got, _, ot in classical_map(mod, 2, range(13), controls=cv):
+            assert got == (b + 5 * fire) % 13
+            assert_clean(mod, ot, cv)
+
+
 def test_binary_count_ledger():
     for n in (8, 12, 16):
         assert count_resources(ripple_add_const(ShiftSpec(5, n, "binary")).circuit).p9_count == 12 * n
@@ -326,6 +340,29 @@ def test_mod_add_block_reports():
 def test_mod_add_requires_headroom():
     with pytest.raises(SizeError):
         ShiftSpec(3, 3, "ternary", modulus=15)  # 3^3 < 2*15
+
+
+@pytest.mark.parametrize("encoding,control,mode", [
+    ("binary", "bogus", 1),
+    ("ternary", "both", 1),
+    ("binary", "single", 2),
+    ("binary", "single", "ternary"),
+    ("binary", "single", 7),
+    ("binary", "double", 2),
+    ("binary", "none", "ternary"),
+    ("ternary", "double", "ternary"),
+    ("ternary", "none", "ternary"),
+    ("ternary", "single", 3),
+    ("ternary", "single", None),
+])
+def test_shift_spec_rejects_unknown_controls(encoding, control, mode):
+    with pytest.raises(SizeError, match="control"):
+        ShiftSpec(5, 4, encoding, control=control, control_mode=mode)
+
+
+def test_compare_to_threshold_rejects_unknown_encoding():
+    with pytest.raises(SizeError, match="quaternary"):
+        compare_to_threshold(3, 4, "quaternary")
 
 
 def test_trit_count():

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -150,11 +151,26 @@ def test_round_trip_identity(circ):
     assert serialize(back) == text
 
 
-@pytest.mark.parametrize("name", ["a#b", "a\nb", "a\r\nb", "a\u2028b"])
-def test_serialize_rejects_names_the_reader_would_cut(name):
-    # the reader strips '#' comments and splits lines, so these names would not round trip
-    with pytest.raises(CircuitNameError, match=re.escape(repr(name[1]))):
-        serialize(Circuit(1, (), name=name))
+def _labelled_rus(label):
+    rus = widgets.r2_injection_rus()
+    return Circuit(rus.width, (replace(rus.instructions[0], label=label),), rus.ancillas, rus.name)
+
+
+@pytest.mark.parametrize("name,field,message", [
+    pytest.param(n, "name", repr(n[1]), id=n) for n in ("a#b", "a\nb", "a\r\nb", "a\u2028b")
+] + [
+    pytest.param(" a", "name", "edge whitespace", id="name-leading-space"),
+    pytest.param("a\t", "name", "edge whitespace", id="name-trailing-tab"),
+    pytest.param("a b", "label", repr(" "), id="label-space"),
+    pytest.param("x#y", "label", repr("#"), id="label-hash"),
+    pytest.param("a\nb", "label", repr("\n"), id="label-newline"),
+])
+def test_serialize_rejects_names_the_reader_would_cut(name, field, message):
+    # the reader strips '#' comments, splits lines, strips the header line and
+    # splits a rus tail on whitespace, so these would not round trip
+    circ = Circuit(1, (), name=name) if field == "name" else _labelled_rus(name)
+    with pytest.raises(CircuitNameError, match=re.escape(message)):
+        serialize(circ)
 
 
 def test_parse_simple_gate_line():

@@ -113,3 +113,40 @@ def test_missing_circuit_file_exits_1(cmd, tmp_path, capsys):
     assert run_cli([cmd, str(tmp_path / "missing.tq")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "missing.tq" in err
+
+
+def test_widget_verify_passes_every_ledger_entry(capsys):
+    assert run_cli(["widget-verify"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    labels = [line.split("] ", 1)[1].split(":")[0] for line in lines]
+    assert labels == ["CNOT", "Toffoli (ancilla-free)", "Toffoli (one clean)",
+                      "CCC(NOT) (two clean)", "CCC(NOT) (one clean)", "C2(INC)", "L(SUM)",
+                      "LL(SUM)", "C_f(L(SUM))", "C_f(SUM)", "C1(Z) network"]
+    assert all(line.startswith("[PASS] ") for line in lines)
+
+
+@pytest.mark.parametrize("mode,seed,j", [
+    ("semiclassical", 0, 192),
+    ("semiclassical-gate", 0, 192),
+    ("full-register", 0, 128),
+])
+def test_shor_run_with_base_factors(mode, seed, j, capsys):
+    args = ["shor-run", "--n", "15", "--base", "7", "--seed", str(seed), "--mode", mode]
+    assert run_cli(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"measurement j={j} of Q=256; period candidate r=4 verified=True",
+                     "factors 3 x 5"]
+
+
+@pytest.mark.parametrize("mode", ["semiclassical-gate", "full-register"])
+def test_shor_run_with_base_exits_1_without_a_period(mode, capsys):
+    # seed 3 measures j = 0 on both paths, which gives no period candidate
+    args = ["shor-run", "--n", "15", "--base", "7", "--seed", "3", "--mode", mode]
+    assert run_cli(args) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "measurement j=0 of Q=256; period candidate r=None verified=False"]
+
+
+def test_shor_run_with_base_sharing_a_factor(capsys):
+    assert run_cli(["shor-run", "--n", "15", "--base", "6"]) == 0
+    assert capsys.readouterr().out == "gcd(6, 15) = 3: factors 3 x 5\n"

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_unitary
 from terniq import costmodel
+from terniq.errors import SizeError
 from terniq.costmodel import (
     Scenario,
     cost_table,
@@ -177,6 +178,8 @@ def test_scenario_validation():
         Scenario(1)
     with pytest.raises(Exception):
         Scenario(10, platform="nope")
+    with pytest.raises(SizeError, match="quaternary"):
+        Scenario(16, "quaternary")
 
 
 def test_parallel_magic_rate():
