@@ -18,7 +18,7 @@ from .errors import TerniqError
 from .gates import matrix_for_name
 from .modexp import ModExpSpec
 from .qft import dft_matrix, qft3n
-from .shor import period_finding_run, shor_factor
+from .shor import _factor_from_period, period_finding_run, shor_factor
 from .sim import circuit_unitary, run
 from .textfmt import deserialize
 
@@ -176,10 +176,9 @@ def cmd_shor_run(args) -> int:
         cand = period_finding_run(spec, seed=args.seed, mode=args.mode)
         print(f"measurement j={cand.measurement} of Q={cand.register_modulus}; "
               f"period candidate r={cand.period} verified={cand.verified}")
-        if cand.verified and cand.period and cand.period % 2 == 0:
-            y = pow(args.base, cand.period // 2, args.n)
-            p = gcd(y - 1, args.n)
-            if 1 < p < args.n:
+        if cand.verified and cand.period:
+            _, p = _factor_from_period(args.base, cand.period, args.n)
+            if p:
                 print(f"factors {p} x {args.n // p}")
                 return 0
         return 1

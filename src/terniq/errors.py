@@ -38,6 +38,10 @@ class CircuitNameError(TerniqError):
     """
 
 
+class RoundMapError(TerniqError):
+    """A controlled multiply that is not acc <- acc * mult^c mod N with clean scratch."""
+
+
 class WidthCapError(TerniqError):
     """Dense simulation request above the configured qutrit cap."""
 

@@ -19,8 +19,8 @@ from functools import lru_cache
 from math import gcd
 
 from .circuit import Circuit, GateOp, adjoint_ops, gate_op
-from .errors import SizeError
-from .sim import CompiledCircuit, compile_classical
+from .errors import RoundMapError, SizeError
+from .sim import CompiledCircuit, compile_classical, index_of_trits, run_compiled, trits_of_index
 from .arithmetic import and_ops, mcx_ops, mod_add_binary_ops, mod_add_ternary_ops, _pool_size
 
 
@@ -181,6 +181,36 @@ def controlled_multiply(encoding: str, N: int, multiplier: int) -> CompiledCircu
     regs = _registers(spec)
     ops, _ = _ctrl_mult_ops(spec, regs, regs.exponent[0], multiplier)
     return compile_classical(Circuit(regs.scratch[-1] + 1, tuple(ops)))
+
+
+@lru_cache(maxsize=16)
+def round_map(encoding: str, N: int, mult: int) -> tuple[tuple[int, ...], ...]:
+    """``table[c][acc]``: the accumulator ``controlled_multiply`` leaves.
+
+    Walks the compiled multiply once for every control value c < d and every
+    acc < N with clean scratch.  Raises ``RoundMapError``, naming c and acc,
+    unless the control comes back unchanged, acc2 and the scratch back at 0,
+    and acc as digits < d of a value < N.
+    """
+    comp = controlled_multiply(encoding, N, mult)
+    spec = ModExpSpec(mult, N, encoding, exponent_digits=1)
+    d, v = spec.radix, spec.value_digits
+    table = []
+    for c in range(d):
+        row = []
+        for acc in range(N):
+            trits = [c] + [acc // d**j % d for j in range(v)] + [0] * (comp.width - 1 - v)
+            out = trits_of_index(run_compiled(comp, index_of_trits(trits)), comp.width)
+            got = sum(t * d**j for j, t in enumerate(out[1:1 + v]))
+            fault = ("the control changed" if out[0] != c
+                     else "acc2 or scratch left non-zero" if any(out[1 + v:])
+                     else "acc out of range" if max(out[1:1 + v]) >= d or got >= N else None)
+            if fault:
+                raise RoundMapError(f"{encoding} multiply by {mult} mod {N}, "
+                                    f"control {c}, acc {acc}: {fault}")
+            row.append(got)
+        table.append(tuple(row))
+    return tuple(table)
 
 
 def modeled_shift_count(spec: ModExpSpec) -> int:

@@ -10,10 +10,11 @@ Three period-finding executions are provided:
     rounds of controlled modular multiplication with measurement-conditioned
     phase feedback; sampled on the multiplicative residue support, and
     enumerated exactly, all branches at once, over the orbit of a.
-  * ``semiclassical-gate`` -- the same protocol executed instruction by
-    instruction on a sparse state vector over the full wire register, with
-    the memoised controlled multiplies of the modular-exponentiation gate
-    constructions.  Used to pin the abstract rounds to the gate level.
+  * ``semiclassical-gate`` -- the same rounds with each round's map read
+    off its gate-level multiply: ``modexp.round_map`` walks the memoised
+    controlled multiply of the modular-exponentiation construction over
+    every control value and accumulator, and checks the control kept and
+    the scratch cleared.  Used to pin the abstract rounds to the gate level.
 
 Outcome conventions: round t measures the t-th least significant digit of
 the Fourier outcome j.
@@ -29,8 +30,7 @@ import numpy as np
 
 from .errors import SizeError
 from .gates import matrix_for_name
-from .modexp import ModExpSpec, controlled_multiply
-from .sim import run_compiled
+from .modexp import ModExpSpec, round_map
 
 
 # ------------------------------------------------------------ oracle pipeline
@@ -63,17 +63,12 @@ def full_register_distribution(spec: ModExpSpec) -> np.ndarray:
 
 # ------------------------------------------------------------ semiclassical
 
-def _phase_feedback(feed: int, t: int, d: int):
-    """diag phase on the control wire encoding -2*pi*feed/d^(t+1)."""
-    r = d ** (t + 1)
-    aa = (-feed) % r
-    if d == 2:
-        return matrix_for_name(f"PHASE1[{aa},{r}]")
-    return matrix_for_name(f"PHASE[{aa},{r}]")
+def _rounds(spec: ModExpSpec, rng, times) -> int:
+    """Run the recycled-control protocol on the residue support; returns j.
 
-
-def semiclassical_period_rounds(spec: ModExpSpec, rng) -> int:
-    """Run the recycled-control protocol on the residue support; returns j."""
+    ``times(mult, c, y)`` is the accumulator residue after the round's
+    multiply by mult^c takes it from y.
+    """
     d, N, a = spec.radix, spec.modulus, spec.base
     e = spec.exp_digits
     hadamard = matrix_for_name("HBIN" if d == 2 else "H").matrix
@@ -87,8 +82,7 @@ def semiclassical_period_rounds(spec: ModExpSpec, rng) -> int:
         # branch amplitudes: control value c applies mult^c and phase^c
         branches = []
         for c in range(d):
-            mc = pow(mult, c, N)
-            br = {(y * mc) % N: amp * phase**c * hadamard[c, 0]
+            br = {times(mult, c, y): amp * phase**c * hadamard[c, 0]
                   for y, amp in state.items()}
             branches.append(br)
         probs = np.zeros(d)
@@ -110,6 +104,23 @@ def semiclassical_period_rounds(spec: ModExpSpec, rng) -> int:
         state = {y: v / norm for y, v in post[m].items() if abs(v) > 1e-15}
         feed += m * d**t
     return feed
+
+
+def semiclassical_period_rounds(spec: ModExpSpec, rng) -> int:
+    """The recycled-control rounds with residue multiplies; returns j."""
+    N = spec.modulus
+    return _rounds(spec, rng, lambda mult, c, y: y * pow(mult, c, N) % N)
+
+
+def semiclassical_gate_run(spec: ModExpSpec, seed: int = 0) -> int:
+    """The same rounds with each multiply read off its gate-level circuit.
+
+    Every round's map is ``round_map``, the checked walk of the memoised
+    ``controlled_multiply``; a round whose multiplier is 1 builds no circuit.
+    """
+    enc, N = spec.encoding, spec.modulus
+    return _rounds(spec, np.random.default_rng(seed),
+                   lambda mult, c, y: round_map(enc, N, mult)[c][y] if mult != 1 else y)
 
 
 def semiclassical_distribution(spec: ModExpSpec) -> np.ndarray:
@@ -137,72 +148,6 @@ def semiclassical_distribution(spec: ModExpSpec) -> np.ndarray:
         shifted = np.stack([np.roll(rows, c * shift, axis=1) for c in range(d)])
         rows = np.einsum("mbc,cbi->mbi", weights, shifted).reshape(d * B, r)
     return (np.abs(rows) ** 2).sum(axis=1)
-
-
-# ------------------------------------------------------------ gate-level rounds
-
-class _SparseState:
-    """Sparse amplitude map over a wide register for semiclassical runs."""
-
-    def __init__(self):
-        self.amps: dict[int, complex] = {0: 1.0 + 0j}
-
-    def permute(self, compiled):
-        """Map every basis index through a compiled permutation circuit."""
-        self.amps = {run_compiled(compiled, idx): amp for idx, amp in self.amps.items()}
-
-    def apply(self, gate, wires):
-        if gate.arity != 1:
-            raise SizeError(f"sparse path: unsupported gate {gate.name}")
-        m = gate.matrix
-        s = 3 ** wires[0]
-        new = {}
-        for idx, amp in self.amps.items():
-            t = (idx // s) % 3
-            for t2 in range(3):
-                w = m[t2, t]
-                if abs(w) < 1e-15:
-                    continue
-                idx2 = idx + (t2 - t) * s
-                new[idx2] = new.get(idx2, 0.0) + w * amp
-        self.amps = {k: v for k, v in new.items() if abs(v) > 1e-15}
-
-    def measure(self, wire, rng) -> int:
-        s = 3**wire
-        probs = np.zeros(3)
-        for idx, amp in self.amps.items():
-            probs[(idx // s) % 3] += abs(amp) ** 2
-        probs /= probs.sum()
-        m = int(rng.choice(3, p=probs))
-        kept = {idx: amp for idx, amp in self.amps.items() if (idx // s) % 3 == m}
-        norm = np.sqrt(sum(abs(v) ** 2 for v in kept.values()))
-        self.amps = {k: v / norm for k, v in kept.items()}
-        return m
-
-
-def semiclassical_gate_run(spec: ModExpSpec, seed: int = 0) -> int:
-    """Instruction-level semiclassical run (sparse state vector); returns j."""
-    d, N, a = spec.radix, spec.modulus, spec.base
-    e = spec.exp_digits
-    ctrl, acc0 = 0, 1  # controlled_multiply's control and accumulator digit 0
-    rng = np.random.default_rng(seed)
-    state = _SparseState()
-    state.apply(matrix_for_name("TAU1[0,1]" if d == 2 else "INC"), (acc0,))  # acc <- 1
-    had = matrix_for_name("HBIN" if d == 2 else "H")
-    had_inv = had.adjoint()
-    feed = 0
-    for t in range(e):
-        mult = pow(a, d ** (e - 1 - t), N)
-        state.apply(had, (ctrl,))
-        if mult != 1:
-            state.permute(controlled_multiply(spec.encoding, N, mult))
-        state.apply(_phase_feedback(feed, t, d), (ctrl,))
-        state.apply(had_inv, (ctrl,))
-        m = state.measure(ctrl, rng)
-        if m:
-            state.apply(matrix_for_name("INC_INV" if m == 1 else "INC"), (ctrl,))
-        feed += m * d**t
-    return feed
 
 
 # ------------------------------------------------------------ classical post
@@ -293,6 +238,21 @@ def _perfect_power(N: int) -> tuple[int, int] | None:
     return None
 
 
+def _factor_from_period(a: int, r: int, N: int) -> tuple[str, int | None]:
+    """(outcome, factor) of y = a^(r/2) mod N, gcd(y - 1, N) for a period r.
+
+    The outcome is ``odd-r``, ``trivial`` (y = -1), ``ok`` with the factor,
+    or ``degenerate`` (y = 1: r/2 is already a period).
+    """
+    if r % 2:
+        return "odd-r", None
+    y = pow(a, r // 2, N)
+    if y == N - 1:
+        return "trivial", None
+    p = gcd(y - 1, N)  # y^2 = 1 and y != +-1 mod N make this a proper factor
+    return ("ok", p) if 1 < p < N else ("degenerate", None)
+
+
 def shor_factor(N: int, seed: int = 0, encoding: str = "binary",
                 mode: str = "semiclassical", max_trials: int = 32) -> FactorReport:
     """Factor an odd composite by repeated period finding.
@@ -322,17 +282,8 @@ def shor_factor(N: int, seed: int = 0, encoding: str = "binary",
         if not cand.verified or cand.period is None:
             log.append((a, "no-period", cand.measurement))
             continue
-        r = cand.period
-        if r % 2:
-            log.append((a, "odd-r", r))
-            continue
-        y = pow(a, r // 2, N)
-        if y == N - 1:
-            log.append((a, "trivial", r))
-            continue
-        p = gcd(y - 1, N)  # y^2 = 1 and y != +-1 mod N make this a proper factor
-        if 1 < p < N:
-            log.append((a, "ok", r))
+        kind, p = _factor_from_period(a, cand.period, N)
+        log.append((a, kind, cand.period))
+        if p:
             return FactorReport((p, N // p), tuple(log), seed)
-        log.append((a, "degenerate", r))  # y = 1: r/2 is already a period
     return FactorReport(None, tuple(log), seed)

@@ -22,13 +22,14 @@ from __future__ import annotations
 import math
 
 from .circuit import Chain, Circuit, CondGateOp, GateOp, MeasureOp, RusOp
-from .errors import CircuitNameError, ParseError
+from .errors import CircuitNameError, NonUnitaryError, ParseError, SizeError
 from .gates import matrix_for_name
 
 
-def _check_text(kind: str, text: str, space_ok: bool) -> None:
-    # the reader strips '#' comments, splits lines and strips or splits on whitespace
-    cut = [ch for ch in text if ch == "#" or ch.splitlines() != [ch]
+def _check_text(kind: str, text: str, space_ok: bool, marks: str = "#") -> None:
+    # the reader strips '#' comments, splits lines, strips or splits on
+    # whitespace and splits a consumes list on ',' and ':'
+    cut = [ch for ch in text if ch in marks or ch.splitlines() != [ch]
            or (ch.isspace() and not space_ok)]
     if cut:
         raise CircuitNameError(f"{kind} {text!r} holds {cut[0]!r}, which the reader cuts")
@@ -63,6 +64,8 @@ def _emit(op) -> list[str]:
             _check_text("rus label", op.label, space_ok=False)
             tail += f" label {op.label}"
         if op.consumes:
+            for n, _ in op.consumes:
+                _check_text("resource name", n, space_ok=False, marks="#,:")
             tail += " consumes " + ",".join(f"{n}:{k}" for n, k in op.consumes)
         if op.corrections:
             out.append(tail + " corrections {")
@@ -170,11 +173,17 @@ def _parse_op(line, ln, cur, width):
     parts = line.split()
     if parts[0] == "gate":
         g, wires = _gate_from(parts, ln, width, start=1)
-        return GateOp(g, wires)
+        try:
+            return GateOp(g, wires)
+        except SizeError as exc:  # repeated wires
+            raise ParseError(str(exc), ln) from None
     if parts[0] == "measure":
         if len(parts) != 4 or parts[2] != "->" or not parts[3].startswith("c"):
             raise ParseError("expected 'measure <wire> -> c<k>'", ln)
-        return MeasureOp(_int(parts[1], ln), _int(parts[3][1:], ln))
+        wire = _int(parts[1], ln)
+        if not 0 <= wire < width:
+            raise ParseError(f"wire {wire} outside width {width}", ln)
+        return MeasureOp(wire, _int(parts[3][1:], ln))
     if parts[0] == "cc":
         if len(parts) < 3 or parts[2] != "gate":
             raise ParseError("expected 'cc c<k>==<v> gate ...'", ln)
@@ -270,5 +279,8 @@ def _parse_rus(cur, width):
                 g, wires = _gate_from(parts, cln, width, start=1)
                 corrections.append((_int(key_s, cln), g, wires))
             i = len(tail)
-    return RusOp(Circuit(width, tuple(body_ops)), predicate, chain, outcome_slot,
-                 tuple(corrections), max_iters, consumes, expected, label)
+    try:
+        return RusOp(Circuit(width, tuple(body_ops)), predicate, chain, outcome_slot,
+                     tuple(corrections), max_iters, consumes, expected, label)
+    except NonUnitaryError as exc:
+        raise ParseError(str(exc), ln) from None

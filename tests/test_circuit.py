@@ -151,9 +151,9 @@ def test_round_trip_identity(circ):
     assert serialize(back) == text
 
 
-def _labelled_rus(label):
+def _rus_with(**fields):
     rus = widgets.r2_injection_rus()
-    return Circuit(rus.width, (replace(rus.instructions[0], label=label),), rus.ancillas, rus.name)
+    return Circuit(rus.width, (replace(rus.instructions[0], **fields),), rus.ancillas, rus.name)
 
 
 @pytest.mark.parametrize("name,field,message", [
@@ -164,11 +164,19 @@ def _labelled_rus(label):
     pytest.param("a b", "label", repr(" "), id="label-space"),
     pytest.param("x#y", "label", repr("#"), id="label-hash"),
     pytest.param("a\nb", "label", repr("\n"), id="label-newline"),
+] + [
+    pytest.param(n, "consumes", repr(n[1]), id=f"consumes-{n}") for n in ("p s", "p,s", "p:s", "p#s")
 ])
 def test_serialize_rejects_names_the_reader_would_cut(name, field, message):
-    # the reader strips '#' comments, splits lines, strips the header line and
-    # splits a rus tail on whitespace, so these would not round trip
-    circ = Circuit(1, (), name=name) if field == "name" else _labelled_rus(name)
+    # the reader strips '#' comments, splits lines, strips the header line,
+    # splits a rus tail on whitespace and a consumes list on ',' and ':', so
+    # these would not round trip
+    if field == "name":
+        circ = Circuit(1, (), name=name)
+    elif field == "label":
+        circ = _rus_with(label=name)
+    else:
+        circ = _rus_with(consumes=((name, 1),))
     with pytest.raises(CircuitNameError, match=re.escape(message)):
         serialize(circ)
 
@@ -220,6 +228,15 @@ def test_rus_body_requires_measurement():
         RusOp(Circuit(1, (g("INC", 0),)), predicate=((0, 0),))
 
 
+# instructions the circuit model would reject, with the line the parser names
+BAD_INSTRUCTIONS = [
+    ("circuit 2\nmeasure 5 -> c0", 2),
+    ("circuit 2\nmeasure -1 -> c0", 2),
+    ("circuit 2\ngate SUM 0 0", 2),
+    ("circuit 1\n# a body with no measurement\nrus {\ngate INC 0\n} until c0==0", 5),
+]
+
+
 @pytest.mark.parametrize("text", [
     "",
     "circuit",
@@ -235,6 +252,7 @@ def test_rus_body_requires_measurement():
     "circuit 1\ngate PHASE[1,0] 0",
     "circuit 1\nancilla 5\n",
     "circuit -1",
+    *(pytest.param(text, id=text.split("\n", 1)[1]) for text, _ in BAD_INSTRUCTIONS),
     *(pytest.param(f"circuit 1\nrus {{\nmeasure 0 -> c0\n}} until {tail}", id=tail) for tail in (
         "c0==0 maxiter",
         "c0==0 consumes psi",
@@ -250,6 +268,13 @@ def test_malformed_documents_raise_parse_errors(text):
     from terniq.errors import ParseError
     with pytest.raises(ParseError):
         deserialize(text)
+
+
+@pytest.mark.parametrize("text,line", BAD_INSTRUCTIONS, ids=lambda v: str(v).split("\n", 1)[-1])
+def test_parse_errors_name_the_line(text, line):
+    with pytest.raises(ParseError) as exc:
+        deserialize(text)
+    assert exc.value.line == line
 
 
 def test_fuzz_round_trips(rng):

@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
 
-from terniq.errors import SizeError
-from terniq.modexp import ModExpSpec, controlled_multiply, modexp_circuit, modeled_shift_count
+from terniq import modexp
+from terniq.circuit import Circuit, GateOp, gate_op
+from terniq.errors import RoundMapError, SizeError
+from terniq.modexp import (
+    ModExpSpec,
+    _ctrl_mult_ops,
+    _registers,
+    controlled_multiply,
+    modexp_circuit,
+    modeled_shift_count,
+    round_map,
+)
 from terniq.shor import (
     FactorReport,
     PeriodCandidate,
@@ -14,7 +24,7 @@ from terniq.shor import (
     semiclassical_period_rounds,
     shor_factor,
 )
-from terniq.sim import compile_classical, index_of_trits, run_compiled, trits_of_index
+from terniq.sim import CompiledCircuit, compile_classical, index_of_trits, run_compiled, trits_of_index
 
 
 def run_modexp(layout, comp, spec, k):
@@ -181,6 +191,61 @@ def test_controlled_multiply_memoised(enc, mult):
             out = trits_of_index(run_compiled(comp, index_of_trits(trits)), comp.width)
             assert sum(out[1 + j] * d**j for j in range(v)) == y * mult**c % 15
             assert out[0] == c and not any(out[1 + v:])
+
+
+# ------------------------------------------------------------ round maps
+# The structural test shows that the modexp circuit is acc <- 1 followed by
+# one controlled multiply per round, each the memoised one-digit circuit on
+# the shared layout; the exhaustive test checks that circuit on every
+# control value and accumulator.  Together they prove every exponent.
+
+def _round_multipliers(spec):
+    d, e, N = spec.radix, spec.exp_digits, spec.modulus
+    return [pow(spec.base, d**j, N) for j in range(e)]
+
+
+@pytest.mark.parametrize("a,N,enc", [(2, N, enc) for N in (15, 21, 33, 35)
+                                     for enc in ("binary", "ternary")]
+                         + [(7, 15, "binary"), (7, 15, "ternary")])
+def test_round_map_multiplies_every_accumulator(a, N, enc):
+    spec = ModExpSpec(a, N, enc)
+    for mult in sorted(set(_round_multipliers(spec)) - {1}):
+        table = round_map(enc, N, mult)
+        assert table == tuple(tuple(acc * pow(mult, c, N) % N for acc in range(N))
+                              for c in range(spec.radix)), mult
+        assert round_map(enc, N, mult) is table
+
+
+@pytest.mark.parametrize("a,N,enc", [(7, 15, "binary"), (2, 21, "binary"),
+                                     (2, 15, "ternary"), (2, 21, "ternary")])
+def test_modexp_circuit_is_its_round_multiplies(a, N, enc):
+    spec = ModExpSpec(a, N, enc)
+    e = spec.exp_digits
+    regs = _registers(spec)
+    circ = modexp_circuit(spec).circuit
+    blocks = [(kappa, mult, _ctrl_mult_ops(spec, regs, kappa, mult)[0])
+              for kappa, mult in zip(regs.exponent, _round_multipliers(spec)) if mult != 1]
+    init = gate_op("TAU1[0,1]" if enc == "binary" else "INC", regs.acc[0])
+    assert circ.instructions == (init, *(op for _, _, ops in blocks for op in ops))
+    for kappa, mult, ops in blocks:
+        # onto the one-digit layout: the exponent wire to 0, the rest down by e - 1
+        relabel = {kappa: 0, **{w: w - (e - 1) for w in range(e, circ.width)}}
+        one_digit = Circuit(circ.width - (e - 1),
+                            tuple(GateOp(op.gate, tuple(relabel[w] for w in op.wires))
+                                  for op in ops))
+        assert compile_classical(one_digit) == controlled_multiply(enc, N, mult)
+
+
+@pytest.mark.parametrize("wire,fault", [(0, "the control changed"),
+                                        (5, "acc out of range"),
+                                        (-1, "acc2 or scratch left non-zero")])
+def test_round_map_rejects_a_faulty_multiply(monkeypatch, wire, fault):
+    comp = controlled_multiply("binary", 15, 7)
+    extra = compile_classical(Circuit(comp.width, (gate_op("INC", wire % comp.width),)))
+    faulty = CompiledCircuit(comp.width, comp.ops + extra.ops)
+    monkeypatch.setattr(modexp, "controlled_multiply", lambda *args: faulty)
+    with pytest.raises(RoundMapError, match=f"control 0, acc 0: {fault}"):
+        round_map.__wrapped__("binary", 15, 7)   # uncached: the real map may be memoised
 
 
 def test_gate_level_semiclassical_distribution():

@@ -1,4 +1,5 @@
-"""Property tests: the costed binary-data networks and their P9 expansion."""
+"""Property tests: the costed binary-data networks and their P9 expansion,
+and the text reader on mutated documents."""
 
 import numpy as np
 import pytest
@@ -6,9 +7,13 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from terniq import widgets
 from terniq.arithmetic import mcx_ops
 from terniq.circuit import Circuit, count_resources, gate_op
+from terniq.errors import ParseError
+from terniq.modexp import ModExpSpec, modexp_circuit
 from terniq.sim import circuit_unitary, compile_classical, index_of_trits, run_compiled, trits_of_index
+from terniq.textfmt import deserialize, serialize
 from terniq.widgets import _expand
 
 # costed primitives _expand rewrites, and Clifford gates it keeps
@@ -80,3 +85,58 @@ def test_mcx_flips_the_target_iff_every_control_is_one(case):
     out = list(trits_of_index(run_compiled(comp, index_of_trits(trits)), width))
     trits[target] = t ^ all(bits)
     assert out == trits  # controls kept, markers back to 0
+
+
+# serialized widgets, RUS factories and a modexp circuit, and tokens of the
+# grammar (with out-of-range and malformed values) to splice into their lines
+_DOCUMENTS = [serialize(c) for c in (
+    widgets.p9_injection_widget(), widgets.r2_injection_rus(), widgets.ccc_not("one_clean"),
+    widgets.resource_state_prep("psi"), widgets.resource_state_prep("plus_omega3"),
+    modexp_circuit(ModExpSpec(2, 5, "ternary")).circuit)]
+_TOKENS = ["-1", "0", "1", "2", "9", "x", "{", "}", "->", "c0", "c-1", "c0==1", "c0=1", "&&",
+           "gate", "measure", "cc", "rus", "until", "ancilla", "circuit", "SUM", "INC", "P9",
+           "TAU2[1,99]", "PHASE[1,0]", "chain(c0)", "chain(c0", "start=0", "accept=1|2",
+           "trans=0,0,1", "trans=0,0", "maxiter", "expected", "nan", "label", "consumes",
+           "psi:1", "psi", "corrections", "0:", "#", ":", ","]
+
+
+@st.composite
+def mutated_documents(draw):
+    """A serialized circuit with one or two of its lines edited."""
+    lines = draw(st.sampled_from(_DOCUMENTS)).splitlines()
+    for _ in range(draw(st.integers(1, 2))):
+        i = draw(st.integers(0, len(lines) - 1))
+        words = lines[i].split()
+        k = draw(st.integers(0, len(words)))
+        edit = draw(st.sampled_from(["number", "replace", "insert", "drop", "drop line",
+                                     "drop kind", "copy line"]))
+        numbers = [j for j, w in enumerate(words) if w.lstrip("-").isdigit()]
+        if edit == "number" and numbers:
+            # the grammar kept: a value repeated from the line, negative or large
+            value = draw(st.sampled_from([words[j] for j in numbers] + ["-1", "99"]))
+            words[draw(st.sampled_from(numbers))] = value
+            lines[i] = " ".join(words)
+        elif edit == "drop line":
+            del lines[i]
+        elif edit == "drop kind":  # every line of the same instruction, e.g. every measure
+            lines = [ln for ln in lines if ln.split()[:1] != words[:1]] or lines[:1]
+        elif edit == "copy line":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif edit == "insert" or not words:
+            lines[i] = " ".join(words[:k] + [draw(st.sampled_from(_TOKENS))] + words[k:])
+        else:
+            k = min(k, len(words) - 1)
+            new = [draw(st.sampled_from(_TOKENS))] if edit == "replace" else []
+            lines[i] = " ".join(words[:k] + new + words[k + 1:])
+        if not lines:
+            break
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300)
+@given(mutated_documents())
+def test_mutated_documents_parse_or_raise_parse_error(text):
+    try:
+        deserialize(text)
+    except ParseError:
+        pass

@@ -26,7 +26,6 @@ from terniq.sim import (
 )
 from terniq import widgets
 from terniq.arithmetic import ShiftSpec, ripple_add_const
-from terniq.shor import _SparseState
 
 
 def g(name, *wires):
@@ -279,10 +278,6 @@ def test_classical_paths_agree_on_random_circuits():
             assert perm[idx] == out
             assert np.flatnonzero(np.abs(u[:, idx]) > 1e-12).tolist() == [out]
             assert abs(u[out, idx] - 1.0) < 1e-12
-            sparse = _SparseState()
-            sparse.amps = {idx: 1.0}
-            sparse.permute(comp)
-            assert sparse.amps == {out: 1.0}
 
 
 def test_injected_equivalence_all_widgets(rng):
