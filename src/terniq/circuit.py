@@ -27,16 +27,21 @@ from .errors import NonUnitaryError, SizeError, WidthMismatchError
 from .gates import GateMatrix
 
 
+def check_gate_wires(gate: GateMatrix, wires: tuple[int, ...]) -> None:
+    """Raise ``SizeError`` unless ``wires`` are distinct and match the arity."""
+    if len(set(wires)) != len(wires):
+        raise SizeError(f"{gate.name}: repeated wires {wires}")
+    if len(wires) != gate.arity:
+        raise SizeError(f"{gate.name}: {len(wires)} wires for arity {gate.arity}")
+
+
 @dataclass(frozen=True)
 class GateOp:
     gate: GateMatrix
     wires: tuple[int, ...]
 
     def __post_init__(self):
-        if len(set(self.wires)) != len(self.wires):
-            raise SizeError(f"{self.gate.name}: repeated wires {self.wires}")
-        if len(self.wires) != self.gate.arity:
-            raise SizeError(f"{self.gate.name}: {len(self.wires)} wires for arity {self.gate.arity}")
+        check_gate_wires(self.gate, self.wires)
 
 
 @dataclass(frozen=True)
@@ -53,6 +58,9 @@ class CondGateOp:
     value: int
     gate: GateMatrix
     wires: tuple[int, ...]
+
+    def __post_init__(self):
+        check_gate_wires(self.gate, self.wires)
 
 
 @dataclass(frozen=True)
@@ -93,6 +101,8 @@ class RusOp:
             raise NonUnitaryError("RUS body must contain at least one measurement")
         if (self.chain is None) == (not self.predicate):
             raise SizeError("RusOp needs exactly one of predicate or chain")
+        for _, gate, wires in self.corrections:
+            check_gate_wires(gate, wires)
 
 
 Instruction = Union[GateOp, MeasureOp, CondGateOp, RusOp]

@@ -8,13 +8,14 @@ from __future__ import annotations
 import argparse
 import sys
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 
 from . import costmodel
 from .arithmetic import ShiftSpec, ripple_add_const, ripple_add_const_ternary
 from .circuit import count_resources
-from .errors import TerniqError
+from .errors import ParseError, TerniqError
 from .gates import matrix_for_name
 from .modexp import ModExpSpec
 from .qft import dft_matrix, qft3n
@@ -37,8 +38,18 @@ def cmd_gate_show(args) -> int:
     return 0
 
 
+def _read_circuit(path: str):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # exc.object holds the file's bytes
+        before = exc.object[:exc.start].decode("utf-8")  # numbered as the reader numbers lines
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}",
+                         len((before + ".").splitlines())) from None
+    return deserialize(text)
+
+
 def cmd_circuit_count(args) -> int:
-    circ = deserialize(open(args.file).read())
+    circ = _read_circuit(args.file)
     rc = count_resources(circ)
     print(f"width            {rc.width}")
     print(f"p9_count         {rc.p9_count}")
@@ -57,7 +68,7 @@ def cmd_circuit_count(args) -> int:
 
 
 def cmd_circuit_sim(args) -> int:
-    circ = deserialize(open(args.file).read())
+    circ = _read_circuit(args.file)
     rec = run(circ, seed=args.seed, gate_mode=args.mode)
     probs = rec.state.probabilities()
     top = np.argsort(probs)[::-1][:8]

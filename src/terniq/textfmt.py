@@ -15,13 +15,19 @@
 ``chain(c<k>) start=<s> accept=<s|...> trans=<s,m,s'|...>``.
 ``#`` starts a comment.  Round trips are bit-exact: ``serialize`` raises
 ``CircuitNameError`` for a name or label the reader would cut.
+
+A modexp circuit is a few hundred distinct instructions repeated thousands
+of times, so each call handles a distinct line once: ``deserialize`` parses
+each distinct ``gate``, ``measure`` and ``cc`` line once per document (a
+repeat shares the frozen op), and ``serialize`` formats each distinct
+top-level gate once.
 """
 
 from __future__ import annotations
 
 import math
 
-from .circuit import Chain, Circuit, CondGateOp, GateOp, MeasureOp, RusOp
+from .circuit import Chain, Circuit, CondGateOp, GateOp, MeasureOp, RusOp, check_gate_wires
 from .errors import CircuitNameError, NonUnitaryError, ParseError, SizeError
 from .gates import matrix_for_name
 
@@ -42,18 +48,33 @@ def serialize(c: Circuit) -> str:
     lines = [f"circuit {c.width}" + (f" {c.name}" if c.name else "")]
     if c.ancillas:
         lines.append("ancilla " + " ".join(str(w) for w in sorted(c.ancillas)))
+    # each distinct (gate name, wires) is formatted once, from wire numbers
+    # spelled once (Circuit keeps every wire inside the width)
+    gate_lines = {}
+    wire_text = [str(w) for w in range(c.width)].__getitem__
     for op in c.instructions:
-        lines.extend(_emit(op))
+        if isinstance(op, GateOp):
+            key = (op.gate.name, op.wires)
+            line = gate_lines.get(key)
+            if line is None:
+                line = gate_lines[key] = _gate_text(*key, wire_text)
+            lines.append(line)
+        else:
+            lines.extend(_emit(op))
     return "\n".join(lines) + "\n"
+
+
+def _gate_text(name: str, wires, wire_text=str) -> str:
+    return " ".join(("gate", name, *map(wire_text, wires)))
 
 
 def _emit(op) -> list[str]:
     if isinstance(op, GateOp):
-        return [f"gate {op.gate.name} " + " ".join(map(str, op.wires))]
+        return [_gate_text(op.gate.name, op.wires)]
     if isinstance(op, MeasureOp):
         return [f"measure {op.wire} -> c{op.slot}"]
     if isinstance(op, CondGateOp):
-        return [f"cc c{op.slot}=={op.value} gate {op.gate.name} " + " ".join(map(str, op.wires))]
+        return [f"cc c{op.slot}=={op.value} " + _gate_text(op.gate.name, op.wires)]
     if isinstance(op, RusOp):
         out = ["rus {"]
         for sub in op.body.instructions:
@@ -70,7 +91,7 @@ def _emit(op) -> list[str]:
         if op.corrections:
             out.append(tail + " corrections {")
             for key, g, ws in op.corrections:
-                out.append(f"  {key}: gate {g.name} " + " ".join(map(str, ws)))
+                out.append(f"  {key}: " + _gate_text(g.name, ws))
             out.append("}")
         else:
             out.append(tail)
@@ -88,18 +109,44 @@ def _emit_pred(op: RusOp) -> str:
 
 
 class _Cursor:
+    """The numbered lines of one document, read once in order.
+
+    ``parsed`` maps the raw text of each ``gate``, ``measure`` and ``cc``
+    line read so far to its instruction, so a repeated line is one lookup:
+    every check ran on its first occurrence, and the line and the width
+    decide the result.
+    """
+
     def __init__(self, text: str):
-        self.lines = text.splitlines()
-        self.pos = 0
+        lines = text.splitlines()
+        self.rows = enumerate(lines, 1)
+        self.end = len(lines)
+        self.parsed: dict[str, object] = {}
 
     def next_line(self):
-        while self.pos < len(self.lines):
-            raw = self.lines[self.pos]
-            self.pos += 1
+        for ln, raw in self.rows:
             stripped = raw.split("#", 1)[0].strip()
             if stripped:
-                return stripped, self.pos
-        return None, self.pos
+                return stripped, ln
+        return None, self.end
+
+    def read_ops(self, width: int, ops: list, stop: str):
+        """Append instructions to ``ops`` up to the next line starting with
+        ``stop``; return that line and its number (None at the end)."""
+        parsed = self.parsed
+        for ln, raw in self.rows:
+            op = parsed.get(raw)
+            if op is None:
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if line.startswith(stop):
+                    return line, ln
+                op = _parse_op(line, ln, self, width)
+                if not isinstance(op, RusOp):
+                    parsed[raw] = op
+            ops.append(op)
+        return None, self.end
 
 
 def deserialize(text: str) -> Circuit:
@@ -117,16 +164,13 @@ def deserialize(text: str) -> Circuit:
     ancillas: frozenset[int] = frozenset()
     ops = []
     while True:
-        line, ln = cur.next_line()
+        line, ln = cur.read_ops(width, ops, "ancilla ")
         if line is None:
             break
-        if line.startswith("ancilla "):
-            ancillas = frozenset(_int(t, ln) for t in line.split()[1:])
-            for w in ancillas:
-                if not 0 <= w < width:
-                    raise ParseError(f"ancilla wire {w} outside width {width}", ln)
-            continue
-        ops.append(_parse_op(line, ln, cur, width))
+        ancillas = frozenset(_int(t, ln) for t in line.split()[1:])
+        for w in ancillas:
+            if not 0 <= w < width:
+                raise ParseError(f"ancilla wire {w} outside width {width}", ln)
     return Circuit(width, tuple(ops), ancillas, name)
 
 
@@ -189,7 +233,10 @@ def _parse_op(line, ln, cur, width):
             raise ParseError("expected 'cc c<k>==<v> gate ...'", ln)
         slot, value = _parse_slot(parts[1], ln)
         g, wires = _gate_from(parts, ln, width, start=3)
-        return CondGateOp(slot, value, g, wires)
+        try:
+            return CondGateOp(slot, value, g, wires)
+        except SizeError as exc:  # repeated wires
+            raise ParseError(str(exc), ln) from None
     if parts[0] == "rus":
         if parts[-1] != "{":
             raise ParseError("expected 'rus {'", ln)
@@ -199,13 +246,9 @@ def _parse_op(line, ln, cur, width):
 
 def _parse_rus(cur, width):
     body_ops = []
-    while True:
-        line, ln = cur.next_line()
-        if line is None:
-            raise ParseError("unterminated rus block", ln)
-        if line.startswith("}"):
-            break
-        body_ops.append(_parse_op(line, ln, cur, width))
+    line, ln = cur.read_ops(width, body_ops, "}")
+    if line is None:
+        raise ParseError("unterminated rus block", ln)
     tail = line[1:].strip().split()
     if len(tail) < 2 or tail[0] != "until":
         raise ParseError("expected '} until <pred> ...'", ln)
@@ -277,6 +320,10 @@ def _parse_rus(cur, width):
                 if not parts or parts[0] != "gate":
                     raise ParseError("corrections entries are 'key: gate ...'", cln)
                 g, wires = _gate_from(parts, cln, width, start=1)
+                try:
+                    check_gate_wires(g, wires)
+                except SizeError as exc:  # repeated wires
+                    raise ParseError(str(exc), cln) from None
                 corrections.append((_int(key_s, cln), g, wires))
             i = len(tail)
     try:

@@ -13,7 +13,7 @@ from terniq.circuit import (
     count_resources,
     inverse,
 )
-from terniq.errors import CircuitNameError, NonUnitaryError, ParseError, WidthMismatchError
+from terniq.errors import CircuitNameError, NonUnitaryError, ParseError, SizeError, WidthMismatchError
 from terniq.gates import GateMatrix, matrix_for_name
 from terniq.sim import basis_state, circuit_unitary, run
 from terniq.textfmt import deserialize, serialize
@@ -228,12 +228,28 @@ def test_rus_body_requires_measurement():
         RusOp(Circuit(1, (g("INC", 0),)), predicate=((0, 0),))
 
 
+@pytest.mark.parametrize("wires", [(1, 1), (1,), (0, 1, 2)], ids=str)
+def test_every_gate_slot_checks_its_wires(wires):
+    # GateOp, CondGateOp and a RusOp correction refuse repeated wires and a
+    # wire count other than the arity alike
+    from terniq.circuit import CondGateOp, RusOp
+    sum_gate = matrix_for_name("SUM")
+    for build in (lambda: GateOp(sum_gate, wires),
+                  lambda: CondGateOp(0, 0, sum_gate, wires),
+                  lambda: RusOp(Circuit(3, (MeasureOp(0, 0),)), predicate=((0, 0),),
+                                corrections=((0, sum_gate, wires),))):
+        with pytest.raises(SizeError):
+            build()
+
+
 # instructions the circuit model would reject, with the line the parser names
 BAD_INSTRUCTIONS = [
     ("circuit 2\nmeasure 5 -> c0", 2),
     ("circuit 2\nmeasure -1 -> c0", 2),
     ("circuit 2\ngate SUM 0 0", 2),
     ("circuit 1\n# a body with no measurement\nrus {\ngate INC 0\n} until c0==0", 5),
+    ("circuit 2\nmeasure 0 -> c0\ncc c0==0 gate SUM 1 1", 3),
+    ("circuit 2\nrus {\nmeasure 0 -> c0\n} until c0==0 corrections {\n0: gate SUM 1 1\n}", 5),
 ]
 
 

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -44,6 +45,27 @@ def test_circuit_sim_file(tmp_path, capsys):
     assert run_cli(["circuit-sim", str(path), "--seed", "5"]) == 0
     out = capsys.readouterr().out
     assert "slots" in out
+
+
+@pytest.mark.parametrize("cmd", ["circuit-count", "circuit-sim"])
+def test_circuit_file_is_closed(cmd, tmp_path, capsys):
+    path = tmp_path / "w.tq"
+    path.write_text("circuit 1\ngate INC 0\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli([cmd, str(path)]) == 0
+    assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+@pytest.mark.parametrize("cmd", ["circuit-count", "circuit-sim"])
+def test_non_utf8_circuit_file_exits_1(cmd, tmp_path, capsys):
+    path = tmp_path / "latin1.tq"
+    path.write_bytes("circuit 1\ngate INC 0  # café\n".encode("latin-1"))
+    assert run_cli([cmd, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 2, col 1: ")
+    assert "is not UTF-8 text" in captured.err
 
 
 def test_cost_table_csv_stable(capsys):

@@ -1,5 +1,6 @@
 """Property tests: the costed binary-data networks and their P9 expansion,
-and the text reader on mutated documents."""
+the gate grammar, the two classical paths, and the text format on random
+and mutated documents."""
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from terniq import widgets
 from terniq.arithmetic import mcx_ops
-from terniq.circuit import Circuit, count_resources, gate_op
+from terniq.circuit import Chain, Circuit, CondGateOp, GateOp, MeasureOp, RusOp, count_resources, gate_op
 from terniq.errors import ParseError
+from terniq.gates import MAX_ARITY, matrix_for_name
 from terniq.modexp import ModExpSpec, modexp_circuit
-from terniq.sim import circuit_unitary, compile_classical, index_of_trits, run_compiled, trits_of_index
+from terniq.sim import (basis_state, circuit_unitary, compile_classical, index_of_trits, run,
+                        run_compiled, trits_of_index)
 from terniq.textfmt import deserialize, serialize
 from terniq.widgets import _expand
 
@@ -140,3 +143,168 @@ def test_mutated_documents_parse_or_raise_parse_error(text):
         deserialize(text)
     except ParseError:
         pass
+
+
+@pytest.mark.parametrize("bad", ["gate SUM 1 1", "cc c0==0 gate SUM 1 1", "gate NOPE 0",
+                                 "measure 9 -> c0", "  gate SUM 0 1 1  # indented"])
+def test_a_repeated_bad_line_is_named_at_its_first_occurrence(bad):
+    # the reader parses each distinct line once; the good lines around the bad
+    # ones repeat too
+    text = "\n".join(["circuit 2", "measure 0 -> c0", "gate INC 0", "gate INC 0", bad,
+                      "gate INC 0", bad]) + "\n"
+    with pytest.raises(ParseError) as first:
+        deserialize(text)
+    with pytest.raises(ParseError) as alone:
+        deserialize(f"circuit 2\nmeasure 0 -> c0\n{bad}\n")
+    assert first.value.line == 5
+    assert str(first.value) == str(alone.value).replace("line 3", "line 5")
+
+
+# ------------------------------------------------------------ gate grammar
+
+_FIXED_NAMES = ["INC", "Z", "H", "Q", "Q0", "Q1", "Q2", "SUM", "TSWAP", "P9", "R2", "HBIN",
+                "LOADMU", "LOADMUDG", "LOADPSI"]
+
+
+@st.composite
+def gate_names(draw, permutations=False):
+    """A name of the gate grammar: a base gate under up to three controls and
+    adjoints; with ``permutations``, only classical reversible gates."""
+    kinds = ["fixed", "tau", "pauli"] + ([] if permutations else ["phase", "cmu"])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "fixed":
+        name = draw(st.sampled_from(["INC", "SUM", "TSWAP"] if permutations else _FIXED_NAMES))
+    elif kind == "tau":
+        arity = draw(st.integers(1, 2))
+        j, k = sorted(draw(st.lists(st.integers(0, 3**arity - 1), min_size=2, max_size=2,
+                                    unique=True)))
+        name = f"TAU{arity}[{j},{k}]"
+    elif kind == "pauli":
+        name = f"X{draw(st.integers(0, 2))}Z{0 if permutations else draw(st.integers(0, 2))}"
+    elif kind == "phase":
+        name = f"{draw(st.sampled_from(['PHASE', 'PHASE1']))}[{draw(st.integers(-30, 30))},{draw(st.integers(1, 30))}]"
+    else:
+        name = f"CMU{draw(st.sampled_from(['', '_INV']))}[{draw(st.integers(0, 2))}]"
+    for _ in range(draw(st.integers(0, 3))):
+        wrap = draw(st.sampled_from(["C0", "C1", "C2", "L", "_INV"]))
+        if wrap == "_INV":
+            name += "_INV"
+        elif matrix_for_name(name).arity < MAX_ARITY:
+            name = f"{wrap}[{name}]"
+    return name
+
+
+@settings(max_examples=150)
+@given(gate_names())
+def test_gate_grammar_inverts_and_controls(name):
+    u = matrix_for_name(name).matrix
+    dim = len(u)
+    assert np.max(np.abs(u @ matrix_for_name(name + "_INV").matrix - np.eye(dim))) < 1e-12
+    if matrix_for_name(name).arity < MAX_ARITY:
+        for mode in range(3):  # C<m>[U]: U on the block where the control is m
+            want = np.eye(3 * dim, dtype=complex)
+            want[mode * dim:(mode + 1) * dim, mode * dim:(mode + 1) * dim] = u
+            assert np.max(np.abs(matrix_for_name(f"C{mode}[{name}]").matrix - want)) < 1e-12
+        ladder = matrix_for_name(f"L[{name}]").matrix  # L[U]: U^c for control c
+        for c in range(3):
+            block = ladder[c * dim:(c + 1) * dim, c * dim:(c + 1) * dim]
+            assert np.max(np.abs(block - np.linalg.matrix_power(u, c))) < 1e-12
+
+
+@st.composite
+def permutation_circuits(draw):
+    """(circuit, basis index): classical gates on 1 to 7 wires, so both the
+    small-gate and the wide dense kernels run."""
+    width = draw(st.integers(1, 7))
+    ops = []
+    for _ in range(draw(st.integers(1, 30))):
+        gate = matrix_for_name(draw(gate_names(permutations=True)))
+        if gate.arity <= width:
+            ops.append(GateOp(gate, tuple(draw(st.permutations(range(width)))[:gate.arity])))
+    return Circuit(width, tuple(ops)), draw(st.integers(0, 3**width - 1))
+
+
+@settings(max_examples=150)
+@given(permutation_circuits())
+def test_dense_run_agrees_with_the_compiled_walk(case):
+    circ, index = case
+    out = run_compiled(compile_classical(circ), index)
+    amps = run(circ, basis_state(circ.width, index)).state.amps
+    assert np.flatnonzero(np.abs(amps) > 1e-12).tolist() == [out]
+    assert abs(amps[out] - 1) < 1e-12
+
+
+# ------------------------------------------------------- text round trips
+
+_TEXT = "abcxyz019_[]{}()=&|.-"  # names, labels and resources: no '#', ',', ':' or space
+
+
+@st.composite
+def gate_slots(draw, width, gates):
+    """(gate, wires): one of ``gates`` on distinct wires below ``width``."""
+    gate = draw(st.sampled_from(gates))
+    return gate, tuple(draw(st.permutations(range(width)))[:gate.arity])
+
+
+@st.composite
+def instructions(draw, width, gates, depth=0):
+    kind = draw(st.sampled_from(["gate", "gate", "measure", "cc"] + (["rus"] if depth < 2 else [])))
+    if kind == "gate":
+        return GateOp(*draw(gate_slots(width, gates)))
+    if kind == "measure":
+        return MeasureOp(draw(st.integers(0, width - 1)), draw(st.integers(0, 3)))
+    if kind == "cc":
+        return CondGateOp(draw(st.integers(0, 3)), draw(st.integers(0, 2)),
+                          *draw(gate_slots(width, gates)))
+    body = draw(st.lists(instructions(width, gates, depth + 1), max_size=4))
+    body.insert(draw(st.integers(0, len(body))),
+                MeasureOp(draw(st.integers(0, width - 1)), draw(st.integers(0, 3))))
+    slots = st.integers(0, 3)
+    if draw(st.booleans()):
+        form = {"predicate": tuple(draw(st.lists(st.tuples(slots, st.integers(0, 2)),
+                                                 min_size=1, max_size=3)))}
+    else:
+        states = st.integers(0, 4)
+        form = {"chain": Chain(draw(states),
+                               draw(st.dictionaries(st.tuples(states, st.integers(0, 2)), states,
+                                                    max_size=4)),
+                               frozenset(draw(st.lists(states, max_size=3)))),
+                "outcome_slot": draw(slots)}
+    corrections = tuple((draw(st.integers(0, 4)), *draw(gate_slots(width, gates)))
+                        for _ in range(draw(st.integers(0, 2))))
+    return RusOp(Circuit(width, tuple(body)), corrections=corrections,
+                 max_iters=draw(st.integers(1, 5000)),
+                 consumes=tuple(draw(st.lists(st.tuples(st.text(_TEXT, min_size=1, max_size=5),
+                                                        st.integers(0, 9)), max_size=3))),
+                 expected_trials=draw(st.floats(1e-3, 1e6)),
+                 label=draw(st.text(_TEXT, max_size=6)), **form)
+
+
+@st.composite
+def repetitive_circuits(draw):
+    """A random circuit in which some instructions appear again verbatim and
+    a few gates recur on other wires."""
+    width = draw(st.integers(2, 5))
+    gates = [g for g in map(matrix_for_name, draw(st.lists(gate_names(), min_size=1, max_size=3)))
+             if g.arity <= width] or [matrix_for_name("INC")]
+    ops = draw(st.lists(instructions(width, gates), min_size=1, max_size=8))
+    for _ in range(draw(st.integers(0, 12))):
+        ops.insert(draw(st.integers(0, len(ops))), draw(st.sampled_from(ops)))
+    ancillas = frozenset(draw(st.lists(st.integers(0, width - 1), max_size=width)))
+    name = draw(st.text(_TEXT + " ", max_size=12)).strip()
+    return Circuit(width, tuple(ops), ancillas, name)
+
+
+@settings(max_examples=200)
+@given(repetitive_circuits(), st.data())
+def test_text_round_trips_with_repeats_and_comments(circ, data):
+    text = serialize(circ)
+    assert deserialize(text) == circ
+    commented = []
+    for line in text.splitlines():
+        if data.draw(st.integers(0, 4)) == 0:
+            commented.append(data.draw(st.sampled_from(["", "# a note", "   # gate INC 0"])))
+        commented.append(line + data.draw(st.sampled_from(["", "", "  # same line", "#"])))
+    back = deserialize("\n".join(commented))
+    assert back == circ
+    assert serialize(back) == text
