@@ -18,7 +18,7 @@ only layers that contain at least one non-Clifford gate.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence, Union
 
@@ -48,6 +48,10 @@ class GateOp:
 class MeasureOp:
     wire: int
     slot: int
+
+    @property
+    def wires(self) -> tuple[int, ...]:
+        return (self.wire,)
 
 
 @dataclass(frozen=True)
@@ -95,6 +99,8 @@ class RusOp:
     consumes: tuple[tuple[str, int], ...] = ()
     expected_trials: float = 1.0
     label: str = ""
+    #: every wire the body and the corrections touch, sorted
+    wires: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not any(isinstance(op, MeasureOp) for op in self.body.instructions):
@@ -103,6 +109,9 @@ class RusOp:
             raise SizeError("RusOp needs exactly one of predicate or chain")
         for _, gate, wires in self.corrections:
             check_gate_wires(gate, wires)
+        touched = {w for op in self.body.instructions for w in op.wires}
+        touched.update(w for _, _, wires in self.corrections for w in wires)
+        object.__setattr__(self, "wires", tuple(sorted(touched)))
 
 
 Instruction = Union[GateOp, MeasureOp, CondGateOp, RusOp]
@@ -123,29 +132,12 @@ class Circuit:
 
     def __post_init__(self):
         for op in self.instructions:
-            for w in _op_wires(op):
+            for w in op.wires:
                 if not 0 <= w < self.width:
                     raise WidthMismatchError(f"wire {w} outside width {self.width} in {self.name or 'circuit'}")
 
     def __len__(self):
         return len(self.instructions)
-
-
-def _op_wires(op: Instruction) -> tuple[int, ...]:
-    if isinstance(op, GateOp):
-        return op.wires
-    if isinstance(op, MeasureOp):
-        return (op.wire,)
-    if isinstance(op, CondGateOp):
-        return op.wires
-    if isinstance(op, RusOp):
-        wires = set()
-        for sub in op.body.instructions:
-            wires.update(_op_wires(sub))
-        for _, _, ws in op.corrections:
-            wires.update(ws)
-        return tuple(sorted(wires))
-    raise TypeError(op)
 
 
 def circuit(width: int, ops: Sequence[Instruction], ancillas=(), name: str = "") -> Circuit:

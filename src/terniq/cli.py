@@ -15,7 +15,7 @@ import numpy as np
 from . import costmodel
 from .arithmetic import ShiftSpec, ripple_add_const, ripple_add_const_ternary
 from .circuit import count_resources
-from .errors import ParseError, TerniqError
+from .errors import ParseError, SizeError, TerniqError
 from .gates import matrix_for_name
 from .modexp import ModExpSpec
 from .qft import dft_matrix, qft3n
@@ -179,8 +179,10 @@ def cmd_qft_verify(args) -> int:
 
 def cmd_shor_run(args) -> int:
     if args.base is not None:
-        if gcd(args.base, args.n) != 1:
-            g = gcd(args.base, args.n)
+        g = gcd(args.base, args.n)
+        if g != 1:
+            if not 1 < g < args.n:
+                raise SizeError(f"gcd({args.base}, {args.n}) = {g}: no proper factor")
             print(f"gcd({args.base}, {args.n}) = {g}: factors {g} x {args.n // g}")
             return 0
         spec = ModExpSpec(args.base, args.n, args.encoding)

@@ -32,6 +32,8 @@ class ModExpSpec:
     exponent_digits: int | None = None   # default 2n (or 2m)
 
     def __post_init__(self):
+        if self.modulus < 2:
+            raise SizeError(f"modulus {self.modulus} < 2")
         if gcd(self.base, self.modulus) != 1:
             raise SizeError(f"gcd({self.base},{self.modulus}) != 1")
         if self.encoding not in ("binary", "ternary"):

@@ -8,40 +8,41 @@ Three period-finding executions are provided:
     the exponent modulo the order of a.
   * ``semiclassical``  -- one control qudit recycled through 2n (or 2m)
     rounds of controlled modular multiplication with measurement-conditioned
-    phase feedback; sampled on the multiplicative residue support, and
-    enumerated exactly, all branches at once, over the orbit of a.
-  * ``semiclassical-gate`` -- the same rounds with each round's map read
-    off its gate-level multiply: ``modexp.round_map`` walks the memoised
-    controlled multiply of the modular-exponentiation construction over
-    every control value and accumulator, and checks the control kept and
-    the scratch cleared.  Used to pin the abstract rounds to the gate level.
+    phase feedback.  There is one round, on rows of amplitudes over the
+    orbit of a: the exact enumerator runs it on every branch at once, the
+    sampler on the one branch it measures.
+  * ``semiclassical-gate`` -- the same round with each multiply read off its
+    gate-level circuit: ``modexp.round_map`` walks the memoised controlled
+    multiply over every control value and accumulator, checked.
 
-Outcome conventions: round t measures the t-th least significant digit of
-the Fourier outcome j.
+The round's multiply is a move table over the orbit, built once per spec
+from the residues y * mult^c mod N or from ``round_map``.  Outcome
+conventions: round t measures the t-th least significant digit of j.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, log2
 
 import numpy as np
 
-from .errors import SizeError
+from .errors import RoundMapError, SizeError
 from .gates import matrix_for_name
 from .modexp import ModExpSpec, round_map
 
 
 # ------------------------------------------------------------ oracle pipeline
 
-def _order(a: int, N: int) -> int:
-    """Multiplicative order of a mod N (a coprime to N)."""
-    r, y = 1, a % N
+def _orbit(a: int, N: int) -> list[int]:
+    """The orbit a^i mod N, i < r, of a coprime to N; r is the order of a."""
+    orbit, y = [1], a % N
     while y != 1:
+        orbit.append(y)
         y = y * a % N
-        r += 1
-    return r
+    return orbit
 
 
 def full_register_distribution(spec: ModExpSpec) -> np.ndarray:
@@ -53,7 +54,7 @@ def full_register_distribution(spec: ModExpSpec) -> np.ndarray:
     of their (r, Q) indicator rows gives p(j) = sum_i |row_i(j)|^2 / Q^2.
     """
     Q = spec.radix**spec.exp_digits
-    r = _order(spec.base, spec.modulus)
+    r = len(_orbit(spec.base, spec.modulus))
     k = np.arange(Q)
     classes = np.zeros((r, Q))
     classes[k % r, k] = 1.0
@@ -63,91 +64,85 @@ def full_register_distribution(spec: ModExpSpec) -> np.ndarray:
 
 # ------------------------------------------------------------ semiclassical
 
-def _rounds(spec: ModExpSpec, rng, times) -> int:
-    """Run the recycled-control protocol on the residue support; returns j.
+@lru_cache(maxsize=1024)   # factoring draws many bases; a table is e*d*r indices
+def _move_table(spec: ModExpSpec, gate_level: bool) -> np.ndarray:
+    """(e, d, r) gather table of the round multiplies over the orbit index.
 
-    ``times(mult, c, y)`` is the accumulator residue after the round's
-    multiply by mult^c takes it from y.
+    Round t multiplies the accumulator a^i mod N by mult^c for control value
+    c, mult = a^(d^(e-1-t)): y * mult^c mod N, or its ``round_map`` with
+    ``gate_level`` (no circuit when mult is 1).  ``row[moves[t, c]]`` is the
+    row after it.  Raises ``RoundMapError`` unless it permutes the orbit.
     """
-    d, N, a = spec.radix, spec.modulus, spec.base
-    e = spec.exp_digits
-    hadamard = matrix_for_name("HBIN" if d == 2 else "H").matrix
-    inv_h = hadamard.conj().T
-    state = {1: 1.0 + 0j}  # accumulator residue amplitudes
-    feed = 0  # j mod d^t: digits measured so far, ascending significance
+    d, N, a, e = spec.radix, spec.modulus, spec.base, spec.exp_digits
+    orbit = np.array(_orbit(a, N))
+    r = len(orbit)
+    index = np.full(N, -1)
+    index[orbit] = np.arange(r)
+    mults = [pow(a, d ** (e - 1 - t), N) for t in range(e)]
+    images = np.array([[pow(m, c, N) for c in range(d)] for m in mults])[:, :, None] * orbit % N
+    for t, mult in enumerate(mults):
+        if gate_level and mult != 1:
+            images[t] = np.take(round_map(spec.encoding, N, mult), orbit, axis=1)
+    targets = index[images]
+    faults = np.argwhere((np.sort(targets, axis=2) != np.arange(r)).any(axis=2))
+    if len(faults):
+        t, c = faults[0]
+        raise RoundMapError(f"{spec.encoding} multiply by {mults[t]} mod {N}, round {t}, "
+                            f"control {c}: not a permutation of the orbit of {a}")
+    moves = np.argsort(targets, axis=2)
+    moves.flags.writeable = False
+    return moves
+
+
+def _round(rows: np.ndarray, feeds, moves_t: np.ndarray, t: int) -> np.ndarray:
+    """Round t on (B, r) branch rows over the orbit index; the (d, B, r) children.
+
+    ``feeds[b]``, branch b's outcome j mod d^t so far, sets its phase
+    feedback; child m is the unnormalised row for control outcome m.  One
+    einsum applies the Hadamard, the multiply, the phase and the inverse.
+    """
+    d = len(moves_t)
+    hadamard = matrix_for_name("HBIN" if d == 2 else "H").matrix[:d, :d]
+    phases = np.exp(np.multiply.outer(feeds, np.arange(d) * (-2j * np.pi / d ** (t + 1))))
+    weights = (hadamard.conj().T * hadamard[:, 0])[:, None, :] * phases   # (m, b, c)
+    return np.einsum("mbc,bci->mbi", weights, rows[:, moves_t])
+
+
+def _sample(moves: np.ndarray, rng) -> int:
+    """Run the rounds on one branch, drawing each control outcome; returns j."""
+    e, d, r = moves.shape
+    row, j = np.eye(1, r, dtype=np.complex128), 0   # accumulator 1: orbit index 0
     for t in range(e):
-        mult = pow(a, d ** (e - 1 - t), N)
-        r = d ** (t + 1)
-        phase = np.exp(-2j * np.pi * ((feed % r) / r))
-        # branch amplitudes: control value c applies mult^c and phase^c
-        branches = []
-        for c in range(d):
-            br = {times(mult, c, y): amp * phase**c * hadamard[c, 0]
-                  for y, amp in state.items()}
-            branches.append(br)
-        probs = np.zeros(d)
-        post = [dict() for _ in range(d)]
-        for m in range(d):
-            acc: dict[int, complex] = {}
-            for c in range(d):
-                w = inv_h[m, c]
-                if abs(w) < 1e-15:
-                    continue
-                for y, amp in branches[c].items():
-                    acc[y] = acc.get(y, 0.0) + w * amp
-            post[m] = acc
-            probs[m] = sum(abs(v) ** 2 for v in acc.values())
-        probs = np.clip(probs, 0, None)
-        probs /= probs.sum()
-        m = int(rng.choice(d, p=probs))
-        norm = np.sqrt(sum(abs(v) ** 2 for v in post[m].values()))
-        state = {y: v / norm for y, v in post[m].items() if abs(v) > 1e-15}
-        feed += m * d**t
-    return feed
+        children = _round(row, [j], moves[t], t)
+        probs = (np.abs(children) ** 2).sum(axis=(1, 2))
+        m = int(rng.choice(d, p=probs / probs.sum()))
+        row = children[m]
+        j += m * d**t
+    return j
+
+
+def _distribution(moves: np.ndarray) -> np.ndarray:
+    """Run the rounds on every branch at once; row j mod d^t is branch j."""
+    e, _, r = moves.shape
+    rows = np.eye(1, r, dtype=np.complex128)
+    for t in range(e):
+        rows = _round(rows, np.arange(len(rows)), moves[t], t).reshape(-1, r)
+    return (np.abs(rows) ** 2).sum(axis=1)
 
 
 def semiclassical_period_rounds(spec: ModExpSpec, rng) -> int:
     """The recycled-control rounds with residue multiplies; returns j."""
-    N = spec.modulus
-    return _rounds(spec, rng, lambda mult, c, y: y * pow(mult, c, N) % N)
+    return _sample(_move_table(spec, False), rng)
 
 
 def semiclassical_gate_run(spec: ModExpSpec, seed: int = 0) -> int:
-    """The same rounds with each multiply read off its gate-level circuit.
-
-    Every round's map is ``round_map``, the checked walk of the memoised
-    ``controlled_multiply``; a round whose multiplier is 1 builds no circuit.
-    """
-    enc, N = spec.encoding, spec.modulus
-    return _rounds(spec, np.random.default_rng(seed),
-                   lambda mult, c, y: round_map(enc, N, mult)[c][y] if mult != 1 else y)
+    """The same rounds with each multiply read off its circuit by ``round_map``."""
+    return _sample(_move_table(spec, True), np.random.default_rng(seed))
 
 
 def semiclassical_distribution(spec: ModExpSpec) -> np.ndarray:
-    """Exact outcome distribution of the semiclassical protocol.
-
-    All branches run at once, breadth first: row b holds the unnormalised
-    amplitudes over the orbit index i (accumulator a^i mod N) of the branch
-    whose outcome so far is j mod d^t = b, which is also its phase feedback.
-    The round multiply by a^(d^(e-1-t)) is a cyclic shift of i, and one
-    einsum takes the (B, r) rows to (d*B, r) through the Hadamard, each
-    row's feedback phase and the inverse Hadamard.  p(j) = |row j|^2.
-    """
-    d, N, a = spec.radix, spec.modulus, spec.base
-    e = spec.exp_digits
-    r = _order(a, N)
-    hadamard = matrix_for_name("HBIN" if d == 2 else "H").matrix[:d, :d]
-    inv_h = hadamard.conj().T
-    rows = np.zeros((1, r), dtype=np.complex128)
-    rows[0, 0] = 1.0
-    for t in range(e):
-        shift = pow(d, e - 1 - t, r)
-        B = len(rows)
-        phases = np.exp(-2j * np.pi * np.outer(np.arange(B), np.arange(d)) / d ** (t + 1))
-        weights = inv_h[:, None, :] * phases[None] * hadamard[:, 0]   # (m, b, c)
-        shifted = np.stack([np.roll(rows, c * shift, axis=1) for c in range(d)])
-        rows = np.einsum("mbc,cbi->mbi", weights, shifted).reshape(d * B, r)
-    return (np.abs(rows) ** 2).sum(axis=1)
+    """Exact outcome distribution p(j) of the semiclassical protocol."""
+    return _distribution(_move_table(spec, False))
 
 
 # ------------------------------------------------------------ classical post

@@ -242,6 +242,21 @@ def test_every_gate_slot_checks_its_wires(wires):
             build()
 
 
+def test_every_instruction_checks_the_circuit_width():
+    # a wire at the width, in each kind of instruction, in a width-2 circuit
+    from terniq.circuit import CondGateOp, RusOp
+    inc = matrix_for_name("INC")
+    measured = Circuit(3, (MeasureOp(0, 0),))
+    for op in (GateOp(inc, (2,)), MeasureOp(2, 0), CondGateOp(0, 0, inc, (2,)),
+               RusOp(Circuit(3, (MeasureOp(2, 0),)), predicate=((0, 0),)),
+               RusOp(measured, predicate=((0, 0),), corrections=((0, inc, (2,)),))):
+        with pytest.raises(WidthMismatchError, match="wire 2 outside width 2 in circuit"):
+            Circuit(2, (op,))
+    rus = RusOp(measured, predicate=((0, 0),), corrections=((0, inc, (1,)),))
+    assert rus.wires == (0, 1)
+    Circuit(2, (rus,))
+
+
 # instructions the circuit model would reject, with the line the parser names
 BAD_INSTRUCTIONS = [
     ("circuit 2\nmeasure 5 -> c0", 2),

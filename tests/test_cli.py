@@ -172,3 +172,18 @@ def test_shor_run_with_base_exits_1_without_a_period(mode, capsys):
 def test_shor_run_with_base_sharing_a_factor(capsys):
     assert run_cli(["shor-run", "--n", "15", "--base", "6"]) == 0
     assert capsys.readouterr().out == "gcd(6, 15) = 3: factors 3 x 5\n"
+
+
+@pytest.mark.parametrize("n,base", [(15, 0), (15, 15), (15, 30), (0, 2), (-15, 3)])
+def test_shor_run_with_base_reports_only_a_proper_factor(n, base, capsys):
+    assert run_cli(["shor-run", "--n", str(n), "--base", str(base)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "no proper factor" in err
+
+
+@pytest.mark.parametrize("n", [-15, 1])
+@pytest.mark.parametrize("mode", ["semiclassical", "semiclassical-gate", "full-register"])
+def test_shor_run_with_base_rejects_a_modulus_below_2(n, mode, capsys):
+    # 2 has no multiplicative order mod these N
+    assert run_cli(["shor-run", "--n", str(n), "--base", "2", "--mode", mode]) == 1
+    assert "modulus" in capsys.readouterr().err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from terniq import modexp
+from terniq import modexp, shor
 from terniq.circuit import Circuit, GateOp, gate_op
 from terniq.errors import RoundMapError, SizeError
 from terniq.modexp import (
@@ -92,6 +92,13 @@ def test_modexp_ternary():
 def test_modexp_rejects_common_factor():
     with pytest.raises(SizeError):
         ModExpSpec(6, 15)
+
+
+@pytest.mark.parametrize("a,N", [(2, -15), (2, 1), (1, 0), (0, 1)])
+def test_modexp_rejects_modulus_below_2(a, N):
+    # the order of a mod N would never be reached
+    with pytest.raises(SizeError, match="modulus"):
+        ModExpSpec(a, N)
 
 
 def test_shift_block_tally():
@@ -246,6 +253,30 @@ def test_round_map_rejects_a_faulty_multiply(monkeypatch, wire, fault):
     monkeypatch.setattr(modexp, "controlled_multiply", lambda *args: faulty)
     with pytest.raises(RoundMapError, match=f"control 0, acc 0: {fault}"):
         round_map.__wrapped__("binary", 15, 7)   # uncached: the real map may be memoised
+
+
+@pytest.mark.parametrize("a,N,enc", [(2, N, enc) for N in (15, 21, 33, 35)
+                                     for enc in ("binary", "ternary")] + [(7, 15, "binary")])
+def test_gate_level_semiclassical_distribution_is_exact(a, N, enc):
+    # the enumerator on the gate-level move table: every round's multiply is
+    # read off its circuit through round_map
+    spec = ModExpSpec(a, N, enc)
+    pf = full_register_distribution(spec)
+    pg = shor._distribution(shor._move_table(spec, True))
+    assert 0.5 * np.abs(pf - pg).sum() < 1e-12
+
+
+@pytest.mark.parametrize("acc", [2, 13])
+def test_move_table_rejects_a_map_off_the_orbit(monkeypatch, acc):
+    # 7 mod 15: orbit 1, 7, 4, 13; round 6 multiplies by 4, and control 1
+    # should send 1 to 4; 2 is off the orbit, 13 is where 7 goes
+    def faulty(enc, N, mult):
+        table = [list(row) for row in round_map(enc, N, mult)]
+        table[1][1] = acc
+        return table
+    monkeypatch.setattr(shor, "round_map", faulty)
+    with pytest.raises(RoundMapError, match="multiply by 4 mod 15, round 6, control 1: not a perm"):
+        shor._move_table.__wrapped__(ModExpSpec(7, 15, "binary"), True)   # uncached
 
 
 def test_gate_level_semiclassical_distribution():
