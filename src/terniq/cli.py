@@ -190,10 +190,11 @@ def cmd_shor_run(args) -> int:
         print(f"measurement j={cand.measurement} of Q={cand.register_modulus}; "
               f"period candidate r={cand.period} verified={cand.verified}")
         if cand.verified and cand.period:
-            _, p = _factor_from_period(args.base, cand.period, args.n)
+            kind, p = _factor_from_period(args.base, cand.period, args.n)
             if p:
                 print(f"factors {p} x {args.n // p}")
                 return 0
+            print(f"no factor from r={cand.period}: outcome {kind}")
         return 1
 
     ok = 0

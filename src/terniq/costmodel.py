@@ -14,6 +14,7 @@ dropped, and every report carries a ``leading_order`` flag.  Platforms:
 
 from __future__ import annotations
 
+import csv
 import io
 import math
 from dataclasses import dataclass, field
@@ -275,16 +276,14 @@ def cost_table(kind: str, bitsize: int, fmt: str = "text") -> str:
             seen_ref += 1
         reports.append((label, rep))
     header = ("platform", "width", "depth-formula", "depth-value", "prep-width")
+    rows = [(label, f"{r.width:.6g}", r.depth_formula, f"{r.depth:.6g}", f"{r.prep_width:.6g}")
+            for label, r in reports]
     if fmt == "csv":
         out = io.StringIO()
-        out.write(",".join(header) + "\n")
-        for label, r in reports:
-            out.write(f"{label},{r.width:.6g},{r.depth_formula},{r.depth:.6g},{r.prep_width:.6g}\n")
+        csv.writer(out, lineterminator="\n").writerows([header, *rows])
         return out.getvalue()
     widths = [46, 10, 34, 14, 12]
     lines = ["".join(h.ljust(w) for h, w in zip(header, widths))]
     lines.append("-" * sum(widths))
-    for label, r in reports:
-        cells = (label, f"{r.width:.6g}", r.depth_formula, f"{r.depth:.6g}", f"{r.prep_width:.6g}")
-        lines.append("".join(c.ljust(w) for c, w in zip(cells, widths)))
+    lines += ["".join(c.ljust(w) for c, w in zip(cells, widths)) for cells in rows]
     return "\n".join(lines) + "\n"

@@ -2,11 +2,13 @@
 
 Up to width 5 a gate is one product with its cached full-register operator.
 Wider (and for :func:`circuit_unitary`'s batched columns), a diagonal gate is
-one broadcast multiply on a view splitting out its wires, another single-wire
-gate one stacked matmul on the ``(3^(w-1-wire), 3, 3^wire)`` view when its rows
-are long, and the rest one matmul after moving their axes to the front.  A
-measurement reduces that view once for the Born probabilities and keeps the
-measured slice.
+one broadcast multiply on a view splitting out its wires, and an ideal run
+applies each run of consecutive diagonal gates as one such multiply.  Another
+single-wire gate is one stacked matmul on the ``(3^(w-1-wire), 3, 3^wire)``
+view when its rows are long, a permutation gate 3^arity slice copies when its
+second-lowest wire is 2 or more, and the rest one matmul after moving their
+axes to the front.  A measurement reduces that view once for the Born
+probabilities and keeps the measured slice.
 
 Two gate modes:
 
@@ -35,7 +37,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -190,20 +192,61 @@ def _diagonal(gate: GateMatrix):
     return None if np.count_nonzero(gate.matrix - np.diag(d)) else d.reshape((3,) * gate.arity)
 
 
+@lru_cache(maxsize=1024)
+def _diagonal_run(key: tuple):
+    """Descending wire union, per-gate broadcast factors and tally of a run of diagonal gates."""
+    union = sorted({w for _, wires in key for w in wires}, reverse=True)
+    factors = []
+    for name, wires in key:
+        order = sorted(range(len(wires)), key=lambda k: -wires[k])
+        shape = [3 if w in wires else 1 for w in union]
+        factors.append(_diagonal(matrix_for_name(name)).transpose(order).reshape(shape))
+    return tuple(union), tuple(factors), _tally(tuple(name for name, _ in key))
+
+
+def _apply_diagonal(amps: np.ndarray, diag: np.ndarray, wires, width: int) -> np.ndarray:
+    """Multiply by ``diag`` (axes in descending ``wires`` order); adjacent wires share an axis."""
+    shape, top = [], width
+    for w in wires:
+        if w == top - 1 and shape:
+            shape[-1] *= 3
+        else:
+            shape += [3 ** (top - w - 1), 3]
+        top = w
+    shape.append(amps.size // 3 ** (width - top))
+    d = diag.reshape([n if k % 2 else 1 for k, n in enumerate(shape)])
+    return (amps.reshape(shape) * d).reshape(amps.shape)
+
+
+@lru_cache(maxsize=1024)
+def _slice_moves(name: str, wires: tuple) -> tuple:
+    """(output index, input index) pairs of a permutation gate on its wires' split view."""
+    order = sorted(range(len(wires)), key=lambda k: -wires[k])
+
+    def at(trits):
+        return sum(((slice(None), trits[k]) for k in order), ()) + (slice(None),)
+    return tuple((at(out), at(trits_of_index(loc, len(wires))[::-1]))
+                 for loc, out in enumerate(trit_table(name)))
+
+
 def _apply_tensordot(amps: np.ndarray, gate: GateMatrix, wires, width: int) -> np.ndarray:
     """Apply gate to a (3**width,) or (3**width, batch) array; see the module docstring."""
     batch = amps.shape[1] if amps.ndim == 2 else 1
     a = gate.arity
-    diag = _diagonal(gate)
-    if diag is not None:
-        order = sorted(range(a), key=lambda k: -wires[k])
-        tops = [width] + [wires[k] for k in order]
-        shape = [n for hi, lo in zip(tops, tops[1:]) for n in (3 ** (hi - lo - 1), 3)]
-        d = diag.transpose(order).reshape([1, 3] * a + [1])
-        return (amps.reshape(shape + [3 ** tops[-1] * batch]) * d).reshape(amps.shape)
+    if _diagonal(gate) is not None:
+        union, (diag,), _ = _diagonal_run(((gate.name, tuple(wires)),))
+        return _apply_diagonal(amps, diag, union, width)
     if a == 1 and 3 ** wires[0] * batch > 9:  # on shorter rows the moveaxis path is faster
         view = amps.reshape(-1, 3, 3 ** wires[0] * batch)
         return np.matmul(gate.matrix, view).reshape(amps.shape)
+    if a > 1 and 3 ** sorted(wires)[1] * batch >= 9 and trit_table(gate.name) is not None:
+        tops = [width, *sorted(wires, reverse=True)]
+        view = amps.reshape([n for hi, lo in zip(tops, tops[1:]) for n in (3 ** (hi - lo - 1), 3)]
+                            + [3 ** tops[-1] * batch])
+        out = np.empty_like(view)
+        for dst, src in _slice_moves(gate.name, tuple(wires)):
+            out[dst] = view[src]
+        return out.reshape(amps.shape)
     # axis for wire w is (width-1-w); gate tensor row axes follow wires order
     tens = amps.reshape([3] * width + list(amps.shape[1:]))
     axes = [width - 1 - w for w in wires]
@@ -279,24 +322,35 @@ class _Exec:
             return self.run_ops(state, _injection(g.name, wires[0], self.width), {})
         return apply_gate(state, g, wires)
 
+    def fused(self, state, key):
+        """An ideal stretch of gates at once: its product operator, or above width 5 a run of
+        diagonal gates as one multiply."""
+        if self.width <= 5:
+            mat, tally = _fused_segment(self.width, key)
+            amps = mat @ state.amps
+        else:
+            union, factors, tally = _diagonal_run(key)
+            # in C order, so that the product's reshape onto the split view is no copy
+            diag = reduce(lambda x, y: np.multiply(x, y, order="C"), factors)
+            amps = _apply_diagonal(state.amps, diag, union, self.width)
+        self._count(tally)
+        return StateVector(self.width, amps)
+
     def run_ops(self, state, instructions, slots):
         i, n = 0, len(instructions)
-        fuse = self.mode == "ideal" and self.width <= 5
+        fuse, small = self.mode == "ideal", self.width <= 5
         while i < n:
             op = instructions[i]
+            j = i
+            while (fuse and j < n and isinstance(instructions[j], GateOp)
+                   and (small or _diagonal(instructions[j].gate) is not None)):
+                j += 1
+            if j - i > 1:
+                state = self.fused(state, tuple((instructions[k].gate.name, instructions[k].wires)
+                                                for k in range(i, j)))
+                i = j
+                continue
             if isinstance(op, GateOp):
-                if fuse:
-                    j = i
-                    while j < n and isinstance(instructions[j], GateOp):
-                        j += 1
-                    if j - i > 1:
-                        key = tuple((instructions[k].gate.name, instructions[k].wires)
-                                    for k in range(i, j))
-                        mat, tally = _fused_segment(self.width, key)
-                        state = StateVector(self.width, mat @ state.amps)
-                        self._count(tally)
-                        i = j
-                        continue
                 state = self.gate(state, op.gate, op.wires)
             elif isinstance(op, MeasureOp):
                 m, state = measure_wire(state, op.wire, self.rng)

@@ -1,3 +1,5 @@
+import csv
+import io
 import subprocess
 import sys
 import warnings
@@ -76,6 +78,10 @@ def test_cost_table_csv_stable(capsys):
     assert a == b
     assert "432" in a          # MTQC-inline depth coefficient
     assert a.splitlines()[0] == "platform,width,depth-formula,depth-value,prep-width"
+    # platform labels hold commas: every row must still read as 5 fields
+    rows = list(csv.reader(io.StringIO(a)))
+    assert all(len(row) == 5 for row in rows)
+    assert rows[1][0] == "Emulated binary, metaplectic, via P9"
 
 
 def test_budget(capsys):
@@ -167,6 +173,16 @@ def test_shor_run_with_base_exits_1_without_a_period(mode, capsys):
     assert run_cli(args) == 1
     assert capsys.readouterr().out.splitlines() == [
         "measurement j=0 of Q=256; period candidate r=None verified=False"]
+
+
+@pytest.mark.parametrize("base,r,kind", [(14, 2, "trivial"), (1, 1, "odd-r")])
+def test_shor_run_with_base_says_why_a_period_gives_no_factor(base, r, kind, capsys):
+    # 14 = -1 mod 15 has period 2 and 14^1 = -1; 1 has the odd period 1
+    args = ["shor-run", "--n", "15", "--base", str(base), "--mode", "full-register"]
+    assert run_cli(args) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith(f"period candidate r={r} verified=True")
+    assert lines[1:] == [f"no factor from r={r}: outcome {kind}"]
 
 
 def test_shor_run_with_base_sharing_a_factor(capsys):

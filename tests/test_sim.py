@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from conftest import assert_clean, classical_map, random_state_vector
 from terniq.circuit import Circuit, CondGateOp, GateOp, MeasureOp
 from terniq.errors import NonUnitaryError, RusCapError, SizeError, WidthCapError
 from terniq.gates import matrix_for_name, states_equal_up_to_phase
+from terniq.qft import qft3n
 from terniq.sim import (
     StateVector,
     apply_gate,
@@ -72,9 +74,11 @@ def _moveaxis_apply(amps, matrix, wires, width):
 
 # diagonal (P9, controlled phases, the asymmetric C1[Z] and C2[C1[Z]]), dense
 # single-wire (H, H_INV, and INC, which is not symmetric) and 2- and 3-wire
-# non-diagonal gates (SUM, TSWAP, L[SUM])
-KERNEL_GATES = ["P9", "P9_INV", "L[PHASE[1,9]]", "L[PHASE[2,27]]_INV", "L[L[PHASE[1,9]]]",
-                "C1[Z]", "C2[C1[Z]]", "H", "H_INV", "INC", "SUM", "TSWAP", "L[SUM]"]
+# non-diagonal gates (the permutations SUM, TSWAP, C1[INC], C1[C1[INC]], and L[SUM])
+DIAGONAL_GATES = ["P9", "P9_INV", "L[PHASE[1,9]]", "L[PHASE[2,27]]_INV", "L[L[PHASE[1,9]]]",
+                  "C1[Z]", "C2[C1[Z]]"]
+KERNEL_GATES = DIAGONAL_GATES + ["H", "H_INV", "INC", "SUM", "TSWAP", "C1[INC]", "C1[C1[INC]]",
+                                 "L[SUM]"]
 
 
 def _random_gate_ops(rng, width, count):
@@ -86,9 +90,16 @@ def _random_gate_ops(rng, width, count):
     return ops
 
 
+def _low_wire_permutations(width):
+    # wire sets on both sides of the slice-copy rule (second-lowest wire >= 2)
+    return [*(g(name, *wires) for name in ("SUM", "TSWAP", "C1[INC]")
+              for wires in ((0, 1), (1, 0), (0, width - 1))),
+            g("C1[C1[INC]]", 0, 1, 2), g("C1[C1[INC]]", width - 1, 0, 2)]
+
+
 @pytest.mark.parametrize("width", [6, 7, 8, 9])
 def test_gate_kernel_matches_moveaxis_formula(rng, width):
-    ops = _random_gate_ops(rng, width, 40)
+    ops = _random_gate_ops(rng, width, 40) + _low_wire_permutations(width)
     ops += [g("C1[Z]", 0, width - 1), g("C1[Z]", width - 1, 0),
             *(g(name, w) for name in ("H", "INC") for w in (0, 1, 2, 3, width - 1))]
     for op in ops:
@@ -100,13 +111,96 @@ def test_gate_kernel_matches_moveaxis_formula(rng, width):
 
 @pytest.mark.parametrize("width", [6, 7])
 def test_circuit_unitary_matches_single_gate_applies(rng, width):
-    circ = Circuit(width, tuple(_random_gate_ops(rng, width, 12)))
+    circ = Circuit(width, tuple(_random_gate_ops(rng, width, 12) + _low_wire_permutations(width)))
     u = circuit_unitary(circ)
     for idx in rng.choice(3**width, size=6, replace=False):
         col = basis_state(width, int(idx)).amps
         for op in circ.instructions:
             col = _moveaxis_apply(col, op.gate.matrix, op.wires, width)
         assert np.abs(u[:, idx] - col).max() < 1e-12
+
+
+def _diagonal_run_circuit(rng, width):
+    # runs of 1-6 diagonal gates (R2 too) on a few wires, so that wires repeat
+    # and come in any order, each run ended by H, SUM, a measurement or a
+    # conditioned diagonal gate
+    ops = []
+    for k in range(12):
+        pool = rng.choice(width, size=int(rng.integers(3, width + 1)), replace=False)
+        for _ in range(int(rng.integers(1, 7))):
+            gm = matrix_for_name((DIAGONAL_GATES + ["R2"])[rng.integers(len(DIAGONAL_GATES) + 1)])
+            ops.append(GateOp(gm, tuple(int(w) for w in rng.choice(pool, size=gm.arity,
+                                                                    replace=False))))
+        a, b = (int(w) for w in rng.choice(width, size=2, replace=False))
+        ops.append([g("H", a), g("SUM", a, b), MeasureOp(a, 0),
+                    CondGateOp(0, 1, matrix_for_name("P9"), (b,))][k % 4])
+    return Circuit(width, tuple(ops))
+
+
+def _gate_by_gate(circ, amps, seed):
+    """State, P9 count and R2 count of applying ``circ`` one gate at a time."""
+    rng, slots, p9, r2 = np.random.default_rng(seed), {}, 0, 0
+    for op in circ.instructions:
+        if isinstance(op, MeasureOp):
+            slots[op.slot], s = measure_wire(StateVector(circ.width, amps), op.wire, rng)
+            amps = s.amps
+        elif not isinstance(op, CondGateOp) or slots.get(op.slot, 0) == op.value:
+            amps = _moveaxis_apply(amps, op.gate.matrix, op.wires, circ.width)
+            p9 += op.gate.name in ("P9", "P9_INV")
+            r2 += op.gate.name == "R2"
+    return amps, p9, r2
+
+
+@pytest.mark.parametrize("width", [6, 7, 8, 9])
+def test_diagonal_runs_match_gate_by_gate(rng, width):
+    for seed in range(3):
+        circ = _diagonal_run_circuit(rng, width)
+        init = random_state_vector(rng, width)
+        rec = run(circ, StateVector(width, init), seed=seed)
+        want, p9, r2 = _gate_by_gate(circ, init, seed)
+        assert np.abs(rec.state.amps - want).max() < 1e-12
+        assert (rec.p9_executed, rec.r2_executed) == (p9, r2)
+
+
+def test_injected_mode_does_not_fuse_p9_runs(rng):
+    # two adjacent P9s at injected width 7: each one is a separate injection
+    circ = Circuit(6, (g("P9", 0), g("P9", 3)))
+    init = StateVector(6, random_state_vector(rng, 6))
+    rec = run(circ, init, seed=4, gate_mode="injected")
+    assert rec.consumed["mu"] == 2 and rec.p9_executed == 2
+    pool0 = rec.state.amps.reshape(3, -1)
+    assert states_equal_up_to_phase(pool0[0], run(circ, init).state.amps, 1e-9)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 9, 10])
+def test_run_qft_matches_inverse_fft(n):
+    v = random_state_vector(np.random.default_rng(300 + n), n)
+    got = run(qft3n(n), StateVector(n, v)).state.amps
+    assert np.abs(got - np.sqrt(3**n) * np.fft.ifft(v)).max() < 1e-10
+
+
+@pytest.mark.parametrize("n", [6, 8, 10])
+def test_run_approximate_qft_matches_gate_by_gate(n):
+    # dropped phases move where the diagonal runs start and stop
+    circ = qft3n(n, delta=0.5)
+    assert len(circ) < len(qft3n(n))
+    v = random_state_vector(np.random.default_rng(400 + n), n)
+    want, _, _ = _gate_by_gate(circ, v, 0)
+    assert np.abs(run(circ, StateVector(n, v)).state.amps - want).max() < 1e-12
+
+
+def test_qft_run_peak_stays_at_three_states():
+    # a run's fused diagonal is built C-contiguous: reshaping it must not copy
+    n = 10
+    circ, v = qft3n(n), random_state_vector(np.random.default_rng(5), n)
+    run(circ, StateVector(n, v))
+    tracemalloc.start()
+    try:
+        run(circ, StateVector(n, v))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * v.nbytes
 
 
 def test_measurement_is_the_choice_draw_on_the_masked_state():
