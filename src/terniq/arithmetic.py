@@ -29,17 +29,11 @@ strict-strict decomposition used when full ternary multipliers are needed).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, log
 
 from .circuit import Circuit, GateOp, adjoint_ops, gate_op
 from .errors import SizeError
 
 TAU_01_20 = "TAU2[1,6]"  # |01> <-> |20| on a (carry, digit) pair
-
-
-def trit_count(n_bits: int) -> int:
-    """Trits needed for an n-bit range."""
-    return ceil(log(2.0, 3.0) * n_bits)
 
 
 def digits_of(x: int, base: int, count: int) -> list[int]:
@@ -287,6 +281,14 @@ def _inc_pow_ops(wire: int, d: int) -> list[GateOp]:
     return []
 
 
+def strict_ops(level: int, control: int, flag: int, body) -> list[GateOp]:
+    """``body``, controlled on the clean binary ``flag``, made strict on
+    ``control == level``: C_level[INC] marks the level on ``flag`` and its
+    adjoint clears it."""
+    return [gate_op(f"C{level}[INC]", control, flag), *body,
+            gate_op(f"C{level}[INC]_INV", control, flag)]
+
+
 def ternary_add_ops(a: int, data, carry_in: int, carry_out: int | None,
                     pool: list[int], u: int | None = None,
                     double: tuple[int, int, int, int] | None = None,
@@ -367,9 +369,7 @@ def ripple_add_const_ternary(spec: ShiftSpec) -> AdderCircuit:
         pool = list(range(nxt + 2, nxt + 2 + _pool_size([c for _, c in lanes], m)))
         ops = []
         for f, const in lanes:
-            ops += [gate_op(f"C{f}[INC]", kap, u)]
-            ops += ternary_add_ops(const, data, A, T, pool, u=u)
-            ops += [gate_op(f"C{f}[INC]_INV", kap, u)]
+            ops += strict_ops(f, kap, u, ternary_add_ops(const, data, A, T, pool, u=u))
         circ = Circuit(pool[-1] + 1, tuple(ops), ancillas=frozenset({A, T, u, *pool}),
                        name=name)
         return AdderCircuit(circ, data, T, (kap,), ladder_blocks=len(lanes))
@@ -429,37 +429,30 @@ def compare_to_threshold(t: int, digits: int, encoding: str = "binary") -> Adder
 
 # ---------------------------------------------------------------- modular shifts
 
-def mod_add_binary_ops(a: int, N: int, data, A: int, T: int, x: int, marker: int,
-                       u: int | None = None) -> list[GateOp]:
-    """|b> -> |(b + d_u * a) mod N> for b < N; ancillas A, T, x restored.
+def mod_add_ops(encoding: str, a: int, N: int, data, A: int, T: int, x: int, marker: int,
+                pool=(), u: int | None = None,
+                fold: tuple[int, int, int] | None = None) -> list[GateOp]:
+    """|b> -> |(b + a) mod N> for b < N in either encoding; A, T, x restored.
 
     Speculative +(a-N), carry copied to x, +N correction controlled on x,
     comparator against threshold a cleans x.  ``u`` (binary wire) makes the
-    whole shift strict.
+    whole shift strict.  The ternary adders take their ancillas from
+    ``pool``.  ``fold`` (ternary): (kappa, d, u_aux) implements
+    |b> -> |(b + c*a) mod N> for the ternary control c on kappa: d marks
+    c != 0, and each speculative lane and comparator threshold runs strictly
+    on u_aux for one level f of c.  It is compiled on the 2a<N branch with
+    the extra strict +N lane and threshold c*a, else with threshold c(a-N)+N.
     """
-    D = 2**len(data)
-    us = () if u is None else (u,)
-    ops = binary_add_ops((a - N) % D, data, A, T, us, (marker,))
-    ops += mcx_ops(us, T)
-    ops += [gate_op("SUM", T, x)]
-    ops += binary_add_ops(N % D, data, A, T, (x,), (marker,))
-    ops += compare_ops("binary", a, data, A, x, u=u, marker=marker)
-    return ops
+    if encoding == "binary":
+        D = 2**len(data)
 
+        def add(w, ctl):
+            return binary_add_ops(w, data, A, T, () if ctl is None else (ctl,), (marker,))
+    else:
+        D = 3**len(data)
 
-def mod_add_ternary_ops(a: int, N: int, data, A: int, T: int, x: int, marker: int,
-                        pool: list[int], u: int | None = None,
-                        fold: tuple[int, int, int] | None = None) -> list[GateOp]:
-    """Ternary modular shift, built like :func:`mod_add_binary_ops`.
-
-    ``u`` (binary wire): strict shift by a.  ``fold``: (kappa, d, u_aux)
-    implements |b> -> |(b + c*a) mod N> for the ternary control c on kappa:
-    d marks c != 0, and each speculative lane and comparator threshold runs
-    strictly on u_aux for one level f of c.  It is compiled on the 2a<N
-    branch with the extra strict +N lane and threshold c*a, else with
-    threshold c(a-N)+N.
-    """
-    D = 3**len(data)
+        def add(w, ctl):
+            return ternary_add_ops(w, data, A, T, pool, u=ctl, xor_top_marker=marker)
     if fold is None:
         kappa, flag = None, u
         lanes, thresholds = [(None, (a - N) % D)], [(None, a)]
@@ -469,97 +462,61 @@ def mod_add_ternary_ops(a: int, N: int, data, A: int, T: int, x: int, marker: in
         lanes = [(1, (a - N) % D), (2, (2 * (a - N)) % D)] + ([(2, N % D)] if branch else [])
         thresholds = [(1, a), (2, 2 * a if branch else 2 * a - N)]
 
-    def at_level(f, body):
-        if f is None:
-            return body
-        return [gate_op(f"C{f}[INC]", kappa, u)] + body + [gate_op(f"C{f}[INC]_INV", kappa, u)]
+    def lane(f, body):
+        return body if f is None else strict_ops(f, kappa, u, body)
 
     pro = [] if fold is None else [gate_op("C1[INC]", kappa, flag), gate_op("C2[INC]", kappa, flag)]
     ops = list(pro)
     for f, w in lanes:
-        ops += at_level(f, ternary_add_ops(w, data, A, T, pool, u=u, xor_top_marker=marker))
+        ops += lane(f, add(w, u))
     ops += mcx_ops(() if flag is None else (flag,), T)
     ops += [gate_op("SUM", T, x)]
-    ops += ternary_add_ops(N % D, data, A, T, pool, u=x, xor_top_marker=marker)
+    ops += add(N % D, x)
     for f, t in thresholds:
-        ops += at_level(f, compare_ops("ternary", t, data, A, x, pool, u=u, marker=marker))
+        ops += lane(f, compare_ops(encoding, t, data, A, x, pool, u=u, marker=marker))
     return ops + adjoint_ops(pro)
 
 
 def mod_add_const(spec: ShiftSpec) -> AdderCircuit:
     """Modular additive shift |b> -> |(b + c*a) mod N> for b < N.
 
-    Requires b < N at input (documented precondition, not checked).
+    Requires b < N at input (documented precondition, not checked).  Wires:
+    A, data, T, x, marker, then the controls, then the wires they fold into
+    (binary double: the AND flag u; ternary strict: u; ternary c-fold: d, u;
+    ternary double: u2, d, u), then the ternary constant pool.
     """
     if spec.modulus is None:
         raise SizeError("mod_add_const needs a modulus")
-    N, a = spec.modulus, spec.constant % spec.modulus
-    dig = spec.digits
-    data = tuple(range(1, dig + 1))
-    A, T, x, marker = 0, dig + 1, dig + 2, dig + 3
-    nxt = dig + 4
+    N, a, dig, mode = spec.modulus, spec.constant % spec.modulus, spec.digits, spec.control_mode
+    A, data, T, x, marker = 0, tuple(range(1, dig + 1)), dig + 1, dig + 2, dig + 3
     if a == 0 and spec.control != "double":
-        return AdderCircuit(Circuit(nxt, (), name="mod-add-identity"), data, T, ladder_blocks=0)
-
-    if spec.encoding == "binary":
-        if spec.control == "none":
-            ops = mod_add_binary_ops(a, N, data, A, T, x, marker)
-            circ = Circuit(nxt, tuple(ops), ancillas=frozenset({A, T, x, marker}),
-                           name=f"modadd{a}N{N}b")
-            return AdderCircuit(circ, data, T, ladder_blocks=3)
-        ancillas = {A, T, x, marker}
-        if spec.control == "single":
-            controls, u = (nxt,), nxt
-            ops = mod_add_binary_ops(a, N, data, A, T, x, marker, u=u)
-        else:
-            # the AND of both controls on the clean wire u drives a strict shift
-            controls, u = (nxt, nxt + 1), nxt + 2
-            ancillas.add(u)
-            pro = and_ops(*controls, u)
-            ops = pro + mod_add_binary_ops(a, N, data, A, T, x, marker, u=u) + adjoint_ops(pro)
-        if spec.control_mode == 0:
-            ops = [gate_op("TAU1[0,1]", nxt)] + ops + [gate_op("TAU1[0,1]", nxt)]
-        circ = Circuit(u + 1, tuple(ops), ancillas=frozenset(ancillas),
-                       name=f"modadd{a}N{N}b-{'c' * len(controls)}")
-        return AdderCircuit(circ, data, T, controls, ladder_blocks=3)
-
-    # ternary encoding
-    consts = [(a - N) % 3**dig, (2 * (a - N)) % 3**dig, N % 3**dig, a % 3**dig,
-              (2 * a) % 3**dig, abs(2 * a - N) % 3**dig]
-    npool = _pool_size(consts, dig)
-    if spec.control == "none":
-        pool = list(range(nxt, nxt + npool))
-        ops = mod_add_ternary_ops(a, N, data, A, T, x, marker, pool)
-        circ = Circuit(pool[-1] + 1, tuple(ops), ancillas=frozenset({A, T, x, marker, *pool}),
-                       name=f"modadd{a}N{N}t")
-        return AdderCircuit(circ, data, T, ladder_blocks=4)
-    if spec.control == "single" and spec.control_mode != "ternary":
-        kap, u = nxt, nxt + 1
-        pool = list(range(nxt + 2, nxt + 2 + npool))
-        f = spec.control_mode
-        ops = ([gate_op(f"C{f}[INC]", kap, u)]
-               + mod_add_ternary_ops(a, N, data, A, T, x, marker, pool, u=u)
-               + [gate_op(f"C{f}[INC]_INV", kap, u)])
-        circ = Circuit(pool[-1] + 1, tuple(ops), ancillas=frozenset({A, T, x, marker, u, *pool}),
-                       name=f"modadd{a}N{N}t-c{f}")
-        return AdderCircuit(circ, data, T, (kap,), ladder_blocks=4)
-    blocks = (4 if 2 * a < N else 3) + 2  # strict lanes + +N + comparators
-    if spec.control == "single":
-        kap, d, u = nxt, nxt + 1, nxt + 2
-        pool = list(range(nxt + 3, nxt + 3 + npool))
-        ops = mod_add_ternary_ops(a, N, data, A, T, x, marker, pool, fold=(kap, d, u))
-        circ = Circuit(pool[-1] + 1, tuple(ops),
-                       ancillas=frozenset({A, T, x, marker, d, u, *pool}),
-                       name=f"modadd{a}N{N}t-fold")
-        return AdderCircuit(circ, data, T, (kap,), ladder_blocks=blocks)
-    kap1, kap2 = nxt, nxt + 1
-    u2, d, u = nxt + 2, nxt + 3, nxt + 4
-    pool = list(range(nxt + 5, nxt + 5 + npool))
-    pro = [gate_op(f"C{spec.control_mode}[SUM]", kap1, kap2, u2)]
-    ops = (pro
-           + mod_add_ternary_ops(a, N, data, A, T, x, marker, pool, fold=(u2, d, u))
-           + adjoint_ops(pro))
-    circ = Circuit(pool[-1] + 1, tuple(ops),
-                   ancillas=frozenset({A, T, x, marker, u2, d, u, *pool}),
-                   name=f"modadd{a}N{N}t-cc")
-    return AdderCircuit(circ, data, T, (kap1, kap2), ladder_blocks=blocks)
+        return AdderCircuit(Circuit(dig + 4, (), name="mod-add-identity"), data, T, ladder_blocks=0)
+    binary = spec.encoding == "binary"
+    k = ("none", "single", "double").index(spec.control)
+    folded = not binary and (k == 2 or mode == "ternary")
+    n_flags = max(k - 1, 0) if binary else k + folded
+    D = 3**dig
+    npool = 0 if binary else _pool_size([(a - N) % D, (2 * (a - N)) % D, N % D, a % D,
+                                         (2 * a) % D, abs(2 * a - N) % D], dig)
+    layout = range(dig + 4, dig + 4 + k + n_flags + npool)
+    controls, flags, pool = tuple(layout[:k]), layout[k:k + n_flags], list(layout[k + n_flags:])
+    wires = (*controls, *flags)
+    u = wires[-1] if k else None   # the single binary control, or the last flag
+    pro = []
+    if k == 2:
+        pro = and_ops(*controls, u) if binary else [gate_op(f"C{mode}[SUM]", *controls, flags[0])]
+    ops = pro + mod_add_ops(spec.encoding, a, N, data, A, T, x, marker, pool, u=u,
+                            fold=wires[-3:] if folded else None) + adjoint_ops(pro)
+    tag = "-" + "c" * k if k else ""
+    if binary and k and mode == 0:
+        ops = [gate_op("TAU1[0,1]", controls[0])] + ops + [gate_op("TAU1[0,1]", controls[0])]
+    elif k == 1 and folded:
+        tag = "-fold"
+    elif k == 1 and not binary:
+        tag, ops = f"-c{mode}", strict_ops(mode, controls[0], u, ops)
+    circ = Circuit(dig + 4 + len(layout), tuple(ops),
+                   ancillas=frozenset({A, T, x, marker, *flags, *pool}),
+                   name=f"modadd{a}N{N}{'b' if binary else 't'}{tag}")
+    # a c-fold shift has its strict lanes, the +N correction and two comparators
+    blocks = 3 if binary else ((4 if 2 * a < N else 3) + 2 if folded else 4)
+    return AdderCircuit(circ, data, T, controls, ladder_blocks=blocks)

@@ -140,10 +140,6 @@ class Circuit:
         return len(self.instructions)
 
 
-def circuit(width: int, ops: Sequence[Instruction], ancillas=(), name: str = "") -> Circuit:
-    return Circuit(width, tuple(ops), frozenset(ancillas), name)
-
-
 def compose(a: Circuit, b: Circuit, name: str = "") -> Circuit:
     """Concatenate: run ``a`` then ``b``.  Counts add."""
     if a.width != b.width:

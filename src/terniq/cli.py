@@ -150,15 +150,15 @@ def cmd_adder_verify(args) -> int:
         return True, "n=4 exhaustive"
 
     def check_counts():
-        rows = []
         ok = True
         print(f"{'shift':28s}{'measured':>10s}{'modeled':>10s}{'delta':>8s}")
-        for n, ctl, coef in ((12, "none", 12), (12, "single", 18), (12, "double", 24)):
+        n = m = 12
+        controls = ("none", "single", "double")
+        for ctl, coef in zip(controls, costmodel.RIPPLE_PER_BIT["binary"]):
             rc = count_resources(ripple_add_const(ShiftSpec(1, n, "binary", control=ctl)).circuit)
             print(f"binary {ctl:8s} n={n:<10d}{rc.p9_count:>10d}{coef * n:>10d}{rc.p9_count - coef * n:>8d}")
             ok &= abs(rc.p9_count / n - coef) <= 1.0
-            rows.append(ctl)
-        for m, ctl, coef in ((12, "none", 30), (12, "single", 34), (12, "double", 53)):
+        for ctl, coef in zip(controls, costmodel.RIPPLE_PER_TRIT):
             rc = count_resources(ripple_add_const_ternary(ShiftSpec(1, m, "ternary", control=ctl)).circuit)
             print(f"ternary {ctl:8s} m={m:<9d}{rc.p9_count:>10d}{coef * m:>10d}{rc.p9_count - coef * m:>8d}")
             ok &= abs(rc.p9_count / m - coef) <= 1.0

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 from .arithmetic import ones_weight
 from .errors import SizeError
+from .modexp import ModExpSpec
 
 LOG3_2 = math.log(2, 3)
 GAMMA_DEFAULT = math.log(15, 3)      # distillation width exponent
@@ -220,11 +221,19 @@ def modexp_cost(scenario: Scenario) -> CostReport:
                       "R2" if s.platform == "MTQC-inline" else "P9")
 
 
-def modeled_controlled_shift_count(scenario: Scenario) -> int:
-    """Controlled integer additive shifts per modular exponentiation."""
-    if scenario.encoding == "binary":
-        return 6 * scenario.bitsize**2
-    return 16 * scenario.tritsize**2
+def modeled_shift_count(spec: ModExpSpec) -> int:
+    """Doubly-controlled modular shifts ``modexp_circuit`` builds for ``spec``.
+
+    Each exponent digit j whose multiplier base^(d^j) mod N is not 1 costs
+    2v shifts in binary (compute and uncompute, one per accumulator bit) and
+    8v in ternary (also one per control level and digit value), for v value
+    digits.  Exact when N does not divide (d-1) d^(v-1), which covers every
+    odd N that is not a power of 3; otherwise the builders skip the shifts
+    whose constant is 0 mod N.
+    """
+    d, N, v = spec.radix, spec.modulus, spec.value_digits
+    rounds = sum(pow(spec.base, d**j, N) != 1 for j in range(spec.exp_digits))
+    return (2 if d == 2 else 8) * v * rounds
 
 
 def parallel_magic_rate(digits: int, average: bool = False) -> float:

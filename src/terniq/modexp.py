@@ -21,7 +21,7 @@ from math import gcd
 from .circuit import Circuit, GateOp, adjoint_ops, gate_op
 from .errors import RoundMapError, SizeError
 from .sim import CompiledCircuit, compile_classical, index_of_trits, run_compiled, trits_of_index
-from .arithmetic import and_ops, mcx_ops, mod_add_binary_ops, mod_add_ternary_ops, _pool_size
+from .arithmetic import and_ops, mcx_ops, mod_add_ops, strict_ops, _pool_size
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ def _binary_ctrl_mult_ops(kappa, regs, mult, N):
             if w == 0:
                 continue
             pro = and_ops(kappa, acc[ell], mu)
-            ops += pro + mod_add_binary_ops(w, N, acc2, A, T, x, marker, u=mu) + adjoint_ops(pro)
+            ops += pro + mod_add_ops("binary", w, N, acc2, A, T, x, marker, u=mu) + adjoint_ops(pro)
             shifts += 1
         if not uncompute:
             for ell in range(len(acc)):   # controlled swap of acc and acc2
@@ -128,17 +128,17 @@ def _ternary_ctrl_mult_ops(kappa, regs, a_pow, N):
     for uncompute, sign in enumerate((1, -1)):
         for f in (1, 2):
             factor = sign * pow(a_pow, sign * f, N)
-            ops += [gate_op(f"C{f}[INC]", kappa, u1)]
+            body: list[GateOp] = []
             for ell in range(m):
                 for gval in (1, 2):
                     w = (gval * 3**ell * factor) % N
                     if w == 0:
                         continue
-                    ops += [gate_op(f"C{gval}[SUM]", acc[ell], u1, u)]
-                    ops += mod_add_ternary_ops(w, N, acc2, A, T, x, marker, pool, u=u)
-                    ops += [gate_op(f"C{gval}[SUM]_INV", acc[ell], u1, u)]
+                    body += [gate_op(f"C{gval}[SUM]", acc[ell], u1, u)]
+                    body += mod_add_ops("ternary", w, N, acc2, A, T, x, marker, pool, u=u)
+                    body += [gate_op(f"C{gval}[SUM]_INV", acc[ell], u1, u)]
                     shifts += 1
-            ops += [gate_op(f"C{f}[INC]_INV", kappa, u1)]
+            ops += strict_ops(f, kappa, u1, body)
         if uncompute:
             ops += [gate_op("C0[SUM]_INV", kappa, acc[ell], acc2[ell]) for ell in range(m)]
         else:
@@ -213,12 +213,3 @@ def round_map(encoding: str, N: int, mult: int) -> tuple[tuple[int, ...], ...]:
             row.append(got)
         table.append(tuple(row))
     return tuple(table)
-
-
-def modeled_shift_count(spec: ModExpSpec) -> int:
-    """Leading-order doubly-controlled shift tally: 2n^2 binary, 4m^2 ternary."""
-    if spec.encoding == "binary":
-        n = spec.exp_digits // 2
-        return 2 * n * n
-    m = spec.exp_digits // 2
-    return 4 * m * m

@@ -319,7 +319,7 @@ R2_CHAIN = Chain(
 )
 
 
-def r2_injection_rus(max_iters: int = 1000) -> Circuit:
+def r2_injection_rus() -> Circuit:
     """R2 by repeat-until-success injection: input wire 0, psi wire 1.
 
     Each trial loads a fresh psi on wire 1, entangles with SUM, measures;
@@ -331,7 +331,7 @@ def r2_injection_rus(max_iters: int = 1000) -> Circuit:
         gate_op("SUM", 0, 1),
         MeasureOp(1, 0),
     ))
-    rus = RusOp(body, chain=R2_CHAIN, outcome_slot=0, max_iters=max_iters,
+    rus = RusOp(body, chain=R2_CHAIN, outcome_slot=0,
                 consumes=(("psi", 1),), expected_trials=3.0, label="r2-rus")
     return Circuit(2, (rus,), ancillas=frozenset({1}), name="r2-injection")
 
@@ -365,7 +365,7 @@ def _plus_prep_trial_ops(data: int, syndrome: int, phase_power: int,
     )
 
 
-def resource_state_prep(target: str, max_iters: int = 1000) -> Circuit:
+def resource_state_prep(target: str) -> Circuit:
     """Repeat-until-success factories for the injection resource states.
 
     ``plus_omega3`` / ``plus_omega3_sq``: output on wire 0, syndrome wire 1;
@@ -380,8 +380,7 @@ def resource_state_prep(target: str, max_iters: int = 1000) -> Circuit:
     if target in ("plus_omega3", "plus_omega3_sq"):
         power = 1 if target == "plus_omega3" else 2
         body = Circuit(2, tuple(_plus_prep_trial_ops(0, 1, power, 0, 10)))
-        rus = RusOp(body, predicate=((0, 0),), max_iters=max_iters,
-                    expected_trials=1.5, label=target)
+        rus = RusOp(body, predicate=((0, 0),), expected_trials=1.5, label=target)
         return Circuit(2, (rus,), ancillas=frozenset({1}), name=target)
     if target == "eta":
         ops = (
@@ -389,11 +388,10 @@ def resource_state_prep(target: str, max_iters: int = 1000) -> Circuit:
             + _plus_prep_trial_ops(2, 3, 2, 1, 12)
         )
         body = Circuit(4, tuple(ops))
-        rus = RusOp(body, predicate=((0, 0), (1, 0)), max_iters=max_iters,
-                    expected_trials=2.25, label="eta")
+        rus = RusOp(body, predicate=((0, 0), (1, 0)), expected_trials=2.25, label="eta")
         return Circuit(4, (rus,), ancillas=frozenset({1, 3}), name="eta")
     if target == "psi":
-        eta = resource_state_prep("eta", max_iters)
+        eta = resource_state_prep("eta")
         body = Circuit(4, eta.instructions + (
             gate_op("SUM", 0, 2),
             gate_op("H_INV", 0),
@@ -402,7 +400,7 @@ def resource_state_prep(target: str, max_iters: int = 1000) -> Circuit:
         # outcome 0 -> psi; outcome 1 -> psi after Z^dag; outcome 2 -> retry
         chain = Chain(start=0, transitions={(0, 0): 1, (0, 1): 2, (0, 2): 0},
                       accept=frozenset({1, 2}))
-        rus = RusOp(body, chain=chain, outcome_slot=2, max_iters=max_iters,
+        rus = RusOp(body, chain=chain, outcome_slot=2,
                     corrections=((2, matrix_for_name("Z_INV"), (2,)),),
                     expected_trials=2.0, label="psi")
         return Circuit(4, (rus,), ancillas=frozenset({0, 1, 3}), name="psi")

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import assert_clean, classical_map
 from terniq.circuit import count_resources
+from terniq.costmodel import trit_size
 from terniq.errors import SizeError
 from terniq.gates import matrix_for_name
 from terniq.sim import circuit_unitary, index_of_trits, trits_of_index
@@ -13,7 +14,6 @@ from terniq.arithmetic import (
     ripple_add_const,
     ripple_add_const_ternary,
     ternary_carry_ops,
-    trit_count,
     y_gate,
 )
 
@@ -366,8 +366,8 @@ def test_compare_to_threshold_rejects_unknown_encoding():
 
 
 def test_trit_count():
-    assert trit_count(4) == 3
-    assert trit_count(16) == 11
+    assert trit_size(4) == 3
+    assert trit_size(16) == 11
 
 
 def test_encoded_integer_and_leakage():

@@ -6,12 +6,13 @@ import pytest
 from conftest import random_unitary
 from terniq import costmodel
 from terniq.errors import SizeError
+from terniq.modexp import ModExpSpec, modexp_circuit
 from terniq.costmodel import (
     Scenario,
     cost_table,
     fidelity_budget,
     lookahead_costs,
-    modeled_controlled_shift_count,
+    modeled_shift_count,
     modexp_cost,
     ripple_shift_costs,
     synthesis_cost,
@@ -69,9 +70,13 @@ def test_reference_prep_width_gamma():
 
 
 def test_modeled_shift_counts():
-    assert modeled_controlled_shift_count(Scenario(10, "binary")) == 600
-    m = costmodel.trit_size(10)
-    assert modeled_controlled_shift_count(Scenario(10, "ternary")) == 16 * m * m
+    for encoding in ("binary", "ternary"):
+        for N in (15, 21, 33, 35):
+            spec = ModExpSpec(2, N, encoding)
+            assert modeled_shift_count(spec) == modexp_circuit(spec).dctrl_shift_count, (encoding, N)
+    # N = 16 divides 2^(v-1): the builder skips the shifts by 0 mod N
+    spec = ModExpSpec(3, 16)
+    assert modeled_shift_count(spec) > modexp_circuit(spec).dctrl_shift_count
 
 
 def test_monotonicity():

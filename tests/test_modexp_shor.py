@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from terniq import modexp, shor
+from terniq.costmodel import modeled_shift_count
 from terniq.circuit import Circuit, GateOp, gate_op
 from terniq.errors import RoundMapError, SizeError
 from terniq.modexp import (
@@ -10,7 +11,6 @@ from terniq.modexp import (
     _registers,
     controlled_multiply,
     modexp_circuit,
-    modeled_shift_count,
     round_map,
 )
 from terniq.shor import (
@@ -104,10 +104,10 @@ def test_modexp_rejects_modulus_below_2(a, N):
 def test_shift_block_tally():
     spec = ModExpSpec(7, 15, "binary")
     layout = modexp_circuit(spec)
-    # modeled leading-order 2n^2; constructed circuit includes the uncompute
-    # pass and skips trivial multipliers, so it differs by a bounded factor
-    assert modeled_shift_count(spec) == 2 * 4 * 4
-    assert 0 < layout.dctrl_shift_count <= 2 * modeled_shift_count(spec)
+    assert layout.dctrl_shift_count == modeled_shift_count(spec)
+    # within twice the leading-order 2n^2, n = 4: the uncompute pass doubles
+    # the shifts and rounds whose multiplier is 1 are skipped
+    assert 0 < layout.dctrl_shift_count <= 2 * (2 * 4 * 4)
 
 
 # ------------------------------------------------------------ distributions

@@ -1,15 +1,18 @@
 """Property tests: the costed binary-data networks and their P9 expansion,
-the gate grammar, the two classical paths, and the text format on random
-and mutated documents."""
+the modular additive shift, the gate grammar, the two classical paths, and
+the text format on random and mutated documents."""
+
+from itertools import product
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import classical_map
 from terniq import widgets
-from terniq.arithmetic import mcx_ops
+from terniq.arithmetic import ShiftSpec, mcx_ops, mod_add_const
 from terniq.circuit import Chain, Circuit, CondGateOp, GateOp, MeasureOp, RusOp, count_resources, gate_op
 from terniq.errors import ParseError
 from terniq.gates import MAX_ARITY, matrix_for_name
@@ -88,6 +91,47 @@ def test_mcx_flips_the_target_iff_every_control_is_one(case):
     out = list(trits_of_index(run_compiled(comp, index_of_trits(trits)), width))
     trits[target] = t ^ all(bits)
     assert out == trits  # controls kept, markers back to 0
+
+
+@st.composite
+def modular_shifts(draw):
+    """A ``mod_add_const`` spec: N <= 40, any a < N, control and control mode."""
+    encoding = draw(st.sampled_from(["binary", "ternary"]))
+    base = 2 if encoding == "binary" else 3
+    N = draw(st.integers(2, 40))
+    digits = next(d for d in range(1, 8) if base**d >= 2 * N)
+    control = draw(st.sampled_from(["none", "single", "double"]))
+    modes = list(range(base)) + (["ternary"] if base == 3 and control == "single" else [])
+    mode = 1 if control == "none" else draw(st.sampled_from(modes))
+    return ShiftSpec(draw(st.integers(0, N - 1)), digits, encoding, N, control, mode)
+
+
+def _multiplier(spec, cv) -> int:
+    """The c of the shift by c*a that the control values ``cv`` select."""
+    if not cv:
+        return 1
+    if spec.control_mode == "ternary":
+        return cv[0]
+    strict = int(cv[0] == spec.control_mode)  # the first control fires on one level
+    return strict * cv[1] if len(cv) == 2 else strict
+
+
+@settings(max_examples=300)
+@given(modular_shifts())
+@example(ShiftSpec(6, 5, "binary", 16, "single", 0))            # even binary N
+@example(ShiftSpec(13, 4, "ternary", 27, "single", "ternary"))  # ternary N divisible by 3
+@example(ShiftSpec(0, 3, "ternary", 9, "double", 2))            # a = 0, double control
+@example(ShiftSpec(0, 7, "binary", 40, "double", 0))
+def test_mod_add_const_shifts_by_c_times_a_and_restores_the_ancillas(spec):
+    ac = mod_add_const(spec)
+    base, N, a = (2 if spec.encoding == "binary" else 3), spec.modulus, spec.constant
+    k = ("none", "single", "double").index(spec.control)
+    for cv in product(range(base), repeat=k):
+        c = _multiplier(spec, cv)
+        for b, got, _, out in classical_map(ac, base, range(N), controls=cv):
+            assert got == (b + c * a) % N, (cv, b)
+            assert [out[w] for w in ac.controls] == list(cv[:len(ac.controls)])
+            assert not any(out[w] for w in ac.circuit.ancillas), (cv, b)
 
 
 # serialized widgets, RUS factories and a modexp circuit, and tokens of the
