@@ -489,8 +489,6 @@ def mod_add_const(spec: ShiftSpec) -> AdderCircuit:
         raise SizeError("mod_add_const needs a modulus")
     N, a, dig, mode = spec.modulus, spec.constant % spec.modulus, spec.digits, spec.control_mode
     A, data, T, x, marker = 0, tuple(range(1, dig + 1)), dig + 1, dig + 2, dig + 3
-    if a == 0 and spec.control != "double":
-        return AdderCircuit(Circuit(dig + 4, (), name="mod-add-identity"), data, T, ladder_blocks=0)
     binary = spec.encoding == "binary"
     k = ("none", "single", "double").index(spec.control)
     folded = not binary and (k == 2 or mode == "ternary")
@@ -500,6 +498,10 @@ def mod_add_const(spec: ShiftSpec) -> AdderCircuit:
                                          (2 * a) % D, abs(2 * a - N) % D], dig)
     layout = range(dig + 4, dig + 4 + k + n_flags + npool)
     controls, flags, pool = tuple(layout[:k]), layout[k:k + n_flags], list(layout[k + n_flags:])
+    ancillas = frozenset({A, T, x, marker, *flags, *pool})
+    if a == 0 and spec.control != "double":
+        return AdderCircuit(Circuit(dig + 4 + len(layout), (), ancillas=ancillas,
+                                    name="mod-add-identity"), data, T, controls, ladder_blocks=0)
     wires = (*controls, *flags)
     u = wires[-1] if k else None   # the single binary control, or the last flag
     pro = []
@@ -514,8 +516,7 @@ def mod_add_const(spec: ShiftSpec) -> AdderCircuit:
         tag = "-fold"
     elif k == 1 and not binary:
         tag, ops = f"-c{mode}", strict_ops(mode, controls[0], u, ops)
-    circ = Circuit(dig + 4 + len(layout), tuple(ops),
-                   ancillas=frozenset({A, T, x, marker, *flags, *pool}),
+    circ = Circuit(dig + 4 + len(layout), tuple(ops), ancillas=ancillas,
                    name=f"modadd{a}N{N}{'b' if binary else 't'}{tag}")
     # a c-fold shift has its strict lanes, the +N correction and two comparators
     blocks = 3 if binary else ((4 if 2 * a < N else 3) + 2 if folded else 4)

@@ -5,10 +5,12 @@ Wider (and for :func:`circuit_unitary`'s batched columns), a diagonal gate is
 one broadcast multiply on a view splitting out its wires, and an ideal run
 applies each run of consecutive diagonal gates as one such multiply.  Another
 single-wire gate is one stacked matmul on the ``(3^(w-1-wire), 3, 3^wire)``
-view when its rows are long, a permutation gate 3^arity slice copies when its
-second-lowest wire is 2 or more, and the rest one matmul after moving their
-axes to the front.  A measurement reduces that view once for the Born
-probabilities and keeps the measured slice.
+view when its rows are long, else one gemm with ``(G ⊗ I)^T``; a permutation
+gate 3^arity slice copies when its second-lowest wire is 2 or more, and the
+rest one matmul after moving their axes to the front.  Up to width 8, in both
+gate modes, a run of permutation gates is one gather through a cached index.
+A measurement reduces that view once for the Born probabilities and keeps the
+measured slice.
 
 Two gate modes:
 
@@ -28,8 +30,8 @@ the norm of the state it measures.
 The classical path compiles a permutation circuit into per-gate trit tables
 (:func:`compile_classical`), walks one basis index through them on Python-int
 trits with no width ceiling (:func:`run_compiled`); exhaustive arithmetic uses
-it.  :func:`circuit_permutation` tabulates that walk over every basis index of
-a circuit of width at most 12.
+it.  :func:`circuit_permutation` inverts the gather index of a whole circuit of
+width at most 12.
 """
 
 from __future__ import annotations
@@ -197,7 +199,8 @@ def _diagonal_run(key: tuple):
     """Descending wire union, per-gate broadcast factors and tally of a run of diagonal gates."""
     union = sorted({w for _, wires in key for w in wires}, reverse=True)
     factors = []
-    for name, wires in key:
+    # lowest wire first (they commute): the product's full-size steps get long inner loops
+    for name, wires in sorted(key, key=lambda op: min(op[1])):
         order = sorted(range(len(wires)), key=lambda k: -wires[k])
         shape = [3 if w in wires else 1 for w in union]
         factors.append(_diagonal(matrix_for_name(name)).transpose(order).reshape(shape))
@@ -229,6 +232,28 @@ def _slice_moves(name: str, wires: tuple) -> tuple:
                  for loc, out in enumerate(trit_table(name)))
 
 
+def _permute_slices(amps: np.ndarray, name: str, wires: tuple, width: int) -> np.ndarray:
+    """Apply a permutation gate as 3^arity slice copies on its wires' split view."""
+    tops = [width, *sorted(wires, reverse=True)]
+    view = amps.reshape([n for hi, lo in zip(tops, tops[1:]) for n in (3**(hi - lo - 1), 3)] + [-1])
+    out = np.empty_like(view)
+    for dst, src in _slice_moves(name, wires):
+        out[dst] = view[src]
+    return out.reshape(amps.shape)
+
+
+@lru_cache(maxsize=64)  # used up to width 8, where an index is 52 KB and the cache <= 3.4 MB
+def _perm_run(key: tuple, width: int) -> np.ndarray:
+    """``src`` with ``amps[src]`` the permutation run ``key``: its slice copies on the indices."""
+    return reduce(lambda src, op: _permute_slices(src, *op, width), key, np.arange(3**width))
+
+
+@lru_cache(maxsize=256)
+def _kron_eye_t(gate: GateMatrix, rows: int) -> np.ndarray:
+    """``(G ⊗ I_rows)^T``: one gemm applies a single-wire gate to rows of length ``3·rows``."""
+    return np.kron(gate.matrix, np.eye(rows)).T.copy()
+
+
 def _apply_tensordot(amps: np.ndarray, gate: GateMatrix, wires, width: int) -> np.ndarray:
     """Apply gate to a (3**width,) or (3**width, batch) array; see the module docstring."""
     batch = amps.shape[1] if amps.ndim == 2 else 1
@@ -236,17 +261,13 @@ def _apply_tensordot(amps: np.ndarray, gate: GateMatrix, wires, width: int) -> n
     if _diagonal(gate) is not None:
         union, (diag,), _ = _diagonal_run(((gate.name, tuple(wires)),))
         return _apply_diagonal(amps, diag, union, width)
-    if a == 1 and 3 ** wires[0] * batch > 9:  # on shorter rows the moveaxis path is faster
-        view = amps.reshape(-1, 3, 3 ** wires[0] * batch)
-        return np.matmul(gate.matrix, view).reshape(amps.shape)
-    if a > 1 and 3 ** sorted(wires)[1] * batch >= 9 and trit_table(gate.name) is not None:
-        tops = [width, *sorted(wires, reverse=True)]
-        view = amps.reshape([n for hi, lo in zip(tops, tops[1:]) for n in (3 ** (hi - lo - 1), 3)]
-                            + [3 ** tops[-1] * batch])
-        out = np.empty_like(view)
-        for dst, src in _slice_moves(gate.name, tuple(wires)):
-            out[dst] = view[src]
-        return out.reshape(amps.shape)
+    if a == 1:
+        rows = 3 ** wires[0] * batch
+        if rows > 9:
+            return np.matmul(gate.matrix, amps.reshape(-1, 3, rows)).reshape(amps.shape)
+        return (amps.reshape(-1, 3 * rows) @ _kron_eye_t(gate, rows)).reshape(amps.shape)
+    if 3 ** sorted(wires)[1] * batch >= 9 and trit_table(gate.name) is not None:
+        return _permute_slices(amps, gate.name, tuple(wires), width)
     # axis for wire w is (width-1-w); gate tensor row axes follow wires order
     tens = amps.reshape([3] * width + list(amps.shape[1:]))
     axes = [width - 1 - w for w in wires]
@@ -341,13 +362,20 @@ class _Exec:
         fuse, small = self.mode == "ideal", self.width <= 5
         while i < n:
             op = instructions[i]
-            j = i
+            j, gather = i, False
             while (fuse and j < n and isinstance(instructions[j], GateOp)
                    and (small or _diagonal(instructions[j].gate) is not None)):
                 j += 1
+            if j - i < 2 and self.width <= 8:  # wider, a cached index costs more than it saves
+                j, gather = i, True
+                while (j < n and isinstance(instructions[j], GateOp)
+                       and trit_table(instructions[j].gate.name) is not None):
+                    j += 1
             if j - i > 1:
-                state = self.fused(state, tuple((instructions[k].gate.name, instructions[k].wires)
-                                                for k in range(i, j)))
+                key = tuple((instructions[k].gate.name, instructions[k].wires) for k in range(i, j))
+                # a permutation run (either mode) tallies nothing: no P9, R2 or loader permutes
+                state = (StateVector(self.width, state.amps[_perm_run(key, self.width)])
+                         if gather else self.fused(state, key))
                 i = j
                 continue
             if isinstance(op, GateOp):
@@ -499,8 +527,9 @@ def run_compiled(compiled: CompiledCircuit, index: int) -> int:
 
 
 def circuit_permutation(c: Circuit) -> np.ndarray:
-    """Full basis permutation of a classical circuit: ``run_compiled`` per index."""
+    """Full basis permutation of a classical circuit: the inverse of its gather index."""
     if c.width > 12:
         raise WidthCapError(f"width {c.width} > 12")
-    comp = compile_classical(c)
-    return np.array([run_compiled(comp, i) for i in range(3**c.width)], dtype=np.int64)
+    compile_classical(c)  # raises unless every instruction is a permutation gate
+    key = tuple((op.gate.name, op.wires) for op in c.instructions)
+    return np.argsort(_perm_run.__wrapped__(key, c.width))  # uncached: one index per circuit

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -335,6 +337,25 @@ def test_mod_add_block_reports():
     big = mod_add_const(ShiftSpec(a_big, dig, "ternary", modulus=N,
                                   control="single", control_mode="ternary"))
     assert small.ladder_blocks == big.ladder_blocks + 1
+
+
+@pytest.mark.parametrize("encoding,control,mode", [
+    ("binary", "none", 1), ("binary", "single", 0), ("binary", "single", 1),
+    ("ternary", "none", 1), ("ternary", "single", 2), ("ternary", "single", "ternary"),
+])
+def test_mod_add_zero_keeps_the_layout(encoding, control, mode):
+    # a = 0 is the identity on the wires of every other constant of the spec
+    base, N = (2 if encoding == "binary" else 3), 13
+    dig = digits_for(N, base)
+    zero, one = (mod_add_const(ShiftSpec(a, dig, encoding, modulus=N, control=control,
+                                         control_mode=mode)) for a in (0, 1))
+    k = ("none", "single").index(control)
+    assert len(zero.controls) == k and zero.controls == one.controls
+    assert len(zero.circuit) == 0 and zero.circuit.ancillas
+    for cv in product(range(base), repeat=k):
+        for b, got, _, ot in classical_map(zero, base, range(N), controls=cv):
+            assert got == b
+            assert_clean(zero, ot, cv)
 
 
 def test_mod_add_requires_headroom():

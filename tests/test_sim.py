@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +12,11 @@ from terniq.errors import NonUnitaryError, RusCapError, SizeError, WidthCapError
 from terniq.gates import matrix_for_name, states_equal_up_to_phase
 from terniq.qft import qft3n
 from terniq.sim import (
+    RunRecord,
     StateVector,
+    _Exec,
+    _perm_run,
+    _tally,
     apply_gate,
     basis_state,
     born_probabilities,
@@ -24,6 +29,7 @@ from terniq.sim import (
     resource_state,
     run,
     run_compiled,
+    trit_table,
     trits_of_index,
 )
 from terniq import widgets
@@ -201,6 +207,98 @@ def test_qft_run_peak_stays_at_three_states():
     finally:
         tracemalloc.stop()
     assert peak < 3.5 * v.nbytes
+
+
+def _permutation_run_circuit(rng, width):
+    # runs of 2-6 permutation gates on wires that include 0 and 1, each ended
+    # by H, a measurement or a P9
+    ops = []
+    for k in range(9):
+        pool = [0, 1, *rng.choice(range(2, width), size=int(rng.integers(1, width - 1)),
+                                  replace=False)]
+        for _ in range(int(rng.integers(2, 7))):
+            gm = matrix_for_name(["SUM", "TSWAP", "C1[INC]", "C1[C1[INC]]", "INC",
+                                  "TAU1[0,1]"][rng.integers(6)])
+            ops.append(GateOp(gm, tuple(int(w) for w in rng.choice(pool, size=gm.arity,
+                                                                    replace=False))))
+        w = int(rng.integers(width))
+        ops.append([g("H", w), MeasureOp(w, 0), g("P9", w)][k % 3])
+    return Circuit(width, tuple(ops))
+
+
+def _stepwise(circ, init, seed, mode):
+    """One instruction at a time: permutation gates by the moveaxis formula, the rest through
+    the executor, all with one generator."""
+    width = circ.width + (mode == "injected")
+    record = RunRecord(state=None, slots={}, seed=seed)
+    ex = _Exec(width, seed, mode, record)
+    amps = np.concatenate([init, np.zeros(3**width - init.size)])
+    for op in circ.instructions:
+        if isinstance(op, GateOp) and trit_table(op.gate.name) is not None:
+            amps = _moveaxis_apply(amps, op.gate.matrix, op.wires, width)
+            ex._count(_tally((op.gate.name,)))
+        else:
+            amps = ex.run_ops(StateVector(width, amps), (op,), record.slots).amps
+    return amps, record
+
+
+def _tallies(rec):
+    return rec.slots, rec.rus_trials, rec.consumed, rec.p9_executed, rec.measurements
+
+
+@pytest.mark.parametrize("mode", ["ideal", "injected"])
+@pytest.mark.parametrize("width", [6, 7, 8])
+def test_permutation_runs_match_gate_by_gate(rng, width, mode):
+    for seed in range(3):
+        circ = _permutation_run_circuit(rng, width)
+        init = random_state_vector(rng, width)
+        rec = run(circ, StateVector(width, init), seed=seed, gate_mode=mode)
+        want, ref = _stepwise(circ, init, seed, mode)
+        assert np.abs(rec.state.amps - want).max() < 1e-12
+        assert _tallies(rec) == _tallies(ref)
+        p9 = sum(op.gate.name == "P9" for op in circ.instructions if isinstance(op, GateOp))
+        assert rec.p9_executed == p9 > 0
+        assert rec.consumed["mu"] == (p9 if mode == "injected" else 0)
+
+
+def test_wide_permutation_runs_leave_the_gather_cache_alone(rng):
+    # a cached index at width 10 or 12 would cost more memory than its gather saves
+    before = _perm_run.cache_info()
+    circ = Circuit(10, (g("SUM", 0, 1), g("TSWAP", 2, 9), g("C1[INC]", 1, 0), g("INC", 0)))
+    init = random_state_vector(rng, 10)
+    want, _, _ = _gate_by_gate(circ, init, 0)
+    assert np.abs(run(circ, StateVector(10, init)).state.amps - want).max() < 1e-12
+    run(qft3n(12))
+    assert _perm_run.cache_info() == before  # no lookup: a full cache keeps its size
+
+
+def _records_digest(records):
+    h = hashlib.sha256()
+    for r in records:
+        h.update(repr((sorted(r.slots.items()), sorted(r.rus_trials.items()),
+                       sorted(r.consumed.items()), r.p9_executed, r.measurements)).encode())
+    return h.hexdigest()[:16]
+
+
+def test_seeded_records_are_unchanged():
+    # recorded before the permutation gather and the short-row gemm landed: a
+    # kernel change that moves a measurement draw changes these digests
+    golden = {"toffoli": "b261c54213cecb55", "ccc_not": "4fa0dec8841323f1",
+              "c1z": "70199fade0d1f517", "cnot": "bac47b47b3f0e4db",
+              "psi": "c6345eb32af338bb", "eta": "0cdd9ae7e00e5183",
+              "plus_omega3": "293e702e3cd77901"}
+    got = {}
+    for name, circ in (("toffoli", widgets.toffoli_emulated("one_clean")),
+                       ("ccc_not", widgets.ccc_not("two_clean")),
+                       ("c1z", widgets.c1z_from_p9()), ("cnot", widgets.cnot_emulated())):
+        got[name] = _records_digest(
+            run(circ, StateVector(circ.width, random_state_vector(np.random.default_rng(s),
+                                                                  circ.width)),
+                seed=s, gate_mode="injected") for s in range(10))
+    for target in ("psi", "eta", "plus_omega3"):
+        circ = widgets.resource_state_prep(target)
+        got[target] = _records_digest(run(circ, seed=s) for s in range(20))
+    assert got == golden
 
 
 def test_measurement_is_the_choice_draw_on_the_masked_state():
