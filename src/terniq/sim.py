@@ -8,9 +8,19 @@ single-wire gate is one stacked matmul on the ``(3^(w-1-wire), 3, 3^wire)``
 view when its rows are long, else one gemm with ``(G ⊗ I)^T``; a permutation
 gate 3^arity slice copies when its second-lowest wire is 2 or more, and the
 rest one matmul after moving their axes to the front.  Up to width 8, in both
-gate modes, a run of permutation gates is one gather through a cached index.
-A measurement reduces that view once for the Born probabilities and keeps the
-measured slice.
+gate modes, a permutation gate or a run of them is one gather through a cached
+index; wider, a run of gates that only exchange their wires (``TSWAP``) is one
+transpose copy of the ``(3,) * w`` view.
+A measurement reduces that view once for the three Born probabilities, draws
+the outcome in Python floats with the float operations of
+``Generator.choice``, and keeps the measured slice.
+
+The executor turns each instruction list into a step plan once per
+(instruction tuple, exec width, gate mode): fused segments, diagonal runs,
+gathers, transposes, gates, measurements, conditional gates and RUS loops,
+each with its kernel, operator and tally resolved.  Plans are found by the
+identity of the tuple, so a RUS trial only dispatches over its body's steps on
+the bare amplitude array.
 
 Two gate modes:
 
@@ -36,6 +46,7 @@ width at most 12.
 
 from __future__ import annotations
 
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -102,6 +113,8 @@ class StateVector:
 
 
 def basis_state(width: int, index: int) -> StateVector:
+    if width < 0 or not 0 <= index < 3**width:
+        raise SizeError(f"basis index {index} outside width {width}")
     amps = np.zeros(3**width, dtype=np.complex128)
     amps[index] = 1.0
     return StateVector(width, amps)
@@ -113,11 +126,16 @@ def product_state(factors) -> StateVector:
     amps = np.ones(1, dtype=np.complex128)
     for f in factors:
         if isinstance(f, (int, np.integer)):
+            if f not in (0, 1, 2):
+                raise SizeError(f"basis trit {f} is not 0, 1 or 2")
             v = np.zeros(3, dtype=np.complex128)
             v[int(f)] = 1.0
         else:
             v = np.asarray(f, dtype=np.complex128)
-            v = v / np.linalg.norm(v)
+            norm = np.linalg.norm(v)
+            if v.shape != (3,) or not 0 < norm < np.inf:
+                raise SizeError(f"wire factor of shape {v.shape} and norm {norm}")
+            v = v / norm
         # wire i is the *least* significant trit, so later factors go on the
         # more significant side of the kron product
         amps = np.kron(v, amps)
@@ -242,7 +260,7 @@ def _permute_slices(amps: np.ndarray, name: str, wires: tuple, width: int) -> np
     return out.reshape(amps.shape)
 
 
-@lru_cache(maxsize=64)  # used up to width 8, where an index is 52 KB and the cache <= 3.4 MB
+@lru_cache(maxsize=128)  # used up to width 8, where an index is 52 KB and the cache <= 6.7 MB
 def _perm_run(key: tuple, width: int) -> np.ndarray:
     """``src`` with ``amps[src]`` the permutation run ``key``: its slice copies on the indices."""
     return reduce(lambda src, op: _permute_slices(src, *op, width), key, np.arange(3**width))
@@ -254,27 +272,52 @@ def _kron_eye_t(gate: GateMatrix, rows: int) -> np.ndarray:
     return np.kron(gate.matrix, np.eye(rows)).T.copy()
 
 
-def _apply_tensordot(amps: np.ndarray, gate: GateMatrix, wires, width: int) -> np.ndarray:
-    """Apply gate to a (3**width,) or (3**width, batch) array; see the module docstring."""
-    batch = amps.shape[1] if amps.ndim == 2 else 1
-    a = gate.arity
+def _kernel(gate: GateMatrix, wires: tuple, width: int, batch: int = 1):
+    """``amps -> amps`` applying ``gate`` to a (3**width,) or (3**width, batch) array; see the
+    module docstring."""
+    a, mat = gate.arity, gate.matrix
     if _diagonal(gate) is not None:
-        union, (diag,), _ = _diagonal_run(((gate.name, tuple(wires)),))
-        return _apply_diagonal(amps, diag, union, width)
+        union, (diag,), _ = _diagonal_run(((gate.name, wires),))
+        return lambda amps: _apply_diagonal(amps, diag, union, width)
     if a == 1:
         rows = 3 ** wires[0] * batch
         if rows > 9:
-            return np.matmul(gate.matrix, amps.reshape(-1, 3, rows)).reshape(amps.shape)
-        return (amps.reshape(-1, 3 * rows) @ _kron_eye_t(gate, rows)).reshape(amps.shape)
+            return lambda amps: np.matmul(mat, amps.reshape(-1, 3, rows)).reshape(amps.shape)
+        kron = _kron_eye_t(gate, rows)
+        return lambda amps: (amps.reshape(-1, 3 * rows) @ kron).reshape(amps.shape)
     if 3 ** sorted(wires)[1] * batch >= 9 and trit_table(gate.name) is not None:
-        return _permute_slices(amps, gate.name, tuple(wires), width)
+        return lambda amps: _permute_slices(amps, gate.name, wires, width)
     # axis for wire w is (width-1-w); gate tensor row axes follow wires order
-    tens = amps.reshape([3] * width + list(amps.shape[1:]))
     axes = [width - 1 - w for w in wires]
-    moved = np.moveaxis(tens, axes, range(a))
-    out = gate.matrix @ moved.reshape(3**a, -1)
-    out = out.reshape([3] * a + list(moved.shape[a:]))
-    return np.moveaxis(out, range(a), axes).reshape(amps.shape)
+
+    def moveaxis(amps):
+        moved = np.moveaxis(amps.reshape([3] * width + list(amps.shape[1:])), axes, range(a))
+        out = (mat @ moved.reshape(3**a, -1)).reshape([3] * a + list(moved.shape[a:]))
+        return np.moveaxis(out, range(a), axes).reshape(amps.shape)
+    return moveaxis
+
+
+def _apply_tensordot(amps: np.ndarray, gate: GateMatrix, wires, width: int) -> np.ndarray:
+    return _kernel(gate, tuple(wires), width, amps.shape[1] if amps.ndim == 2 else 1)(amps)
+
+
+@lru_cache(maxsize=None)
+def _wire_exchange(name: str):
+    """``src`` with output trit k the input trit ``src[k]``, for a gate that only exchanges its
+    wires (``TSWAP``), else None."""
+    table = trit_table(name)
+    if table is None:
+        return None
+    ins = list(zip(*(trits_of_index(loc, len(table[0]))[::-1] for loc in range(len(table)))))
+    outs = list(zip(*table))  # per gate wire, its trit over all inputs
+    return tuple(ins.index(t) for t in outs) if all(t in ins for t in outs) else None
+
+
+def _split(width: int, wire: int) -> tuple:
+    """Shape of the view splitting out ``wire``: (higher wires, the wire, lower wires)."""
+    if not 0 <= wire < width:
+        raise SizeError(f"wire {wire} outside width {width}")
+    return 3 ** (width - 1 - wire), 3, 3**wire
 
 
 def apply_gate(s: StateVector, g: GateMatrix, wires) -> StateVector:
@@ -287,26 +330,165 @@ def apply_gate(s: StateVector, g: GateMatrix, wires) -> StateVector:
     return StateVector(s.width, _apply(s.amps, g, wires, s.width))
 
 
+def _born(amps: np.ndarray, shape: tuple) -> np.ndarray:
+    return np.add.reduce((amps.real**2 + amps.imag**2).reshape(shape), axis=(0, 2))
+
+
 def born_probabilities(s: StateVector, wire: int) -> np.ndarray:
-    view = s.amps.reshape(3 ** (s.width - 1 - wire), 3, 3**wire)
-    return (view.real**2 + view.imag**2).sum(axis=(0, 2))
+    return _born(s.amps, _split(s.width, wire))
+
+
+def _measure(amps: np.ndarray, shape: tuple, rng) -> tuple[int, np.ndarray]:
+    """Outcome and post-measurement amplitudes of the wire that ``shape`` splits out."""
+    p = _born(amps, shape).tolist()
+    total = p[0] + p[1] + p[2]
+    if abs(total - 1.0) > 1e-8:
+        raise NonUnitaryError(f"state norm drifted to {total}")
+    # the draw Generator.choice(3, p=probs / total) makes, without its checks: the same float
+    # operations as its cumsum, normalised by the last entry, and searchsorted(side="right")
+    c0 = p[0] / total
+    c1 = c0 + p[1] / total
+    c2 = c1 + p[2] / total
+    u = rng.random()
+    outcome = (u >= c0 / c2) + (u >= c1 / c2)
+    norm = math.sqrt(p[outcome])
+    if norm < 1e-12:
+        raise NonUnitaryError("measured a zero-probability branch")
+    out = np.zeros(shape, amps.dtype)
+    np.divide(amps.reshape(shape)[:, outcome], norm, out=out[:, outcome])
+    return outcome, out.reshape(-1)
 
 
 def measure_wire(s: StateVector, wire: int, rng) -> tuple[int, StateVector]:
-    probs = born_probabilities(s, wire)
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-8:
-        raise NonUnitaryError(f"state norm drifted to {total}")
-    # the draw Generator.choice(3, p=probs / total) makes, without its checks
-    cdf = (probs / total).cumsum()
-    cdf /= cdf[-1]
-    outcome = int(cdf.searchsorted(rng.random(), side="right"))
-    norm = np.sqrt(probs[outcome])
-    if norm < 1e-12:
-        raise NonUnitaryError("measured a zero-probability branch")
-    out = np.zeros_like(s.amps).reshape(-1, 3, 3**wire)
-    out[:, outcome] = s.amps.reshape(out.shape)[:, outcome] / norm
-    return outcome, StateVector(s.width, out.reshape(-1))
+    outcome, amps = _measure(s.amps, _split(s.width, wire), rng)
+    return outcome, StateVector(s.width, amps)
+
+
+# ------------------------------------------------------------ step plans
+#
+# A plan is the tuple of steps that runs one instruction list at one exec width in one gate
+# mode; a step is a function ``step(ex, amps, slots) -> amps``.  Plans are built once and
+# looked up by the identity of the instruction tuple, never by its hash.
+
+_PLAN_CAP = 256
+_plans: dict = {}  # (id(instructions), width, mode) -> (instructions, steps)
+
+
+def _plan(instructions, width: int, mode: str) -> tuple:
+    """Steps of ``instructions`` at exec ``width`` in gate ``mode``, built on first use."""
+    entry = _plans.get((id(instructions), width, mode))
+    if entry is None:
+        # the entry keeps the tuple alive: its id cannot pass to another object while cached
+        entry = (instructions, _build_plan(instructions, width, mode))
+        if type(instructions) is tuple:
+            if len(_plans) >= _PLAN_CAP:
+                _plans.pop(next(iter(_plans)), None)  # the oldest
+            _plans[(id(instructions), width, mode)] = entry
+    return entry[1]
+
+
+def _build_plan(instructions, width: int, mode: str) -> tuple:
+    """Up to width 5 an ideal run of gates is one product operator, wider a run of diagonal
+    gates one multiply; up to width 8 a run of permutation gates is one gather, and wider a
+    run of wire exchanges one transpose."""
+    steps, i, n = [], 0, len(instructions)
+
+    def run_end(test):
+        j = i
+        while j < n and isinstance(instructions[j], GateOp) and test(instructions[j].gate):
+            j += 1
+        return j
+
+    while i < n:
+        j = run_end(lambda g: width <= 5 or _diagonal(g) is not None) if mode == "ideal" else i
+        step = _fused_step
+        if j - i < 2 and width <= 8:  # wider, a cached index costs more than it saves
+            j, step = run_end(lambda g: trit_table(g.name) is not None), _gather_step
+        elif j - i < 2:
+            j, step = run_end(lambda g: _wire_exchange(g.name) is not None), _transpose_step
+        if j - i > 1:
+            steps.append(step(tuple((op.gate.name, op.wires) for op in instructions[i:j]), width))
+        else:
+            j = i + 1
+            steps.append(_instruction_step(instructions[i], width, mode))
+        i = j
+    return tuple(steps)
+
+
+def _counting(step, tally):
+    """``step``, first adding ``tally`` to the record unless it is empty."""
+    if tally == (0, 0, ()):
+        return step
+
+    def counted(ex, amps, slots):
+        ex.count(tally)
+        return step(ex, amps, slots)
+    return counted
+
+
+def _fused_step(key: tuple, width: int):
+    if width <= 5:
+        mat, tally = _fused_segment(width, key)
+        return _counting(lambda ex, amps, slots: mat @ amps, tally)
+    union, factors, tally = _diagonal_run(key)
+
+    def diagonal_run(ex, amps, slots):
+        # in C order, so that the product's reshape onto the split view is no copy
+        diag = reduce(lambda x, y: np.multiply(x, y, order="C"), factors)
+        return _apply_diagonal(amps, diag, union, width)
+    return _counting(diagonal_run, tally)
+
+
+def _gather_step(key: tuple, width: int):
+    """One gather for a permutation gate or run; it tallies nothing: no P9, R2 or loader
+    permutes."""
+    return lambda ex, amps, slots: amps[_perm_run(key, width)]
+
+
+def _transpose_step(key: tuple, width: int):
+    """One transpose copy of the ``(3,) * width`` view for a run of wire exchanges."""
+    src = list(range(width))  # wire x holds the trit that started on wire src[x]
+    for name, wires in key:
+        for w, s in zip(wires, [src[wires[j]] for j in _wire_exchange(name)]):
+            src[w] = s
+    axes = tuple(width - 1 - src[width - 1 - k] for k in range(width))  # axis k is wire width-1-k
+    return lambda ex, amps, slots: amps.reshape((3,) * width).transpose(axes).reshape(-1)
+
+
+def _gate_step(gate: GateMatrix, wires: tuple, width: int, mode: str):
+    """One gate: an injection protocol in injected mode, a gather, an operator or a kernel."""
+    tally = _tally((gate.name,))
+    if mode == "injected" and gate.arity == 1 and _base_name(gate.name) in ("P9", "R2"):
+        steps = _plan(_injection(gate.name, wires[0], width), width, mode)
+        return _counting(lambda ex, amps, slots: ex.run_steps(amps, steps, {}), tally)
+    if width <= 8 and trit_table(gate.name) is not None:
+        return _gather_step(((gate.name, wires),), width)
+    if width <= 5:
+        mat = _expanded(gate.name, wires, width)
+        return _counting(lambda ex, amps, slots: mat @ amps, tally)
+    kernel = _kernel(gate, wires, width)
+    return _counting(lambda ex, amps, slots: kernel(amps), tally)
+
+
+def _instruction_step(op, width: int, mode: str):
+    if isinstance(op, GateOp):
+        return _gate_step(op.gate, op.wires, width, mode)
+    if isinstance(op, MeasureOp):
+        shape, slot = _split(width, op.wire), op.slot
+
+        def measure(ex, amps, slots):
+            slots[slot], amps = _measure(amps, shape, ex.rng)
+            ex.record.measurements += 1
+            return amps
+        return measure
+    if isinstance(op, CondGateOp):
+        gate, slot, value = _gate_step(op.gate, op.wires, width, mode), op.slot, op.value
+        return lambda ex, amps, slots: gate(ex, amps, slots) if slots.get(slot, 0) == value else amps
+    if isinstance(op, RusOp):
+        body = _plan(op.body.instructions, width, mode)
+        corrections = tuple((k, _gate_step(g, ws, width, mode)) for k, g, ws in op.corrections)
+        return lambda ex, amps, slots: ex.run_rus(amps, op, body, corrections, slots)
+    raise TypeError(op)
 
 
 # ------------------------------------------------------------ run records
@@ -330,93 +512,46 @@ class _Exec:
         self.mode = mode
         self.record = record
 
-    def _count(self, tally):
+    def count(self, tally):
         p9, r2, loads = tally
         self.record.p9_executed += p9
         self.record.r2_executed += r2
         for name in loads:
             self.record.consumed[name] += 1
 
-    def gate(self, state, g, wires):
-        self._count(_tally((g.name,)))
-        if self.mode == "injected" and g.arity == 1 and _base_name(g.name) in ("P9", "R2"):
-            return self.run_ops(state, _injection(g.name, wires[0], self.width), {})
-        return apply_gate(state, g, wires)
+    def run_ops(self, amps, instructions, slots):
+        return self.run_steps(amps, _plan(instructions, self.width, self.mode), slots)
 
-    def fused(self, state, key):
-        """An ideal stretch of gates at once: its product operator, or above width 5 a run of
-        diagonal gates as one multiply."""
-        if self.width <= 5:
-            mat, tally = _fused_segment(self.width, key)
-            amps = mat @ state.amps
-        else:
-            union, factors, tally = _diagonal_run(key)
-            # in C order, so that the product's reshape onto the split view is no copy
-            diag = reduce(lambda x, y: np.multiply(x, y, order="C"), factors)
-            amps = _apply_diagonal(state.amps, diag, union, self.width)
-        self._count(tally)
-        return StateVector(self.width, amps)
+    def run_steps(self, amps, steps, slots):
+        for step in steps:
+            amps = step(self, amps, slots)
+        return amps
 
-    def run_ops(self, state, instructions, slots):
-        i, n = 0, len(instructions)
-        fuse, small = self.mode == "ideal", self.width <= 5
-        while i < n:
-            op = instructions[i]
-            j, gather = i, False
-            while (fuse and j < n and isinstance(instructions[j], GateOp)
-                   and (small or _diagonal(instructions[j].gate) is not None)):
-                j += 1
-            if j - i < 2 and self.width <= 8:  # wider, a cached index costs more than it saves
-                j, gather = i, True
-                while (j < n and isinstance(instructions[j], GateOp)
-                       and trit_table(instructions[j].gate.name) is not None):
-                    j += 1
-            if j - i > 1:
-                key = tuple((instructions[k].gate.name, instructions[k].wires) for k in range(i, j))
-                # a permutation run (either mode) tallies nothing: no P9, R2 or loader permutes
-                state = (StateVector(self.width, state.amps[_perm_run(key, self.width)])
-                         if gather else self.fused(state, key))
-                i = j
-                continue
-            if isinstance(op, GateOp):
-                state = self.gate(state, op.gate, op.wires)
-            elif isinstance(op, MeasureOp):
-                m, state = measure_wire(state, op.wire, self.rng)
-                slots[op.slot] = m
-                self.record.measurements += 1
-            elif isinstance(op, CondGateOp):
-                if slots.get(op.slot, 0) == op.value:
-                    state = self.gate(state, op.gate, op.wires)
-            elif isinstance(op, RusOp):
-                state = self.run_rus(state, op, slots)
-            else:
-                raise TypeError(op)
-            i += 1
-        return state
-
-    def run_rus(self, state, op: RusOp, slots):
-        chain_state = op.chain.start if op.chain else None
+    def run_rus(self, amps, op: RusOp, body, corrections, slots):
+        chain = op.chain
+        chain_state = chain.start if chain else None
         log = []
         for trial in range(1, op.max_iters + 1):
-            state = self.run_ops(state, op.body.instructions, slots)
-            if op.chain is not None:
+            for step in body:
+                amps = step(self, amps, slots)
+            if chain is not None:
                 m = slots.get(op.outcome_slot, 0)
                 log.append(m)
-                if (chain_state, m) not in op.chain.transitions:
+                if (chain_state, m) not in chain.transitions:
                     raise SizeError(f"RUS chain has no transition from state "
                                     f"{chain_state} on outcome {m}")
-                chain_state = op.chain.transitions[(chain_state, m)]
-                done = chain_state in op.chain.accept
+                chain_state = chain.transitions[(chain_state, m)]
+                done = chain_state in chain.accept
                 key = chain_state
             else:
                 done = all(slots.get(s, 0) == v for s, v in op.predicate)
                 key = slots.get(op.outcome_slot, 0)
             if done:
-                for k, g, ws in op.corrections:
+                for k, correct in corrections:
                     if k == key:
-                        state = self.gate(state, g, ws)
+                        amps = correct(self, amps, slots)
                 self.record.rus_trials.setdefault(op.label or "rus", []).append(trial)
-                return state
+                return amps
         raise RusCapError(f"RUS {op.label or ''} exceeded {op.max_iters} iterations", log)
 
 
@@ -441,7 +576,7 @@ def run(c: Circuit, initial: StateVector | None = None, seed: int = 0,
         raise SizeError(f"initial width {initial.width} does not match circuit width {c.width}")
     record = RunRecord(state=state, slots={}, seed=seed)
     ex = _Exec(width, seed, gate_mode, record)
-    record.state = ex.run_ops(state, c.instructions, record.slots)
+    record.state = StateVector(width, ex.run_ops(state.amps, c.instructions, record.slots))
     if abs(record.state.norm() - 1.0) > _NORM_TOL:
         raise NonUnitaryError(f"final state norm {record.state.norm()}")
     return record

@@ -11,12 +11,17 @@ from terniq.circuit import Circuit, CondGateOp, GateOp, MeasureOp
 from terniq.errors import NonUnitaryError, RusCapError, SizeError, WidthCapError
 from terniq.gates import matrix_for_name, states_equal_up_to_phase
 from terniq.qft import qft3n
+from terniq import sim
 from terniq.sim import (
+    _PLAN_CAP,
     RunRecord,
     StateVector,
     _Exec,
+    _build_plan,
     _perm_run,
+    _plans,
     _tally,
+    _transpose_step,
     apply_gate,
     basis_state,
     born_probabilities,
@@ -236,9 +241,9 @@ def _stepwise(circ, init, seed, mode):
     for op in circ.instructions:
         if isinstance(op, GateOp) and trit_table(op.gate.name) is not None:
             amps = _moveaxis_apply(amps, op.gate.matrix, op.wires, width)
-            ex._count(_tally((op.gate.name,)))
+            ex.count(_tally((op.gate.name,)))
         else:
-            amps = ex.run_ops(StateVector(width, amps), (op,), record.slots).amps
+            amps = ex.run_ops(amps, (op,), record.slots)
     return amps, record
 
 
@@ -270,6 +275,33 @@ def test_wide_permutation_runs_leave_the_gather_cache_alone(rng):
     assert np.abs(run(circ, StateVector(10, init)).state.amps - want).max() < 1e-12
     run(qft3n(12))
     assert _perm_run.cache_info() == before  # no lookup: a full cache keeps its size
+
+
+def _wire_exchange_run_circuit(rng, width):
+    # runs of 2-6 TSWAPs on random wire pairs, each ended by H, a measurement or a P9
+    ops = []
+    for k in range(6):
+        for _ in range(int(rng.integers(2, 7))):
+            ops.append(g("TSWAP", *(int(w) for w in rng.choice(width, size=2, replace=False))))
+        w = int(rng.integers(width))
+        ops.append([g("H", w), MeasureOp(w, 0), g("P9", w)][k % 3])
+    return Circuit(width, tuple(ops))
+
+
+@pytest.mark.parametrize("mode", ["ideal", "injected"])
+@pytest.mark.parametrize("width", [9, 10])
+def test_wire_exchange_runs_match_gate_by_gate(rng, monkeypatch, width, mode):
+    transposes = []
+    monkeypatch.setattr(sim, "_transpose_step",
+                        lambda key, w: transposes.append(key) or _transpose_step(key, w))
+    for seed in range(2):
+        circ = _wire_exchange_run_circuit(rng, width)
+        init = random_state_vector(rng, width)
+        rec = run(circ, StateVector(width, init), seed=seed, gate_mode=mode)
+        want, ref = _stepwise(circ, init, seed, mode)
+        assert np.abs(rec.state.amps - want).max() < 1e-12
+        assert _tallies(rec) == _tallies(ref)
+    assert len(transposes) == 12  # every run is one transpose
 
 
 def _records_digest(records):
@@ -329,6 +361,52 @@ def test_run_leaves_initial_amplitudes_alone(rng, width):
                g("SUM", 3, 1), MeasureOp(4, 0)):
         run(Circuit(width, (op,)), init, seed=1)
         assert np.array_equal(init.amps, before), op
+
+
+def test_factory_body_plans_are_built_once(monkeypatch):
+    built = []
+    monkeypatch.setattr(sim, "_build_plan",
+                        lambda ins, w, mode: built.append(ins) or _build_plan(ins, w, mode))
+    psi = widgets.resource_state_prep("psi")
+    body = psi.instructions[0].body.instructions
+    records = [run(psi, seed=s) for s in range(2)]
+    assert sum(r.rus_trials["psi"][0] for r in records) > 2  # the body ran more than twice
+    assert sum(b is body for b in built) == 1
+    assert len(built) == 3  # the circuit, the psi body and the eta body inside it
+
+
+def test_equal_instruction_tuples_run_apart(rng):
+    ops = (g("H", 0), g("SUM", 0, 1), MeasureOp(1, 0), g("P9", 0))
+    first, second = Circuit(2, ops), Circuit(2, tuple(list(ops)))
+    assert first.instructions == second.instructions
+    assert first.instructions is not second.instructions
+    init = StateVector(2, random_state_vector(rng, 2))
+    want, _, _ = _gate_by_gate(first, init.amps, 3)
+    for circ in (first, second, first):
+        assert np.abs(run(circ, init, seed=3).state.amps - want).max() < 1e-12
+
+
+def test_plan_cache_stays_bounded(rng):
+    # each circuit is a fresh tuple, dropped after its run: a reused id must never
+    # bring back another circuit's plan
+    for k in range(_PLAN_CAP + 40):
+        width = 3 + k % 3
+        op = _random_gate_ops(rng, width, 1)[0]
+        init = random_state_vector(rng, width)
+        got = run(Circuit(width, (op,)), StateVector(width, init)).state.amps
+        assert np.abs(got - _moveaxis_apply(init, op.gate.matrix, op.wires, width)).max() < 1e-12
+        assert len(_plans) <= _PLAN_CAP
+
+
+@pytest.mark.parametrize("make", [
+    lambda: basis_state(2, -1), lambda: basis_state(2, 9), lambda: product_state([3]),
+    lambda: product_state([np.zeros(3)]), lambda: product_state([np.ones(2)]),
+    lambda: measure_wire(basis_state(2, 0), 2, np.random.default_rng(0)),
+    lambda: born_probabilities(basis_state(2, 0), -1),
+])
+def test_state_constructors_reject_bad_input(make):
+    with pytest.raises(SizeError):
+        make()
 
 
 def test_measure_deterministic():
