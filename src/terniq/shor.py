@@ -23,7 +23,6 @@ conventions: round t measures the t-th least significant digit of j.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, log2
 
@@ -156,34 +155,26 @@ class PeriodCandidate:
 
 
 def classical_postprocess(j: int, Q: int, N: int, a: int) -> PeriodCandidate:
-    """Continued-fraction recovery of the period from a measurement j."""
+    """Continued-fraction recovery of the period from a measurement 0 <= j < Q.
+
+    Walks the convergents h/k of j/Q with k <= N; at each within 1/(2Q) of j/Q, the first
+    multiple r < N of k with a^r = 1 mod N is the period.
+    """
+    if not 0 <= j < Q:
+        raise SizeError(f"measurement {j} outside [0, {Q})")
     if j == 0:
         return PeriodCandidate(j, Q, None, False)
-    frac = Fraction(j, Q)
-    # walk the convergents of j/Q
-    cands = []
-    num, den = frac.numerator, frac.denominator
-    cf = []
-    x, y = num, den
+    x, y, h0, h1, k0, k1 = j, Q, 0, 1, 1, 0
     while y:
-        cf.append(x // y)
-        x, y = y, x % y
-    h0, h1 = 1, cf[0]
-    k0, k1 = 0, 1
-    if h1 and k1 <= N:
-        cands.append(k1)
-    for q in cf[1:]:
+        q, x, y = x // y, y, x % y
         h0, h1 = h1, q * h1 + h0
         k0, k1 = k1, q * k1 + k0
         if k1 > N:
             break
-        if abs(Fraction(j, Q) - Fraction(h1, k1)) <= Fraction(1, 2 * Q):
-            cands.append(k1)
-    for r in cands:
-        for mult in range(1, N // r + 1):
-            rr = r * mult
-            if rr < N and pow(a, rr, N) == 1:
-                return PeriodCandidate(j, Q, rr, True)
+        if 2 * abs(j * k1 - h1 * Q) <= k1:  # |j/Q - h/k| <= 1/(2Q)
+            for r in range(k1, N, k1):
+                if pow(a, r, N) == 1:
+                    return PeriodCandidate(j, Q, r, True)
     return PeriodCandidate(j, Q, None, False)
 
 

@@ -1,26 +1,25 @@
 """Dense state-vector execution with measurement, feedback, and RUS loops.
 
-Up to width 5 a gate is one product with its cached full-register operator.
-Wider (and for :func:`circuit_unitary`'s batched columns), a diagonal gate is
-one broadcast multiply on a view splitting out its wires, and an ideal run
-applies each run of consecutive diagonal gates as one such multiply.  Another
-single-wire gate is one stacked matmul on the ``(3^(w-1-wire), 3, 3^wire)``
-view when its rows are long, else one gemm with ``(G ⊗ I)^T``; a permutation
-gate 3^arity slice copies when its second-lowest wire is 2 or more, and the
-rest one matmul after moving their axes to the front.  Up to width 8, in both
-gate modes, a permutation gate or a run of them is one gather through a cached
-index; wider, a run of gates that only exchange their wires (``TSWAP``) is one
-transpose copy of the ``(3,) * w`` view.
-A measurement reduces that view once for the three Born probabilities, draws
-the outcome in Python floats with the float operations of
-``Generator.choice``, and keeps the measured slice.
+One kernel, chosen once from the gate's structure, applies each gate to a
+``(3**w,)`` state or a ``(3**w, batch)`` block of columns: a diagonal gate is
+one broadcast multiply on a view splitting out its wires; another single-wire
+gate one stacked matmul on the ``(3^(w-1-wire), 3, 3^wire)`` view when its rows
+are long, else one gemm with ``(G ⊗ I)^T``; a permutation gate 3^arity slice
+copies on its wires' split view; the rest one matmul after moving their axes
+to the front.  An operator (a fused segment, or :func:`circuit_unitary`) is its
+gates' kernels applied in turn to the identity.
 
 The executor turns each instruction list into a step plan once per
-(instruction tuple, exec width, gate mode): fused segments, diagonal runs,
-gathers, transposes, gates, measurements, conditional gates and RUS loops,
-each with its kernel, operator and tally resolved.  Plans are found by the
-identity of the tuple, so a RUS trial only dispatches over its body's steps on
-the bare amplitude array.
+(instruction tuple, exec width, gate mode), found by the identity of the tuple,
+so a RUS trial only dispatches over its body's steps on the bare amplitude
+array.  A run of consecutive gates that the mode does not inject is fused: up
+to width 5 into one cached operator, wider a run of diagonal gates into one
+multiply.  Otherwise, up to width 8 a permutation gate or a run of them is one
+gather through a cached index, and wider a run of ``TSWAP`` gates is one
+transpose copy of the ``(3,) * w`` view; up to width 5 any other gate is its
+one-gate operator.  A measurement reduces the view splitting out its wire once
+for the three Born probabilities, draws the outcome in Python floats with the
+float operations of ``Generator.choice``, and keeps the measured slice.
 
 Two gate modes:
 
@@ -55,7 +54,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .circuit import (Circuit, CondGateOp, GateOp, MeasureOp, RusOp, _base_name, _gate_class,
-                      gate_op, remap_wires)
+                      check_gate_wires, gate_op, remap_wires)
 from .errors import NonUnitaryError, RusCapError, SizeError, WidthCapError
 from .gates import GateMatrix, matrix_for_name, root_of_unity
 from .widgets import p9_injection_widget, r2_injection_rus, reset_ops
@@ -113,7 +112,7 @@ class StateVector:
 
 
 def basis_state(width: int, index: int) -> StateVector:
-    if width < 0 or not 0 <= index < 3**width:
+    if width < 0 or not isinstance(index, (int, np.integer)) or not 0 <= index < 3**width:
         raise SizeError(f"basis index {index} outside width {width}")
     amps = np.zeros(3**width, dtype=np.complex128)
     amps[index] = 1.0
@@ -152,14 +151,6 @@ def trits_of_index(index: int, width: int) -> tuple[int, ...]:
 
 # ------------------------------------------------------------ gate application
 
-@lru_cache(maxsize=4096)
-def _expanded(name: str, wires: tuple, width: int) -> np.ndarray:
-    """Full-register operator for small widths (cached for RUS loops)."""
-    gate = matrix_for_name(name)
-    eye = np.eye(3**width, dtype=np.complex128)
-    return _apply_tensordot(eye, gate, wires, width)
-
-
 _LOADER_STATES = {"LOADMU": "mu", "LOADMUDG": "mu_dag", "LOADPSI": "psi"}
 
 
@@ -171,13 +162,17 @@ def _tally(names: tuple) -> tuple:
     return kinds.count("p9"), kinds.count("r2"), loads
 
 
+def _product(key: tuple, width: int) -> np.ndarray:
+    """Operator of the gates ``key``: their kernels applied in turn to the identity."""
+    dim = 3**width
+    return reduce(lambda mat, op: _kernel(matrix_for_name(op[0]), op[1], width, dim)(mat),
+                  key, np.eye(dim, dtype=np.complex128))
+
+
 @lru_cache(maxsize=1024)
 def _fused_segment(width: int, key: tuple):
     """Product operator of consecutive gates plus its tally."""
-    mat = np.eye(3**width, dtype=np.complex128)
-    for name, wires in key:
-        mat = _expanded(name, wires, width) @ mat
-    return mat, _tally(tuple(name for name, _ in key))
+    return _product(key, width), _tally(tuple(name for name, _ in key))
 
 
 @lru_cache(maxsize=256)
@@ -197,12 +192,6 @@ def _injection(name: str, wire: int, width: int) -> tuple:
                + p9_injection_widget(inverse).instructions)
     ops += tuple(reset_ops(1, 0))
     return remap_wires(Circuit(2, ops), {0: wire, 1: width - 1}, width).instructions
-
-
-def _apply(amps: np.ndarray, gate: GateMatrix, wires, width: int) -> np.ndarray:
-    if width <= 5:
-        return _expanded(gate.name, tuple(wires), width) @ amps
-    return _apply_tensordot(amps, gate, wires, width)
 
 
 @lru_cache(maxsize=4096)
@@ -285,7 +274,7 @@ def _kernel(gate: GateMatrix, wires: tuple, width: int, batch: int = 1):
             return lambda amps: np.matmul(mat, amps.reshape(-1, 3, rows)).reshape(amps.shape)
         kron = _kron_eye_t(gate, rows)
         return lambda amps: (amps.reshape(-1, 3 * rows) @ kron).reshape(amps.shape)
-    if 3 ** sorted(wires)[1] * batch >= 9 and trit_table(gate.name) is not None:
+    if trit_table(gate.name) is not None:
         return lambda amps: _permute_slices(amps, gate.name, wires, width)
     # axis for wire w is (width-1-w); gate tensor row axes follow wires order
     axes = [width - 1 - w for w in wires]
@@ -297,22 +286,6 @@ def _kernel(gate: GateMatrix, wires: tuple, width: int, batch: int = 1):
     return moveaxis
 
 
-def _apply_tensordot(amps: np.ndarray, gate: GateMatrix, wires, width: int) -> np.ndarray:
-    return _kernel(gate, tuple(wires), width, amps.shape[1] if amps.ndim == 2 else 1)(amps)
-
-
-@lru_cache(maxsize=None)
-def _wire_exchange(name: str):
-    """``src`` with output trit k the input trit ``src[k]``, for a gate that only exchanges its
-    wires (``TSWAP``), else None."""
-    table = trit_table(name)
-    if table is None:
-        return None
-    ins = list(zip(*(trits_of_index(loc, len(table[0]))[::-1] for loc in range(len(table)))))
-    outs = list(zip(*table))  # per gate wire, its trit over all inputs
-    return tuple(ins.index(t) for t in outs) if all(t in ins for t in outs) else None
-
-
 def _split(width: int, wire: int) -> tuple:
     """Shape of the view splitting out ``wire``: (higher wires, the wire, lower wires)."""
     if not 0 <= wire < width:
@@ -322,12 +295,11 @@ def _split(width: int, wire: int) -> tuple:
 
 def apply_gate(s: StateVector, g: GateMatrix, wires) -> StateVector:
     wires = tuple(wires)
-    if len(set(wires)) != len(wires):
-        raise SizeError(f"wire clash {wires}")
+    check_gate_wires(g, wires)
     for w in wires:
         if not 0 <= w < s.width:
             raise SizeError(f"wire {w} outside width {s.width}")
-    return StateVector(s.width, _apply(s.amps, g, wires, s.width))
+    return StateVector(s.width, _kernel(g, wires, s.width)(s.amps))
 
 
 def _born(amps: np.ndarray, shape: tuple) -> np.ndarray:
@@ -387,10 +359,15 @@ def _plan(instructions, width: int, mode: str) -> tuple:
     return entry[1]
 
 
+def _injects(gate: GateMatrix, mode: str) -> bool:
+    """Whether gate ``mode`` runs ``gate`` as an injection protocol instead of its matrix."""
+    return mode == "injected" and gate.arity == 1 and _base_name(gate.name) in ("P9", "R2")
+
+
 def _build_plan(instructions, width: int, mode: str) -> tuple:
-    """Up to width 5 an ideal run of gates is one product operator, wider a run of diagonal
-    gates one multiply; up to width 8 a run of permutation gates is one gather, and wider a
-    run of wire exchanges one transpose."""
+    """A run of gates that ``mode`` does not inject is one product operator up to width 5,
+    wider a run of diagonal ones one multiply; otherwise up to width 8 a run of permutation
+    gates is one gather, and wider a run of ``TSWAP`` gates one transpose."""
     steps, i, n = [], 0, len(instructions)
 
     def run_end(test):
@@ -400,12 +377,12 @@ def _build_plan(instructions, width: int, mode: str) -> tuple:
         return j
 
     while i < n:
-        j = run_end(lambda g: width <= 5 or _diagonal(g) is not None) if mode == "ideal" else i
+        j = run_end(lambda g: not _injects(g, mode) and (width <= 5 or _diagonal(g) is not None))
         step = _fused_step
         if j - i < 2 and width <= 8:  # wider, a cached index costs more than it saves
             j, step = run_end(lambda g: trit_table(g.name) is not None), _gather_step
         elif j - i < 2:
-            j, step = run_end(lambda g: _wire_exchange(g.name) is not None), _transpose_step
+            j, step = run_end(lambda g: g.name == "TSWAP"), _transpose_step
         if j - i > 1:
             steps.append(step(tuple((op.gate.name, op.wires) for op in instructions[i:j]), width))
         else:
@@ -446,26 +423,24 @@ def _gather_step(key: tuple, width: int):
 
 
 def _transpose_step(key: tuple, width: int):
-    """One transpose copy of the ``(3,) * width`` view for a run of wire exchanges."""
+    """One transpose copy of the ``(3,) * width`` view for a run of ``TSWAP`` gates."""
     src = list(range(width))  # wire x holds the trit that started on wire src[x]
-    for name, wires in key:
-        for w, s in zip(wires, [src[wires[j]] for j in _wire_exchange(name)]):
-            src[w] = s
+    for _, (a, b) in key:
+        src[a], src[b] = src[b], src[a]
     axes = tuple(width - 1 - src[width - 1 - k] for k in range(width))  # axis k is wire width-1-k
     return lambda ex, amps, slots: amps.reshape((3,) * width).transpose(axes).reshape(-1)
 
 
 def _gate_step(gate: GateMatrix, wires: tuple, width: int, mode: str):
-    """One gate: an injection protocol in injected mode, a gather, an operator or a kernel."""
+    """One gate: an injection protocol, a gather, a one-gate operator or a kernel."""
     tally = _tally((gate.name,))
-    if mode == "injected" and gate.arity == 1 and _base_name(gate.name) in ("P9", "R2"):
+    if _injects(gate, mode):
         steps = _plan(_injection(gate.name, wires[0], width), width, mode)
         return _counting(lambda ex, amps, slots: ex.run_steps(amps, steps, {}), tally)
     if width <= 8 and trit_table(gate.name) is not None:
         return _gather_step(((gate.name, wires),), width)
     if width <= 5:
-        mat = _expanded(gate.name, wires, width)
-        return _counting(lambda ex, amps, slots: mat @ amps, tally)
+        return _fused_step(((gate.name, wires),), width)
     kernel = _kernel(gate, wires, width)
     return _counting(lambda ex, amps, slots: kernel(amps), tally)
 
@@ -588,13 +563,9 @@ def circuit_unitary(c: Circuit, cap: int = 8) -> np.ndarray:
     """Dense unitary of a measurement-free circuit (small widths)."""
     if c.width > cap:
         raise WidthCapError(f"circuit_unitary width {c.width} > {cap}")
-    dim = 3**c.width
-    mat = np.eye(dim, dtype=np.complex128)
-    for op in c.instructions:
-        if not isinstance(op, GateOp):
-            raise NonUnitaryError("circuit_unitary needs a unitary circuit")
-        mat = _apply(mat, op.gate, op.wires, c.width)
-    return mat
+    if not all(isinstance(op, GateOp) for op in c.instructions):
+        raise NonUnitaryError("circuit_unitary needs a unitary circuit")
+    return _product(tuple((op.gate.name, op.wires) for op in c.instructions), c.width)
 
 
 # ------------------------------------------------------------ classical path

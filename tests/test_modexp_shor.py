@@ -304,6 +304,12 @@ def test_postprocess_zero_measurement():
     assert cand.period is None and not cand.verified
 
 
+@pytest.mark.parametrize("j", [-64, 256, 300])
+def test_postprocess_rejects_measurement_outside_register(j):
+    with pytest.raises(SizeError):
+        classical_postprocess(j, 256, 15, 7)
+
+
 def test_candidates_verified_property():
     spec = ModExpSpec(7, 15, "binary")
     for seed in range(50):

@@ -93,19 +93,21 @@ KERNEL_GATES = DIAGONAL_GATES + ["H", "H_INV", "INC", "SUM", "TSWAP", "C1[INC]",
 
 
 def _random_gate_ops(rng, width, count):
+    names = [name for name in KERNEL_GATES if matrix_for_name(name).arity <= width]
     ops = []
     for _ in range(count):
-        gm = matrix_for_name(KERNEL_GATES[rng.integers(len(KERNEL_GATES))])
+        gm = matrix_for_name(names[rng.integers(len(names))])
         wires = tuple(int(w) for w in rng.choice(width, size=gm.arity, replace=False))
         ops.append(GateOp(gm, wires))
     return ops
 
 
 def _low_wire_permutations(width):
-    # wire sets on both sides of the slice-copy rule (second-lowest wire >= 2)
+    # slice copies on the lowest wires, where the split view's inner axes are shortest
+    triples = [ws for ws in ((0, 1, 2), (width - 1, 0, 2)) if len(set(ws)) == 3 and width > 2]
     return [*(g(name, *wires) for name in ("SUM", "TSWAP", "C1[INC]")
               for wires in ((0, 1), (1, 0), (0, width - 1))),
-            g("C1[C1[INC]]", 0, 1, 2), g("C1[C1[INC]]", width - 1, 0, 2)]
+            *(g("C1[C1[INC]]", *wires) for wires in triples)]
 
 
 @pytest.mark.parametrize("width", [6, 7, 8, 9])
@@ -120,7 +122,7 @@ def test_gate_kernel_matches_moveaxis_formula(rng, width):
         assert np.abs(got - want).max() < 1e-12, (op.gate.name, op.wires)
 
 
-@pytest.mark.parametrize("width", [6, 7])
+@pytest.mark.parametrize("width", [2, 3, 4, 5, 6, 7])
 def test_circuit_unitary_matches_single_gate_applies(rng, width):
     circ = Circuit(width, tuple(_random_gate_ops(rng, width, 12) + _low_wire_permutations(width)))
     u = circuit_unitary(circ)
@@ -402,7 +404,9 @@ def test_plan_cache_stays_bounded(rng):
     lambda: basis_state(2, -1), lambda: basis_state(2, 9), lambda: product_state([3]),
     lambda: product_state([np.zeros(3)]), lambda: product_state([np.ones(2)]),
     lambda: measure_wire(basis_state(2, 0), 2, np.random.default_rng(0)),
-    lambda: born_probabilities(basis_state(2, 0), -1),
+    lambda: born_probabilities(basis_state(2, 0), -1), lambda: basis_state(2, 1.5),
+    lambda: apply_gate(basis_state(2, 0), matrix_for_name("H"), (0, 1)),
+    lambda: apply_gate(basis_state(2, 0), matrix_for_name("SUM"), (0,)),
 ])
 def test_state_constructors_reject_bad_input(make):
     with pytest.raises(SizeError):
@@ -489,6 +493,17 @@ def test_import_order(module):
     # sim imports widgets; either may be the first module a program loads
     proc = subprocess.run([sys.executable, "-c", f"import {module}"], capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_circuit_unitary_leaves_no_operators_held():
+    # in a fresh interpreter: every width-5 gate operator of the product is dropped with it
+    code = ("import tracemalloc; from terniq import sim, widgets\n"
+            "circ = widgets.toffoli_emulated('one_clean')\n"
+            "tracemalloc.start(); u = sim.circuit_unitary(circ); del u\n"
+            "print(tracemalloc.get_traced_memory()[0])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert int(proc.stdout) < 2**20
 
 
 def test_classical_path_matches_dense(rng):
