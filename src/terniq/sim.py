@@ -36,16 +36,18 @@ Two gate modes:
 :func:`run` checks the norm of the final state; every measurement checks
 the norm of the state it measures.
 
-The classical path compiles a permutation circuit into per-gate trit tables
-(:func:`compile_classical`), walks one basis index through them on Python-int
-trits with no width ceiling (:func:`run_compiled`); exhaustive arithmetic uses
-it.  :func:`circuit_permutation` inverts the gather index of a whole circuit of
-width at most 12.
+The classical path compiles a permutation circuit into one trit table per
+maximal run of consecutive gates on at most 3 wires, leaving out identity runs
+(:func:`compile_classical`), and walks one basis index through them on
+Python-int trits with no width ceiling (:func:`run_compiled`); exhaustive
+arithmetic uses it.  :func:`circuit_permutation` inverts the gather index of a
+whole circuit of width at most 12.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -142,11 +144,15 @@ def product_state(factors) -> StateVector:
 
 
 def index_of_trits(trits) -> int:
-    return sum(int(t) * 3**i for i, t in enumerate(trits))
+    return reduce(lambda index, t: 3 * index + int(t), reversed(tuple(trits)), 0)
 
 
 def trits_of_index(index: int, width: int) -> tuple[int, ...]:
-    return tuple((index // 3**i) % 3 for i in range(width))
+    trits = []
+    for _ in range(width):
+        index, t = divmod(index, 3)
+        trits.append(t)
+    return tuple(trits)
 
 
 # ------------------------------------------------------------ gate application
@@ -586,7 +592,7 @@ def trit_table(name: str):
 
 @dataclass(frozen=True)
 class CompiledCircuit:
-    """A permutation circuit as ``(arity, wires, trit table)`` per gate."""
+    """A permutation circuit as ``(arity, wires, trit table)`` per fused run of gates."""
 
     width: int
     ops: tuple
@@ -595,39 +601,68 @@ class CompiledCircuit:
         return len(self.ops)
 
 
+@lru_cache(maxsize=1024)
+def _fused_table(names: tuple, pos: tuple, k: int):
+    """Trit table of gates ``names`` at local positions ``pos`` on ``k`` wires; None if identity."""
+    start = np.indices((3,) * k).reshape(k, 3**k).T  # row loc: its trits, first wire first
+    rows = start.copy()
+    for name in names:
+        table = trit_table(name)
+        if table is None:
+            raise NonUnitaryError(f"{name} is not a classical permutation")
+        at, pos = list(pos[:len(table[0])]), pos[len(table[0]):]
+        rows[:, at] = np.array(table)[rows[:, at] @ 3 ** np.arange(len(at))[::-1]]
+    return None if (rows == start).all() else tuple(map(tuple, rows.tolist()))
+
+
+@lru_cache(maxsize=4096)
+def _run_steps(names: tuple, wires: tuple) -> tuple:
+    """Walk steps, none or one, of the gates ``names`` on ``wires``, each gate's wires in turn;
+    cached by absolute wires too, because circuits repeat runs on the same wires."""
+    order = tuple(dict.fromkeys(wires))  # the run's wires, in order of first use
+    table = _fused_table(names, tuple(map(order.index, wires)), len(order))
+    return ((len(order), order, table),) if table else ()
+
+
 def compile_classical(c: Circuit) -> CompiledCircuit:
-    """Flatten a measurement-free permutation circuit for fast walks."""
-    ops = []
+    """Flatten a measurement-free permutation circuit for fast walks: one table per maximal run
+    of consecutive gates on at most 3 wires, or on one wider gate's, identity runs left out."""
+    ops, run, names, wires = [], set(), [], []
     for op in c.instructions:
         if not isinstance(op, GateOp):
             raise NonUnitaryError(f"classical path cannot run {type(op).__name__}")
-        table = trit_table(op.gate.name)
-        if table is None:
-            raise NonUnitaryError(f"{op.gate.name} is not a classical permutation")
-        ops.append((len(op.wires), op.wires, table))
+        if not run.issuperset(op.wires):
+            run = run.union(op.wires)
+            if len(run) > 3:
+                ops += _run_steps(tuple(names), tuple(wires))
+                run, names, wires = set(op.wires), [], []
+        names.append(op.gate.name)
+        wires += op.wires
+    ops += _run_steps(tuple(names), tuple(wires))
     return CompiledCircuit(c.width, tuple(ops))
 
 
 def run_compiled(compiled: CompiledCircuit, index: int) -> int:
     """Basis index that the compiled permutation maps ``index`` to."""
+    try:
+        index = operator.index(index)
+    except TypeError:
+        raise SizeError(f"basis index {index!r} is not an integer") from None
     if not 0 <= index < 3**compiled.width:
         raise SizeError(f"basis index {index} outside width {compiled.width}")
-    t = list(trits_of_index(int(index), compiled.width))
+    t = list(trits_of_index(index, compiled.width))
     for a, wires, table in compiled.ops:
-        if a == 2:
+        if a == 3:
+            w0, w1, w2 = wires
+            t[w0], t[w1], t[w2] = table[9 * t[w0] + 3 * t[w1] + t[w2]]
+        elif a == 2:
             w0, w1 = wires
             t[w0], t[w1] = table[3 * t[w0] + t[w1]]
         elif a == 1:
             w0, = wires
             t[w0], = table[t[w0]]
-        elif a == 3:
-            w0, w1, w2 = wires
-            t[w0], t[w1], t[w2] = table[9 * t[w0] + 3 * t[w1] + t[w2]]
         else:
-            loc = 0
-            for w in wires:
-                loc = 3 * loc + t[w]
-            for w, v in zip(wires, table[loc]):
+            for w, v in zip(wires, table[index_of_trits([t[w] for w in reversed(wires)])]):
                 t[w] = v
     return index_of_trits(t)
 

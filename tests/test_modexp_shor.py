@@ -223,6 +223,14 @@ def test_round_map_multiplies_every_accumulator(a, N, enc):
         assert round_map(enc, N, mult) is table
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("enc,N", [("binary", 1023), ("ternary", 727)])
+def test_round_map_at_ten_bit_moduli(enc, N):
+    d = 2 if enc == "binary" else 3
+    assert round_map(enc, N, 2) == tuple(tuple(acc * 2**c % N for acc in range(N))
+                                         for c in range(d))
+
+
 @pytest.mark.parametrize("a,N,enc", [(7, 15, "binary"), (2, 21, "binary"),
                                      (2, 15, "ternary"), (2, 21, "ternary")])
 def test_modexp_circuit_is_its_round_multiplies(a, N, enc):

@@ -39,6 +39,7 @@ from terniq.sim import (
 )
 from terniq import widgets
 from terniq.arithmetic import ShiftSpec, ripple_add_const
+from terniq.modexp import ModExpSpec, modexp_circuit
 
 
 def g(name, *wires):
@@ -49,6 +50,11 @@ def test_little_endian_indexing():
     assert index_of_trits([1, 0]) == 1
     assert index_of_trits([0, 1]) == 3
     assert trits_of_index(5, 3) == (2, 1, 0)
+    # the place-value formulas, negative and above int64 too
+    for index in (-1, -3**5 - 7, 123456789, 3**70 - 1):
+        trits = trits_of_index(index, 70)
+        assert trits == tuple((index // 3**i) % 3 for i in range(70))
+        assert index_of_trits(trits) == sum(t * 3**i for i, t in enumerate(trits))
 
 
 def test_apply_inc_wire0():
@@ -563,6 +569,60 @@ def test_classical_paths_agree_on_random_circuits():
             assert perm[idx] == out
             assert np.flatnonzero(np.abs(u[:, idx]) > 1e-12).tolist() == [out]
             assert abs(u[out, idx] - 1.0) < 1e-12
+
+
+def _walk_gate_by_gate(circ, index):
+    """Reference walk: one gate's trit table at a time, by the place-value formulas."""
+    t = [(index // 3**i) % 3 for i in range(circ.width)]
+    for op in circ.instructions:
+        loc = sum(t[w] * 3**(len(op.wires) - 1 - k) for k, w in enumerate(op.wires))
+        for w, v in zip(op.wires, trit_table(op.gate.name)[loc]):
+            t[w] = v
+    return sum(v * 3**i for i, v in enumerate(t))
+
+
+def test_fused_walk_matches_gate_by_gate():
+    rng = np.random.default_rng(1616)
+    for width in range(1, 9):
+        ops = []
+        while len(ops) < 40:
+            gate = matrix_for_name(PERMUTATION_GATES[rng.integers(len(PERMUTATION_GATES))])
+            if gate.arity > width:
+                continue
+            ops.append(GateOp(gate, tuple(int(w) for w in rng.permutation(width)[:gate.arity])))
+            if rng.random() < 0.3:  # a run that cancels, unless the run was cut before it
+                ops.append(GateOp(gate.adjoint(), ops[-1].wires))
+        circ = Circuit(width, tuple(ops))
+        comp = compile_classical(circ)
+        # a step on more than 3 wires is a run on the wires of one 4-wire gate
+        wide = {frozenset(op.wires) for op in ops if len(op.wires) > 3}
+        assert all(a == len(wires) and (a <= 3 or frozenset(wires) in wide)
+                   for a, wires, _ in comp.ops)
+        for idx in range(3**width):
+            assert run_compiled(comp, idx) == _walk_gate_by_gate(circ, idx)
+    cancel = (g("C2[INC]", 0, 2), g("C2[INC]_INV", 0, 2), g("TSWAP", 1, 2), g("TSWAP", 2, 1))
+    assert len(compile_classical(Circuit(3, cancel))) == 0
+
+
+def test_fused_run_with_a_non_permutation_gate_raises():
+    ops = (g("SUM", 0, 1), g("INC", 1), g("C1[INC]", 1, 2))
+    compile_classical(Circuit(3, ops))  # the run's table is now cached
+    for bad in ("H", "P9"):
+        with pytest.raises(NonUnitaryError, match=f"{bad} is not a classical permutation"):
+            compile_classical(Circuit(3, ops[:2] + (g(bad, 1),) + ops[2:]))
+
+
+def test_fused_modexp_walks_a_quarter_of_its_gates():
+    circ = modexp_circuit(ModExpSpec(2, 21, "binary")).circuit
+    assert 4 * len(compile_classical(circ)) <= len(circ)
+
+
+def test_run_compiled_rejects_a_non_integer_index():
+    comp = compile_classical(ripple_add_const(ShiftSpec(3, 4, "binary")).circuit)
+    for bad in (1.5, "3"):
+        with pytest.raises(SizeError, match="not an integer"):
+            run_compiled(comp, bad)
+    assert run_compiled(comp, np.int64(1)) == run_compiled(comp, 1)
 
 
 def test_injected_equivalence_all_widgets(rng):
