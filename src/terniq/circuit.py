@@ -17,22 +17,29 @@ only layers that contain at least one non-Clifford gate.
 
 from __future__ import annotations
 
+import operator
 import re
+from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence, Union
 
 from . import gates
-from .errors import NonUnitaryError, SizeError, WidthMismatchError
+from .errors import CatalogError, NonUnitaryError, SizeError, WidthMismatchError
 from .gates import GateMatrix
 
 
-def check_gate_wires(gate: GateMatrix, wires: tuple[int, ...]) -> None:
-    """Raise ``SizeError`` unless ``wires`` are distinct and match the arity."""
+def check_gate_wires(gate: GateMatrix, wires: tuple[int, ...]) -> tuple[int, ...]:
+    """``wires`` as Python ints; ``SizeError`` unless integers, distinct and matching the arity."""
+    if not all(hasattr(type(w), "__index__") for w in wires):
+        raise SizeError(f"{gate.name}: non-integer wire in {wires}")
+    wires = tuple(map(operator.index, wires))
     if len(set(wires)) != len(wires):
         raise SizeError(f"{gate.name}: repeated wires {wires}")
     if len(wires) != gate.arity:
         raise SizeError(f"{gate.name}: {len(wires)} wires for arity {gate.arity}")
+    return wires
 
 
 @dataclass(frozen=True)
@@ -41,7 +48,18 @@ class GateOp:
     wires: tuple[int, ...]
 
     def __post_init__(self):
-        check_gate_wires(self.gate, self.wires)
+        object.__setattr__(self, "wires", check_gate_wires(self.gate, self.wires))
+
+    @property
+    def adjoint(self) -> GateOp:
+        """The adjoint op, from ``gate_op`` for a catalog gate, kept on this op after first use."""
+        if not hasattr(self, "_adjoint"):  # set as an attribute: a __dict__ slows every op read
+            adj = GateOp(self.gate.adjoint(), self.wires)
+            with suppress(CatalogError):  # a gate outside the catalog grammar keeps a new op
+                shared = gate_op(adj.gate.name, *self.wires)
+                adj = shared if shared == adj else adj
+            object.__setattr__(self, "_adjoint", adj)
+        return self._adjoint
 
 
 @dataclass(frozen=True)
@@ -64,7 +82,7 @@ class CondGateOp:
     wires: tuple[int, ...]
 
     def __post_init__(self):
-        check_gate_wires(self.gate, self.wires)
+        object.__setattr__(self, "wires", check_gate_wires(self.gate, self.wires))
 
 
 @dataclass(frozen=True)
@@ -107,8 +125,8 @@ class RusOp:
             raise NonUnitaryError("RUS body must contain at least one measurement")
         if (self.chain is None) == (not self.predicate):
             raise SizeError("RusOp needs exactly one of predicate or chain")
-        for _, gate, wires in self.corrections:
-            check_gate_wires(gate, wires)
+        object.__setattr__(self, "corrections", tuple(
+            (k, gate, check_gate_wires(gate, wires)) for k, gate, wires in self.corrections))
         touched = {w for op in self.body.instructions for w in op.wires}
         touched.update(w for _, _, wires in self.corrections for w in wires)
         object.__setattr__(self, "wires", tuple(sorted(touched)))
@@ -131,8 +149,12 @@ class Circuit:
     name: str = ""
 
     def __post_init__(self):
-        for op in self.instructions:
-            for w in op.wires:
+        if not hasattr(type(self.width), "__index__") or self.width < 0:
+            raise SizeError(f"width {self.width!r} is not an integer >= 0")
+        object.__setattr__(self, "width", operator.index(self.width))
+        # shared ops repeat their wire tuples: check each distinct tuple once
+        for wires in dict.fromkeys(op.wires for op in self.instructions):
+            for w in wires:
                 if not 0 <= w < self.width:
                     raise WidthMismatchError(f"wire {w} outside width {self.width} in {self.name or 'circuit'}")
 
@@ -148,18 +170,19 @@ def compose(a: Circuit, b: Circuit, name: str = "") -> Circuit:
                    name or f"{a.name}+{b.name}")
 
 
+@lru_cache(maxsize=None, typed=True)  # typed: a wire 1.0 never finds the op of wire 1
 def gate_op(name: str, *wires: int) -> GateOp:
-    """The named gate of the catalog grammar on ``wires``."""
+    """The named gate of the catalog grammar on ``wires``: one shared op per (name, wires)."""
     return GateOp(gates.matrix_for_name(name), wires)
 
 
 def adjoint_ops(ops: Sequence[Instruction]) -> list[GateOp]:
-    """Reverse a gate list taking each gate to its adjoint."""
+    """Reverse a gate list taking each gate op to its shared adjoint op."""
     out = []
     for op in reversed(ops):
         if not isinstance(op, GateOp):
             raise NonUnitaryError(f"no adjoint for non-unitary {type(op).__name__}")
-        out.append(GateOp(op.gate.adjoint(), op.wires))
+        out.append(op.adjoint)
     return out
 
 
@@ -173,6 +196,8 @@ def remap_wires(a: Circuit, mapping: Mapping[int, int], width: int, name: str = 
     """Rebuild ``a`` on new wire labels inside a ``width``-qutrit register."""
 
     def rw(ws):
+        if missing := sorted(set(ws) - mapping.keys()):
+            raise WidthMismatchError(f"remap_wires: no new label for wire {missing[0]}")
         return tuple(mapping[w] for w in ws)
 
     out = []
@@ -180,7 +205,7 @@ def remap_wires(a: Circuit, mapping: Mapping[int, int], width: int, name: str = 
         if isinstance(op, GateOp):
             out.append(GateOp(op.gate, rw(op.wires)))
         elif isinstance(op, MeasureOp):
-            out.append(MeasureOp(mapping[op.wire], op.slot))
+            out.append(MeasureOp(*rw((op.wire,)), op.slot))
         elif isinstance(op, CondGateOp):
             out.append(CondGateOp(op.slot, op.value, op.gate, rw(op.wires)))
         else:
@@ -188,7 +213,7 @@ def remap_wires(a: Circuit, mapping: Mapping[int, int], width: int, name: str = 
             corr = tuple((k, g, rw(ws)) for k, g, ws in op.corrections)
             out.append(RusOp(body, op.predicate, op.chain, op.outcome_slot, corr,
                              op.max_iters, op.consumes, op.expected_trials, op.label))
-    return Circuit(width, tuple(out), frozenset(mapping[w] for w in a.ancillas), name or a.name)
+    return Circuit(width, tuple(out), frozenset(rw(a.ancillas)), name or a.name)
 
 
 # ------------------------------------------------------------ accounting
@@ -229,14 +254,10 @@ class ResourceCount:
         return dict(self.costed_primitive_tally)
 
 
-def _base_name(name: str) -> str:
-    return name[:-4] if name.endswith("_INV") else name
-
-
 @lru_cache(maxsize=None)
 def _gate_class(name: str):
     """Classify a gate name: ('p9'|'r2'|'costed'|'clifford'|'synth', p9, depth)."""
-    base = _base_name(name)
+    base = name.removesuffix("_INV")
     if base == "P9":
         return ("p9", 1, 1)
     if base == "R2":
@@ -259,59 +280,59 @@ def _gate_class(name: str):
 
 
 def count_resources(a: Circuit) -> ResourceCount:
-    p9 = r2 = cliff = meas = synth = 0
-    tally: dict[str, int] = {}
-    rus_expected: list[tuple[str, float]] = []
+    meas, names, rus_expected = 0, [], []  # names: of every gate, counted per name at the end
+    steps: dict[str, int] = {}  # depth each gate name adds: 0 for a Clifford
     frontier = [0] * a.width  # non-Clifford depth reached per wire
 
-    def visit_gate(gate: GateMatrix, wires):
-        nonlocal p9, r2, cliff, synth
-        kind, gp9, gdepth = _gate_class(gate.name)
-        if kind == "p9":
-            p9 += gp9
-        elif kind == "r2":
-            r2 += 1
-        elif kind == "costed":
-            p9 += gp9
-            base = _base_name(gate.name)
-            tally[base] = tally.get(base, 0) + 1
-        elif kind == "synth":
-            synth += 1
-        else:
-            cliff += 1
-        level = max(frontier[w] for w in wires)
-        if kind != "clifford":
-            level += gdepth
-        for w in wires:
-            frontier[w] = level
-
-    def visit(op: Instruction):
+    def walk(ops):
         nonlocal meas
-        if isinstance(op, GateOp):
-            visit_gate(op.gate, op.wires)
-        elif isinstance(op, MeasureOp):
-            meas += 1
-        elif isinstance(op, CondGateOp):
-            visit_gate(op.gate, op.wires)
-        elif isinstance(op, RusOp):
-            for sub in op.body.instructions:
-                visit(sub)
-            for _, g, ws in op.corrections:
-                visit_gate(g, ws)
-            rus_expected.append((op.label or "rus", op.expected_trials))
+        for op in ops:
+            cls = type(op)
+            if cls is MeasureOp:
+                meas += 1
+                continue
+            if cls is RusOp:
+                walk(op.body.instructions)
+                walk([GateOp(g, ws) for _, g, ws in op.corrections])
+                rus_expected.append((op.label or "rus", op.expected_trials))
+                continue
+            name = op.gate.name  # a GateOp or a CondGateOp
+            names.append(name)
+            try:
+                step = steps[name]
+            except KeyError:
+                step = steps[name] = _gate_class(name)[2]
+            wires = op.wires
+            if len(wires) == 1:
+                if step:  # a one-wire Clifford cannot move the frontier
+                    frontier[wires[0]] += step
+            elif len(wires) == 2:
+                x, y = wires
+                fx, fy = frontier[x], frontier[y]
+                frontier[x] = frontier[y] = (fx if fx > fy else fy) + step
+            else:
+                level = max([frontier[w] for w in wires]) + step
+                for w in wires:
+                    frontier[w] = level
 
-    for op in a.instructions:
-        visit(op)
+    walk(a.instructions)
+    p9, kinds, tally = 0, Counter(), Counter()
+    for name, n in Counter(names).items():
+        kind, gp9, _ = _gate_class(name)
+        p9 += gp9 * n
+        kinds[kind] += n
+        if kind == "costed":
+            tally[name.removesuffix("_INV")] += n
 
     return ResourceCount(
         p9_count=p9,
         p9_depth=max(frontier) if a.width else 0,
-        r_count=r2,
-        clifford_count=cliff,
+        r_count=kinds["r2"],
+        clifford_count=kinds["clifford"],
         measurement_count=meas,
         width=a.width,
         ancilla_count=len(a.ancillas),
         costed_primitive_tally=tuple(sorted(tally.items())),
         rus_expected=tuple(rus_expected),
-        synthesis_gate_count=synth,
+        synthesis_gate_count=kinds["synth"],
     )

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuit import Circuit, GateOp
+from .circuit import Circuit, GateOp, gate_op
 from .errors import SizeError
-from .gates import matrix_for_name, root_of_unity
+from .gates import root_of_unity
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -40,15 +40,15 @@ def qft3n(n: int, delta: float = 0.0) -> Circuit:
     ops: list[GateOp] = []
     threshold = delta / n if delta > 0 else 0.0
     for w in reversed(range(n)):
-        ops.append(GateOp(matrix_for_name("H"), (w,)))
+        ops.append(gate_op("H", w))
         for i in reversed(range(w)):
             d = w - i
             if threshold and controlled_phase_norm(d) < threshold:
                 continue
             name = f"L[PHASE[1,{3 ** (d + 1)}]]"
-            ops.append(GateOp(matrix_for_name(name), (i, w)))
+            ops.append(gate_op(name, i, w))
     for w in range(n // 2):
-        ops.append(GateOp(matrix_for_name("TSWAP"), (w, n - 1 - w)))
+        ops.append(gate_op("TSWAP", w, n - 1 - w))
     return Circuit(n, tuple(ops), name=f"qft3^{n}" + (f"~{delta}" if delta else ""))
 
 

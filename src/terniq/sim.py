@@ -55,7 +55,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .circuit import (Circuit, CondGateOp, GateOp, MeasureOp, RusOp, _base_name, _gate_class,
+from .circuit import (Circuit, CondGateOp, GateOp, MeasureOp, RusOp, _gate_class,
                       check_gate_wires, gate_op, remap_wires)
 from .errors import NonUnitaryError, RusCapError, SizeError, WidthCapError
 from .gates import GateMatrix, matrix_for_name, root_of_unity
@@ -164,7 +164,7 @@ _LOADER_STATES = {"LOADMU": "mu", "LOADMUDG": "mu_dag", "LOADPSI": "psi"}
 def _tally(names: tuple) -> tuple:
     """P9 count, R2 count and loaded resource states of a gate-name sequence."""
     kinds = [_gate_class(name)[0] for name in names]
-    loads = tuple(_LOADER_STATES[b] for b in map(_base_name, names) if b in _LOADER_STATES)
+    loads = tuple(_LOADER_STATES[b] for n in names if (b := n.removesuffix("_INV")) in _LOADER_STATES)
     return kinds.count("p9"), kinds.count("r2"), loads
 
 
@@ -190,7 +190,7 @@ def _injection(name: str, wire: int, width: int) -> tuple:
     Injected R2 trials are recorded under ``injected-r2``, apart from any
     ``r2-rus`` block the circuit itself holds.
     """
-    if _base_name(name) == "R2":
+    if name.removesuffix("_INV") == "R2":
         ops = (replace(r2_injection_rus().instructions[0], label="injected-r2"),)
     else:
         inverse = name == "P9_INV"
@@ -300,8 +300,7 @@ def _split(width: int, wire: int) -> tuple:
 
 
 def apply_gate(s: StateVector, g: GateMatrix, wires) -> StateVector:
-    wires = tuple(wires)
-    check_gate_wires(g, wires)
+    wires = check_gate_wires(g, tuple(wires))
     for w in wires:
         if not 0 <= w < s.width:
             raise SizeError(f"wire {w} outside width {s.width}")
@@ -367,7 +366,7 @@ def _plan(instructions, width: int, mode: str) -> tuple:
 
 def _injects(gate: GateMatrix, mode: str) -> bool:
     """Whether gate ``mode`` runs ``gate`` as an injection protocol instead of its matrix."""
-    return mode == "injected" and gate.arity == 1 and _base_name(gate.name) in ("P9", "R2")
+    return mode == "injected" and gate.arity == 1 and gate.name.removesuffix("_INV") in ("P9", "R2")
 
 
 def _build_plan(instructions, width: int, mode: str) -> tuple:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 
-from .circuit import Chain, Circuit, CondGateOp, GateOp, MeasureOp, RusOp, check_gate_wires
+from .circuit import Chain, Circuit, CondGateOp, GateOp, MeasureOp, RusOp, check_gate_wires, gate_op
 from .errors import CircuitNameError, NonUnitaryError, ParseError, SizeError
 from .gates import matrix_for_name
 
@@ -216,9 +216,9 @@ def _parse_slot(tok: str, ln: int):
 def _parse_op(line, ln, cur, width):
     parts = line.split()
     if parts[0] == "gate":
-        g, wires = _gate_from(parts, ln, width, start=1)
+        _, wires = _gate_from(parts, ln, width, start=1)
         try:
-            return GateOp(g, wires)
+            return gate_op(parts[1], *wires)
         except SizeError as exc:  # repeated wires
             raise ParseError(str(exc), ln) from None
     if parts[0] == "measure":

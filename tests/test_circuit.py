@@ -228,16 +228,22 @@ def test_rus_body_requires_measurement():
         RusOp(Circuit(1, (g("INC", 0),)), predicate=((0, 0),))
 
 
-@pytest.mark.parametrize("wires", [(1, 1), (1,), (0, 1, 2)], ids=str)
+@pytest.mark.parametrize("wires", [(1, 1), (1,), (0, 1, 2), (0, 1.0), (0, 1.5), (0, "1"), (0, None)],
+                         ids=str)
 def test_every_gate_slot_checks_its_wires(wires):
-    # GateOp, CondGateOp and a RusOp correction refuse repeated wires and a
-    # wire count other than the arity alike
-    from terniq.circuit import CondGateOp, RusOp
+    # GateOp, CondGateOp, a RusOp correction, apply_gate and gate_op refuse
+    # repeated wires, a wire count other than the arity and a non-integer wire alike
+    from terniq.circuit import CondGateOp, RusOp, gate_op
+    from terniq.sim import apply_gate
     sum_gate = matrix_for_name("SUM")
+    gate_op("SUM", 0, 1)  # the cached op on wires (0, 1) must not answer for (0, 1.0)
     for build in (lambda: GateOp(sum_gate, wires),
                   lambda: CondGateOp(0, 0, sum_gate, wires),
                   lambda: RusOp(Circuit(3, (MeasureOp(0, 0),)), predicate=((0, 0),),
-                                corrections=((0, sum_gate, wires),))):
+                                corrections=((0, sum_gate, wires),)),
+                  lambda: apply_gate(basis_state(3, 0), sum_gate, wires),
+                  lambda: gate_op("SUM", *wires),
+                  lambda: gate_op("SUM", *wires)):  # twice: lru_cache stores no exception
         with pytest.raises(SizeError):
             build()
 
@@ -255,6 +261,70 @@ def test_every_instruction_checks_the_circuit_width():
     rus = RusOp(measured, predicate=((0, 0),), corrections=((0, inc, (1,)),))
     assert rus.wires == (0, 1)
     Circuit(2, (rus,))
+
+
+def test_integer_like_wires_are_stored_as_ints():
+    from terniq.circuit import CondGateOp, RusOp, gate_op
+    inc = matrix_for_name("INC")
+    rus = RusOp(Circuit(2, (MeasureOp(0, 0),)), predicate=((0, 0),),
+                corrections=((0, inc, (np.int64(1),)),))
+    for wires in (GateOp(inc, (np.int64(1),)).wires, GateOp(inc, (True,)).wires,
+                  CondGateOp(0, 0, inc, (np.int64(1),)).wires, gate_op("INC", np.int64(1)).wires,
+                  rus.corrections[0][2]):
+        assert wires == (1,) and type(wires[0]) is int
+    text = serialize(Circuit(2, (GateOp(inc, (np.int64(1),)),)))
+    assert text == "circuit 2\ngate INC 1\n" and deserialize(text).instructions[0].wires == (1,)
+
+
+@pytest.mark.parametrize("width", [-1, 1.5, 2.0, "2", None], ids=repr)
+def test_circuit_width_is_a_non_negative_integer(width):
+    with pytest.raises(SizeError, match="is not an integer >= 0"):
+        Circuit(width, ())
+
+
+def test_circuit_width_is_stored_as_an_int():
+    c = Circuit(np.int64(2), ())
+    assert c.width == 2 and type(c.width) is int
+    assert Circuit(0, ()).width == 0
+
+
+def test_remap_wires_names_a_missing_wire():
+    from terniq.circuit import remap_wires
+    c = Circuit(2, (g("SUM", 0, 1),))
+    with pytest.raises(WidthMismatchError, match="wire 1"):
+        remap_wires(c, {0: 3}, 4)
+    with pytest.raises(WidthMismatchError, match="wire 1"):
+        remap_wires(Circuit(2, (MeasureOp(1, 0),)), {0: 0}, 2)
+    with pytest.raises(WidthMismatchError, match="wire 1"):
+        remap_wires(Circuit(2, (), ancillas=frozenset({1})), {0: 0}, 2)
+    assert remap_wires(c, {0: 3, 1: 2}, 4).instructions == (g("SUM", 3, 2),)
+
+
+def test_gate_op_shares_one_op_per_name_and_wires():
+    from terniq.circuit import gate_op
+    op = gate_op("C1[SUM]", 0, 2, 1)
+    assert gate_op("C1[SUM]", 0, 2, 1) is op
+    assert op == g("C1[SUM]", 0, 2, 1) and op.wires == (0, 2, 1)
+    assert gate_op("C1[SUM]", 0, 1, 2) is not op
+
+
+def test_adjoint_ops_twice_gives_back_the_same_objects():
+    from terniq.circuit import adjoint_ops, gate_op
+    ops = [gate_op("SUM", 0, 1), gate_op("TSWAP", 1, 2), gate_op("L[SUM]_INV", 2, 0, 1),
+           gate_op("H", 0), gate_op("P9", 2)]
+    once = adjoint_ops(ops)
+    assert [op.gate for op in once] == [op.gate.adjoint() for op in reversed(ops)]
+    assert len(once) == len(ops) and all(a is b for a, b in zip(adjoint_ops(once), ops))
+    assert all(a is b for a, b in zip(adjoint_ops(ops), once))
+    # the adjoint of a catalog op is the shared op of the adjoint's name
+    assert once[-1] is gate_op("SUM_INV", 0, 1) and once[-2] is gate_op("TSWAP", 1, 2)
+    # an op outside the catalog, or built without gate_op, keeps one adjoint op of its own
+    rand = GateOp(GateMatrix("RAND", 1, random_unitary(np.random.default_rng(5), 3)), (0,))
+    unshared = g("C2[INC]", 0, 1)
+    for op in (rand, unshared):
+        assert adjoint_ops([op])[0] is adjoint_ops([op])[0]
+        assert adjoint_ops(adjoint_ops([op])) == [op]
+    assert adjoint_ops([unshared])[0] is gate_op("C2[INC]_INV", 0, 1)
 
 
 # instructions the circuit model would reject, with the line the parser names

@@ -1,9 +1,12 @@
+import hashlib
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from terniq import modexp, shor
 from terniq.costmodel import modeled_shift_count
-from terniq.circuit import Circuit, GateOp, gate_op
+from terniq.circuit import Circuit, GateOp, count_resources, gate_op
 from terniq.errors import RoundMapError, SizeError
 from terniq.modexp import (
     ModExpSpec,
@@ -25,6 +28,7 @@ from terniq.shor import (
     shor_factor,
 )
 from terniq.sim import CompiledCircuit, compile_classical, index_of_trits, run_compiled, trits_of_index
+from terniq.textfmt import serialize
 
 
 def run_modexp(layout, comp, spec, k):
@@ -389,3 +393,84 @@ def test_modexp_ternary_n21_full_exponent_range():
         value, kept, clean = run_modexp(layout, comp, spec, k)
         assert value == pow(2, k, 21), k
         assert kept == k and clean
+
+
+# sha256 of serialize() and the ResourceCount fields, in order, of the modexp
+# circuits at every base the circuit_toolchain benchmark draws, taken from the
+# per-gate ops and per-instruction count that shared ops and the per-name count
+# replaced: neither may move a gate or a count.
+MODEXP_GOLDEN = {
+    ("binary", 2, 15): ("d3d196d081b0cdf67b2a97a3f631dd47e7fb63f68e493f6fd64d0b06c4934d8e",
+        (5886, 1687, 0, 5300, 0, 23, 10,
+         (('C1[INC]', 431), ('C1[INC_INV]', 431), ('C2[INC]', 1100)), (), 0)),
+    ("binary", 7, 15): ("8bb9ee3610b34ceedef38c0ea841d7b9a87619907f5d20c1a19f8abcaa12caff",
+        (5886, 1687, 0, 5300, 0, 23, 10,
+         (('C1[INC]', 431), ('C1[INC_INV]', 431), ('C2[INC]', 1100)), (), 0)),
+    ("binary", 8, 15): ("412b6aab0bcf0ffe0bbffda609bb37db66f5c090748bce9de6d278e72bf79c7a",
+        (5898, 1688, 0, 5318, 0, 23, 10,
+         (('C1[INC]', 433), ('C1[INC_INV]', 433), ('C2[INC]', 1100)), (), 0)),
+    ("binary", 13, 15): ("1027ba5b6341bc12d93ca53344ac5c4e63b5afd0f3a0a40f1b10d60f512df414",
+        (5898, 1688, 0, 5318, 0, 23, 10,
+         (('C1[INC]', 433), ('C1[INC_INV]', 433), ('C2[INC]', 1100)), (), 0)),
+    ("ternary", 2, 15): ("39d7ec46ab082c465d564f26382942d6a9cf2b4d0228f7ac1f197fe25aa4e2c1",
+        (91104, 28497, 0, 19705, 0, 24, 14,
+         (('C0[SUM]', 48), ('C1[INC]', 984), ('C1[INC_INV]', 960), ('C1[SUM]', 192),
+          ('C2[INC]', 1176), ('C2[SUM]', 3768), ('L[SUM]', 1536), ('TAU2[1,6]', 1032)), (), 0)),
+    ("ternary", 4, 15): ("72a717c247520c0fe1e529cfced796754efd00e7f09e35088cfa05cd91e3d210",
+        (91104, 28497, 0, 19681, 0, 24, 14,
+         (('C0[SUM]', 48), ('C1[INC]', 984), ('C1[INC_INV]', 960), ('C1[SUM]', 192),
+          ('C2[INC]', 1176), ('C2[SUM]', 3744), ('L[SUM]', 1536), ('TAU2[1,6]', 1056)), (), 0)),
+    ("ternary", 7, 15): ("11c0b6fea351dd97d62f2bcb09947726c5d592116438fe7e1b83811b7dd921ab",
+        (91104, 28497, 0, 19705, 0, 24, 14,
+         (('C0[SUM]', 48), ('C1[INC]', 984), ('C1[INC_INV]', 960), ('C1[SUM]', 192),
+          ('C2[INC]', 1176), ('C2[SUM]', 3768), ('L[SUM]', 1536), ('TAU2[1,6]', 1032)), (), 0)),
+    ("ternary", 8, 15): ("654d1cbb012a8f485ad8d54175f57b6afdbd2f1c0b8246da2e3cd4fa3cef1c39",
+        (91104, 28497, 0, 19705, 0, 24, 14,
+         (('C0[SUM]', 48), ('C1[INC]', 984), ('C1[INC_INV]', 960), ('C1[SUM]', 192),
+          ('C2[INC]', 1176), ('C2[SUM]', 3768), ('L[SUM]', 1536), ('TAU2[1,6]', 1032)), (), 0)),
+    ("ternary", 11, 15): ("ce414dd59440d1cc7b9920b9dbcc958025be5506bdebd9b773f532b4c82e634c",
+        (91104, 28497, 0, 19681, 0, 24, 14,
+         (('C0[SUM]', 48), ('C1[INC]', 984), ('C1[INC_INV]', 960), ('C1[SUM]', 192),
+          ('C2[INC]', 1176), ('C2[SUM]', 3744), ('L[SUM]', 1536), ('TAU2[1,6]', 1056)), (), 0)),
+    ("ternary", 13, 15): ("a8c631e89b766ba14367def243f5353e48fdcab61ec6504a2bdd086b467e9ead",
+        (91104, 28497, 0, 19705, 0, 24, 14,
+         (('C0[SUM]', 48), ('C1[INC]', 984), ('C1[INC_INV]', 960), ('C1[SUM]', 192),
+          ('C2[INC]', 1176), ('C2[SUM]', 3768), ('L[SUM]', 1536), ('TAU2[1,6]', 1032)), (), 0)),
+    ("binary", 2, 21): ("0205104f5d2d47ed5ee5ff605907e4f2bd2a38514221614030d628c34ae9a41b",
+        (40380, 11800, 0, 35631, 0, 27, 11,
+         (('C1[INC]', 2830), ('C1[INC_INV]', 2830), ('C2[INC]', 7800)), (), 0)),
+    ("binary", 8, 21): ("f72aa2918c058c4983159f77ec78cd8b8d12a310b2aea361e1c4fe1c2bd366f3",
+        (4038, 1180, 0, 3564, 0, 27, 11,
+         (('C1[INC]', 283), ('C1[INC_INV]', 283), ('C2[INC]', 780)), (), 0)),
+    ("binary", 13, 21): ("875b6893ccca38519760164759919b30b2d5203e4309977288a240b2c760a8f6",
+        (4038, 1180, 0, 3564, 0, 27, 11,
+         (('C1[INC]', 283), ('C1[INC_INV]', 283), ('C2[INC]', 780)), (), 0)),
+    ("ternary", 2, 21): ("2fdb024c5b2b1004ff20ce3c47c4928ad08b548e41a9f569a860efb817da59ab",
+        (91104, 28497, 0, 19471, 0, 24, 14,
+         (('C0[SUM]', 48), ('C1[INC]', 984), ('C1[INC_INV]', 960), ('C1[SUM]', 192),
+          ('C2[INC]', 1176), ('C2[SUM]', 3736), ('L[SUM]', 1536), ('TAU2[1,6]', 1064)), (), 0)),
+    ("ternary", 4, 21): ("86dc87f38bd50945b91b0aaee9e9d32f9592a969f418d1a863be7ce28ceb7d0a",
+        (15184, 4762, 0, 3231, 0, 24, 14,
+         (('C0[SUM]', 8), ('C1[INC]', 164), ('C1[INC_INV]', 160), ('C1[SUM]', 32),
+          ('C2[INC]', 196), ('C2[SUM]', 608), ('L[SUM]', 256), ('TAU2[1,6]', 192)), (), 0)),
+    ("ternary", 8, 21): ("9679bf6676f42225c9cda63e2fba49237b1edc42960a9d2f389e47a68362a2cc",
+        (91104, 28497, 0, 19513, 0, 24, 14,
+         (('C0[SUM]', 48), ('C1[INC]', 984), ('C1[INC_INV]', 960), ('C1[SUM]', 192),
+          ('C2[INC]', 1176), ('C2[SUM]', 3744), ('L[SUM]', 1536), ('TAU2[1,6]', 1056)), (), 0)),
+    ("ternary", 11, 21): ("b27b17f16973f9f24b3b22f83b7bd79db218bdfa62d40e1b1f66d966f9d06f94",
+        (91104, 28497, 0, 19535, 0, 24, 14,
+         (('C0[SUM]', 48), ('C1[INC]', 984), ('C1[INC_INV]', 960), ('C1[SUM]', 192),
+          ('C2[INC]', 1176), ('C2[SUM]', 3736), ('L[SUM]', 1536), ('TAU2[1,6]', 1064)), (), 0)),
+    ("ternary", 13, 21): ("7ee42015e0a2e5e0a47ae3b14343b32f472db2d4a2b83be144572aae49c84cab",
+        (91104, 28497, 0, 19513, 0, 24, 14,
+         (('C0[SUM]', 48), ('C1[INC]', 984), ('C1[INC_INV]', 960), ('C1[SUM]', 192),
+          ('C2[INC]', 1176), ('C2[SUM]', 3744), ('L[SUM]', 1536), ('TAU2[1,6]', 1056)), (), 0)),
+}
+
+
+@pytest.mark.parametrize("enc,base,N", sorted(MODEXP_GOLDEN), ids=str)
+def test_modexp_text_and_count_are_pinned(enc, base, N):
+    circ = modexp_circuit(ModExpSpec(base, N, enc)).circuit
+    digest, fields = MODEXP_GOLDEN[enc, base, N]
+    assert hashlib.sha256(serialize(circ).encode()).hexdigest() == digest
+    assert astuple(count_resources(circ)) == fields

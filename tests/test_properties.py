@@ -13,7 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import classical_map
 from terniq import widgets
 from terniq.arithmetic import ShiftSpec, mcx_ops, mod_add_const
-from terniq.circuit import Chain, Circuit, CondGateOp, GateOp, MeasureOp, RusOp, count_resources, gate_op
+from terniq.circuit import (Chain, Circuit, CondGateOp, GateOp, MeasureOp, ResourceCount, RusOp, _gate_class,
+                            count_resources, gate_op)
 from terniq.errors import ParseError
 from terniq.gates import MAX_ARITY, matrix_for_name
 from terniq.modexp import ModExpSpec, modexp_circuit
@@ -352,3 +353,73 @@ def test_text_round_trips_with_repeats_and_comments(circ, data):
     back = deserialize("\n".join(commented))
     assert back == circ
     assert serialize(back) == text
+
+
+# ------------------------------------------------------- resource count
+
+def _reference_count(a: Circuit) -> ResourceCount:
+    """The per-instruction visitor that ``count_resources`` replaced."""
+    p9 = r2 = cliff = meas = synth = 0
+    tally, rus_expected, frontier = {}, [], [0] * a.width
+
+    def visit_gate(gate, wires):
+        nonlocal p9, r2, cliff, synth
+        kind, gp9, gdepth = _gate_class(gate.name)
+        if kind == "p9":
+            p9 += gp9
+        elif kind == "r2":
+            r2 += 1
+        elif kind == "costed":
+            p9 += gp9
+            base = gate.name.removesuffix("_INV")
+            tally[base] = tally.get(base, 0) + 1
+        elif kind == "synth":
+            synth += 1
+        else:
+            cliff += 1
+        level = max(frontier[w] for w in wires) + (gdepth if kind != "clifford" else 0)
+        for w in wires:
+            frontier[w] = level
+
+    def visit(op):
+        nonlocal meas
+        if isinstance(op, (GateOp, CondGateOp)):
+            visit_gate(op.gate, op.wires)
+        elif isinstance(op, MeasureOp):
+            meas += 1
+        else:
+            for sub in op.body.instructions:
+                visit(sub)
+            for _, gate, wires in op.corrections:
+                visit_gate(gate, wires)
+            rus_expected.append((op.label or "rus", op.expected_trials))
+
+    for op in a.instructions:
+        visit(op)
+    return ResourceCount(p9, max(frontier, default=0), r2, cliff, meas, a.width, len(a.ancillas),
+                         tuple(sorted(tally.items())), tuple(rus_expected), synth)
+
+
+# every kind the count tells apart: P9 and its P9-like phases, R2, costed
+# primitives, externally synthesized gates and Cliffords on 1 to 4 wires
+_COUNTED = ["P9", "P9_INV", "PHASE[3,9]", "R2", "R2_INV", "L[SUM]", "L[SUM]_INV", "C1[SUM]",
+            "C0[INC_INV]", "C2[INC]_INV", "TAU2[1,5]", "HBIN", "PHASE[1,27]", "C1[C2[SUM]]",
+            "INC", "H", "SUM", "TSWAP"]
+
+
+@st.composite
+def counted_circuits(draw):
+    """Gates of every cost kind, conditioned gates, measurements and nested
+    repeat-until-success loops with corrections, on 1 to 5 wires."""
+    width = draw(st.integers(1, 5))
+    names = draw(st.lists(st.one_of(st.sampled_from(_COUNTED), gate_names()), min_size=1, max_size=6))
+    gates = [g for g in map(matrix_for_name, names) if g.arity <= width] or [matrix_for_name("P9")]
+    ops = draw(st.lists(instructions(width, gates), max_size=24))
+    return Circuit(width, tuple(ops), frozenset(draw(st.lists(st.integers(0, width - 1)))))
+
+
+@settings(max_examples=200)
+@given(counted_circuits())
+@example(Circuit(0, ()))
+def test_count_resources_matches_the_per_instruction_visitor(circ):
+    assert count_resources(circ) == _reference_count(circ)
