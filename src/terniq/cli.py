@@ -19,7 +19,7 @@ from .errors import ParseError, SizeError, TerniqError
 from .gates import matrix_for_name
 from .modexp import ModExpSpec
 from .qft import dft_matrix, qft3n
-from .shor import _factor_from_period, period_finding_run, shor_factor
+from .shor import MODES, _factor_from_period, period_finding_run, shor_factor
 from .sim import circuit_unitary, run
 from .textfmt import deserialize
 
@@ -210,11 +210,13 @@ def cmd_shor_run(args) -> int:
     return 0 if ok == args.trials else 1
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
 
 
 def cmd_cost_table(args) -> int:
@@ -244,7 +246,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("circuit-sim", help="simulate a circuit file")
     p.add_argument("file")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--mode", choices=("ideal", "injected"), default="ideal")
     p.set_defaults(fn=cmd_circuit_sim)
 
@@ -260,11 +262,10 @@ def main(argv=None) -> int:
     p = sub.add_parser("shor-run", help="factor N end to end")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--base", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--encoding", choices=("binary", "ternary"), default="binary")
-    p.add_argument("--mode", default="semiclassical",
-                   choices=("semiclassical", "semiclassical-gate", "full-register"))
-    p.add_argument("--trials", type=_positive_int, default=1)
+    p.add_argument("--mode", choices=MODES, default="semiclassical")
+    p.add_argument("--trials", type=_int_at_least(1), default=1)
     p.set_defaults(fn=cmd_shor_run)
 
     p = sub.add_parser("cost-table", help="emit a resource table")

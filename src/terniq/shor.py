@@ -10,7 +10,9 @@ Three period-finding executions are provided:
     rounds of controlled modular multiplication with measurement-conditioned
     phase feedback.  There is one round, on rows of amplitudes over the
     orbit of a: the exact enumerator runs it on every branch at once, the
-    sampler on the one branch it measures.
+    sampler on the one branch it measures.  The sampler draws each outcome in
+    Python floats with ``Generator.choice``'s operations through
+    ``sim.choice_draw``, as ``sim`` measures, so every seed keeps its outcome.
   * ``semiclassical-gate`` -- the same round with each multiply read off its
     gate-level circuit: ``modexp.round_map`` walks the memoised controlled
     multiply over every control value and accumulator, checked.
@@ -31,6 +33,9 @@ import numpy as np
 from .errors import RoundMapError, SizeError
 from .gates import matrix_for_name
 from .modexp import ModExpSpec, round_map
+from .sim import choice_draw, seeded_rng
+
+MODES = ("semiclassical", "semiclassical-gate", "full-register")
 
 
 # ------------------------------------------------------------ oracle pipeline
@@ -93,28 +98,32 @@ def _move_table(spec: ModExpSpec, gate_level: bool) -> np.ndarray:
     return moves
 
 
-def _round(rows: np.ndarray, feeds, moves_t: np.ndarray, t: int) -> np.ndarray:
-    """Round t on (B, r) branch rows over the orbit index; the (d, B, r) children.
-
-    ``feeds[b]``, branch b's outcome j mod d^t so far, sets its phase
-    feedback; child m is the unnormalised row for control outcome m.  One
-    einsum applies the Hadamard, the multiply, the phase and the inverse.
-    """
-    d = len(moves_t)
+@lru_cache(maxsize=None)   # keys (d, t): two radices, a few dozen rounds; callers only read
+def _round_weights(d: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """(m, c) Hadamard weights H^dagger[m, c] * H[c, 0]; round t's exponents -2 pi i c / d^(t+1)."""
     hadamard = matrix_for_name("HBIN" if d == 2 else "H").matrix[:d, :d]
-    phases = np.exp(np.multiply.outer(feeds, np.arange(d) * (-2j * np.pi / d ** (t + 1))))
-    weights = (hadamard.conj().T * hadamard[:, 0])[:, None, :] * phases   # (m, b, c)
-    return np.einsum("mbc,bci->mbi", weights, rows[:, moves_t])
+    return hadamard.conj().T * hadamard[:, 0], np.arange(d) * (-2j * np.pi / d ** (t + 1))
+
+
+def _round(rows: np.ndarray, feeds, moves_t: np.ndarray, t: int) -> np.ndarray:
+    """Round t on (B, r) branch rows, or one (r,) row, over the orbit index; (d, [B,] r) children.
+
+    ``feeds``, the branches' outcomes j mod d^t so far (a (B, 1) column, an int for one
+    row), set the phase feedback; child m is the unnormalised row for control outcome m.
+    One einsum applies the Hadamard, the multiply, the phase and the inverse.
+    """
+    hadamard, steps = _round_weights(len(moves_t), t)
+    weights = np.exp(feeds * steps)[..., None, :] * hadamard   # ([B,] m, c)
+    return np.einsum("...mc,...ci->m...i", weights, rows.take(moves_t, axis=-1))
 
 
 def _sample(moves: np.ndarray, rng) -> int:
     """Run the rounds on one branch, drawing each control outcome; returns j."""
     e, d, r = moves.shape
-    row, j = np.eye(1, r, dtype=np.complex128), 0   # accumulator 1: orbit index 0
+    row, j = np.eye(1, r, dtype=np.complex128)[0], 0   # accumulator 1: orbit index 0
     for t in range(e):
-        children = _round(row, [j], moves[t], t)
-        probs = (np.abs(children) ** 2).sum(axis=(1, 2))
-        m = int(rng.choice(d, p=probs / probs.sum()))
+        children = _round(row, j, moves[t], t)
+        m = choice_draw((np.abs(children) ** 2).sum(axis=1).tolist() + [0.0] * (3 - d), rng)
         row = children[m]
         j += m * d**t
     return j
@@ -125,7 +134,7 @@ def _distribution(moves: np.ndarray) -> np.ndarray:
     e, _, r = moves.shape
     rows = np.eye(1, r, dtype=np.complex128)
     for t in range(e):
-        rows = _round(rows, np.arange(len(rows)), moves[t], t).reshape(-1, r)
+        rows = _round(rows, np.arange(len(rows))[:, None], moves[t], t).reshape(-1, r)
     return (np.abs(rows) ** 2).sum(axis=1)
 
 
@@ -136,7 +145,7 @@ def semiclassical_period_rounds(spec: ModExpSpec, rng) -> int:
 
 def semiclassical_gate_run(spec: ModExpSpec, seed: int = 0) -> int:
     """The same rounds with each multiply read off its circuit by ``round_map``."""
-    return _sample(_move_table(spec, True), np.random.default_rng(seed))
+    return _sample(_move_table(spec, True), seeded_rng(seed))
 
 
 def semiclassical_distribution(spec: ModExpSpec) -> np.ndarray:
@@ -181,8 +190,10 @@ def classical_postprocess(j: int, Q: int, N: int, a: int) -> PeriodCandidate:
 def period_finding_run(spec: ModExpSpec, seed: int = 0,
                        mode: str = "semiclassical") -> PeriodCandidate:
     """One period-finding trial; returns the measurement and its candidate."""
+    if mode not in MODES:
+        raise SizeError(f"mode {mode!r}")
     Q = spec.radix**spec.exp_digits
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     if pow(spec.base, 1, spec.modulus) == 1:
         return PeriodCandidate(0, Q, 1, True)
     if mode == "full-register":
@@ -190,10 +201,8 @@ def period_finding_run(spec: ModExpSpec, seed: int = 0,
         j = int(rng.choice(Q, p=p / p.sum()))
     elif mode == "semiclassical":
         j = semiclassical_period_rounds(spec, rng)
-    elif mode == "semiclassical-gate":
-        j = semiclassical_gate_run(spec, seed)
     else:
-        raise SizeError(f"mode {mode!r}")
+        j = semiclassical_gate_run(spec, seed)
     return classical_postprocess(j, Q, spec.modulus, spec.base)
 
 
@@ -243,19 +252,21 @@ def shor_factor(N: int, seed: int = 0, encoding: str = "binary",
                 mode: str = "semiclassical", max_trials: int = 32) -> FactorReport:
     """Factor an odd composite by repeated period finding.
 
-    Primes are rejected with ``SizeError``.  A perfect power b^k, every
-    prime power among them, is answered classically with no period-finding
-    attempt and logged as ``(b, "perfect-power", k)``.
+    Primes and bad arguments raise ``SizeError`` before any draw.  A perfect power
+    b^k, every prime power among them, is answered classically with no
+    period-finding attempt and logged as ``(b, "perfect-power", k)``.
     """
     if N % 2 == 0 or N < 9:
         raise SizeError("N must be an odd composite")
     if _is_prime(N):
         raise SizeError(f"N={N} is prime")
+    if encoding not in ("binary", "ternary") or mode not in MODES or max_trials < 1:
+        raise SizeError(f"encoding {encoding!r}, mode {mode!r}, max_trials {max_trials}")
+    rng = seeded_rng(seed)
     power = _perfect_power(N)
     if power is not None:
         b, k = power
         return FactorReport((b, N // b), ((b, "perfect-power", k),), seed)
-    rng = np.random.default_rng(seed)
     log = []
     for trial in range(max_trials):
         a = int(rng.integers(2, N - 1))

@@ -315,19 +315,31 @@ def born_probabilities(s: StateVector, wire: int) -> np.ndarray:
     return _born(s.amps, _split(s.width, wire))
 
 
+def seeded_rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)`` for a non-negative integer seed, else ``SizeError``."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise SizeError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
+def choice_draw(p: list, rng) -> int:
+    """The index ``rng.choice(3, p=p / sum(p))`` draws for Python floats p (pad two with 0.0),
+    in its float operations without its checks: cumsum, over its last entry, searchsorted right."""
+    total = p[0] + p[1] + p[2]
+    c0 = p[0] / total
+    c1 = c0 + p[1] / total
+    c2 = c1 + p[2] / total
+    u = rng.random()
+    return (u >= c0 / c2) + (u >= c1 / c2)
+
+
 def _measure(amps: np.ndarray, shape: tuple, rng) -> tuple[int, np.ndarray]:
     """Outcome and post-measurement amplitudes of the wire that ``shape`` splits out."""
     p = _born(amps, shape).tolist()
     total = p[0] + p[1] + p[2]
     if abs(total - 1.0) > 1e-8:
         raise NonUnitaryError(f"state norm drifted to {total}")
-    # the draw Generator.choice(3, p=probs / total) makes, without its checks: the same float
-    # operations as its cumsum, normalised by the last entry, and searchsorted(side="right")
-    c0 = p[0] / total
-    c1 = c0 + p[1] / total
-    c2 = c1 + p[2] / total
-    u = rng.random()
-    outcome = (u >= c0 / c2) + (u >= c1 / c2)
+    outcome = choice_draw(p, rng)
     norm = math.sqrt(p[outcome])
     if norm < 1e-12:
         raise NonUnitaryError("measured a zero-probability branch")
@@ -488,7 +500,7 @@ class RunRecord:
 class _Exec:
     def __init__(self, width, seed, mode, record):
         self.width = width
-        self.rng = np.random.default_rng(seed)
+        self.rng = seeded_rng(seed)
         self.mode = mode
         self.record = record
 

@@ -32,6 +32,51 @@ def test_flag_error_exits_2():
     assert proc.returncode == 2
 
 
+# (argv, exit status): each subcommand once with good input and once with a bad flag;
+# "{file}" is a one-gate circuit file
+EXIT_CONTRACT = [
+    (["gate-show", "P9"], 0),
+    (["gate-show"], 2),
+    (["circuit-count", "{file}"], 0),
+    (["circuit-count", "{file}", "--bogus"], 2),
+    (["circuit-sim", "{file}", "--seed", "4"], 0),
+    (["circuit-sim", "{file}", "--seed", "-1"], 2),
+    (["circuit-sim", "{file}", "--seed", "1.5"], 2),
+    (["circuit-sim", "{file}", "--mode", "noisy"], 2),
+    (["widget-verify"], 0),
+    (["widget-verify", "--fast"], 2),
+    (["adder-verify"], 0),
+    (["adder-verify", "--n", "5"], 2),
+    (["qft-verify"], 0),
+    (["qft-verify", "4"], 2),
+    (["shor-run", "--n", "15", "--seed", "7"], 0),
+    (["shor-run", "--n", "15", "--base", "7", "--seed", "3", "--mode", "full-register"], 1),
+    (["shor-run", "--n", "13"], 1),
+    (["shor-run", "--n", "15", "--seed", "-1"], 2),
+    (["shor-run", "--n", "15", "--seed", "x"], 2),
+    (["shor-run", "--n", "15", "--base", "7", "--seed", "-3"], 2),
+    (["shor-run", "--n", "15", "--trials", "0"], 2),
+    (["shor-run", "--n", "15", "--mode", "quantum"], 2),
+    (["shor-run", "--seed", "1"], 2),
+    (["cost-table", "--table", "ripple"], 0),
+    (["cost-table", "--table", "wrong"], 2),
+    (["budget", "--p-useful", "0.04", "--epsilon", "0.05", "--depth", "10"], 0),
+    (["budget", "--p-useful", "0.04", "--epsilon", "0.05"], 2),
+]
+
+
+@pytest.mark.parametrize("argv,status", EXIT_CONTRACT, ids=[" ".join(a) for a, _ in EXIT_CONTRACT])
+def test_exit_status_contract(argv, status, tmp_path, capsys):
+    path = tmp_path / "w.tq"
+    path.write_text("circuit 1\ngate INC 0\n")
+    argv = [str(path) if a == "{file}" else a for a in argv]
+    try:
+        got = run_cli(argv)
+    except SystemExit as exc:  # argparse rejects a flag
+        got = exc.code
+    assert got == status
+
+
 def test_circuit_count_file(tmp_path, capsys):
     path = tmp_path / "toffoli.tq"
     path.write_text(serialize(widgets.toffoli_emulated("one_clean")))

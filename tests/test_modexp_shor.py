@@ -1,5 +1,6 @@
 import hashlib
 from dataclasses import astuple
+from math import gcd
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from terniq import modexp, shor
 from terniq.costmodel import modeled_shift_count
 from terniq.circuit import Circuit, GateOp, count_resources, gate_op
 from terniq.errors import RoundMapError, SizeError
+from terniq.gates import matrix_for_name
 from terniq.modexp import (
     ModExpSpec,
     _ctrl_mult_ops,
@@ -27,7 +29,8 @@ from terniq.shor import (
     semiclassical_period_rounds,
     shor_factor,
 )
-from terniq.sim import CompiledCircuit, compile_classical, index_of_trits, run_compiled, trits_of_index
+from terniq.sim import (CompiledCircuit, compile_classical, index_of_trits, run, run_compiled,
+                        trits_of_index)
 from terniq.textfmt import serialize
 
 
@@ -184,6 +187,87 @@ def test_gate_level_semiclassical_bridge():
             j_gate = semiclassical_gate_run(spec, seed)
             j_map = semiclassical_period_rounds(spec, np.random.default_rng(seed))
             assert j_gate == j_map, (spec, seed)
+
+
+def _reference_sample(spec, rng):
+    """The sampler as it drew before ``sim.choice_draw``: a (1, r) row per round, the
+    Hadamard weights rebuilt each round, and ``rng.choice`` on the normalised probabilities."""
+    moves = shor._move_table(spec, False)
+    e, d, r = moves.shape
+    hadamard = matrix_for_name("HBIN" if d == 2 else "H").matrix[:d, :d]
+    row, j = np.eye(1, r, dtype=np.complex128), 0
+    for t in range(e):
+        phases = np.exp(np.multiply.outer([j], np.arange(d) * (-2j * np.pi / d ** (t + 1))))
+        weights = (hadamard.conj().T * hadamard[:, 0])[:, None, :] * phases
+        children = np.einsum("mbc,bci->mbi", weights, row[:, moves[t]])
+        probs = (np.abs(children) ** 2).sum(axis=(1, 2))
+        m = int(rng.choice(d, p=probs / probs.sum()))
+        row = children[m]
+        j += m * d**t
+    return j
+
+
+def _coprime_specs(moduli):
+    return [ModExpSpec(a, N, enc) for N in moduli for enc in ("binary", "ternary")
+            for a in range(2, N) if gcd(a, N) == 1]
+
+
+@pytest.mark.parametrize("N", [15, 21, 33])
+def test_sampler_draws_as_the_reference(N):
+    for spec in _coprime_specs((N,)):
+        for seed in range(10):
+            got = semiclassical_period_rounds(spec, np.random.default_rng(seed))
+            assert got == _reference_sample(spec, np.random.default_rng(seed)), (spec, seed)
+
+
+# sha256 of the repr of every outcome, recorded with the reference sampler
+SAMPLED_J_DIGEST = "4bb595b82df3ae0c1cb0e1fe31a0b5a05466fb5368d5176a9ceeac90464f91c8"
+FACTOR_REPORT_DIGEST = "c515765702945154c793a39b87a73acb60a1f44ced4a2314510913a437b083c3"
+
+
+def test_sampled_outcomes_are_pinned():
+    """j of seeds 0-49 at every coprime base of N in {15, 21, 33, 35}, both encodings."""
+    js = [semiclassical_period_rounds(spec, np.random.default_rng(seed))
+          for spec in _coprime_specs((15, 21, 33, 35)) for seed in range(50)]
+    assert len(js) == 6000
+    assert hashlib.sha256(repr(js).encode()).hexdigest() == SAMPLED_J_DIGEST
+
+
+def test_factor_reports_are_pinned():
+    reports = [(rep.factors, rep.trials) for N in (15, 21, 33, 35, 39, 51, 55, 57)
+               for enc in ("binary", "ternary") for seed in range(20)
+               for rep in [shor_factor(N, seed=seed, encoding=enc)]]
+    assert hashlib.sha256(repr(reports).encode()).hexdigest() == FACTOR_REPORT_DIGEST
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+def test_seeds_must_be_non_negative_integers(seed):
+    spec = ModExpSpec(7, 15, "binary")
+    for call in (lambda: run(Circuit(1, ()), seed=seed), lambda: shor_factor(15, seed=seed),
+                 lambda: period_finding_run(spec, seed=seed),
+                 lambda: semiclassical_gate_run(spec, seed)):
+        with pytest.raises(SizeError, match="seed"):
+            call()
+
+
+def test_numpy_integer_seeds_draw_as_ints():
+    assert shor_factor(21, seed=np.int64(3)) == shor_factor(21, seed=3)
+    assert run(Circuit(1, ()), seed=np.uint32(5)).seed == 5
+
+
+@pytest.mark.parametrize("N", [15, 25])
+@pytest.mark.parametrize("bad", [{"encoding": "octal"}, {"mode": "bogus"},
+                                 {"max_trials": 0}, {"max_trials": -1}])
+def test_shor_factor_rejects_bad_arguments_before_any_draw(N, bad):
+    # at N = 15 seed 0 draws a base sharing a factor; N = 25 is a perfect power
+    for seed in range(8):
+        with pytest.raises(SizeError):
+            shor_factor(N, seed=seed, **bad)
+
+
+def test_period_finding_run_rejects_a_bad_mode_at_a_trivial_base():
+    with pytest.raises(SizeError, match="mode"):
+        period_finding_run(ModExpSpec(1, 15, "binary"), mode="bogus")
 
 
 @pytest.mark.parametrize("enc,mult", [("binary", 7), ("ternary", 2)])

@@ -1,6 +1,6 @@
 """Property tests: the costed binary-data networks and their P9 expansion,
-the modular additive shift, the gate grammar, the two classical paths, and
-the text format on random and mutated documents."""
+the modular additive shift, the gate grammar, the two classical paths, the
+measurement draw, and the text format on random and mutated documents."""
 
 from itertools import product
 
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import classical_map
 from terniq import widgets
@@ -18,8 +18,8 @@ from terniq.circuit import (Chain, Circuit, CondGateOp, GateOp, MeasureOp, Resou
 from terniq.errors import ParseError
 from terniq.gates import MAX_ARITY, matrix_for_name
 from terniq.modexp import ModExpSpec, modexp_circuit
-from terniq.sim import (basis_state, circuit_unitary, compile_classical, index_of_trits, run,
-                        run_compiled, trits_of_index)
+from terniq.sim import (basis_state, choice_draw, circuit_unitary, compile_classical,
+                        index_of_trits, run, run_compiled, trits_of_index)
 from terniq.textfmt import deserialize, serialize
 from terniq.widgets import _expand
 
@@ -277,6 +277,27 @@ def test_dense_run_agrees_with_the_compiled_walk(case):
     amps = run(circ, basis_state(circ.width, index)).state.amps
     assert np.flatnonzero(np.abs(amps) > 1e-12).tolist() == [out]
     assert abs(amps[out] - 1) < 1e-12
+
+
+@settings(max_examples=400)
+@given(st.integers(2, 3), st.lists(st.sampled_from([0.0, 1e-300, 1e300]) | st.floats(1e-150, 1e150),
+                                   min_size=3, max_size=3),
+       st.integers(0, 2**32 - 1), st.booleans())
+@example(3, [0.0, 0.0, 1.0], 0, False)
+@example(3, [1.0, 0.0, 0.0], 0, False)
+@example(3, [0.5, 0.0, 0.5], 0, False)
+def test_choice_draw_is_generator_choice(d, weights, seed, at_uniform):
+    """Outcome and generator state of ``Generator.choice(d, p=p / p.sum())``, zeros included."""
+    p = weights[:d]
+    if at_uniform:  # the first cumulative edge, to within rounding, where the uniform falls
+        u = np.random.default_rng(seed).random()
+        p[0] = u * sum(p[1:]) / (1 - u)
+    probs = np.array(p)
+    assume(0 < probs.sum() < np.inf)
+    want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = int(want_rng.choice(d, p=probs / probs.sum()))
+    assert choice_draw(p + [0.0] * (3 - d), got_rng) == want
+    assert got_rng.random() == want_rng.random()
 
 
 # ------------------------------------------------------- text round trips
