@@ -42,10 +42,11 @@ def check_gate_wires(gate: GateMatrix, wires: tuple[int, ...]) -> tuple[int, ...
     return wires
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GateOp:
     gate: GateMatrix
     wires: tuple[int, ...]
+    _adjoint: Optional[GateOp] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "wires", check_gate_wires(self.gate, self.wires))
@@ -53,7 +54,7 @@ class GateOp:
     @property
     def adjoint(self) -> GateOp:
         """The adjoint op, from ``gate_op`` for a catalog gate, kept on this op after first use."""
-        if not hasattr(self, "_adjoint"):  # set as an attribute: a __dict__ slows every op read
+        if self._adjoint is None:
             adj = GateOp(self.gate.adjoint(), self.wires)
             with suppress(CatalogError):  # a gate outside the catalog grammar keeps a new op
                 shared = gate_op(adj.gate.name, *self.wires)

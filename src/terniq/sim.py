@@ -37,7 +37,7 @@ Two gate modes:
 the norm of the state it measures.
 
 The classical path compiles a permutation circuit into one trit table per
-maximal run of consecutive gates on at most 3 wires, leaving out identity runs
+maximal run of consecutive gates on at most 5 wires, leaving out identity runs
 (:func:`compile_classical`), and walks one basis index through them on
 Python-int trits with no width ceiling (:func:`run_compiled`); exhaustive
 arithmetic uses it.  :func:`circuit_permutation` inverts the gather index of a
@@ -52,6 +52,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, reduce
+from itertools import product
 
 import numpy as np
 
@@ -144,11 +145,18 @@ def product_state(factors) -> StateVector:
 
 
 def index_of_trits(trits) -> int:
-    return reduce(lambda index, t: 3 * index + int(t), reversed(tuple(trits)), 0)
+    """Basis index of ``trits``, wire 0 least significant; ``SizeError`` unless each is 0, 1 or 2."""
+    trits = tuple(trits)
+    if not set(trits) <= {0, 1, 2}:
+        raise SizeError(f"trits {trits} are not all 0, 1 or 2")
+    return reduce(lambda index, t: 3 * index + int(t), reversed(trits), 0)
 
 
 def trits_of_index(index: int, width: int) -> tuple[int, ...]:
-    trits = []
+    """Trits of basis ``index`` on ``width`` wires, wire 0 first; ``SizeError`` outside the width."""
+    if not isinstance(index, (int, np.integer)) or not 0 <= index < 3**width:
+        raise SizeError(f"basis index {index} outside width {width}")
+    index, trits = int(index), []
     for _ in range(width):
         index, t = divmod(index, 3)
         trits.append(t)
@@ -612,9 +620,16 @@ class CompiledCircuit:
         return len(self.ops)
 
 
+@lru_cache(maxsize=None)
+def _trit_tuples(k: int) -> tuple:
+    """Every ``k``-trit tuple in index order, first trit most significant: one object per value."""
+    return tuple(product(range(3), repeat=k))
+
+
 @lru_cache(maxsize=1024)
 def _fused_table(names: tuple, pos: tuple, k: int):
-    """Trit table of gates ``names`` at local positions ``pos`` on ``k`` wires; None if identity."""
+    """Trit table of gates ``names`` at local positions ``pos`` on ``k`` wires; None if identity.
+    Its entries are the shared tuples of ``_trit_tuples(k)``."""
     start = np.indices((3,) * k).reshape(k, 3**k).T  # row loc: its trits, first wire first
     rows = start.copy()
     for name in names:
@@ -623,7 +638,9 @@ def _fused_table(names: tuple, pos: tuple, k: int):
             raise NonUnitaryError(f"{name} is not a classical permutation")
         at, pos = list(pos[:len(table[0])]), pos[len(table[0]):]
         rows[:, at] = np.array(table)[rows[:, at] @ 3 ** np.arange(len(at))[::-1]]
-    return None if (rows == start).all() else tuple(map(tuple, rows.tolist()))
+    if (rows == start).all():
+        return None
+    return tuple(map(_trit_tuples(k).__getitem__, (rows @ 3 ** np.arange(k)[::-1]).tolist()))
 
 
 @lru_cache(maxsize=4096)
@@ -637,14 +654,14 @@ def _run_steps(names: tuple, wires: tuple) -> tuple:
 
 def compile_classical(c: Circuit) -> CompiledCircuit:
     """Flatten a measurement-free permutation circuit for fast walks: one table per maximal run
-    of consecutive gates on at most 3 wires, or on one wider gate's, identity runs left out."""
+    of consecutive gates on at most 5 wires, identity runs left out."""
     ops, run, names, wires = [], set(), [], []
     for op in c.instructions:
         if not isinstance(op, GateOp):
             raise NonUnitaryError(f"classical path cannot run {type(op).__name__}")
         if not run.issuperset(op.wires):
             run = run.union(op.wires)
-            if len(run) > 3:
+            if len(run) > 5:
                 ops += _run_steps(tuple(names), tuple(wires))
                 run, names, wires = set(op.wires), [], []
         names.append(op.gate.name)
@@ -659,22 +676,24 @@ def run_compiled(compiled: CompiledCircuit, index: int) -> int:
         index = operator.index(index)
     except TypeError:
         raise SizeError(f"basis index {index!r} is not an integer") from None
-    if not 0 <= index < 3**compiled.width:
-        raise SizeError(f"basis index {index} outside width {compiled.width}")
-    t = list(trits_of_index(index, compiled.width))
-    for a, wires, table in compiled.ops:
-        if a == 3:
+    t = list(trits_of_index(index, compiled.width))  # SizeError outside the width
+    for a, wires, table in compiled.ops:  # arity 1 to 5: no gate is wider than 4 wires
+        if a == 5:
+            w0, w1, w2, w3, w4 = wires
+            t[w0], t[w1], t[w2], t[w3], t[w4] = table[81 * t[w0] + 27 * t[w1] + 9 * t[w2]
+                                                      + 3 * t[w3] + t[w4]]
+        elif a == 4:
+            w0, w1, w2, w3 = wires
+            t[w0], t[w1], t[w2], t[w3] = table[27 * t[w0] + 9 * t[w1] + 3 * t[w2] + t[w3]]
+        elif a == 3:
             w0, w1, w2 = wires
             t[w0], t[w1], t[w2] = table[9 * t[w0] + 3 * t[w1] + t[w2]]
         elif a == 2:
             w0, w1 = wires
             t[w0], t[w1] = table[3 * t[w0] + t[w1]]
-        elif a == 1:
+        else:
             w0, = wires
             t[w0], = table[t[w0]]
-        else:
-            for w, v in zip(wires, table[index_of_trits([t[w] for w in reversed(wires)])]):
-                t[w] = v
     return index_of_trits(t)
 
 

@@ -320,7 +320,9 @@ def test_round_map_at_ten_bit_moduli(enc, N):
 
 
 @pytest.mark.parametrize("a,N,enc", [(7, 15, "binary"), (2, 21, "binary"),
-                                     (2, 15, "ternary"), (2, 21, "ternary")])
+                                     (2, 15, "ternary"), (2, 21, "ternary"),
+                                     pytest.param(2, 1023, "binary", marks=pytest.mark.slow),
+                                     pytest.param(2, 727, "ternary", marks=pytest.mark.slow)])
 def test_modexp_circuit_is_its_round_multiplies(a, N, enc):
     spec = ModExpSpec(a, N, enc)
     e = spec.exp_digits

@@ -50,11 +50,25 @@ def test_little_endian_indexing():
     assert index_of_trits([1, 0]) == 1
     assert index_of_trits([0, 1]) == 3
     assert trits_of_index(5, 3) == (2, 1, 0)
-    # the place-value formulas, negative and above int64 too
-    for index in (-1, -3**5 - 7, 123456789, 3**70 - 1):
+    # the place-value formulas, above int64 too
+    for index in (0, 123456789, 3**70 - 1):
         trits = trits_of_index(index, 70)
         assert trits == tuple((index // 3**i) % 3 for i in range(70))
         assert index_of_trits(trits) == sum(t * 3**i for i, t in enumerate(trits))
+
+
+def test_trit_conversions_reject_out_of_range_input():
+    for index, width in ((27, 3), (-1, 3), (-3**5 - 7, 70), (3**70, 70), (1.0, 3)):
+        with pytest.raises(SizeError, match="outside width"):
+            trits_of_index(index, width)
+    for trits in ([5, 0], [0, -1], [3], [1, 1.5]):
+        with pytest.raises(SizeError, match="not all 0, 1 or 2"):
+            index_of_trits(trits)
+    # numpy integers in range convert to Python ints
+    assert trits_of_index(np.int64(26), 3) == (2, 2, 2)
+    assert all(type(t) is int for t in trits_of_index(np.int64(5), 3))
+    assert index_of_trits(np.array([2, 1, 0])) == 5
+    assert type(index_of_trits(np.array([2, 1, 0]))) is int
 
 
 def test_apply_inc_wire0():
@@ -583,6 +597,7 @@ def _walk_gate_by_gate(circ, index):
 
 def test_fused_walk_matches_gate_by_gate():
     rng = np.random.default_rng(1616)
+    arities = set()
     for width in range(1, 9):
         ops = []
         while len(ops) < 40:
@@ -594,12 +609,11 @@ def test_fused_walk_matches_gate_by_gate():
                 ops.append(GateOp(gate.adjoint(), ops[-1].wires))
         circ = Circuit(width, tuple(ops))
         comp = compile_classical(circ)
-        # a step on more than 3 wires is a run on the wires of one 4-wire gate
-        wide = {frozenset(op.wires) for op in ops if len(op.wires) > 3}
-        assert all(a == len(wires) and (a <= 3 or frozenset(wires) in wide)
-                   for a, wires, _ in comp.ops)
+        assert all(a == len(wires) <= 5 for a, wires, _ in comp.ops)
+        arities.update(a for a, _, _ in comp.ops)
         for idx in range(3**width):
             assert run_compiled(comp, idx) == _walk_gate_by_gate(circ, idx)
+    assert 5 in arities
     cancel = (g("C2[INC]", 0, 2), g("C2[INC]_INV", 0, 2), g("TSWAP", 1, 2), g("TSWAP", 2, 1))
     assert len(compile_classical(Circuit(3, cancel))) == 0
 
@@ -613,8 +627,16 @@ def test_fused_run_with_a_non_permutation_gate_raises():
 
 
 def test_fused_modexp_walks_a_quarter_of_its_gates():
-    circ = modexp_circuit(ModExpSpec(2, 21, "binary")).circuit
-    assert 4 * len(compile_classical(circ)) <= len(circ)
+    for N, enc, fold in ((21, "binary", 16), (15, "ternary", 6)):
+        circ = modexp_circuit(ModExpSpec(2, N, enc)).circuit
+        assert fold * len(compile_classical(circ)) <= len(circ), (N, enc)
+
+
+def test_fused_table_entries_are_shared_tuples():
+    circ = modexp_circuit(ModExpSpec(2, 15, "ternary")).circuit
+    shared = {k: {id(t) for t in sim._trit_tuples(k)} for k in range(1, 6)}
+    for a, _, table in compile_classical(circ).ops:
+        assert len(table) == 3**a and all(id(entry) in shared[a] for entry in table)
 
 
 def test_run_compiled_rejects_a_non_integer_index():
