@@ -17,6 +17,7 @@ only layers that contain at least one non-Clifford gate.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from collections import Counter
@@ -40,6 +41,15 @@ def check_gate_wires(gate: GateMatrix, wires: tuple[int, ...]) -> tuple[int, ...
     if len(wires) != gate.arity:
         raise SizeError(f"{gate.name}: {len(wires)} wires for arity {gate.arity}")
     return wires
+
+
+def _check_fields(op, *names: str) -> None:
+    """Set each field ``names`` of ``op`` to its Python int; ``SizeError`` unless an integer."""
+    for name in names:
+        value = getattr(op, name)
+        if not hasattr(type(value), "__index__"):
+            raise SizeError(f"{type(op).__name__}: non-integer {name} {value!r}")
+        object.__setattr__(op, name, operator.index(value))
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,6 +78,9 @@ class MeasureOp:
     wire: int
     slot: int
 
+    def __post_init__(self):
+        _check_fields(self, "wire", "slot")
+
     @property
     def wires(self) -> tuple[int, ...]:
         return (self.wire,)
@@ -83,6 +96,7 @@ class CondGateOp:
     wires: tuple[int, ...]
 
     def __post_init__(self):
+        _check_fields(self, "slot", "value")
         object.__setattr__(self, "wires", check_gate_wires(self.gate, self.wires))
 
 
@@ -126,6 +140,10 @@ class RusOp:
             raise NonUnitaryError("RUS body must contain at least one measurement")
         if (self.chain is None) == (not self.predicate):
             raise SizeError("RusOp needs exactly one of predicate or chain")
+        _check_fields(self, "max_iters")
+        if self.max_iters < 1 or not 0 < self.expected_trials < math.inf:
+            raise SizeError(f"RusOp needs max_iters >= 1, got {self.max_iters}, and positive, "
+                            f"finite expected trials, got {self.expected_trials!r}")
         object.__setattr__(self, "corrections", tuple(
             (k, gate, check_gate_wires(gate, wires)) for k, gate, wires in self.corrections))
         touched = {w for op in self.body.instructions for w in op.wires}

@@ -202,7 +202,7 @@ def period_finding_run(spec: ModExpSpec, seed: int = 0,
     elif mode == "semiclassical":
         j = semiclassical_period_rounds(spec, rng)
     else:
-        j = semiclassical_gate_run(spec, seed)
+        j = _sample(_move_table(spec, True), rng)
     return classical_postprocess(j, Q, spec.modulus, spec.base)
 
 

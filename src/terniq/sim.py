@@ -12,14 +12,16 @@ gates' kernels applied in turn to the identity.
 The executor turns each instruction list into a step plan once per
 (instruction tuple, exec width, gate mode), found by the identity of the tuple,
 so a RUS trial only dispatches over its body's steps on the bare amplitude
-array.  A run of consecutive gates that the mode does not inject is fused: up
-to width 5 into one cached operator, wider a run of diagonal gates into one
-multiply.  Otherwise, up to width 8 a permutation gate or a run of them is one
-gather through a cached index, and wider a run of ``TSWAP`` gates is one
-transpose copy of the ``(3,) * w`` view; up to width 5 any other gate is its
-one-gate operator.  A measurement reduces the view splitting out its wire once
-for the three Born probabilities, draws the outcome in Python floats with the
-float operations of ``Generator.choice``, and keeps the measured slice.
+array.  :func:`_run_kind` is the one rule table; each maximal run of
+consecutive gates of one kind is one step.  A gate that the mode does not
+inject joins, up to width 5, a run fused into one cached operator (one gather
+when the operator permutes); wider, a diagonal gate joins a run applied as one
+multiply; at widths 6 to 8 a permutation gate joins a run applied as one gather
+through a cached index; above width 8 a ``TSWAP`` joins a run applied as one
+transpose copy of the ``(3,) * w`` view.  Any other gate is its kernel.  A
+measurement reduces the view splitting out its wire once for the three Born
+probabilities, draws the outcome in Python floats with the float operations of
+``Generator.choice``, and keeps the measured slice.
 
 Two gate modes:
 
@@ -52,7 +54,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, reduce
-from itertools import product
+from itertools import groupby, product
 
 import numpy as np
 
@@ -185,8 +187,11 @@ def _product(key: tuple, width: int) -> np.ndarray:
 
 @lru_cache(maxsize=1024)
 def _fused_segment(width: int, key: tuple):
-    """Product operator of consecutive gates plus its tally."""
-    return _product(key, width), _tally(tuple(name for name, _ in key))
+    """Product operator of consecutive gates, as its gather index if it permutes, plus its tally."""
+    mat = _product(key, width)
+    rows, src = mat.nonzero()
+    op = src if len(src) == len(mat) and (mat[rows, src] == 1).all() else mat
+    return op, _tally(tuple(name for name, _ in key))
 
 
 @lru_cache(maxsize=256)
@@ -389,31 +394,29 @@ def _injects(gate: GateMatrix, mode: str) -> bool:
     return mode == "injected" and gate.arity == 1 and gate.name.removesuffix("_INV") in ("P9", "R2")
 
 
+def _run_kind(gate: GateMatrix, width: int, mode: str):
+    """The one rule table: the step builder of the run that ``gate`` joins, or None when it
+    gets an injection or a kernel of its own."""
+    if _injects(gate, mode):
+        return None
+    if width <= 5:
+        return _fused_step
+    if _diagonal(gate) is not None:
+        return _diagonal_step
+    if width <= 8:  # wider, a cached index costs more than it saves
+        return _gather_step if trit_table(gate.name) is not None else None
+    return _transpose_step if gate.name == "TSWAP" else None
+
+
 def _build_plan(instructions, width: int, mode: str) -> tuple:
-    """A run of gates that ``mode`` does not inject is one product operator up to width 5,
-    wider a run of diagonal ones one multiply; otherwise up to width 8 a run of permutation
-    gates is one gather, and wider a run of ``TSWAP`` gates one transpose."""
-    steps, i, n = [], 0, len(instructions)
-
-    def run_end(test):
-        j = i
-        while j < n and isinstance(instructions[j], GateOp) and test(instructions[j].gate):
-            j += 1
-        return j
-
-    while i < n:
-        j = run_end(lambda g: not _injects(g, mode) and (width <= 5 or _diagonal(g) is not None))
-        step = _fused_step
-        if j - i < 2 and width <= 8:  # wider, a cached index costs more than it saves
-            j, step = run_end(lambda g: trit_table(g.name) is not None), _gather_step
-        elif j - i < 2:
-            j, step = run_end(lambda g: g.name == "TSWAP"), _transpose_step
-        if j - i > 1:
-            steps.append(step(tuple((op.gate.name, op.wires) for op in instructions[i:j]), width))
+    """One step per maximal run of consecutive gates of one ``_run_kind``, one per other op."""
+    steps = []
+    for kind, ops in groupby(instructions, lambda op: isinstance(op, GateOp)
+                             and _run_kind(op.gate, width, mode)):
+        if kind:
+            steps.append(kind(tuple((op.gate.name, op.wires) for op in ops), width))
         else:
-            j = i + 1
-            steps.append(_instruction_step(instructions[i], width, mode))
-        i = j
+            steps += (_instruction_step(op, width, mode) for op in ops)
     return tuple(steps)
 
 
@@ -429,9 +432,15 @@ def _counting(step, tally):
 
 
 def _fused_step(key: tuple, width: int):
-    if width <= 5:
-        mat, tally = _fused_segment(width, key)
-        return _counting(lambda ex, amps, slots: mat @ amps, tally)
+    """One cached product operator for a run of gates, one gather if the product permutes."""
+    op, tally = _fused_segment(width, key)
+    if op.ndim == 1:
+        return _counting(lambda ex, amps, slots: amps[op], tally)
+    return _counting(lambda ex, amps, slots: op @ amps, tally)
+
+
+def _diagonal_step(key: tuple, width: int):
+    """One multiply for a run of diagonal gates."""
     union, factors, tally = _diagonal_run(key)
 
     def diagonal_run(ex, amps, slots):
@@ -442,8 +451,7 @@ def _fused_step(key: tuple, width: int):
 
 
 def _gather_step(key: tuple, width: int):
-    """One gather for a permutation gate or run; it tallies nothing: no P9, R2 or loader
-    permutes."""
+    """One gather for a run of permutation gates; it tallies nothing: none is a P9, R2 or loader."""
     return lambda ex, amps, slots: amps[_perm_run(key, width)]
 
 
@@ -457,17 +465,14 @@ def _transpose_step(key: tuple, width: int):
 
 
 def _gate_step(gate: GateMatrix, wires: tuple, width: int, mode: str):
-    """One gate: an injection protocol, a gather, a one-gate operator or a kernel."""
-    tally = _tally((gate.name,))
+    """One gate: an injection protocol, a one-gate run of its ``_run_kind``, or its kernel."""
     if _injects(gate, mode):
         steps = _plan(_injection(gate.name, wires[0], width), width, mode)
-        return _counting(lambda ex, amps, slots: ex.run_steps(amps, steps, {}), tally)
-    if width <= 8 and trit_table(gate.name) is not None:
-        return _gather_step(((gate.name, wires),), width)
-    if width <= 5:
-        return _fused_step(((gate.name, wires),), width)
+        return _counting(lambda ex, amps, slots: ex.run_steps(amps, steps, {}), _tally((gate.name,)))
+    if kind := _run_kind(gate, width, mode):
+        return kind(((gate.name, wires),), width)
     kernel = _kernel(gate, wires, width)
-    return _counting(lambda ex, amps, slots: kernel(amps), tally)
+    return _counting(lambda ex, amps, slots: kernel(amps), _tally((gate.name,)))
 
 
 def _instruction_step(op, width: int, mode: str):
@@ -506,10 +511,8 @@ class RunRecord:
 
 
 class _Exec:
-    def __init__(self, width, seed, mode, record):
-        self.width = width
+    def __init__(self, seed, record):
         self.rng = seeded_rng(seed)
-        self.mode = mode
         self.record = record
 
     def count(self, tally):
@@ -518,9 +521,6 @@ class _Exec:
         self.record.r2_executed += r2
         for name in loads:
             self.record.consumed[name] += 1
-
-    def run_ops(self, amps, instructions, slots):
-        return self.run_steps(amps, _plan(instructions, self.width, self.mode), slots)
 
     def run_steps(self, amps, steps, slots):
         for step in steps:
@@ -532,8 +532,7 @@ class _Exec:
         chain_state = chain.start if chain else None
         log = []
         for trial in range(1, op.max_iters + 1):
-            for step in body:
-                amps = step(self, amps, slots)
+            amps = self.run_steps(amps, body, slots)
             if chain is not None:
                 m = slots.get(op.outcome_slot, 0)
                 log.append(m)
@@ -575,8 +574,9 @@ def run(c: Circuit, initial: StateVector | None = None, seed: int = 0,
     else:
         raise SizeError(f"initial width {initial.width} does not match circuit width {c.width}")
     record = RunRecord(state=state, slots={}, seed=seed)
-    ex = _Exec(width, seed, gate_mode, record)
-    record.state = StateVector(width, ex.run_ops(state.amps, c.instructions, record.slots))
+    ex = _Exec(seed, record)
+    amps = ex.run_steps(state.amps, _plan(c.instructions, width, gate_mode), record.slots)
+    record.state = StateVector(width, amps)
     if abs(record.state.norm() - 1.0) > _NORM_TOL:
         raise NonUnitaryError(f"final state norm {record.state.norm()}")
     return record

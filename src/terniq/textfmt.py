@@ -25,8 +25,6 @@ top-level gate once.
 
 from __future__ import annotations
 
-import math
-
 from .circuit import Chain, Circuit, CondGateOp, GateOp, MeasureOp, RusOp, check_gate_wires, gate_op
 from .errors import CircuitNameError, NonUnitaryError, ParseError, SizeError
 from .gates import matrix_for_name
@@ -298,8 +296,6 @@ def _parse_rus(cur, width):
                 expected = float(value)
             except ValueError:
                 raise ParseError(f"expected a number, got {value!r}", ln) from None
-            if not math.isfinite(expected) or expected <= 0:
-                raise ParseError(f"expected trials must be positive and finite, got {value!r}", ln)
         elif tok == "label":
             label = value
         elif tok == "consumes":
@@ -329,5 +325,5 @@ def _parse_rus(cur, width):
     try:
         return RusOp(Circuit(width, tuple(body_ops)), predicate, chain, outcome_slot,
                      tuple(corrections), max_iters, consumes, expected, label)
-    except NonUnitaryError as exc:
+    except (NonUnitaryError, SizeError) as exc:
         raise ParseError(str(exc), ln) from None

@@ -3,10 +3,17 @@
 import atexit
 import shutil
 import tempfile
+from collections import Counter
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from terniq import widgets
+from terniq.circuit import Circuit, CondGateOp, GateOp, MeasureOp, gate_op, remap_wires
+from terniq.errors import RusCapError
+from terniq.gates import matrix_for_name
 from terniq.sim import compile_classical, index_of_trits, run_compiled, trits_of_index
 
 try:
@@ -71,3 +78,82 @@ def assert_clean(adder, ot, controls=None):
             continue
         expect = ctrl_map.get(w, 0)
         assert ot[w] == expect, f"wire {w} ended in {ot[w]} (expected {expect})"
+
+
+def moveaxis_apply(amps, matrix, wires, width):
+    """Reference gate: move the gate's axes to the front, one matmul, move them back."""
+    a, axes = len(wires), [width - 1 - w for w in wires]
+    moved = np.moveaxis(amps.reshape([3] * width), axes, range(a))
+    out = (matrix @ moved.reshape(3**a, -1)).reshape(moved.shape)
+    return np.moveaxis(out, range(a), axes).reshape(-1)
+
+
+_LOADS = {"LOADMU": "mu", "LOADMUDG": "mu_dag", "LOADPSI": "psi"}
+
+
+def tallies(rec):
+    """The classical record of a run that the reference executor must reproduce."""
+    return (rec.slots, rec.rus_trials, rec.consumed, rec.p9_executed, rec.r2_executed,
+            rec.measurements)
+
+
+def reference_run(circ, init, seed=0, mode="ideal"):
+    """The reference executor: the record's fields and final ``amps`` of ``circ`` run from
+    ``init`` (at the circuit's width) one instruction at a time, none of it planned."""
+    width = circ.width + (mode == "injected")
+    rng, index = np.random.default_rng(seed), np.arange(3**width)
+    rec = SimpleNamespace(slots={}, rus_trials={}, consumed=Counter(), p9_executed=0,
+                          r2_executed=0, measurements=0)
+
+    def gate(name, wires, amps):
+        base = name.removesuffix("_INV")
+        rec.p9_executed += base == "P9"
+        rec.r2_executed += base == "R2"
+        if base in _LOADS:
+            rec.consumed[_LOADS[base]] += 1
+        if mode == "ideal" or base not in ("P9", "R2"):
+            return moveaxis_apply(amps, matrix_for_name(name).matrix, wires, width)
+        # injected: the widget circuits on the gate's wire and a top pool wire, own slots
+        if base == "R2":
+            ops = (replace(widgets.r2_injection_rus().instructions[0], label="injected-r2"),)
+        else:
+            ops = ((gate_op("LOADMUDG" if name == "P9_INV" else "LOADMU", 1),)
+                   + widgets.p9_injection_widget(name == "P9_INV").instructions)
+        protocol = Circuit(2, ops + tuple(widgets.reset_ops(1, 0)))
+        return steps(remap_wires(protocol, {0: wires[0], 1: width - 1}, width).instructions,
+                     amps, {})
+
+    def steps(ops, amps, slots):
+        for op in ops:
+            if isinstance(op, GateOp) or (isinstance(op, CondGateOp)
+                                          and slots.get(op.slot, 0) == op.value):
+                amps = gate(op.gate.name, op.wires, amps)
+            elif isinstance(op, MeasureOp):  # Generator.choice on the masked probabilities
+                mask = [index // 3**op.wire % 3 == v for v in range(3)]
+                p = np.array([np.sum(np.abs(amps[m]) ** 2) for m in mask])
+                slots[op.slot] = v = int(rng.choice(3, p=p / p.sum()))
+                amps = np.where(mask[v], amps, 0) / np.sqrt(p[v])
+                rec.measurements += 1
+            elif not isinstance(op, CondGateOp):
+                amps = rus(op, amps, slots)
+        return amps
+
+    def rus(op, amps, slots):
+        state = op.chain.start if op.chain else None
+        for trial in range(1, op.max_iters + 1):
+            amps = steps(op.body.instructions, amps, slots)
+            key = slots.get(op.outcome_slot, 0)
+            if op.chain:
+                state = key = op.chain.transitions[(state, key)]
+            if state in op.chain.accept if op.chain else all(
+                    slots.get(s, 0) == v for s, v in op.predicate):
+                for k, g, ws in op.corrections:
+                    amps = gate(g.name, ws, amps) if k == key else amps
+                rec.rus_trials.setdefault(op.label or "rus", []).append(trial)
+                return amps
+        raise RusCapError(f"RUS {op.label} exceeded {op.max_iters} iterations", [])
+
+    amps = np.zeros(3**width, dtype=np.complex128)
+    amps[:init.size] = init
+    rec.amps = steps(circ.instructions, amps, rec.slots)
+    return rec

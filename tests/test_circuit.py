@@ -7,11 +7,14 @@ import pytest
 from conftest import random_unitary
 from terniq.circuit import (
     Circuit,
+    CondGateOp,
     GateOp,
     MeasureOp,
+    RusOp,
     compose,
     count_resources,
     inverse,
+    remap_wires,
 )
 from terniq.errors import CircuitNameError, NonUnitaryError, ParseError, SizeError, WidthMismatchError
 from terniq.gates import GateMatrix, matrix_for_name
@@ -248,6 +251,37 @@ def test_every_gate_slot_checks_its_wires(wires):
             build()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: MeasureOp(1.0, 0), lambda: MeasureOp(0, "a"), lambda: MeasureOp(None, 0),
+    lambda: CondGateOp("x", 1, matrix_for_name("INC"), (0,)),
+    lambda: CondGateOp(0, 1.5, matrix_for_name("INC"), (0,)),
+    lambda: remap_wires(Circuit(1, (MeasureOp(0, 0),)), {0: 1.5}, 2),
+    lambda: run(Circuit(2, (MeasureOp(1.0, 0),))),
+], ids=["wire 1.0", "slot 'a'", "wire None", "slot 'x'", "value 1.5", "remapped wire", "run"])
+def test_measure_and_condition_fields_are_integers(make):
+    # each would fail later: a bare TypeError in a run, or text that the reader rejects
+    with pytest.raises(SizeError, match="non-integer"):
+        make()
+
+
+def test_integer_fields_round_trip_as_python_ints():
+    ops = (MeasureOp(np.int64(1), np.int8(2)),
+           CondGateOp(np.int64(2), np.int64(1), matrix_for_name("INC"), (0,)))
+    assert [type(v) for v in (ops[0].wire, ops[0].slot, ops[1].slot, ops[1].value)] == [int] * 4
+    c = Circuit(2, ops)
+    assert deserialize(serialize(c)) == c
+
+
+@pytest.mark.parametrize("bad", [{"max_iters": 0}, {"max_iters": -3}, {"max_iters": 2.5},
+                                 {"expected_trials": -1.0}, {"expected_trials": 0.0},
+                                 {"expected_trials": float("nan")},
+                                 {"expected_trials": float("inf")}], ids=str)
+def test_rus_loop_fields_are_checked(bad):
+    # serialize would write each of these, and the reader rejects them
+    with pytest.raises(SizeError):
+        RusOp(Circuit(1, (MeasureOp(0, 0),)), predicate=((0, 0),), **bad)
+
+
 def test_every_instruction_checks_the_circuit_width():
     # a wire at the width, in each kind of instruction, in a width-2 circuit
     from terniq.circuit import CondGateOp, RusOp
@@ -335,6 +369,9 @@ BAD_INSTRUCTIONS = [
     ("circuit 1\n# a body with no measurement\nrus {\ngate INC 0\n} until c0==0", 5),
     ("circuit 2\nmeasure 0 -> c0\ncc c0==0 gate SUM 1 1", 3),
     ("circuit 2\nrus {\nmeasure 0 -> c0\n} until c0==0 corrections {\n0: gate SUM 1 1\n}", 5),
+    ("circuit 1\nrus {\nmeasure 0 -> c0\n} until c0==0 maxiter 0", 4),
+    ("circuit 1\n\nrus {\nmeasure 0 -> c0\n} until c0==0 maxiter -2", 5),
+    ("circuit 1\nrus {\nmeasure 0 -> c0\n} until c0==0 expected -1.0", 4),
 ]
 
 
@@ -360,6 +397,7 @@ BAD_INSTRUCTIONS = [
         "c0==0 consumes psi:x",
         "c0==0 expected nan",
         "c0==0 expected inf",
+        "c0==0 expected 0",
         "chain(c0) start=x",
         "chain(c0) start=0 accept=1 trans=0,0",
         "chain(c0x start=0 accept=1 trans=0,1,1",

@@ -223,6 +223,8 @@ def test_sampler_draws_as_the_reference(N):
 # sha256 of the repr of every outcome, recorded with the reference sampler
 SAMPLED_J_DIGEST = "4bb595b82df3ae0c1cb0e1fe31a0b5a05466fb5368d5176a9ceeac90464f91c8"
 FACTOR_REPORT_DIGEST = "c515765702945154c793a39b87a73acb60a1f44ced4a2314510913a437b083c3"
+# the same for the gate-level mode, recorded while it built two generators per attempt
+GATE_FACTOR_REPORT_DIGEST = "ef18a285aaa5ed7eab771cfac95cceb24d47ebf7cb7df06aa8d74e846106fcac"
 
 
 def test_sampled_outcomes_are_pinned():
@@ -238,6 +240,18 @@ def test_factor_reports_are_pinned():
                for enc in ("binary", "ternary") for seed in range(20)
                for rep in [shor_factor(N, seed=seed, encoding=enc)]]
     assert hashlib.sha256(repr(reports).encode()).hexdigest() == FACTOR_REPORT_DIGEST
+
+
+def test_gate_level_factor_reports_are_pinned(monkeypatch):
+    made = []
+    monkeypatch.setattr(shor, "seeded_rng",
+                        lambda seed: made.append(seed) or np.random.default_rng(seed))
+    reports = [(rep.factors, rep.trials) for N in (15, 21) for enc in ("binary", "ternary")
+               for seed in range(10)
+               for rep in [shor_factor(N, seed=seed, encoding=enc, mode="semiclassical-gate")]]
+    assert hashlib.sha256(repr(reports).encode()).hexdigest() == GATE_FACTOR_REPORT_DIGEST
+    attempts = sum(kind != "gcd" for _, trials in reports for _, kind, _ in trials)
+    assert len(made) == 40 + attempts  # one generator per factoring and one per attempt
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])

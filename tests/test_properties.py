@@ -1,6 +1,7 @@
 """Property tests: the costed binary-data networks and their P9 expansion,
 the modular additive shift, the gate grammar, the two classical paths, the
-measurement draw, and the text format on random and mutated documents."""
+measurement draw, the text format on random and mutated documents, and the
+dense planner against the reference executor."""
 
 from itertools import product
 
@@ -10,15 +11,15 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import classical_map
+from conftest import classical_map, random_state_vector, reference_run, tallies
 from terniq import widgets
 from terniq.arithmetic import ShiftSpec, mcx_ops, mod_add_const
 from terniq.circuit import (Chain, Circuit, CondGateOp, GateOp, MeasureOp, ResourceCount, RusOp, _gate_class,
                             count_resources, gate_op)
-from terniq.errors import ParseError
+from terniq.errors import ParseError, RusCapError
 from terniq.gates import MAX_ARITY, matrix_for_name
 from terniq.modexp import ModExpSpec, modexp_circuit
-from terniq.sim import (basis_state, choice_draw, circuit_unitary, compile_classical,
+from terniq.sim import (StateVector, basis_state, choice_draw, circuit_unitary, compile_classical,
                         index_of_trits, run, run_compiled, trits_of_index)
 from terniq.textfmt import deserialize, serialize
 from terniq.widgets import _expand
@@ -444,3 +445,72 @@ def counted_circuits(draw):
 @example(Circuit(0, ()))
 def test_count_resources_matches_the_per_instruction_visitor(circ):
     assert count_resources(circ) == _reference_count(circ)
+
+
+# the planner's gate classes: diagonal (P9, P9_INV and R2 are injected in injected mode),
+# neither diagonal nor a permutation (single-wire and multi-wire), and permutations
+_PLANNER_GATES = {
+    "diagonal": ("P9", "P9_INV", "R2", "Z", "C1[Z]", "C2[C1[Z]]", "L[PHASE[1,9]]"),
+    "dense": ("H", "H_INV", "L[H]", "C1[H]", "C2[L[H]]"),
+    "permutation": ("INC", "TAU1[0,1]", "SUM", "SUM_INV", "C1[INC]", "C1[C1[INC]]", "L[SUM]"),
+    "tswap": ("TSWAP",),
+}
+
+
+@st.composite
+def planner_gate(draw, width, names):
+    gm = draw(st.sampled_from([matrix_for_name(n) for n in names]))
+    return gm, tuple(draw(st.permutations(range(width)))[:gm.arity])
+
+
+@st.composite
+def planner_ops(draw, width, in_rus=False):
+    """A run of 1-4 gates of one class, a measurement, a conditioned gate or a RUS block."""
+    fits = {kind: [n for n in names if matrix_for_name(n).arity <= width]
+            for kind, names in _PLANNER_GATES.items()}
+    every = [n for names in fits.values() for n in names]
+    kind = draw(st.sampled_from([k for k, v in fits.items() if v] + ["measure", "cond"]
+                                + ["rus"] * (not in_rus)))
+    slot, wire = st.integers(0, 2), st.integers(0, width - 1)
+    if kind == "measure":
+        return [MeasureOp(draw(wire), draw(slot))]
+    if kind == "cond":
+        return [CondGateOp(draw(slot), draw(st.integers(0, 2)), *draw(planner_gate(width, every)))]
+    if kind != "rus":
+        return [GateOp(*draw(planner_gate(width, fits[kind])))
+                for _ in range(draw(st.integers(1, 4)))]
+    # a trial: H on the measured wire, a few more instructions, the measurement
+    w, s = draw(wire), draw(slot)
+    body = [gate_op("H", w)] + [op for _ in range(draw(st.integers(0, 2)))
+                                for op in draw(planner_ops(width, True))] + [MeasureOp(w, s)]
+    if draw(st.booleans()):
+        form = {"predicate": ((s, draw(st.integers(0, 2))),)}
+    else:  # states 0, 1 and the accepting 2, with a path to it
+        trans = {(q, m): draw(st.integers(0, 2)) for q in (0, 1) for m in range(3)}
+        trans[(0, draw(st.integers(0, 2)))], trans[(1, draw(st.integers(0, 2)))] = 1, 2
+        form = {"chain": Chain(0, trans, frozenset({2})), "outcome_slot": s}
+    corrections = tuple((draw(st.integers(0, 2)), *draw(planner_gate(width, every)))
+                        for _ in range(draw(st.integers(0, 2))))
+    return [RusOp(Circuit(width, tuple(body)), corrections=corrections, max_iters=40,
+                  label=draw(st.sampled_from(["", "a", "b"])), **form)]
+
+
+@pytest.mark.parametrize("mode", ["ideal", "injected"])
+@pytest.mark.parametrize("width", range(1, 11))
+@settings(max_examples=8)
+@given(data=st.data(), seed=st.integers(0, 2**16), state_seed=st.integers(0, 2**16))
+def test_planned_runs_match_the_reference_executor(width, mode, data, seed, state_seed):
+    """Every planner rule at once: fused operators, diagonal runs, gathers, transposes,
+    kernels and injections, between measurements, conditioned gates and RUS blocks."""
+    runs = data.draw(st.lists(planner_ops(width), min_size=1, max_size=6))
+    circ = Circuit(width, tuple(op for ops in runs for op in ops))
+    init = random_state_vector(np.random.default_rng(state_seed), width)
+    try:
+        rec = run(circ, StateVector(width, init), seed=seed, gate_mode=mode)
+    except RusCapError:
+        with pytest.raises(RusCapError):
+            reference_run(circ, init, seed, mode)
+        return
+    ref = reference_run(circ, init, seed, mode)
+    assert np.abs(rec.state.amps - ref.amps).max() < 1e-12
+    assert tallies(rec) == tallies(ref)

@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import assert_clean, classical_map, random_state_vector
+from conftest import (assert_clean, classical_map, moveaxis_apply, random_state_vector,
+                      reference_run, tallies)
 from terniq.circuit import Circuit, CondGateOp, GateOp, MeasureOp
 from terniq.errors import NonUnitaryError, RusCapError, SizeError, WidthCapError
 from terniq.gates import matrix_for_name, states_equal_up_to_phase
@@ -14,13 +15,10 @@ from terniq.qft import qft3n
 from terniq import sim
 from terniq.sim import (
     _PLAN_CAP,
-    RunRecord,
     StateVector,
-    _Exec,
     _build_plan,
     _perm_run,
     _plans,
-    _tally,
     _transpose_step,
     apply_gate,
     basis_state,
@@ -94,15 +92,6 @@ def test_wire_clash_rejected():
         apply_gate(basis_state(2, 0), matrix_for_name("SUM"), (1, 1))
 
 
-def _moveaxis_apply(amps, matrix, wires, width):
-    # reference: move the gate's axes to the front, one matmul, move them back
-    a = len(wires)
-    axes = [width - 1 - w for w in wires]
-    moved = np.moveaxis(amps.reshape([3] * width), axes, range(a))
-    out = (matrix @ moved.reshape(3**a, -1)).reshape(moved.shape)
-    return np.moveaxis(out, range(a), axes).reshape(-1)
-
-
 # diagonal (P9, controlled phases, the asymmetric C1[Z] and C2[C1[Z]]), dense
 # single-wire (H, H_INV, and INC, which is not symmetric) and 2- and 3-wire
 # non-diagonal gates (the permutations SUM, TSWAP, C1[INC], C1[C1[INC]], and L[SUM])
@@ -138,7 +127,7 @@ def test_gate_kernel_matches_moveaxis_formula(rng, width):
     for op in ops:
         s = StateVector(width, random_state_vector(rng, width))
         got = apply_gate(s, op.gate, op.wires).amps
-        want = _moveaxis_apply(s.amps, op.gate.matrix, op.wires, width)
+        want = moveaxis_apply(s.amps, op.gate.matrix, op.wires, width)
         assert np.abs(got - want).max() < 1e-12, (op.gate.name, op.wires)
 
 
@@ -149,7 +138,7 @@ def test_circuit_unitary_matches_single_gate_applies(rng, width):
     for idx in rng.choice(3**width, size=6, replace=False):
         col = basis_state(width, int(idx)).amps
         for op in circ.instructions:
-            col = _moveaxis_apply(col, op.gate.matrix, op.wires, width)
+            col = moveaxis_apply(col, op.gate.matrix, op.wires, width)
         assert np.abs(u[:, idx] - col).max() < 1e-12
 
 
@@ -170,29 +159,15 @@ def _diagonal_run_circuit(rng, width):
     return Circuit(width, tuple(ops))
 
 
-def _gate_by_gate(circ, amps, seed):
-    """State, P9 count and R2 count of applying ``circ`` one gate at a time."""
-    rng, slots, p9, r2 = np.random.default_rng(seed), {}, 0, 0
-    for op in circ.instructions:
-        if isinstance(op, MeasureOp):
-            slots[op.slot], s = measure_wire(StateVector(circ.width, amps), op.wire, rng)
-            amps = s.amps
-        elif not isinstance(op, CondGateOp) or slots.get(op.slot, 0) == op.value:
-            amps = _moveaxis_apply(amps, op.gate.matrix, op.wires, circ.width)
-            p9 += op.gate.name in ("P9", "P9_INV")
-            r2 += op.gate.name == "R2"
-    return amps, p9, r2
-
-
 @pytest.mark.parametrize("width", [6, 7, 8, 9])
 def test_diagonal_runs_match_gate_by_gate(rng, width):
     for seed in range(3):
         circ = _diagonal_run_circuit(rng, width)
         init = random_state_vector(rng, width)
         rec = run(circ, StateVector(width, init), seed=seed)
-        want, p9, r2 = _gate_by_gate(circ, init, seed)
-        assert np.abs(rec.state.amps - want).max() < 1e-12
-        assert (rec.p9_executed, rec.r2_executed) == (p9, r2)
+        ref = reference_run(circ, init, seed)
+        assert np.abs(rec.state.amps - ref.amps).max() < 1e-12
+        assert tallies(rec) == tallies(ref)
 
 
 def test_injected_mode_does_not_fuse_p9_runs(rng):
@@ -218,7 +193,7 @@ def test_run_approximate_qft_matches_gate_by_gate(n):
     circ = qft3n(n, delta=0.5)
     assert len(circ) < len(qft3n(n))
     v = random_state_vector(np.random.default_rng(400 + n), n)
-    want, _, _ = _gate_by_gate(circ, v, 0)
+    want = reference_run(circ, v).amps
     assert np.abs(run(circ, StateVector(n, v)).state.amps - want).max() < 1e-12
 
 
@@ -253,26 +228,6 @@ def _permutation_run_circuit(rng, width):
     return Circuit(width, tuple(ops))
 
 
-def _stepwise(circ, init, seed, mode):
-    """One instruction at a time: permutation gates by the moveaxis formula, the rest through
-    the executor, all with one generator."""
-    width = circ.width + (mode == "injected")
-    record = RunRecord(state=None, slots={}, seed=seed)
-    ex = _Exec(width, seed, mode, record)
-    amps = np.concatenate([init, np.zeros(3**width - init.size)])
-    for op in circ.instructions:
-        if isinstance(op, GateOp) and trit_table(op.gate.name) is not None:
-            amps = _moveaxis_apply(amps, op.gate.matrix, op.wires, width)
-            ex.count(_tally((op.gate.name,)))
-        else:
-            amps = ex.run_ops(amps, (op,), record.slots)
-    return amps, record
-
-
-def _tallies(rec):
-    return rec.slots, rec.rus_trials, rec.consumed, rec.p9_executed, rec.measurements
-
-
 @pytest.mark.parametrize("mode", ["ideal", "injected"])
 @pytest.mark.parametrize("width", [6, 7, 8])
 def test_permutation_runs_match_gate_by_gate(rng, width, mode):
@@ -280,9 +235,9 @@ def test_permutation_runs_match_gate_by_gate(rng, width, mode):
         circ = _permutation_run_circuit(rng, width)
         init = random_state_vector(rng, width)
         rec = run(circ, StateVector(width, init), seed=seed, gate_mode=mode)
-        want, ref = _stepwise(circ, init, seed, mode)
-        assert np.abs(rec.state.amps - want).max() < 1e-12
-        assert _tallies(rec) == _tallies(ref)
+        ref = reference_run(circ, init, seed, mode)
+        assert np.abs(rec.state.amps - ref.amps).max() < 1e-12
+        assert tallies(rec) == tallies(ref)
         p9 = sum(op.gate.name == "P9" for op in circ.instructions if isinstance(op, GateOp))
         assert rec.p9_executed == p9 > 0
         assert rec.consumed["mu"] == (p9 if mode == "injected" else 0)
@@ -293,7 +248,7 @@ def test_wide_permutation_runs_leave_the_gather_cache_alone(rng):
     before = _perm_run.cache_info()
     circ = Circuit(10, (g("SUM", 0, 1), g("TSWAP", 2, 9), g("C1[INC]", 1, 0), g("INC", 0)))
     init = random_state_vector(rng, 10)
-    want, _, _ = _gate_by_gate(circ, init, 0)
+    want = reference_run(circ, init).amps
     assert np.abs(run(circ, StateVector(10, init)).state.amps - want).max() < 1e-12
     run(qft3n(12))
     assert _perm_run.cache_info() == before  # no lookup: a full cache keeps its size
@@ -316,14 +271,21 @@ def test_wire_exchange_runs_match_gate_by_gate(rng, monkeypatch, width, mode):
     transposes = []
     monkeypatch.setattr(sim, "_transpose_step",
                         lambda key, w: transposes.append(key) or _transpose_step(key, w))
+
+    def check(circ, seed):
+        init = random_state_vector(rng, circ.width)
+        rec = run(circ, StateVector(circ.width, init), seed=seed, gate_mode=mode)
+        ref = reference_run(circ, init, seed, mode)
+        assert np.abs(rec.state.amps - ref.amps).max() < 1e-12
+        assert tallies(rec) == tallies(ref)
     for seed in range(2):
-        circ = _wire_exchange_run_circuit(rng, width)
-        init = random_state_vector(rng, width)
-        rec = run(circ, StateVector(width, init), seed=seed, gate_mode=mode)
-        want, ref = _stepwise(circ, init, seed, mode)
-        assert np.abs(rec.state.amps - want).max() < 1e-12
-        assert _tallies(rec) == _tallies(ref)
+        check(_wire_exchange_run_circuit(rng, width), seed)
     assert len(transposes) == 12  # every run is one transpose
+    # above width 8 a lone TSWAP, and one conditioned on a slot (unset slots read 0), is
+    # one transpose as well
+    check(Circuit(10, (g("TSWAP", 2, 7),)), 0)
+    check(Circuit(10, (CondGateOp(0, 0, matrix_for_name("TSWAP"), (0, 9)),)), 1)
+    assert transposes[12:] == [(("TSWAP", (2, 7)),), (("TSWAP", (0, 9)),)]
 
 
 def _records_digest(records):
@@ -403,7 +365,7 @@ def test_equal_instruction_tuples_run_apart(rng):
     assert first.instructions == second.instructions
     assert first.instructions is not second.instructions
     init = StateVector(2, random_state_vector(rng, 2))
-    want, _, _ = _gate_by_gate(first, init.amps, 3)
+    want = reference_run(first, init.amps, 3).amps
     for circ in (first, second, first):
         assert np.abs(run(circ, init, seed=3).state.amps - want).max() < 1e-12
 
@@ -416,7 +378,7 @@ def test_plan_cache_stays_bounded(rng):
         op = _random_gate_ops(rng, width, 1)[0]
         init = random_state_vector(rng, width)
         got = run(Circuit(width, (op,)), StateVector(width, init)).state.amps
-        assert np.abs(got - _moveaxis_apply(init, op.gate.matrix, op.wires, width)).max() < 1e-12
+        assert np.abs(got - moveaxis_apply(init, op.gate.matrix, op.wires, width)).max() < 1e-12
         assert len(_plans) <= _PLAN_CAP
 
 
