@@ -49,41 +49,6 @@ def ones_weight(x: int, base: int = 3) -> int:
 
 
 @dataclass(frozen=True)
-class EncodedInteger:
-    """Wire map of an integer register: digit i of the value on wires[i].
-
-    Emulated-binary registers promise {|0>,|1>} support on their wires at
-    circuit boundaries; :func:`binary_leakage` measures violations.
-    """
-
-    encoding: str
-    wires: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.encoding not in ("binary", "ternary"):
-            raise SizeError(f"encoding {self.encoding!r}")
-
-    @property
-    def digits(self) -> int:
-        return len(self.wires)
-
-    def value_of(self, trits) -> int:
-        base = 2 if self.encoding == "binary" else 3
-        return sum(trits[w] * base**i for i, w in enumerate(self.wires))
-
-
-def binary_leakage(state, wires) -> float:
-    """Total amplitude weight outside the binary subspace of the wires."""
-    import numpy as np
-    probs = np.abs(state.amps) ** 2
-    idx = np.arange(len(probs))
-    leak = np.zeros(len(probs), dtype=bool)
-    for w in wires:
-        leak |= (idx // 3**w) % 3 == 2
-    return float(probs[leak].sum())
-
-
-@dataclass(frozen=True)
 class ShiftSpec:
     """Compile-time description of an additive shift |b> -> |b + a>.
 

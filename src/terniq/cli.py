@@ -271,13 +271,13 @@ def main(argv=None) -> int:
     p = sub.add_parser("cost-table", help="emit a resource table")
     p.add_argument("--table", choices=("ripple", "lookahead"), required=True)
     p.add_argument("--format", choices=("text", "csv"), default="text")
-    p.add_argument("--bitsize", type=int, default=10)
+    p.add_argument("--bitsize", type=_int_at_least(2), default=10)
     p.set_defaults(fn=cmd_cost_table)
 
     p = sub.add_parser("budget", help="evaluate the fidelity budget formulas")
     p.add_argument("--p-useful", type=float, required=True)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_int_at_least(1), required=True)
     p.set_defaults(fn=cmd_budget)
 
     args = ap.parse_args(argv)

@@ -267,8 +267,8 @@ _LOOKAHEAD_ROWS = _RIPPLE_ROWS + (
 
 def cost_table(kind: str, bitsize: int, fmt: str = "text") -> str:
     """Emit the ripple or lookahead comparison table as text or CSV."""
-    if kind not in ("ripple", "lookahead"):
-        raise SizeError("table kind: ripple | lookahead")
+    if kind not in ("ripple", "lookahead") or fmt not in ("text", "csv"):
+        raise SizeError(f"table kind ripple | lookahead, format text | csv: {kind!r}, {fmt!r}")
     rows = _RIPPLE_ROWS if kind == "ripple" else _LOOKAHEAD_ROWS
     reports = []
     seen_ref = 0

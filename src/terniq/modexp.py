@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .circuit import Circuit, GateOp, adjoint_ops, gate_op
+from .circuit import Circuit, GateOp, _check_fields, adjoint_ops, gate_op
 from .errors import RoundMapError, SizeError
 from .sim import CompiledCircuit, compile_classical, index_of_trits, run_compiled, trits_of_index
 from .arithmetic import and_ops, mcx_ops, mod_add_ops, strict_ops, _pool_size
@@ -32,6 +32,9 @@ class ModExpSpec:
     exponent_digits: int | None = None   # default 2n (or 2m)
 
     def __post_init__(self):
+        _check_fields(self, "base", "modulus")
+        if self.exponent_digits is not None:
+            _check_fields(self, "exponent_digits")
         if self.modulus < 2:
             raise SizeError(f"modulus {self.modulus} < 2")
         if gcd(self.base, self.modulus) != 1:

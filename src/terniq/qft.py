@@ -35,8 +35,8 @@ def qft3n(n: int, delta: float = 0.0) -> Circuit:
     ``delta > 0`` drops controlled phases below the delta/n threshold; the
     dropped error is bounded by the sum of the dropped gate norms.
     """
-    if n < 1:
-        raise SizeError("qft3n needs n >= 1")
+    if not hasattr(type(n), "__index__") or n < 1:
+        raise SizeError(f"qft3n needs an integer n >= 1, got {n!r}")
     ops: list[GateOp] = []
     threshold = delta / n if delta > 0 else 0.0
     for w in reversed(range(n)):

@@ -24,6 +24,7 @@ conventions: round t measures the t-th least significant digit of j.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, log2
@@ -256,8 +257,9 @@ def shor_factor(N: int, seed: int = 0, encoding: str = "binary",
     b^k, every prime power among them, is answered classically with no
     period-finding attempt and logged as ``(b, "perfect-power", k)``.
     """
-    if N % 2 == 0 or N < 9:
-        raise SizeError("N must be an odd composite")
+    if not hasattr(type(N), "__index__") or N % 2 == 0 or N < 9:
+        raise SizeError(f"N must be an odd composite integer, got {N!r}")
+    N = operator.index(N)
     if _is_prime(N):
         raise SizeError(f"N={N} is prime")
     if encoding not in ("binary", "ternary") or mode not in MODES or max_trials < 1:

@@ -42,8 +42,7 @@ The classical path compiles a permutation circuit into one trit table per
 maximal run of consecutive gates on at most 5 wires, leaving out identity runs
 (:func:`compile_classical`), and walks one basis index through them on
 Python-int trits with no width ceiling (:func:`run_compiled`); exhaustive
-arithmetic uses it.  :func:`circuit_permutation` inverts the gather index of a
-whole circuit of width at most 12.
+arithmetic uses it.
 """
 
 from __future__ import annotations
@@ -58,8 +57,8 @@ from itertools import groupby, product
 
 import numpy as np
 
-from .circuit import (Circuit, CondGateOp, GateOp, MeasureOp, RusOp, _gate_class,
-                      check_gate_wires, gate_op, remap_wires)
+from .circuit import (Circuit, CondGateOp, GateOp, MeasureOp, RusOp, _gate_class, gate_op,
+                      remap_wires)
 from .errors import NonUnitaryError, RusCapError, SizeError, WidthCapError
 from .gates import GateMatrix, matrix_for_name, root_of_unity
 from .widgets import p9_injection_widget, r2_injection_rus, reset_ops
@@ -312,20 +311,8 @@ def _split(width: int, wire: int) -> tuple:
     return 3 ** (width - 1 - wire), 3, 3**wire
 
 
-def apply_gate(s: StateVector, g: GateMatrix, wires) -> StateVector:
-    wires = check_gate_wires(g, tuple(wires))
-    for w in wires:
-        if not 0 <= w < s.width:
-            raise SizeError(f"wire {w} outside width {s.width}")
-    return StateVector(s.width, _kernel(g, wires, s.width)(s.amps))
-
-
 def _born(amps: np.ndarray, shape: tuple) -> np.ndarray:
     return np.add.reduce((amps.real**2 + amps.imag**2).reshape(shape), axis=(0, 2))
-
-
-def born_probabilities(s: StateVector, wire: int) -> np.ndarray:
-    return _born(s.amps, _split(s.width, wire))
 
 
 def seeded_rng(seed) -> np.random.Generator:
@@ -359,11 +346,6 @@ def _measure(amps: np.ndarray, shape: tuple, rng) -> tuple[int, np.ndarray]:
     out = np.zeros(shape, amps.dtype)
     np.divide(amps.reshape(shape)[:, outcome], norm, out=out[:, outcome])
     return outcome, out.reshape(-1)
-
-
-def measure_wire(s: StateVector, wire: int, rng) -> tuple[int, StateVector]:
-    outcome, amps = _measure(s.amps, _split(s.width, wire), rng)
-    return outcome, StateVector(s.width, amps)
 
 
 # ------------------------------------------------------------ step plans
@@ -696,11 +678,3 @@ def run_compiled(compiled: CompiledCircuit, index: int) -> int:
             t[w0], = table[t[w0]]
     return index_of_trits(t)
 
-
-def circuit_permutation(c: Circuit) -> np.ndarray:
-    """Full basis permutation of a classical circuit: the inverse of its gather index."""
-    if c.width > 12:
-        raise WidthCapError(f"width {c.width} > 12")
-    compile_classical(c)  # raises unless every instruction is a permutation gate
-    key = tuple((op.gate.name, op.wires) for op in c.instructions)
-    return np.argsort(_perm_run.__wrapped__(key, c.width))  # uncached: one index per circuit

@@ -3,7 +3,9 @@
 import atexit
 import shutil
 import tempfile
+import warnings
 from collections import Counter
+from contextlib import suppress
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -26,6 +28,12 @@ else:
     # database; the source-constant cache goes to a directory removed at exit
     settings.register_profile("terniq", derandomize=True, database=None, deadline=None)
     settings.load_profile("terniq")
+    # the plugin imports this on a failing property to write a patch; under
+    # filterwarnings = error a DeprecationWarning its imports raise (libcst pulls in
+    # mypy_extensions.TypedDict) would end the run with INTERNALERROR, so import it now
+    with warnings.catch_warnings(), suppress(ImportError):  # it needs the optional libcst
+        warnings.simplefilter("ignore", DeprecationWarning)
+        import hypothesis.extra._patching  # noqa: F401
     _home = tempfile.mkdtemp(prefix="terniq-hypothesis-")
     atexit.register(shutil.rmtree, _home, ignore_errors=True)
     set_hypothesis_home_dir(_home)

@@ -18,7 +18,7 @@ from terniq.circuit import (
 )
 from terniq.errors import CircuitNameError, NonUnitaryError, ParseError, SizeError, WidthMismatchError
 from terniq.gates import GateMatrix, matrix_for_name
-from terniq.sim import basis_state, circuit_unitary, run
+from terniq.sim import circuit_unitary, run
 from terniq.textfmt import deserialize, serialize
 from terniq import widgets
 
@@ -234,17 +234,15 @@ def test_rus_body_requires_measurement():
 @pytest.mark.parametrize("wires", [(1, 1), (1,), (0, 1, 2), (0, 1.0), (0, 1.5), (0, "1"), (0, None)],
                          ids=str)
 def test_every_gate_slot_checks_its_wires(wires):
-    # GateOp, CondGateOp, a RusOp correction, apply_gate and gate_op refuse
+    # GateOp, CondGateOp, a RusOp correction and gate_op refuse
     # repeated wires, a wire count other than the arity and a non-integer wire alike
     from terniq.circuit import CondGateOp, RusOp, gate_op
-    from terniq.sim import apply_gate
     sum_gate = matrix_for_name("SUM")
     gate_op("SUM", 0, 1)  # the cached op on wires (0, 1) must not answer for (0, 1.0)
     for build in (lambda: GateOp(sum_gate, wires),
                   lambda: CondGateOp(0, 0, sum_gate, wires),
                   lambda: RusOp(Circuit(3, (MeasureOp(0, 0),)), predicate=((0, 0),),
                                 corrections=((0, sum_gate, wires),)),
-                  lambda: apply_gate(basis_state(3, 0), sum_gate, wires),
                   lambda: gate_op("SUM", *wires),
                   lambda: gate_op("SUM", *wires)):  # twice: lru_cache stores no exception
         with pytest.raises(SizeError):
@@ -292,6 +290,8 @@ def test_every_instruction_checks_the_circuit_width():
                RusOp(measured, predicate=((0, 0),), corrections=((0, inc, (2,)),))):
         with pytest.raises(WidthMismatchError, match="wire 2 outside width 2 in circuit"):
             Circuit(2, (op,))
+    with pytest.raises(WidthMismatchError, match="wire -1 outside width 2"):
+        Circuit(2, (MeasureOp(-1, 0),))
     rus = RusOp(measured, predicate=((0, 0),), corrections=((0, inc, (1,)),))
     assert rus.wires == (0, 1)
     Circuit(2, (rus,))

@@ -60,8 +60,10 @@ EXIT_CONTRACT = [
     (["shor-run", "--seed", "1"], 2),
     (["cost-table", "--table", "ripple"], 0),
     (["cost-table", "--table", "wrong"], 2),
+    (["cost-table", "--table", "ripple", "--bitsize", "-3"], 2),
     (["budget", "--p-useful", "0.04", "--epsilon", "0.05", "--depth", "10"], 0),
     (["budget", "--p-useful", "0.04", "--epsilon", "0.05"], 2),
+    (["budget", "--p-useful", "0.04", "--epsilon", "0.05", "--depth", "-3"], 2),
 ]
 
 

@@ -178,6 +178,12 @@ def test_table_emission_stable():
     assert "120" in text and "72" in text and "144" in text
 
 
+@pytest.mark.parametrize("fmt", ["xml", "CSV", ""])
+def test_cost_table_rejects_an_unknown_format(fmt):
+    with pytest.raises(SizeError, match="format"):
+        cost_table("ripple", 10, fmt)
+
+
 def test_scenario_validation():
     with pytest.raises(Exception):
         Scenario(1)

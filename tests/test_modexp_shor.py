@@ -18,6 +18,7 @@ from terniq.modexp import (
     modexp_circuit,
     round_map,
 )
+from terniq.qft import qft3n
 from terniq.shor import (
     FactorReport,
     PeriodCandidate,
@@ -277,6 +278,16 @@ def test_shor_factor_rejects_bad_arguments_before_any_draw(N, bad):
     for seed in range(8):
         with pytest.raises(SizeError):
             shor_factor(N, seed=seed, **bad)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: qft3n(1.5), lambda: ModExpSpec(2.0, 15), lambda: ModExpSpec(2, 15.0),
+    lambda: ModExpSpec(2, 15, exponent_digits=2.0), lambda: shor_factor(15.0),
+    lambda: shor_factor("15"),
+], ids=["qft3n n", "spec base", "spec modulus", "spec exponent digits", "N", "N text"])
+def test_non_integer_sizes_raise_size_error(make):
+    with pytest.raises(SizeError, match="integer"):
+        make()
 
 
 def test_period_finding_run_rejects_a_bad_mode_at_a_trivial_base():

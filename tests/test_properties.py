@@ -1,9 +1,15 @@
 """Property tests: the costed binary-data networks and their P9 expansion,
 the modular additive shift, the gate grammar, the two classical paths, the
-measurement draw, the text format on random and mutated documents, and the
-dense planner against the reference executor."""
+measurement draw, the text format on random and mutated documents, the
+dense planner against the reference executor, and how the suite reports a
+failing property."""
 
+import os
+import shutil
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +18,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import classical_map, random_state_vector, reference_run, tallies
+import terniq
 from terniq import widgets
 from terniq.arithmetic import ShiftSpec, mcx_ops, mod_add_const
 from terniq.circuit import (Chain, Circuit, CondGateOp, GateOp, MeasureOp, ResourceCount, RusOp, _gate_class,
@@ -514,3 +521,23 @@ def test_planned_runs_match_the_reference_executor(width, mode, data, seed, stat
     ref = reference_run(circ, init, seed, mode)
     assert np.abs(rec.state.amps - ref.amps).max() < 1e-12
     assert tallies(rec) == tallies(ref)
+
+
+def test_a_failing_property_is_reported_with_its_example(tmp_path):
+    # the suite's own configuration and conftest around a property that must fail: pytest
+    # reports one failure with the shrunk example (exit 1), not an INTERNALERROR (exit 3)
+    root = Path(__file__).parents[1]
+    shutil.copy(root / "pyproject.toml", tmp_path)
+    (tmp_path / "tests").mkdir()
+    shutil.copy(root / "tests" / "conftest.py", tmp_path / "tests")
+    (tmp_path / "tests" / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_below_five(x):\n"
+        "    assert x < 5\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(terniq.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-p", "no:cacheprovider"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "Falsifying example: test_below_five(" in proc.stdout
+    assert "1 failed" in proc.stdout
