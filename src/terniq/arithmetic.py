@@ -8,6 +8,10 @@ Both encodings are supported:
     two-qutrit classical reflection (digit 1) or one strictly-controlled SUM
     (digits 0 and 2), 15 P9 either way.
 
+One carry ladder serves both encodings: adders and comparators run the same
+per-digit gadgets forward and unwind them digit by digit.  Every shift lays out
+A, data, T (modular: x, marker), the controls, their flags, then the pool.
+
 Gates are emitted as costed primitives (C?[INC], C?[SUM], TAU2[..], L[SUM]),
 which keeps every instruction a basis permutation so that the classical
 simulator path can verify circuits exhaustively.  Every controlled NOT on
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Circuit, GateOp, adjoint_ops, gate_op
+from .circuit import Circuit, GateOp, _check_fields, adjoint_ops, gate_op
 from .errors import SizeError
 
 TAU_01_20 = "TAU2[1,6]"  # |01> <-> |20| on a (carry, digit) pair
@@ -68,6 +72,12 @@ class ShiftSpec:
     control_mode: int | str = 1
 
     def __post_init__(self):
+        _check_fields(self, "digits")
+        if self.digits < 1:
+            raise SizeError(f"digits {self.digits} < 1")
+        _check_fields(self, "constant")
+        if self.modulus is not None:
+            _check_fields(self, "modulus")
         if self.encoding not in ("binary", "ternary"):
             raise SizeError(f"encoding {self.encoding!r}")
         if self.control not in ("none", "single", "double"):
@@ -98,7 +108,6 @@ class AdderCircuit:
     carry_out: int | None
     controls: tuple[int, ...] = ()
     result: int | None = None          # comparator output wire
-    ladder_blocks: int = 1             # carry-ladder passes (reporting)
 
 
 # ---------------------------------------------------------------- binary controlled NOT
@@ -150,50 +159,7 @@ def y_gate(a_bit: int) -> Circuit:
     return Circuit(2, tuple(y_ops(a_bit, 0, 1)), name=f"y{a_bit}")
 
 
-# ---------------------------------------------------------------- binary adder
-
-def binary_add_ops(a: int, data, carry_in: int, carry_out: int | None,
-                   controls=(), markers=()) -> list[GateOp]:
-    """Shift |b> -> |b + a mod 2^n> (carry XORed onto carry_out if given).
-
-    The digit-sum stage is controlled on the binary ``controls``, with
-    ``markers`` as the clean wires of :func:`mcx_ops`.
-    """
-    n = len(data)
-    bits = digits_of(a, 2, n)
-    prev = [carry_in] + list(data[:-1])
-    ops: list[GateOp] = []
-    for j in range(n):
-        ops += y_ops(bits[j], prev[j], data[j])
-    if carry_out is not None:
-        ops += mcx_ops((*controls, data[n - 1]), carry_out, markers)
-    for j in reversed(range(n)):
-        ops += adjoint_ops(y_ops(bits[j], prev[j], data[j]))
-        if j >= 1:
-            ops += mcx_ops((*controls, prev[j]), data[j], markers)
-        if bits[j]:
-            ops += mcx_ops(controls, data[j], markers)
-    return ops
-
-
-def ripple_add_const(spec: ShiftSpec) -> AdderCircuit:
-    """Emulated-binary ripple shift; 12n / 18n / 24n P9 by control level."""
-    if spec.encoding != "binary" or spec.modulus is not None:
-        raise SizeError("ripple_add_const: binary encoding, no modulus")
-    n = spec.digits
-    A, data, T = 0, tuple(range(1, n + 1)), n + 1
-    w = n + 2
-    k = {"none": 0, "single": 1, "double": 2}[spec.control]
-    controls, markers = tuple(range(w, w + k)), tuple(range(w + k, w + 2 * k))
-    ops = binary_add_ops(spec.constant, data, A, T, controls, markers)
-    if controls and spec.control_mode == 0:
-        ops = [gate_op("TAU1[0,1]", controls[0])] + ops + [gate_op("TAU1[0,1]", controls[0])]
-    circ = Circuit(w + 2 * k, tuple(ops), ancillas=frozenset({A, T, *markers}),
-                   name=f"add{spec.constant}n{n}-{spec.control}")
-    return AdderCircuit(circ, data, T, controls)
-
-
-# ---------------------------------------------------------------- ternary adder
+# ---------------------------------------------------------------- carry ladder
 
 def ternary_carry_ops(digit: int, c_loc: int, b: int, anc: int | None) -> list[GateOp]:
     """Per-digit carry gadget; 15 P9 for every classical digit value."""
@@ -208,35 +174,82 @@ def ternary_carry_ops(digit: int, c_loc: int, b: int, anc: int | None) -> list[G
     ]
 
 
-class _TernaryLadder:
-    """Forward carry ladder for one shift constant, with unwind info."""
+class _Ladder:
+    """Forward carry ladder of +a in either encoding.
 
-    def __init__(self, a: int, data, carry_in: int, pool: list[int]):
-        m = len(data)
-        self.digits = digits_of(a, 3, m)
-        self.data = list(data)
+    ``steps[i]`` is digit i's gadget (:func:`y_ops`, or :func:`ternary_carry_ops`
+    drawing its ancilla from ``pool``) and ``locs[i]`` the wire its incoming
+    carry sits on, so digit i unwinds as ``adjoint_ops(steps[i])``; ``top``
+    holds the final carry.
+    """
+
+    def __init__(self, encoding: str, a: int, data, carry_in: int, pool=()):
+        self.digits = digits_of(a, 2 if encoding == "binary" else 3, len(data))
         self.locs: list[int] = []
-        self.ancs: list[int | None] = []
-        self.ops: list[GateOp] = []
-        loc = carry_in
-        it = iter(pool)
-        for i in range(m):
+        self.steps: list[list[GateOp]] = []
+        loc, free = carry_in, iter(pool)
+        for d, b in zip(self.digits, data):
             self.locs.append(loc)
-            if self.digits[i] == 1:
-                self.ops += ternary_carry_ops(1, loc, data[i], None)
-                self.ancs.append(None)
-                loc = data[i]
-            else:
-                anc = next(it)
-                self.ops += ternary_carry_ops(self.digits[i], loc, data[i], anc)
-                self.ancs.append(anc)
-                loc = anc
+            anc = None if encoding == "binary" or d == 1 else next(free)
+            self.steps.append(y_ops(d, loc, b) if encoding == "binary"
+                              else ternary_carry_ops(d, loc, b, anc))
+            loc = b if anc is None else anc
         self.top = loc
+        self.ops = [op for step in self.steps for op in step]
 
-    def digit_unwind(self, i: int) -> list[GateOp]:
-        return adjoint_ops(ternary_carry_ops(self.digits[i], self.locs[i],
-                                             self.data[i], self.ancs[i]))
 
+# ---------------------------------------------------------------- binary adder
+
+def binary_add_ops(a: int, data, carry_in: int, carry_out: int | None,
+                   controls=(), markers=()) -> list[GateOp]:
+    """Shift |b> -> |b + a mod 2^n> (carry XORed onto carry_out if given).
+
+    The digit-sum stage is controlled on the binary ``controls``, with
+    ``markers`` as the clean wires of :func:`mcx_ops`.
+    """
+    ladder = _Ladder("binary", a, data, carry_in)
+    ops = list(ladder.ops)
+    if carry_out is not None:
+        ops += mcx_ops((*controls, ladder.top), carry_out, markers)
+    for j in reversed(range(len(data))):
+        ops += adjoint_ops(ladder.steps[j])
+        if j >= 1:
+            ops += mcx_ops((*controls, ladder.locs[j]), data[j], markers)
+        if ladder.digits[j]:
+            ops += mcx_ops(controls, data[j], markers)
+    return ops
+
+
+def _ripple(spec: ShiftSpec, npool: int, name: str, emit) -> AdderCircuit:
+    """Lay out A, data, T, the controls, their flags (binary: a marker each;
+    ternary: u or the helper) and ``npool`` pool wires; ``emit(data, A, carry_out,
+    controls, flags, pool)`` gives the ops.  A ternary double has no carry-out."""
+    n, k = spec.digits, ("none", "single", "double").index(spec.control)
+    A, data, T = 0, tuple(range(1, n + 1)), n + 1
+    n_flags = k if spec.encoding == "binary" else min(k, 1)
+    layout = range(n + 2, n + 2 + k + n_flags + npool)
+    controls, flags, pool = tuple(layout[:k]), layout[k:k + n_flags], list(layout[k + n_flags:])
+    carry_out = None if spec.encoding == "ternary" and k == 2 else T
+    ops = emit(data, A, carry_out, controls, flags, pool)
+    circ = Circuit(n + 2 + len(layout), tuple(ops),
+                   ancillas=frozenset({A, carry_out, *flags, *pool} - {None}), name=name)
+    return AdderCircuit(circ, data, carry_out, controls)
+
+
+def ripple_add_const(spec: ShiftSpec) -> AdderCircuit:
+    """Emulated-binary ripple shift; 12n / 18n / 24n P9 by control level."""
+    if spec.encoding != "binary" or spec.modulus is not None:
+        raise SizeError("ripple_add_const: binary encoding, no modulus")
+
+    def emit(data, A, T, controls, markers, _):
+        ops = binary_add_ops(spec.constant, data, A, T, controls, markers)
+        if controls and spec.control_mode == 0:
+            ops = [gate_op("TAU1[0,1]", controls[0])] + ops + [gate_op("TAU1[0,1]", controls[0])]
+        return ops
+    return _ripple(spec, 0, f"add{spec.constant}n{spec.digits}-{spec.control}", emit)
+
+
+# ---------------------------------------------------------------- ternary adder
 
 def _inc_pow_ops(wire: int, d: int) -> list[GateOp]:
     if d == 1:
@@ -267,7 +280,7 @@ def ternary_add_ops(a: int, data, carry_in: int, carry_out: int | None,
     carry is XORed onto ``carry_out`` (Toffoli) instead of added, for use
     inside modular blocks.
     """
-    ladder = _TernaryLadder(a, data, carry_in, pool)
+    ladder = _Ladder("ternary", a, data, carry_in, pool)
     ops = list(ladder.ops)
     if carry_out is not None:
         if u is None:
@@ -277,7 +290,7 @@ def ternary_add_ops(a: int, data, carry_in: int, carry_out: int | None,
         else:
             ops += mcx_ops((u, ladder.top), carry_out, (xor_top_marker,))
     for i in reversed(range(len(data))):
-        ops += ladder.digit_unwind(i)
+        ops += adjoint_ops(ladder.steps[i])
         d = ladder.digits[i]
         loc = ladder.locs[i]
         if double is not None:
@@ -308,47 +321,31 @@ def ripple_add_const_ternary(spec: ShiftSpec) -> AdderCircuit:
     """Ternary ripple shift; 30m / 34m / 53m P9 by control level."""
     if spec.encoding != "ternary" or spec.modulus is not None:
         raise SizeError("ripple_add_const_ternary: ternary encoding, no modulus")
-    m = spec.digits
-    D = 3**m
-    A, data, T = 0, tuple(range(1, m + 1)), m + 1
-    nxt = m + 2
-    a = spec.constant % D
+    m, mode = spec.digits, spec.control_mode
+    a = spec.constant % 3**m
+    # One strict lane C_f(S_a) per (level f, constant).  The c-fold shift is
+    # Lambda(S_a) = C_1(S_a) C_2(S_{2a}), exact for c in {0,1,2}; its carry-out
+    # reports the wrap of the branch-reduced constant, i.e. [b + (c*a mod 3^m) >= 3^m].
+    if spec.control != "single":
+        lanes, tag = ((mode, a),), "" if spec.control == "none" else "-double"
+    elif mode == "ternary":
+        lanes, tag = ((1, a), (2, (2 * a) % 3**m)), "-fold"
+    else:
+        lanes, tag = ((mode, a),), f"-c{mode}"
 
-    if spec.control == "none":
-        pool = list(range(nxt, nxt + _pool_size([a], m)))
-        ops = ternary_add_ops(a, data, A, T, pool)
-        circ = Circuit(pool[-1] + 1, tuple(ops), ancillas=frozenset({A, T, *pool}),
-                       name=f"tadd{a}m{m}")
-        return AdderCircuit(circ, data, T)
-
-    if spec.control == "single":
-        # One strict lane C_f(S_a) per (level f, constant).  The c-fold shift
-        # is Lambda(S_a) = C_1(S_a) C_2(S_{2a}), exact for c in {0,1,2}; its
-        # carry-out reports the wrap of the branch-reduced constant, i.e.
-        # [b + (c*a mod 3^m) >= 3^m].
-        kap, u = nxt, nxt + 1
-        if spec.control_mode == "ternary":
-            lanes, name = ((1, a), (2, (2 * a) % D)), f"tadd{a}m{m}-fold"
-        else:
-            lanes, name = ((spec.control_mode, a),), f"tadd{a}m{m}-c{spec.control_mode}"
-        pool = list(range(nxt + 2, nxt + 2 + _pool_size([c for _, c in lanes], m)))
-        ops = []
-        for f, const in lanes:
-            ops += strict_ops(f, kap, u, ternary_add_ops(const, data, A, T, pool, u=u))
-        circ = Circuit(pool[-1] + 1, tuple(ops), ancillas=frozenset({A, T, u, *pool}),
-                       name=name)
-        return AdderCircuit(circ, data, T, (kap,), ladder_blocks=len(lanes))
-
-    # double: strict level f on the first control, multiplier on the second;
-    # exact for multiplier values {0,1} (the ledgered 53m structure).
-    # No carry-out stage: modular use wraps this in its own carry logic.
-    kap1, kap2, helper = nxt, nxt + 1, nxt + 2
-    pool = list(range(nxt + 3, nxt + 3 + _pool_size([a], m)))
-    ops = ternary_add_ops(a, data, A, None, pool,
-                          double=(kap1, spec.control_mode, kap2, helper))
-    circ = Circuit(pool[-1] + 1, tuple(ops), ancillas=frozenset({A, helper, *pool}),
-                   name=f"tadd{a}m{m}-double")
-    return AdderCircuit(circ, data, None, (kap1, kap2))
+    def emit(data, A, T, controls, flags, pool):
+        if spec.control == "none":
+            return ternary_add_ops(a, data, A, T, pool)
+        if spec.control == "double":
+            # strict level f on the first control, multiplier on the second;
+            # exact for multiplier values {0,1} (the ledgered 53m structure)
+            return ternary_add_ops(a, data, A, T, pool,
+                                   double=(controls[0], mode, controls[1], flags[0]))
+        u = flags[0]
+        return [op for f, c in lanes
+                for op in strict_ops(f, controls[0], u, ternary_add_ops(c, data, A, T, pool, u=u))]
+    return _ripple(spec, _pool_size([c for _, c in lanes], m),
+                   f"tadd{a}m{m}{tag}", emit)
 
 
 # ---------------------------------------------------------------- comparators
@@ -362,29 +359,20 @@ def compare_ops(encoding: str, t: int, data, carry_in: int, result: int, pool=()
     (a binary wire, with a clean ``marker``) makes the flip strict.  The
     ternary ladder takes its ancillas from ``pool``.
     """
-    if encoding == "binary":
-        n = len(data)
-        bits = digits_of(t % 2**n, 2, n)
-        prev = [carry_in] + list(data[:-1])
-        negate = "TAU1[0,1]"
-        ladder = [op for j in range(n) for op in y_ops(bits[j], prev[j], data[j])]
-        top = data[-1]
-    else:
-        negate = "TAU1[0,2]"
-        tl = _TernaryLadder(t % 3**len(data), data, carry_in, pool)
-        ladder, top = tl.ops, tl.top
+    ladder = _Ladder(encoding, t, data, carry_in, pool)
+    negate = "TAU1[0,1]" if encoding == "binary" else "TAU1[0,2]"
     neg = [gate_op(negate, w) for w in data]
     us = () if u is None else (u,)
-    update = mcx_ops(us, result) + mcx_ops((*us, top), result, (marker,))
-    return neg + ladder + update + adjoint_ops(ladder) + neg
+    update = mcx_ops(us, result) + mcx_ops((*us, ladder.top), result, (marker,))
+    return neg + ladder.ops + update + adjoint_ops(ladder.ops) + neg
 
 
 def compare_to_threshold(t: int, digits: int, encoding: str = "binary") -> AdderCircuit:
     """Standalone comparator: data wires 1..digits, result wire digits+1."""
-    if encoding not in ("binary", "ternary"):
-        raise SizeError(f"encoding {encoding!r}")
+    spec = ShiftSpec(t % (2 if encoding == "binary" else 3)**digits, digits, encoding)
+    digits = spec.digits
     A, data, R = 0, tuple(range(1, digits + 1)), digits + 1
-    npool = 0 if encoding == "binary" else _pool_size([t % 3**digits], digits)
+    npool = 0 if encoding == "binary" else _pool_size([spec.constant], digits)
     pool = list(range(R + 1, R + 1 + npool))
     ops = compare_ops(encoding, t, data, A, R, pool)
     circ = Circuit(R + 1 + npool, tuple(ops), ancillas=frozenset({A, *pool}),
@@ -466,7 +454,7 @@ def mod_add_const(spec: ShiftSpec) -> AdderCircuit:
     ancillas = frozenset({A, T, x, marker, *flags, *pool})
     if a == 0 and spec.control != "double":
         return AdderCircuit(Circuit(dig + 4 + len(layout), (), ancillas=ancillas,
-                                    name="mod-add-identity"), data, T, controls, ladder_blocks=0)
+                                    name="mod-add-identity"), data, T, controls)
     wires = (*controls, *flags)
     u = wires[-1] if k else None   # the single binary control, or the last flag
     pro = []
@@ -483,6 +471,4 @@ def mod_add_const(spec: ShiftSpec) -> AdderCircuit:
         tag, ops = f"-c{mode}", strict_ops(mode, controls[0], u, ops)
     circ = Circuit(dig + 4 + len(layout), tuple(ops), ancillas=ancillas,
                    name=f"modadd{a}N{N}{'b' if binary else 't'}{tag}")
-    # a c-fold shift has its strict lanes, the +N correction and two comparators
-    blocks = 3 if binary else ((4 if 2 * a < N else 3) + 2 if folded else 4)
-    return AdderCircuit(circ, data, T, controls, ladder_blocks=blocks)
+    return AdderCircuit(circ, data, T, controls)

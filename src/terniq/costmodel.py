@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 from .arithmetic import ones_weight
+from .circuit import _check_fields
 from .errors import SizeError
 from .modexp import ModExpSpec
 
@@ -48,6 +49,7 @@ class Scenario:
     gamma: float = GAMMA_DEFAULT
 
     def __post_init__(self):
+        _check_fields(self, "bitsize", "control_level")
         if self.bitsize < 2:
             raise SizeError("bitsize >= 2")
         if self.encoding not in ("binary", "ternary"):
@@ -82,18 +84,21 @@ RIPPLE_PER_BIT = {"binary": (12, 18, 24), "ternary": (19, 21, 33)}
 RIPPLE_PER_TRIT = (30, 34, 53)
 
 
+def _ripple_level(level: int) -> int:
+    if not hasattr(type(level), "__index__") or not 0 <= level <= 2:
+        raise SizeError(f"control level {level!r} not in 0..2")
+    return level
+
+
 def ripple_shift_costs(scenario: Scenario) -> int:
     """P9 count of one ripple additive shift at the scenario's control level."""
     if scenario.adder != "ripple":
         raise SizeError("ripple_shift_costs needs a ripple scenario")
-    level = scenario.control_level
-    if not 0 <= level <= 2:
-        raise SizeError("control level 0..2")
-    return RIPPLE_PER_BIT[scenario.encoding][level] * scenario.bitsize
+    return RIPPLE_PER_BIT[scenario.encoding][_ripple_level(scenario.control_level)] * scenario.bitsize
 
 
 def ripple_shift_costs_per_trit(level: int) -> int:
-    return RIPPLE_PER_TRIT[level]
+    return RIPPLE_PER_TRIT[_ripple_level(level)]
 
 
 def lookahead_costs(scenario: Scenario) -> dict:
@@ -243,6 +248,8 @@ def parallel_magic_rate(digits: int, average: bool = False) -> float:
     Both are exposed because the worst-case figure drives the preparation
     width column while the average governs sustained throughput.
     """
+    if not hasattr(type(digits), "__index__") or digits < 1 + average:
+        raise SizeError(f"digits {digits!r}: need an integer >= {1 + average}")
     if average:
         return digits / math.log2(digits)
     return float(digits)

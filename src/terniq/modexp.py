@@ -35,6 +35,8 @@ class ModExpSpec:
         _check_fields(self, "base", "modulus")
         if self.exponent_digits is not None:
             _check_fields(self, "exponent_digits")
+            if self.exponent_digits < 1:
+                raise SizeError(f"exponent_digits {self.exponent_digits} < 1")
         if self.modulus < 2:
             raise SizeError(f"modulus {self.modulus} < 2")
         if gcd(self.base, self.modulus) != 1:

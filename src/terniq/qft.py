@@ -54,6 +54,8 @@ def qft3n(n: int, delta: float = 0.0) -> Circuit:
 
 def dropped_phase_error(n: int, delta: float) -> float:
     """Upper bound on ||exact - approximate|| from the dropped phases."""
+    if not hasattr(type(n), "__index__") or n < 1:
+        raise SizeError(f"dropped_phase_error needs an integer n >= 1, got {n!r}")
     total = 0.0
     threshold = delta / n
     for w in reversed(range(n)):

@@ -170,6 +170,8 @@ def classical_postprocess(j: int, Q: int, N: int, a: int) -> PeriodCandidate:
     Walks the convergents h/k of j/Q with k <= N; at each within 1/(2Q) of j/Q, the first
     multiple r < N of k with a^r = 1 mod N is the period.
     """
+    if not all(hasattr(type(v), "__index__") for v in (j, Q, N, a)):
+        raise SizeError(f"non-integer argument in {(j, Q, N, a)!r}")
     if not 0 <= j < Q:
         raise SizeError(f"measurement {j} outside [0, {Q})")
     if j == 0:
@@ -262,7 +264,8 @@ def shor_factor(N: int, seed: int = 0, encoding: str = "binary",
     N = operator.index(N)
     if _is_prime(N):
         raise SizeError(f"N={N} is prime")
-    if encoding not in ("binary", "ternary") or mode not in MODES or max_trials < 1:
+    if (encoding not in ("binary", "ternary") or mode not in MODES
+            or not hasattr(type(max_trials), "__index__") or max_trials < 1):
         raise SizeError(f"encoding {encoding!r}, mode {mode!r}, max_trials {max_trials}")
     rng = seeded_rng(seed)
     power = _perfect_power(N)

@@ -159,17 +159,19 @@ def deserialize(text: str) -> Circuit:
     if width < 0:
         raise ParseError(f"negative width {width}", ln)
     name = line.split(None, 2)[2] if len(parts) > 2 else ""
-    ancillas: frozenset[int] = frozenset()
+    ancillas: frozenset[int] | None = None
     ops = []
     while True:
         line, ln = cur.read_ops(width, ops, "ancilla ")
         if line is None:
             break
+        if ancillas is not None:
+            raise ParseError("repeated ancilla line", ln)
         ancillas = frozenset(_int(t, ln) for t in line.split()[1:])
         for w in ancillas:
             if not 0 <= w < width:
                 raise ParseError(f"ancilla wire {w} outside width {width}", ln)
-    return Circuit(width, tuple(ops), ancillas, name)
+    return Circuit(width, tuple(ops), ancillas or frozenset(), name)
 
 
 def _int(tok: str, ln: int) -> int:
@@ -263,6 +265,8 @@ def _parse_rus(cur, width):
         i += 1
         while i < len(tail) and "=" in tail[i] and tail[i].split("=")[0] in ("start", "accept", "trans"):
             k, v = tail[i].split("=", 1)
+            if k in opts:
+                raise ParseError(f"repeated chain field {k!r}", ln)
             opts[k] = v
             i += 1
         transitions = {}
@@ -271,6 +275,8 @@ def _parse_rus(cur, width):
                 smt = [_int(x, ln) for x in item.split(",")]
                 if len(smt) != 3:
                     raise ParseError(f"expected <s>,<m>,<s'>, got {item!r}", ln)
+                if (smt[0], smt[1]) in transitions:
+                    raise ParseError(f"repeated transition {item!r}", ln)
                 transitions[(smt[0], smt[1])] = smt[2]
         chain = Chain(_int(opts.get("start", "0"), ln),
                       transitions,
@@ -281,10 +287,14 @@ def _parse_rus(cur, width):
     max_iters, expected, label = 1000, 1.0, ""
     consumes: tuple = ()
     corrections = []
+    seen = set()
     while i < len(tail):
         tok = tail[i]
         if tok not in ("maxiter", "expected", "label", "consumes", "corrections"):
             raise ParseError(f"unknown rus option {tok!r}", ln)
+        if tok in seen:
+            raise ParseError(f"repeated rus option {tok!r}", ln)
+        seen.add(tok)
         if i + 1 == len(tail):
             raise ParseError(f"rus option {tok!r} needs a value", ln)
         value = tail[i + 1]

@@ -77,13 +77,13 @@ def c1z_depth_one() -> Circuit:
 
 
 def _c_inc_ops(c: int, t: int, level: int = 1, dagger: bool = False,
-               depth_one: bool = False, helper: int | None = None) -> list[GateOp]:
+               helper: int | None = None) -> list[GateOp]:
     """C_level(INC) on (c -> t) as a P9-level fragment.
 
-    ``depth_one`` selects the single-layer form, which needs a clean
-    ``helper`` wire.  ``dagger`` gives the adjoint (= C_level(INC^2)).
+    A clean ``helper`` wire selects the single-layer form.  ``dagger`` gives
+    the adjoint (= C_level(INC^2)).
     """
-    core = _c1z_depth_one_core_ops(c, t, helper) if depth_one else _c1z_core_ops(c, t)
+    core = _c1z_core_ops(c, t) if helper is None else _c1z_depth_one_core_ops(c, t, helper)
     ops = [gate_op("H", t)] + _c1z_dressing(core, c) + [gate_op("H_INV", t)]
     if level == 0:
         ops = [gate_op("TAU1[0,1]", c)] + ops + [gate_op("TAU1[0,1]", c)]
@@ -99,10 +99,9 @@ def c_binary_inc(level: int, dagger: bool = False, depth_one: bool = False) -> C
 
     The depth-one form adds a clean helper on wire 2.
     """
-    if depth_one:
-        ops = _c_inc_ops(0, 1, level, dagger, depth_one=True, helper=2)
-        return Circuit(3, tuple(ops), ancillas=frozenset({2}), name=f"c{level}inc-depth1")
-    return Circuit(2, tuple(_c_inc_ops(0, 1, level, dagger)), name=f"c{level}inc")
+    helper = (2,) if depth_one else ()
+    return Circuit(2 + len(helper), tuple(_c_inc_ops(0, 1, level, dagger, *helper)),
+                   ancillas=frozenset(helper), name=f"c{level}inc" + ("-depth1" if depth_one else ""))
 
 
 # ------------------------------------------------------------ two-qutrit reflections
@@ -185,7 +184,7 @@ def _expand(ops, helper: int | None = None) -> list[GateOp]:
         name = op.gate.name
         if m := _C_INC_RE.match(name):
             out += _c_inc_ops(*op.wires, level=int(m[1]), dagger=bool(m[2]) != bool(m[3]),
-                              depth_one=helper is not None, helper=helper)
+                              helper=helper)
         elif m := _TAU2_RE.match(name):
             out += tau2_ops(*op.wires, divmod(int(m[1]), 3), divmod(int(m[2]), 3))
         else:

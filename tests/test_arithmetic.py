@@ -1,3 +1,4 @@
+import hashlib
 from itertools import product
 
 import numpy as np
@@ -327,18 +328,6 @@ def test_mod_add_ternary_double():
                 assert_clean(ac, ot, cv)
 
 
-def test_mod_add_block_reports():
-    N = 13
-    dig = digits_for(N, 3)
-    a_small = 3     # 2a < N: extra strict +N lane
-    a_big = 11      # 2a > N
-    small = mod_add_const(ShiftSpec(a_small, dig, "ternary", modulus=N,
-                                    control="single", control_mode="ternary"))
-    big = mod_add_const(ShiftSpec(a_big, dig, "ternary", modulus=N,
-                                  control="single", control_mode="ternary"))
-    assert small.ladder_blocks == big.ladder_blocks + 1
-
-
 @pytest.mark.parametrize("encoding,control,mode", [
     ("binary", "none", 1), ("binary", "single", 0), ("binary", "single", 1),
     ("ternary", "none", 1), ("ternary", "single", 2), ("ternary", "single", "ternary"),
@@ -381,6 +370,22 @@ def test_shift_spec_rejects_unknown_controls(encoding, control, mode):
         ShiftSpec(5, 4, encoding, control=control, control_mode=mode)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ripple_add_const(ShiftSpec(0, 0)),
+    lambda: ripple_add_const_ternary(ShiftSpec(0, 0, "ternary")),
+    lambda: compare_to_threshold(0, 0),
+    lambda: compare_to_threshold(1, -2, "ternary"),
+    lambda: compare_to_threshold(1.5, 3),
+    lambda: ShiftSpec(1.5, 3),
+    lambda: ShiftSpec(1, 2.0),
+    lambda: ShiftSpec(1, 4, modulus=7.0),
+], ids=["binary no digits", "ternary no digits", "comparator no digits",
+        "comparator negative digits", "comparator threshold", "constant", "digits", "modulus"])
+def test_shift_spec_checks_its_fields(make):
+    with pytest.raises(SizeError):
+        make()
+
+
 def test_compare_to_threshold_rejects_unknown_encoding():
     with pytest.raises(SizeError, match="quaternary"):
         compare_to_threshold(3, 4, "quaternary")
@@ -405,3 +410,42 @@ def test_encoded_integer_and_leakage():
     trits = np.arange(3**ac.circuit.width)[:, None] // 3 ** np.array(ac.data) % 3
     leak = rec.state.probabilities()[(trits == 2).any(axis=1)].sum()
     assert leak < 1e-10
+
+
+# ------------------------------------------------------------ pinned builds
+
+def _builder_grid():
+    """Every builder, both encodings, every control kind and mode, small sizes."""
+    modes = {"binary": (0, 1), "ternary": (0, 1, 2)}
+    kinds = {enc: [(c, f) for c in ("none", "single", "double") for f in modes[enc]]
+             + ([("single", "ternary")] if enc == "ternary" else []) for enc in modes}
+    for enc, build, sizes in (("binary", ripple_add_const, (1, 2, 3, 4)),
+                              ("ternary", ripple_add_const_ternary, (1, 2, 3))):
+        base = 2 if enc == "binary" else 3
+        for n in sizes:
+            for a in range(base**n):
+                for control, mode in kinds[enc]:
+                    yield build(ShiftSpec(a, n, enc, control=control, control_mode=mode))
+            for t in range(base**n + 1):
+                yield compare_to_threshold(t, n, enc)
+    for enc, moduli in (("binary", (2, 3, 5, 7, 13)), ("ternary", (2, 4, 5, 7, 13))):
+        base = 2 if enc == "binary" else 3
+        for N in moduli:
+            for dig in (digits_for(N, base), digits_for(N, base) + 1):
+                for a in range(N):
+                    for control, mode in kinds[enc]:
+                        yield mod_add_const(ShiftSpec(a, dig, enc, modulus=N, control=control,
+                                                      control_mode=mode))
+
+
+def test_builder_outputs_are_pinned():
+    # one digest over the text, layout and ancillas of every build in the grid
+    from terniq.textfmt import serialize
+    h, count = hashlib.sha256(), 0
+    for ac in _builder_grid():
+        fields = (ac.data, ac.controls, ac.carry_out, ac.result,
+                  sorted(ac.circuit.ancillas), ac.circuit.width)
+        h.update(serialize(ac.circuit).encode() + repr(fields).encode())
+        count += 1
+    assert (count, h.hexdigest()) == (
+        1626, "6e9cfc63d0174e684aaabc09891aec9eddca77fa164b3928da4ea531e6fd40fc")

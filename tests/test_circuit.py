@@ -361,7 +361,8 @@ def test_adjoint_ops_twice_gives_back_the_same_objects():
     assert adjoint_ops([unshared])[0] is gate_op("C2[INC]_INV", 0, 1)
 
 
-# instructions the circuit model would reject, with the line the parser names
+# instructions the circuit model would reject, and input repeated where serialize
+# writes one value, with the line the parser names
 BAD_INSTRUCTIONS = [
     ("circuit 2\nmeasure 5 -> c0", 2),
     ("circuit 2\nmeasure -1 -> c0", 2),
@@ -372,6 +373,11 @@ BAD_INSTRUCTIONS = [
     ("circuit 1\nrus {\nmeasure 0 -> c0\n} until c0==0 maxiter 0", 4),
     ("circuit 1\n\nrus {\nmeasure 0 -> c0\n} until c0==0 maxiter -2", 5),
     ("circuit 1\nrus {\nmeasure 0 -> c0\n} until c0==0 expected -1.0", 4),
+    ("circuit 2\nancilla 0\ngate SUM 0 1\nancilla 1", 4),
+    ("circuit 1\nrus {\nmeasure 0 -> c0\n} until c0==0 maxiter 5 maxiter 6", 4),
+    ("circuit 1\nrus {\nmeasure 0 -> c0\n} until c0==0 label a expected 0.5 label b", 4),
+    ("circuit 1\nrus {\nmeasure 0 -> c0\n} until chain(c0) start=0 accept=1 trans=0,0,1|0,0,2", 4),
+    ("circuit 1\nrus {\nmeasure 0 -> c0\n} until chain(c0) start=0 start=1 accept=1 trans=0,0,1", 4),
 ]
 
 

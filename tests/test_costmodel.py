@@ -193,6 +193,22 @@ def test_scenario_validation():
         Scenario(16, "quaternary")
 
 
+@pytest.mark.parametrize("make", [
+    lambda: costmodel.ripple_shift_costs_per_trit(-1),
+    lambda: costmodel.ripple_shift_costs_per_trit(3),
+    lambda: costmodel.ripple_shift_costs_per_trit(1.0),
+    lambda: costmodel.parallel_magic_rate(1, average=True),
+    lambda: costmodel.parallel_magic_rate(0),
+    lambda: Scenario(2.5),
+    lambda: Scenario(16, control_level=1.5),
+    lambda: ripple_shift_costs(Scenario(16, control_level=3)),
+], ids=["per-trit level -1", "per-trit level 3", "per-trit level 1.0", "average rate of 1 digit",
+        "rate of 0 digits", "bitsize", "scenario level", "shift level 3"])
+def test_cost_model_inputs_raise_size_error(make):
+    with pytest.raises(SizeError):
+        make()
+
+
 def test_parallel_magic_rate():
     from terniq.costmodel import parallel_magic_rate
     assert parallel_magic_rate(64) == 64

@@ -290,6 +290,17 @@ def test_non_integer_sizes_raise_size_error(make):
         make()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ModExpSpec(7, 15, exponent_digits=0), lambda: ModExpSpec(7, 15, exponent_digits=-2),
+    lambda: classical_postprocess(1.5, 16, 15, 7), lambda: classical_postprocess(1, 16, 15.0, 7),
+    lambda: shor_factor(15, max_trials=1.5),
+], ids=["no exponent digits", "negative exponent digits", "measurement", "modulus",
+        "max_trials"])
+def test_shor_layer_inputs_raise_size_error(make):
+    with pytest.raises(SizeError):
+        make()
+
+
 def test_period_finding_run_rejects_a_bad_mode_at_a_trivial_base():
     with pytest.raises(SizeError, match="mode"):
         period_finding_run(ModExpSpec(1, 15, "binary"), mode="bogus")

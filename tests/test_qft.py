@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from terniq.circuit import count_resources
+from terniq.errors import SizeError
 from terniq.gates import matrix_for_name
 from terniq.qft import dft_matrix, dropped_phase_error, qft3n
 from terniq.sim import circuit_unitary
@@ -31,6 +32,12 @@ def test_qft_approximate_error_bound(delta):
     err = np.linalg.norm(circuit_unitary(qft3n(n)) - u, ord=2)
     assert err <= delta
     assert dropped_phase_error(n, delta) <= delta
+
+
+@pytest.mark.parametrize("n", [0, -1, 1.5])
+def test_dropped_phase_error_needs_a_qutrit(n):
+    with pytest.raises(SizeError, match="integer n >= 1"):
+        dropped_phase_error(n, 0.1)
 
 
 def test_qft_approximate_drops_phases_eventually():
