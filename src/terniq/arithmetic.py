@@ -34,8 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Circuit, GateOp, _check_fields, adjoint_ops, gate_op
-from .errors import SizeError
+from .circuit import Circuit, GateOp, adjoint_ops, gate_op
+from .errors import SizeError, as_int, int_fields
 
 TAU_01_20 = "TAU2[1,6]"  # |01> <-> |20| on a (carry, digit) pair
 
@@ -45,7 +45,8 @@ def digits_of(x: int, base: int, count: int) -> list[int]:
 
 
 def ones_weight(x: int, base: int = 3) -> int:
-    w = 0
+    """Number of digits 1 in ``x`` written in ``base``."""
+    x, base, w = as_int(x, "ones_weight value", 0), as_int(base, "ones_weight base", 2), 0
     while x:
         w += (x % base) == 1
         x //= base
@@ -72,12 +73,9 @@ class ShiftSpec:
     control_mode: int | str = 1
 
     def __post_init__(self):
-        _check_fields(self, "digits")
-        if self.digits < 1:
-            raise SizeError(f"digits {self.digits} < 1")
-        _check_fields(self, "constant")
+        int_fields(self, digits=1, constant=None)
         if self.modulus is not None:
-            _check_fields(self, "modulus")
+            int_fields(self, modulus=None)
         if self.encoding not in ("binary", "ternary"):
             raise SizeError(f"encoding {self.encoding!r}")
         if self.control not in ("none", "single", "double"):
@@ -154,8 +152,7 @@ def y_ops(a_bit: int, c: int, b: int) -> list[GateOp]:
 
 def y_gate(a_bit: int) -> Circuit:
     """The Y carry gadget on wires (carry 0, data 1); 3 P9 gates."""
-    if a_bit not in (0, 1):
-        raise SizeError("a_bit must be 0 or 1")
+    a_bit = as_int(a_bit, "a_bit", 0, 1)
     return Circuit(2, tuple(y_ops(a_bit, 0, 1)), name=f"y{a_bit}")
 
 

@@ -18,7 +18,6 @@ only layers that contain at least one non-Clifford gate.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from collections import Counter
 from contextlib import suppress
@@ -27,29 +26,18 @@ from functools import lru_cache
 from typing import Mapping, Optional, Sequence, Union
 
 from . import gates
-from .errors import CatalogError, NonUnitaryError, SizeError, WidthMismatchError
+from .errors import CatalogError, NonUnitaryError, SizeError, WidthMismatchError, as_int, int_fields
 from .gates import GateMatrix
 
 
 def check_gate_wires(gate: GateMatrix, wires: tuple[int, ...]) -> tuple[int, ...]:
     """``wires`` as Python ints; ``SizeError`` unless integers, distinct and matching the arity."""
-    if not all(hasattr(type(w), "__index__") for w in wires):
-        raise SizeError(f"{gate.name}: non-integer wire in {wires}")
-    wires = tuple(map(operator.index, wires))
+    wires = tuple([as_int(w, "wire") for w in wires])
     if len(set(wires)) != len(wires):
         raise SizeError(f"{gate.name}: repeated wires {wires}")
     if len(wires) != gate.arity:
         raise SizeError(f"{gate.name}: {len(wires)} wires for arity {gate.arity}")
     return wires
-
-
-def _check_fields(op, *names: str) -> None:
-    """Set each field ``names`` of ``op`` to its Python int; ``SizeError`` unless an integer."""
-    for name in names:
-        value = getattr(op, name)
-        if not hasattr(type(value), "__index__"):
-            raise SizeError(f"{type(op).__name__}: non-integer {name} {value!r}")
-        object.__setattr__(op, name, operator.index(value))
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,7 +67,7 @@ class MeasureOp:
     slot: int
 
     def __post_init__(self):
-        _check_fields(self, "wire", "slot")
+        int_fields(self, wire=None, slot=None)
 
     @property
     def wires(self) -> tuple[int, ...]:
@@ -96,7 +84,7 @@ class CondGateOp:
     wires: tuple[int, ...]
 
     def __post_init__(self):
-        _check_fields(self, "slot", "value")
+        int_fields(self, slot=None, value=None)
         object.__setattr__(self, "wires", check_gate_wires(self.gate, self.wires))
 
 
@@ -140,10 +128,9 @@ class RusOp:
             raise NonUnitaryError("RUS body must contain at least one measurement")
         if (self.chain is None) == (not self.predicate):
             raise SizeError("RusOp needs exactly one of predicate or chain")
-        _check_fields(self, "max_iters")
-        if self.max_iters < 1 or not 0 < self.expected_trials < math.inf:
-            raise SizeError(f"RusOp needs max_iters >= 1, got {self.max_iters}, and positive, "
-                            f"finite expected trials, got {self.expected_trials!r}")
+        int_fields(self, max_iters=1)
+        if not 0 < self.expected_trials < math.inf:
+            raise SizeError(f"RusOp needs positive, finite expected trials, got {self.expected_trials!r}")
         object.__setattr__(self, "corrections", tuple(
             (k, gate, check_gate_wires(gate, wires)) for k, gate, wires in self.corrections))
         touched = {w for op in self.body.instructions for w in op.wires}
@@ -168,9 +155,7 @@ class Circuit:
     name: str = ""
 
     def __post_init__(self):
-        if not hasattr(type(self.width), "__index__") or self.width < 0:
-            raise SizeError(f"width {self.width!r} is not an integer >= 0")
-        object.__setattr__(self, "width", operator.index(self.width))
+        object.__setattr__(self, "width", as_int(self.width, "width", 0))
         # shared ops repeat their wire tuples: check each distinct tuple once
         for wires in dict.fromkeys(op.wires for op in self.instructions):
             for w in wires:

@@ -20,8 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 from .arithmetic import ones_weight
-from .circuit import _check_fields
-from .errors import SizeError
+from .errors import SizeError, as_int, int_fields
 from .modexp import ModExpSpec
 
 LOG3_2 = math.log(2, 3)
@@ -49,9 +48,7 @@ class Scenario:
     gamma: float = GAMMA_DEFAULT
 
     def __post_init__(self):
-        _check_fields(self, "bitsize", "control_level")
-        if self.bitsize < 2:
-            raise SizeError("bitsize >= 2")
+        int_fields(self, bitsize=2, control_level=None)
         if self.encoding not in ("binary", "ternary"):
             raise SizeError(f"encoding {self.encoding!r}")
         if self.platform not in PLATFORMS:
@@ -85,9 +82,7 @@ RIPPLE_PER_TRIT = (30, 34, 53)
 
 
 def _ripple_level(level: int) -> int:
-    if not hasattr(type(level), "__index__") or not 0 <= level <= 2:
-        raise SizeError(f"control level {level!r} not in 0..2")
-    return level
+    return as_int(level, "control level", 0, 2)
 
 
 def ripple_shift_costs(scenario: Scenario) -> int:
@@ -150,8 +145,9 @@ class FidelityBudget:
 
 def fidelity_budget(p_useful: float, epsilon: float, depth: int) -> FidelityBudget:
     """Useful-measurement bound p - 2 sqrt(p) eps and the derived tolerances."""
-    if not 0 < p_useful <= 1 or epsilon < 0 or depth < 1:
-        raise SizeError("need p in (0,1], eps >= 0, depth >= 1")
+    if not 0 < p_useful <= 1 or not 0 <= epsilon < math.inf:
+        raise SizeError(f"need p in (0,1] and a finite eps >= 0, got p={p_useful!r}, eps={epsilon!r}")
+    depth = as_int(depth, "depth", 1)
     return FidelityBudget(
         p_useful=p_useful,
         epsilon=epsilon,
@@ -248,8 +244,7 @@ def parallel_magic_rate(digits: int, average: bool = False) -> float:
     Both are exposed because the worst-case figure drives the preparation
     width column while the average governs sustained throughput.
     """
-    if not hasattr(type(digits), "__index__") or digits < 1 + average:
-        raise SizeError(f"digits {digits!r}: need an integer >= {1 + average}")
+    digits = as_int(digits, "digits", 1 + average)
     if average:
         return digits / math.log2(digits)
     return float(digits)

@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CatalogError, SizeError
+from .errors import CatalogError, SizeError, as_int
 
 MAX_ARITY = 4
 
@@ -191,17 +191,15 @@ _FIXED = {
 _TAU_RE = re.compile(r"^TAU(\d)\[(\d+),(\d+)\]$")
 _PHASE_RE = re.compile(r"^(PHASE1?)\[(-?\d+),(\d+)\]$")
 _PAULI_RE = re.compile(r"^X(\d)Z(\d)$")
-_CMU_RE = re.compile(r"^CMU(_INV)?\[(\d)\]$")
+_CMU_RE = re.compile(r"^CMU(_INV)?\[(\d+)\]$")
 _CTRL_RE = re.compile(r"^(C[012]|L)\[(.*)\]$")
 
 
 def two_level_reflection(j: int, k: int, arity: int = 1) -> GateMatrix:
     """Reflection swapping basis states ``j`` and ``k``, fixing all others."""
-    if arity < 1 or arity > MAX_ARITY:
-        raise SizeError(f"reflection arity {arity} not in 1..{MAX_ARITY}")
+    arity = as_int(arity, "reflection arity", 1, MAX_ARITY)
     dim = 3**arity
-    if not (0 <= j < dim and 0 <= k < dim):
-        raise SizeError(f"basis indices {j},{k} out of range for arity {arity}")
+    j, k = as_int(j, "reflected index", 0, dim - 1), as_int(k, "reflected index", 0, dim - 1)
     if j == k:
         raise SizeError("degenerate reflection: j == k")
     j, k = min(j, k), max(j, k)
@@ -213,9 +211,8 @@ def two_level_reflection(j: int, k: int, arity: int = 1) -> GateMatrix:
 
 def phase_gate(a: int, r: int, binary: bool = False) -> GateMatrix:
     """diag(1, z, z^2) (or diag(1, z, 1) with ``binary``) for z = e^{2 pi i a/r}."""
-    if r <= 0:
-        raise SizeError("phase order must be positive")
-    a %= r
+    r = as_int(r, "phase order", 1)
+    a = as_int(a, "phase numerator") % r
     z = root_of_unity(a, r)
     if binary:
         m = np.diag([1.0, z, 1.0]).astype(np.complex128)
@@ -235,6 +232,7 @@ def _cmu_matrix(m: int, inv: bool) -> np.ndarray:
 
 
 def injection_correction(m: int, inverse: bool = False) -> GateMatrix:
+    m = as_int(m, "measurement outcome", 0)
     name = f"CMU_INV[{m}]" if inverse else f"CMU[{m}]"
     return GateMatrix(name, 1, _cmu_matrix(m % 3, inverse).copy())
 
@@ -254,8 +252,7 @@ def controlled(u: GateMatrix, mode) -> GateMatrix:
         for c in range(3):
             out[c * dim:(c + 1) * dim, c * dim:(c + 1) * dim] = np.linalg.matrix_power(u.matrix, c)
         return GateMatrix(f"L[{u.name}]", u.arity + 1, out)
-    if mode not in (0, 1, 2):
-        raise CatalogError(f"control mode {mode!r} not in {{0,1,2,'ternary'}}")
+    mode = as_int(mode, "binary control mode", 0, 2)
     out[mode * dim:(mode + 1) * dim, mode * dim:(mode + 1) * dim] = u.matrix
     return GateMatrix(f"C{mode}[{u.name}]", u.arity + 1, out)
 

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .circuit import Circuit, GateOp, _check_fields, adjoint_ops, gate_op
-from .errors import RoundMapError, SizeError
+from .circuit import Circuit, GateOp, adjoint_ops, gate_op
+from .errors import RoundMapError, SizeError, int_fields
 from .sim import CompiledCircuit, compile_classical, index_of_trits, run_compiled, trits_of_index
-from .arithmetic import and_ops, mcx_ops, mod_add_ops, strict_ops, _pool_size
+from .arithmetic import and_ops, mcx_ops, mod_add_ops, strict_ops
 
 
 @dataclass(frozen=True)
@@ -32,13 +32,9 @@ class ModExpSpec:
     exponent_digits: int | None = None   # default 2n (or 2m)
 
     def __post_init__(self):
-        _check_fields(self, "base", "modulus")
+        int_fields(self, base=None, modulus=2)
         if self.exponent_digits is not None:
-            _check_fields(self, "exponent_digits")
-            if self.exponent_digits < 1:
-                raise SizeError(f"exponent_digits {self.exponent_digits} < 1")
-        if self.modulus < 2:
-            raise SizeError(f"modulus {self.modulus} < 2")
+            int_fields(self, exponent_digits=1)
         if gcd(self.base, self.modulus) != 1:
             raise SizeError(f"gcd({self.base},{self.modulus}) != 1")
         if self.encoding not in ("binary", "ternary"):
@@ -87,9 +83,9 @@ class _Registers:
 
 
 def _registers(spec: ModExpSpec) -> _Registers:
-    N, e, v = spec.modulus, spec.exp_digits, spec.value_digits
-    n_scratch = 5 if spec.encoding == "binary" else 6 + _pool_size(
-        [(w - N) % 3**v for w in range(N)] + [N % 3**v], v)
+    e, v = spec.exp_digits, spec.value_digits
+    # a ternary pool of v wires: the shift residue (N - 1) - N = 3^v - 1 mod 3^v has no digit 1
+    n_scratch = 5 if spec.encoding == "binary" else 6 + v
     s = e + 2 * v
     return _Registers(tuple(range(e)), tuple(range(e, e + v)), tuple(range(e + v, s)),
                       tuple(range(s, s + n_scratch)))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .circuit import Circuit, GateOp, gate_op
-from .errors import SizeError
+from .errors import SizeError, as_int
 from .gates import root_of_unity
 
 
@@ -35,8 +35,9 @@ def qft3n(n: int, delta: float = 0.0) -> Circuit:
     ``delta > 0`` drops controlled phases below the delta/n threshold; the
     dropped error is bounded by the sum of the dropped gate norms.
     """
-    if not hasattr(type(n), "__index__") or n < 1:
-        raise SizeError(f"qft3n needs an integer n >= 1, got {n!r}")
+    n = as_int(n, "QFT size (integer n >= 1)", 1)
+    if not 0 <= delta < np.inf:
+        raise SizeError(f"delta {delta!r} is not a finite real >= 0")
     ops: list[GateOp] = []
     threshold = delta / n if delta > 0 else 0.0
     for w in reversed(range(n)):
@@ -54,8 +55,9 @@ def qft3n(n: int, delta: float = 0.0) -> Circuit:
 
 def dropped_phase_error(n: int, delta: float) -> float:
     """Upper bound on ||exact - approximate|| from the dropped phases."""
-    if not hasattr(type(n), "__index__") or n < 1:
-        raise SizeError(f"dropped_phase_error needs an integer n >= 1, got {n!r}")
+    n = as_int(n, "QFT size (integer n >= 1)", 1)
+    if not 0 <= delta < np.inf:
+        raise SizeError(f"delta {delta!r} is not a finite real >= 0")
     total = 0.0
     threshold = delta / n
     for w in reversed(range(n)):

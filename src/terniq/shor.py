@@ -24,14 +24,13 @@ conventions: round t measures the t-th least significant digit of j.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, log2
 
 import numpy as np
 
-from .errors import RoundMapError, SizeError
+from .errors import RoundMapError, SizeError, as_int
 from .gates import matrix_for_name
 from .modexp import ModExpSpec, round_map
 from .sim import choice_draw, seeded_rng
@@ -170,10 +169,8 @@ def classical_postprocess(j: int, Q: int, N: int, a: int) -> PeriodCandidate:
     Walks the convergents h/k of j/Q with k <= N; at each within 1/(2Q) of j/Q, the first
     multiple r < N of k with a^r = 1 mod N is the period.
     """
-    if not all(hasattr(type(v), "__index__") for v in (j, Q, N, a)):
-        raise SizeError(f"non-integer argument in {(j, Q, N, a)!r}")
-    if not 0 <= j < Q:
-        raise SizeError(f"measurement {j} outside [0, {Q})")
+    Q, N, a = as_int(Q, "register modulus", 1), as_int(N, "modulus"), as_int(a, "base")
+    j = as_int(j, "measurement", 0, Q - 1)
     if j == 0:
         return PeriodCandidate(j, Q, None, False)
     x, y, h0, h1, k0, k1 = j, Q, 0, 1, 1, 0
@@ -259,14 +256,12 @@ def shor_factor(N: int, seed: int = 0, encoding: str = "binary",
     b^k, every prime power among them, is answered classically with no
     period-finding attempt and logged as ``(b, "perfect-power", k)``.
     """
-    if not hasattr(type(N), "__index__") or N % 2 == 0 or N < 9:
-        raise SizeError(f"N must be an odd composite integer, got {N!r}")
-    N = operator.index(N)
-    if _is_prime(N):
-        raise SizeError(f"N={N} is prime")
-    if (encoding not in ("binary", "ternary") or mode not in MODES
-            or not hasattr(type(max_trials), "__index__") or max_trials < 1):
-        raise SizeError(f"encoding {encoding!r}, mode {mode!r}, max_trials {max_trials}")
+    N = as_int(N, "N", 9)
+    if N % 2 == 0 or _is_prime(N):
+        raise SizeError(f"N={N} is {'even' if N % 2 == 0 else 'prime'}, not an odd composite")
+    max_trials = as_int(max_trials, "max_trials", 1)
+    if encoding not in ("binary", "ternary") or mode not in MODES:
+        raise SizeError(f"encoding {encoding!r}, mode {mode!r}")
     rng = seeded_rng(seed)
     power = _perfect_power(N)
     if power is not None:

@@ -48,7 +48,6 @@ arithmetic uses it.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -59,7 +58,7 @@ import numpy as np
 
 from .circuit import (Circuit, CondGateOp, GateOp, MeasureOp, RusOp, _gate_class, gate_op,
                       remap_wires)
-from .errors import NonUnitaryError, RusCapError, SizeError, WidthCapError
+from .errors import NonUnitaryError, RusCapError, SizeError, WidthCapError, as_int
 from .gates import GateMatrix, matrix_for_name, root_of_unity
 from .widgets import p9_injection_widget, r2_injection_rus, reset_ops
 
@@ -116,8 +115,8 @@ class StateVector:
 
 
 def basis_state(width: int, index: int) -> StateVector:
-    if width < 0 or not isinstance(index, (int, np.integer)) or not 0 <= index < 3**width:
-        raise SizeError(f"basis index {index} outside width {width}")
+    width = as_int(width, "width", 0)
+    index = as_int(index, "basis index", 0, 3**width - 1)
     amps = np.zeros(3**width, dtype=np.complex128)
     amps[index] = 1.0
     return StateVector(width, amps)
@@ -128,11 +127,9 @@ def product_state(factors) -> StateVector:
     factors = list(factors)
     amps = np.ones(1, dtype=np.complex128)
     for f in factors:
-        if isinstance(f, (int, np.integer)):
-            if f not in (0, 1, 2):
-                raise SizeError(f"basis trit {f} is not 0, 1 or 2")
+        if np.ndim(f) == 0:
             v = np.zeros(3, dtype=np.complex128)
-            v[int(f)] = 1.0
+            v[as_int(f, "basis trit", 0, 2)] = 1.0
         else:
             v = np.asarray(f, dtype=np.complex128)
             norm = np.linalg.norm(v)
@@ -155,9 +152,8 @@ def index_of_trits(trits) -> int:
 
 def trits_of_index(index: int, width: int) -> tuple[int, ...]:
     """Trits of basis ``index`` on ``width`` wires, wire 0 first; ``SizeError`` outside the width."""
-    if not isinstance(index, (int, np.integer)) or not 0 <= index < 3**width:
-        raise SizeError(f"basis index {index} outside width {width}")
-    index, trits = int(index), []
+    width = as_int(width, "width", 0)
+    index, trits = as_int(index, "basis index outside width", 0, 3**width - 1), []
     for _ in range(width):
         index, t = divmod(index, 3)
         trits.append(t)
@@ -317,9 +313,7 @@ def _born(amps: np.ndarray, shape: tuple) -> np.ndarray:
 
 def seeded_rng(seed) -> np.random.Generator:
     """``np.random.default_rng(seed)`` for a non-negative integer seed, else ``SizeError``."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise SizeError(f"seed must be a non-negative integer, got {seed!r}")
-    return np.random.default_rng(seed)
+    return np.random.default_rng(as_int(seed, "seed", 0))
 
 
 def choice_draw(p: list, rng) -> int:
@@ -654,11 +648,7 @@ def compile_classical(c: Circuit) -> CompiledCircuit:
 
 def run_compiled(compiled: CompiledCircuit, index: int) -> int:
     """Basis index that the compiled permutation maps ``index`` to."""
-    try:
-        index = operator.index(index)
-    except TypeError:
-        raise SizeError(f"basis index {index!r} is not an integer") from None
-    t = list(trits_of_index(index, compiled.width))  # SizeError outside the width
+    t = list(trits_of_index(index, compiled.width))  # SizeError unless an integer in the width
     for a, wires, table in compiled.ops:  # arity 1 to 5: no gate is wider than 4 wires
         if a == 5:
             w0, w1, w2, w3, w4 = wires

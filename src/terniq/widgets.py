@@ -23,7 +23,7 @@ from functools import lru_cache
 from .arithmetic import and_ops, mcx_ops
 from .circuit import (Chain, Circuit, CondGateOp, GateOp, MeasureOp, RusOp, adjoint_ops, gate_op,
                       remap_wires)
-from .errors import SizeError
+from .errors import SizeError, as_int
 from .gates import matrix_for_name
 
 __all__ = [
@@ -89,8 +89,6 @@ def _c_inc_ops(c: int, t: int, level: int = 1, dagger: bool = False,
         ops = [gate_op("TAU1[0,1]", c)] + ops + [gate_op("TAU1[0,1]", c)]
     elif level == 2:
         ops = [gate_op("TAU1[1,2]", c)] + ops + [gate_op("TAU1[1,2]", c)]
-    elif level != 1:
-        raise SizeError(f"control level {level}")
     return adjoint_ops(ops) if dagger else ops
 
 
@@ -99,7 +97,7 @@ def c_binary_inc(level: int, dagger: bool = False, depth_one: bool = False) -> C
 
     The depth-one form adds a clean helper on wire 2.
     """
-    helper = (2,) if depth_one else ()
+    level, helper = as_int(level, "control level", 0, 2), (2,) if depth_one else ()
     return Circuit(2 + len(helper), tuple(_c_inc_ops(0, 1, level, dagger, *helper)),
                    ancillas=frozenset(helper), name=f"c{level}inc" + ("-depth1" if depth_one else ""))
 

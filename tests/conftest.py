@@ -7,6 +7,7 @@ import warnings
 from collections import Counter
 from contextlib import suppress
 from dataclasses import replace
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +17,8 @@ from terniq import widgets
 from terniq.circuit import Circuit, CondGateOp, GateOp, MeasureOp, gate_op, remap_wires
 from terniq.errors import RusCapError
 from terniq.gates import matrix_for_name
-from terniq.sim import compile_classical, index_of_trits, run_compiled, trits_of_index
+from terniq.sim import (circuit_unitary, compile_classical, index_of_trits, run_compiled,
+                        trits_of_index)
 
 try:
     from hypothesis import settings
@@ -76,6 +78,19 @@ def classical_map(adder, base, values, controls=None):
         got = sum(ot[w] * base**j for j, w in enumerate(adder.data))
         carry = ot[adder.carry_out] if adder.carry_out is not None else None
         yield b, got, carry, ot
+
+
+def binary_truth_ok(circ, n_data, fn):
+    """Exact action |x> -> |fn(x)> on every binary input of the ``n_data`` data wires, with
+    ancillas clean: each output column stays in the data wires' subspace."""
+    u = circuit_unitary(circ, cap=8)
+    for bits in product((0, 1), repeat=n_data):
+        i = index_of_trits(list(bits) + [0] * (circ.width - n_data))
+        j = index_of_trits(list(fn(*bits)) + [0] * (circ.width - n_data))
+        col = u[:, i]
+        if abs(abs(col[j]) - 1.0) > 1e-10 or np.any(np.abs(col[3**n_data:]) > 1e-10):
+            return False
+    return True
 
 
 def assert_clean(adder, ot, controls=None):

@@ -11,7 +11,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import assert_clean, classical_map, random_state_vector, random_unitary
+from conftest import (assert_clean, binary_truth_ok, classical_map, random_state_vector,
+                      random_unitary)
 from terniq import costmodel, widgets
 from terniq.arithmetic import (
     ShiftSpec,
@@ -207,31 +208,16 @@ def test_criterion_05_widget_count_ledger():
 
 # ---------------------------------------------------------------- 6
 
-def _binary_truth(circ, n_data, fn):
-    u = circuit_unitary(circ, cap=8)
-    dim_data = 3**n_data
-    for bits in product((0, 1), repeat=n_data):
-        i = index_of_trits(list(bits) + [0] * (circ.width - n_data))
-        j = index_of_trits(list(fn(*bits)) + [0] * (circ.width - n_data))
-        col = u[:, i]
-        if abs(abs(col[j]) - 1.0) > 1e-10:
-            return False
-        support = np.nonzero(np.abs(col) > 1e-10)[0]
-        if any(s >= dim_data for s in support):
-            return False
-    return True
-
-
 def test_criterion_06_functional_exhaustion():
-    ok_cnot = _binary_truth(widgets.cnot_emulated(), 2, lambda c, t: (c, t ^ c))
-    ok_t15 = _binary_truth(widgets.toffoli_emulated("none"), 3,
-                           lambda a, b, t: (a, b, t ^ (a & b)))
-    ok_t12 = _binary_truth(widgets.toffoli_emulated("one_clean"), 3,
-                           lambda a, b, t: (a, b, t ^ (a & b)))
-    ok_c18 = _binary_truth(widgets.ccc_not("two_clean"), 4,
-                           lambda a, b, c, t: (a, b, c, t ^ (a & b & c)))
-    ok_c21 = _binary_truth(widgets.ccc_not("one_clean"), 4,
-                           lambda a, b, c, t: (a, b, c, t ^ (a & b & c)))
+    ok_cnot = binary_truth_ok(widgets.cnot_emulated(), 2, lambda c, t: (c, t ^ c))
+    ok_t15 = binary_truth_ok(widgets.toffoli_emulated("none"), 3,
+                              lambda a, b, t: (a, b, t ^ (a & b)))
+    ok_t12 = binary_truth_ok(widgets.toffoli_emulated("one_clean"), 3,
+                              lambda a, b, t: (a, b, t ^ (a & b)))
+    ok_c18 = binary_truth_ok(widgets.ccc_not("two_clean"), 4,
+                              lambda a, b, c, t: (a, b, c, t ^ (a & b & c)))
+    ok_c21 = binary_truth_ok(widgets.ccc_not("one_clean"), 4,
+                              lambda a, b, c, t: (a, b, c, t ^ (a & b & c)))
     u = circuit_unitary(widgets.horner_gates("LSUM"))
     ok_ls = all(abs(u[index_of_trits([i, j, (k + i * j) % 3]),
                      index_of_trits([i, j, k])] - 1) < 1e-10

@@ -17,11 +17,25 @@ from terniq.arithmetic import (
     ripple_add_const,
     ripple_add_const_ternary,
     ternary_carry_ops,
+    ones_weight,
     y_gate,
 )
 
 
 # ------------------------------------------------------------ Y gadgets
+
+def test_y_gate_names_its_bit_as_an_int():
+    assert y_gate(True).name == "y1"
+    with pytest.raises(SizeError):
+        y_gate(1.0)
+
+
+@pytest.mark.parametrize("x,base", [(-1, 3), (-5, 2), (1.5, 3), (5, 1), (5, 0)], ids=str)
+def test_ones_weight_rejects_what_it_cannot_expand(x, base):
+    # a negative x or a base below 2 never reaches 0 under x //= base
+    with pytest.raises(SizeError):
+        ones_weight(x, base)
+
 
 @pytest.mark.parametrize("a", [0, 1])
 def test_y_gate_carries(a):

@@ -64,6 +64,8 @@ EXIT_CONTRACT = [
     (["budget", "--p-useful", "0.04", "--epsilon", "0.05", "--depth", "10"], 0),
     (["budget", "--p-useful", "0.04", "--epsilon", "0.05"], 2),
     (["budget", "--p-useful", "0.04", "--epsilon", "0.05", "--depth", "-3"], 2),
+    (["budget", "--p-useful", "0.5", "--epsilon", "nan", "--depth", "3"], 1),
+    (["budget", "--p-useful", "0.5", "--epsilon", "inf", "--depth", "3"], 1),
 ]
 
 

@@ -202,8 +202,11 @@ def test_scenario_validation():
     lambda: Scenario(2.5),
     lambda: Scenario(16, control_level=1.5),
     lambda: ripple_shift_costs(Scenario(16, control_level=3)),
+    lambda: fidelity_budget(0.5, math.nan, 2), lambda: fidelity_budget(0.5, math.inf, 2),
+    lambda: fidelity_budget(0.5, 0.1, 1.5),
 ], ids=["per-trit level -1", "per-trit level 3", "per-trit level 1.0", "average rate of 1 digit",
-        "rate of 0 digits", "bitsize", "scenario level", "shift level 3"])
+        "rate of 0 digits", "bitsize", "scenario level", "shift level 3", "budget epsilon nan",
+        "budget epsilon inf", "budget depth 1.5"])
 def test_cost_model_inputs_raise_size_error(make):
     with pytest.raises(SizeError):
         make()

@@ -174,3 +174,28 @@ def test_pauli_variants():
     # Pauli products are Clifford (they normalize the Pauli group trivially)
     assert is_clifford(x1z2)
     assert is_clifford(matrix_for_name("X2Z1"))
+
+
+INC = matrix_for_name("INC")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: phase_gate(1, True), lambda: controlled(INC, True), lambda: two_level_reflection(True, 2),
+    lambda: injection_correction(True), lambda: injection_correction(12, inverse=True),
+], ids=["phase order True", "control True", "reflected True", "outcome True", "outcome 12"])
+def test_gate_names_read_back_as_the_same_gate(make):
+    # an integer-like argument is named as its int, which the catalog resolves to an equal gate
+    g = make()
+    assert matrix_for_name(g.name) == g
+
+
+@pytest.mark.parametrize("make", [
+    lambda: phase_gate(1, 9.0), lambda: phase_gate(1.5, 9), lambda: controlled(INC, 1.0),
+    lambda: controlled(INC, 3), lambda: two_level_reflection(0.0, 1),
+    lambda: two_level_reflection(0, 1, 1.0), lambda: injection_correction(1.0),
+    lambda: injection_correction(-1),
+], ids=["phase order 9.0", "phase numerator 1.5", "control 1.0", "control 3", "reflected 0.0",
+        "arity 1.0", "outcome 1.0", "outcome -1"])
+def test_gate_constructors_reject_non_integer_arguments(make):
+    with pytest.raises(SizeError):
+        make()

@@ -40,6 +40,16 @@ def test_dropped_phase_error_needs_a_qutrit(n):
         dropped_phase_error(n, 0.1)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: qft3n(3, float("nan")), lambda: qft3n(3, -1), lambda: qft3n(3, float("inf")),
+    lambda: dropped_phase_error(3, float("nan")), lambda: dropped_phase_error(3, -1),
+], ids=["qft nan", "qft -1", "qft inf", "bound nan", "bound -1"])
+def test_delta_is_finite_and_non_negative(make):
+    # each used to build or bound the exact QFT without a word
+    with pytest.raises(SizeError):
+        make()
+
+
 def test_qft_approximate_drops_phases_eventually():
     # at larger sizes with loose delta, distant controlled phases drop
     exact = qft3n(8)

@@ -55,6 +55,9 @@ def test_trit_conversions_reject_out_of_range_input():
     for index, width in ((27, 3), (-1, 3), (-3**5 - 7, 70), (3**70, 70), (1.0, 3)):
         with pytest.raises(SizeError, match="outside width"):
             trits_of_index(index, width)
+    for index, width in ((3, 2.0), (0, -1)):
+        with pytest.raises(SizeError, match="width"):
+            trits_of_index(index, width)
     for trits in ([5, 0], [0, -1], [3], [1, 1.5]):
         with pytest.raises(SizeError, match="not all 0, 1 or 2"):
             index_of_trits(trits)
@@ -376,6 +379,7 @@ def test_plan_cache_stays_bounded(rng):
     lambda: resource_state("nu"), lambda: StateVector(2, np.zeros(8)),
     lambda: basis_state(2, 1.5), lambda: basis_state(-1, 0),
     lambda: run(Circuit(2, ()), basis_state(3, 0)),
+    lambda: basis_state(1.5, 0), lambda: product_state(["a"]),
 ])
 def test_state_constructors_reject_bad_input(make):
     with pytest.raises(SizeError):

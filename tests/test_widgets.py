@@ -3,8 +3,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import random_state_vector
+from conftest import binary_truth_ok, random_state_vector
 from terniq.circuit import Circuit, GateOp, MeasureOp, count_resources
+from terniq.errors import SizeError
 from terniq.gates import matrix_for_name, states_equal_up_to_phase
 from terniq.sim import (
     basis_state,
@@ -17,18 +18,6 @@ from terniq.sim import (
 from terniq import widgets
 
 W3 = np.exp(2j * np.pi / 3)
-
-
-def binary_truth_ok(circ, n_data, fn):
-    """Exact action |x> -> |fn(x)> on all binary basis states, ancillas clean."""
-    u = circuit_unitary(circ, cap=8)
-    for bits in product((0, 1), repeat=n_data):
-        i = index_of_trits(list(bits) + [0] * (circ.width - n_data))
-        j = index_of_trits(list(fn(*bits)) + [0] * (circ.width - n_data))
-        col = u[:, i]
-        if abs(abs(col[j]) - 1.0) > 1e-10:
-            return False
-    return True
 
 
 # ------------------------------------------------------------ resource states
@@ -202,6 +191,12 @@ def test_c_binary_inc(level, depth_one):
     assert rc.p9_count == 3
     if depth_one:
         assert rc.p9_depth == 1
+
+
+def test_c_binary_inc_names_its_level_as_an_int():
+    assert widgets.c_binary_inc(True).name == "c1inc"
+    with pytest.raises(SizeError):
+        widgets.c_binary_inc(1.0)
 
 
 def test_c2inc_truth_table_entries():
