@@ -21,7 +21,7 @@ import math
 import re
 from collections import Counter
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence, Union
 
@@ -30,24 +30,25 @@ from .errors import CatalogError, NonUnitaryError, SizeError, WidthMismatchError
 from .gates import GateMatrix
 
 
-def check_gate_wires(gate: GateMatrix, wires: tuple[int, ...]) -> tuple[int, ...]:
-    """``wires`` as Python ints; ``SizeError`` unless integers, distinct and matching the arity."""
-    wires = tuple([as_int(w, "wire") for w in wires])
-    if len(set(wires)) != len(wires):
-        raise SizeError(f"{gate.name}: repeated wires {wires}")
-    if len(wires) != gate.arity:
-        raise SizeError(f"{gate.name}: {len(wires)} wires for arity {gate.arity}")
-    return wires
-
-
 @dataclass(frozen=True, slots=True)
 class GateOp:
+    """``gate`` on distinct integer ``wires`` matching its arity, else ``SizeError``: the one
+    gate-on-wires value, alone, classically controlled or as a RUS correction."""
+
     gate: GateMatrix
     wires: tuple[int, ...]
     _adjoint: Optional[GateOp] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "wires", check_gate_wires(self.gate, self.wires))
+        gate = self.gate
+        if not isinstance(gate, GateMatrix):
+            raise SizeError(f"GateOp gate {gate!r} is not a GateMatrix")
+        wires = tuple([as_int(w, "wire") for w in self.wires])
+        if len(set(wires)) != len(wires):
+            raise SizeError(f"{gate.name}: repeated wires {wires}")
+        if len(wires) != gate.arity:
+            raise SizeError(f"{gate.name}: {len(wires)} wires for arity {gate.arity}")
+        object.__setattr__(self, "wires", wires)
 
     @property
     def adjoint(self) -> GateOp:
@@ -76,16 +77,20 @@ class MeasureOp:
 
 @dataclass(frozen=True)
 class CondGateOp:
-    """Apply ``gate`` when classical slot equals ``value``."""
+    """Apply the gate op ``op`` when classical slot ``slot`` equals ``value``."""
 
     slot: int
     value: int
-    gate: GateMatrix
-    wires: tuple[int, ...]
+    op: GateOp
 
     def __post_init__(self):
         int_fields(self, slot=None, value=None)
-        object.__setattr__(self, "wires", check_gate_wires(self.gate, self.wires))
+        if not isinstance(self.op, GateOp):
+            raise SizeError(f"CondGateOp op {self.op!r} is not a GateOp")
+
+    @property
+    def wires(self) -> tuple[int, ...]:
+        return self.op.wires
 
 
 @dataclass(frozen=True)
@@ -100,6 +105,19 @@ class Chain:
     transitions: Mapping[tuple[int, int], int]
     accept: frozenset[int]
 
+    def __post_init__(self):
+        int_fields(self, start=None)
+        object.__setattr__(self, "transitions", {
+            (as_int(s, "Chain state"), as_int(m, "Chain outcome")): as_int(t, "Chain state")
+            for (s, m), t in self.transitions.items()})
+        object.__setattr__(self, "accept", frozenset([as_int(s, "Chain state") for s in self.accept]))
+
+
+def _correction(item) -> tuple[int, GateOp]:
+    if not (isinstance(item, tuple) and len(item) == 2 and isinstance(item[1], GateOp)):
+        raise SizeError(f"RusOp correction {item!r} is not a (key, GateOp) pair")
+    return as_int(item[0], "RusOp correction key"), item[1]
+
 
 @dataclass(frozen=True)
 class RusOp:
@@ -107,15 +125,16 @@ class RusOp:
 
     Exactly one of ``predicate`` (all listed slots must equal their values)
     or ``chain`` (driven by ``outcome_slot``) must be given.  ``consumes``
-    names resource states loaded per trial, for bookkeeping.  On success the
-    ``corrections`` for the final chain state (or outcome) are applied.
+    names resource states loaded per trial, for bookkeeping.  ``corrections``
+    holds ``(key, GateOp)`` pairs: on success each op whose key is the final
+    chain state (or the outcome) is applied, in order.
     """
 
     body: "Circuit"
     predicate: tuple[tuple[int, int], ...] = ()
     chain: Optional[Chain] = None
     outcome_slot: int = 0
-    corrections: tuple[tuple[int, GateMatrix, tuple[int, ...]], ...] = ()
+    corrections: tuple[tuple[int, GateOp], ...] = ()
     max_iters: int = 1000
     consumes: tuple[tuple[str, int], ...] = ()
     expected_trials: float = 1.0
@@ -128,13 +147,17 @@ class RusOp:
             raise NonUnitaryError("RUS body must contain at least one measurement")
         if (self.chain is None) == (not self.predicate):
             raise SizeError("RusOp needs exactly one of predicate or chain")
-        int_fields(self, max_iters=1)
+        int_fields(self, max_iters=1, outcome_slot=None)
         if not 0 < self.expected_trials < math.inf:
             raise SizeError(f"RusOp needs positive, finite expected trials, got {self.expected_trials!r}")
-        object.__setattr__(self, "corrections", tuple(
-            (k, gate, check_gate_wires(gate, wires)) for k, gate, wires in self.corrections))
+        object.__setattr__(self, "predicate", tuple(
+            (as_int(s, "RusOp predicate slot"), as_int(v, "RusOp predicate value"))
+            for s, v in self.predicate))
+        object.__setattr__(self, "consumes", tuple(
+            (n, as_int(k, "RusOp consumes count")) for n, k in self.consumes))
+        object.__setattr__(self, "corrections", tuple(map(_correction, self.corrections)))
         touched = {w for op in self.body.instructions for w in op.wires}
-        touched.update(w for _, _, wires in self.corrections for w in wires)
+        touched.update(w for _, op in self.corrections for w in op.wires)
         object.__setattr__(self, "wires", tuple(sorted(touched)))
 
 
@@ -204,20 +227,17 @@ def remap_wires(a: Circuit, mapping: Mapping[int, int], width: int, name: str = 
             raise WidthMismatchError(f"remap_wires: no new label for wire {missing[0]}")
         return tuple(mapping[w] for w in ws)
 
-    out = []
-    for op in a.instructions:
+    def move(op):  # a gate op moves the same way alone, conditioned or as a correction
         if isinstance(op, GateOp):
-            out.append(GateOp(op.gate, rw(op.wires)))
-        elif isinstance(op, MeasureOp):
-            out.append(MeasureOp(*rw((op.wire,)), op.slot))
-        elif isinstance(op, CondGateOp):
-            out.append(CondGateOp(op.slot, op.value, op.gate, rw(op.wires)))
-        else:
-            body = remap_wires(op.body, mapping, width)
-            corr = tuple((k, g, rw(ws)) for k, g, ws in op.corrections)
-            out.append(RusOp(body, op.predicate, op.chain, op.outcome_slot, corr,
-                             op.max_iters, op.consumes, op.expected_trials, op.label))
-    return Circuit(width, tuple(out), frozenset(rw(a.ancillas)), name or a.name)
+            return GateOp(op.gate, rw(op.wires))
+        if isinstance(op, MeasureOp):
+            return MeasureOp(*rw((op.wire,)), op.slot)
+        if isinstance(op, CondGateOp):
+            return CondGateOp(op.slot, op.value, move(op.op))
+        return replace(op, body=remap_wires(op.body, mapping, width),
+                       corrections=tuple((k, move(g)) for k, g in op.corrections))
+
+    return Circuit(width, tuple(map(move, a.instructions)), frozenset(rw(a.ancillas)), name or a.name)
 
 
 # ------------------------------------------------------------ accounting
@@ -292,15 +312,17 @@ def count_resources(a: Circuit) -> ResourceCount:
         nonlocal meas
         for op in ops:
             cls = type(op)
-            if cls is MeasureOp:
-                meas += 1
-                continue
-            if cls is RusOp:
-                walk(op.body.instructions)
-                walk([GateOp(g, ws) for _, g, ws in op.corrections])
-                rus_expected.append((op.label or "rus", op.expected_trials))
-                continue
-            name = op.gate.name  # a GateOp or a CondGateOp
+            if cls is not GateOp:
+                if cls is MeasureOp:
+                    meas += 1
+                    continue
+                if cls is RusOp:
+                    walk(op.body.instructions)
+                    walk(g for _, g in op.corrections)
+                    rus_expected.append((op.label or "rus", op.expected_trials))
+                    continue
+                op = op.op  # a CondGateOp counts its gate op
+            name = op.gate.name
             names.append(name)
             try:
                 step = steps[name]

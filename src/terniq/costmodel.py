@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .arithmetic import ones_weight
@@ -55,6 +56,8 @@ class Scenario:
             raise SizeError(f"platform {self.platform!r}")
         if self.adder not in ("ripple", "lookahead"):
             raise SizeError(f"adder {self.adder!r}")
+        if not (isinstance(self.gamma, numbers.Real) and 0 < self.gamma < math.inf):
+            raise SizeError(f"gamma {self.gamma!r} is not a finite real > 0")
 
     @property
     def tritsize(self) -> int:

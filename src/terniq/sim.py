@@ -440,8 +440,9 @@ def _transpose_step(key: tuple, width: int):
     return lambda ex, amps, slots: amps.reshape((3,) * width).transpose(axes).reshape(-1)
 
 
-def _gate_step(gate: GateMatrix, wires: tuple, width: int, mode: str):
-    """One gate: an injection protocol, a one-gate run of its ``_run_kind``, or its kernel."""
+def _gate_step(op: GateOp, width: int, mode: str):
+    """One gate op: an injection protocol, a one-gate run of its ``_run_kind``, or its kernel."""
+    gate, wires = op.gate, op.wires
     if _injects(gate, mode):
         steps = _plan(_injection(gate.name, wires[0], width), width, mode)
         return _counting(lambda ex, amps, slots: ex.run_steps(amps, steps, {}), _tally((gate.name,)))
@@ -453,7 +454,7 @@ def _gate_step(gate: GateMatrix, wires: tuple, width: int, mode: str):
 
 def _instruction_step(op, width: int, mode: str):
     if isinstance(op, GateOp):
-        return _gate_step(op.gate, op.wires, width, mode)
+        return _gate_step(op, width, mode)
     if isinstance(op, MeasureOp):
         shape, slot = _split(width, op.wire), op.slot
 
@@ -463,11 +464,11 @@ def _instruction_step(op, width: int, mode: str):
             return amps
         return measure
     if isinstance(op, CondGateOp):
-        gate, slot, value = _gate_step(op.gate, op.wires, width, mode), op.slot, op.value
+        gate, slot, value = _gate_step(op.op, width, mode), op.slot, op.value
         return lambda ex, amps, slots: gate(ex, amps, slots) if slots.get(slot, 0) == value else amps
     if isinstance(op, RusOp):
         body = _plan(op.body.instructions, width, mode)
-        corrections = tuple((k, _gate_step(g, ws, width, mode)) for k, g, ws in op.corrections)
+        corrections = tuple((k, _gate_step(g, width, mode)) for k, g in op.corrections)
         return lambda ex, amps, slots: ex.run_rus(amps, op, body, corrections, slots)
     raise TypeError(op)
 

@@ -25,7 +25,7 @@ top-level gate once.
 
 from __future__ import annotations
 
-from .circuit import Chain, Circuit, CondGateOp, GateOp, MeasureOp, RusOp, check_gate_wires, gate_op
+from .circuit import Chain, Circuit, CondGateOp, GateOp, MeasureOp, RusOp, gate_op
 from .errors import CircuitNameError, NonUnitaryError, ParseError, SizeError
 from .gates import matrix_for_name
 
@@ -72,7 +72,7 @@ def _emit(op) -> list[str]:
     if isinstance(op, MeasureOp):
         return [f"measure {op.wire} -> c{op.slot}"]
     if isinstance(op, CondGateOp):
-        return [f"cc c{op.slot}=={op.value} " + _gate_text(op.gate.name, op.wires)]
+        return [f"cc c{op.slot}=={op.value} " + _gate_text(op.op.gate.name, op.wires)]
     if isinstance(op, RusOp):
         out = ["rus {"]
         for sub in op.body.instructions:
@@ -88,8 +88,8 @@ def _emit(op) -> list[str]:
             tail += " consumes " + ",".join(f"{n}:{k}" for n, k in op.consumes)
         if op.corrections:
             out.append(tail + " corrections {")
-            for key, g, ws in op.corrections:
-                out.append(f"  {key}: " + _gate_text(g.name, ws))
+            for key, g in op.corrections:
+                out.append(f"  {key}: " + _gate_text(g.gate.name, g.wires))
             out.append("}")
         else:
             out.append(tail)
@@ -189,20 +189,22 @@ def _consumed(item: str, ln: int) -> tuple[str, int]:
     return name, _int(k, ln)
 
 
-def _gate_from(parts, ln, width, start=1):
+def _gate_line(parts, ln, width, start=1) -> GateOp:
+    """The shared op of ``gate <NAME> <wire...>``, read from ``parts[start - 1]`` on."""
     if len(parts) < start + 2:
         raise ParseError("gate line too short", ln)
     try:
-        g = matrix_for_name(parts[start])
+        matrix_for_name(parts[start])  # an unknown name is reported at its column
     except Exception as exc:
         raise ParseError(str(exc), ln, len(" ".join(parts[:start])) + 2) from None
     wires = tuple(_int(t, ln) for t in parts[start + 1:])
     for w in wires:
         if not 0 <= w < width:
             raise ParseError(f"wire {w} outside width {width}", ln)
-    if len(wires) != g.arity:
-        raise ParseError(f"{g.name} needs {g.arity} wires, got {len(wires)}", ln)
-    return g, wires
+    try:
+        return gate_op(parts[start], *wires)
+    except SizeError as exc:  # repeated wires, or a count other than the arity
+        raise ParseError(str(exc), ln) from None
 
 
 def _parse_slot(tok: str, ln: int):
@@ -216,11 +218,7 @@ def _parse_slot(tok: str, ln: int):
 def _parse_op(line, ln, cur, width):
     parts = line.split()
     if parts[0] == "gate":
-        _, wires = _gate_from(parts, ln, width, start=1)
-        try:
-            return gate_op(parts[1], *wires)
-        except SizeError as exc:  # repeated wires
-            raise ParseError(str(exc), ln) from None
+        return _gate_line(parts, ln, width)
     if parts[0] == "measure":
         if len(parts) != 4 or parts[2] != "->" or not parts[3].startswith("c"):
             raise ParseError("expected 'measure <wire> -> c<k>'", ln)
@@ -232,11 +230,7 @@ def _parse_op(line, ln, cur, width):
         if len(parts) < 3 or parts[2] != "gate":
             raise ParseError("expected 'cc c<k>==<v> gate ...'", ln)
         slot, value = _parse_slot(parts[1], ln)
-        g, wires = _gate_from(parts, ln, width, start=3)
-        try:
-            return CondGateOp(slot, value, g, wires)
-        except SizeError as exc:  # repeated wires
-            raise ParseError(str(exc), ln) from None
+        return CondGateOp(slot, value, _gate_line(parts, ln, width, start=3))
     if parts[0] == "rus":
         if parts[-1] != "{":
             raise ParseError("expected 'rus {'", ln)
@@ -325,12 +319,7 @@ def _parse_rus(cur, width):
                 parts = rest.split()
                 if not parts or parts[0] != "gate":
                     raise ParseError("corrections entries are 'key: gate ...'", cln)
-                g, wires = _gate_from(parts, cln, width, start=1)
-                try:
-                    check_gate_wires(g, wires)
-                except SizeError as exc:  # repeated wires
-                    raise ParseError(str(exc), cln) from None
-                corrections.append((_int(key_s, cln), g, wires))
+                corrections.append((_int(key_s, cln), _gate_line(parts, cln, width)))
             i = len(tail)
     try:
         return RusOp(Circuit(width, tuple(body_ops)), predicate, chain, outcome_slot,

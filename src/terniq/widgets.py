@@ -24,7 +24,6 @@ from .arithmetic import and_ops, mcx_ops
 from .circuit import (Chain, Circuit, CondGateOp, GateOp, MeasureOp, RusOp, adjoint_ops, gate_op,
                       remap_wires)
 from .errors import SizeError, as_int
-from .gates import matrix_for_name
 
 __all__ = [
     "p9_injection_widget", "r2_injection_rus",
@@ -295,8 +294,8 @@ def p9_injection_widget(inverse: bool = False) -> Circuit:
     ops = [
         gate_op("L[INC_INV]", 0, 1),
         MeasureOp(1, 0),
-        CondGateOp(0, 1, matrix_for_name(f"CMU{suffix}[1]"), (0,)),
-        CondGateOp(0, 2, matrix_for_name(f"CMU{suffix}[2]"), (0,)),
+        CondGateOp(0, 1, gate_op(f"CMU{suffix}[1]", 0)),
+        CondGateOp(0, 2, gate_op(f"CMU{suffix}[2]", 0)),
     ]
     return Circuit(2, tuple(ops), ancillas=frozenset({1}),
                    name="p9dg-injection" if inverse else "p9-injection")
@@ -338,8 +337,8 @@ def r2_injection_rus() -> Circuit:
 def reset_ops(wire: int, slot: int) -> list[CondGateOp]:
     """Return ``wire`` to |0> from the trit last measured off it into ``slot``."""
     return [
-        CondGateOp(slot, 1, matrix_for_name("INC_INV"), (wire,)),
-        CondGateOp(slot, 2, matrix_for_name("INC"), (wire,)),
+        CondGateOp(slot, 1, gate_op("INC_INV", wire)),
+        CondGateOp(slot, 2, gate_op("INC", wire)),
     ]
 
 
@@ -398,7 +397,7 @@ def resource_state_prep(target: str) -> Circuit:
         chain = Chain(start=0, transitions={(0, 0): 1, (0, 1): 2, (0, 2): 0},
                       accept=frozenset({1, 2}))
         rus = RusOp(body, chain=chain, outcome_slot=2,
-                    corrections=((2, matrix_for_name("Z_INV"), (2,)),),
+                    corrections=((2, gate_op("Z_INV", 2)),),
                     expected_trials=2.0, label="psi")
         return Circuit(4, (rus,), ancillas=frozenset({0, 1, 3}), name="psi")
     raise SizeError(f"unknown resource state {target!r}")

@@ -150,7 +150,7 @@ def reference_run(circ, init, seed=0, mode="ideal"):
         for op in ops:
             if isinstance(op, GateOp) or (isinstance(op, CondGateOp)
                                           and slots.get(op.slot, 0) == op.value):
-                amps = gate(op.gate.name, op.wires, amps)
+                amps = gate((op.op if isinstance(op, CondGateOp) else op).gate.name, op.wires, amps)
             elif isinstance(op, MeasureOp):  # Generator.choice on the masked probabilities
                 mask = [index // 3**op.wire % 3 == v for v in range(3)]
                 p = np.array([np.sum(np.abs(amps[m]) ** 2) for m in mask])
@@ -170,8 +170,8 @@ def reference_run(circ, init, seed=0, mode="ideal"):
                 state = key = op.chain.transitions[(state, key)]
             if state in op.chain.accept if op.chain else all(
                     slots.get(s, 0) == v for s, v in op.predicate):
-                for k, g, ws in op.corrections:
-                    amps = gate(g.name, ws, amps) if k == key else amps
+                for k, g in op.corrections:
+                    amps = gate(g.gate.name, g.wires, amps) if k == key else amps
                 rec.rus_trials.setdefault(op.label or "rus", []).append(trial)
                 return amps
         raise RusCapError(f"RUS {op.label} exceeded {op.max_iters} iterations", [])

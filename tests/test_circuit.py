@@ -6,6 +6,7 @@ import pytest
 
 from conftest import random_unitary
 from terniq.circuit import (
+    Chain,
     Circuit,
     CondGateOp,
     GateOp,
@@ -16,7 +17,8 @@ from terniq.circuit import (
     inverse,
     remap_wires,
 )
-from terniq.errors import CircuitNameError, NonUnitaryError, ParseError, SizeError, WidthMismatchError
+from terniq.errors import (CircuitNameError, NonUnitaryError, ParseError, SizeError, TerniqError,
+                           WidthMismatchError)
 from terniq.gates import GateMatrix, matrix_for_name
 from terniq.sim import circuit_unitary, run
 from terniq.textfmt import deserialize, serialize
@@ -25,6 +27,9 @@ from terniq import widgets
 
 def g(name, *wires):
     return GateOp(matrix_for_name(name), tuple(wires))
+
+
+_MEASURED = Circuit(1, (MeasureOp(0, 0),))  # the smallest valid RUS body
 
 
 def x_ladder(width):
@@ -240,9 +245,9 @@ def test_every_gate_slot_checks_its_wires(wires):
     sum_gate = matrix_for_name("SUM")
     gate_op("SUM", 0, 1)  # the cached op on wires (0, 1) must not answer for (0, 1.0)
     for build in (lambda: GateOp(sum_gate, wires),
-                  lambda: CondGateOp(0, 0, sum_gate, wires),
+                  lambda: CondGateOp(0, 0, GateOp(sum_gate, wires)),
                   lambda: RusOp(Circuit(3, (MeasureOp(0, 0),)), predicate=((0, 0),),
-                                corrections=((0, sum_gate, wires),)),
+                                corrections=((0, GateOp(sum_gate, wires)),)),
                   lambda: gate_op("SUM", *wires),
                   lambda: gate_op("SUM", *wires)):  # twice: lru_cache stores no exception
         with pytest.raises(SizeError):
@@ -251,20 +256,42 @@ def test_every_gate_slot_checks_its_wires(wires):
 
 @pytest.mark.parametrize("make", [
     lambda: MeasureOp(1.0, 0), lambda: MeasureOp(0, "a"), lambda: MeasureOp(None, 0),
-    lambda: CondGateOp("x", 1, matrix_for_name("INC"), (0,)),
-    lambda: CondGateOp(0, 1.5, matrix_for_name("INC"), (0,)),
+    lambda: CondGateOp("x", 1, GateOp(matrix_for_name("INC"), (0,))),
+    lambda: CondGateOp(0, 1.5, GateOp(matrix_for_name("INC"), (0,))),
     lambda: remap_wires(Circuit(1, (MeasureOp(0, 0),)), {0: 1.5}, 2),
     lambda: run(Circuit(2, (MeasureOp(1.0, 0),))),
-], ids=["wire 1.0", "slot 'a'", "wire None", "slot 'x'", "value 1.5", "remapped wire", "run"])
+    lambda: RusOp(_MEASURED, predicate=((0, 0),), corrections=(("x", g("INC", 0)),)),
+    lambda: RusOp(_MEASURED, predicate=((0.5, 0),)),
+    lambda: RusOp(_MEASURED, predicate=((0, 0),), outcome_slot="a"),
+    lambda: RusOp(_MEASURED, chain=Chain(0, {(0, 0): "z"}, frozenset({1}))),
+    lambda: RusOp(_MEASURED, predicate=((0, 0),), consumes=(("psi", "a"),)),
+], ids=["wire 1.0", "slot 'a'", "wire None", "slot 'x'", "value 1.5", "remapped wire", "run",
+        "correction key 'x'", "predicate slot 0.5", "outcome slot 'a'", "chain target 'z'",
+        "consumes count 'a'"])
 def test_measure_and_condition_fields_are_integers(make):
     # each would fail later: a bare TypeError in a run, or text that the reader rejects
     with pytest.raises(SizeError, match="non-integer"):
         make()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: GateOp("INC", (0,)),
+    lambda: CondGateOp(0, 1, "INC"),
+    lambda: CondGateOp(0, 1, matrix_for_name("INC")),
+    lambda: RusOp(_MEASURED, predicate=((0, 0),), corrections=((0, matrix_for_name("INC"), (0,)),)),
+    lambda: RusOp(_MEASURED, predicate=((0, 0),), corrections=((0,),)),
+    lambda: RusOp(_MEASURED, predicate=((0, 0),), corrections=((0, matrix_for_name("INC")),)),
+], ids=["gate name", "conditioned name", "conditioned matrix", "three-field correction",
+        "short correction", "correction matrix"])
+def test_gate_slots_take_only_gate_ops(make):
+    # each raised a bare AttributeError or ValueError, or was accepted and failed in a run
+    with pytest.raises(TerniqError, match="not a GateMatrix|not a GateOp|not a .key, GateOp. pair"):
+        make()
+
+
 def test_integer_fields_round_trip_as_python_ints():
     ops = (MeasureOp(np.int64(1), np.int8(2)),
-           CondGateOp(np.int64(2), np.int64(1), matrix_for_name("INC"), (0,)))
+           CondGateOp(np.int64(2), np.int64(1), GateOp(matrix_for_name("INC"), (0,))))
     assert [type(v) for v in (ops[0].wire, ops[0].slot, ops[1].slot, ops[1].value)] == [int] * 4
     c = Circuit(2, ops)
     assert deserialize(serialize(c)) == c
@@ -285,14 +312,14 @@ def test_every_instruction_checks_the_circuit_width():
     from terniq.circuit import CondGateOp, RusOp
     inc = matrix_for_name("INC")
     measured = Circuit(3, (MeasureOp(0, 0),))
-    for op in (GateOp(inc, (2,)), MeasureOp(2, 0), CondGateOp(0, 0, inc, (2,)),
+    for op in (GateOp(inc, (2,)), MeasureOp(2, 0), CondGateOp(0, 0, GateOp(inc, (2,))),
                RusOp(Circuit(3, (MeasureOp(2, 0),)), predicate=((0, 0),)),
-               RusOp(measured, predicate=((0, 0),), corrections=((0, inc, (2,)),))):
+               RusOp(measured, predicate=((0, 0),), corrections=((0, GateOp(inc, (2,))),))):
         with pytest.raises(WidthMismatchError, match="wire 2 outside width 2 in circuit"):
             Circuit(2, (op,))
     with pytest.raises(WidthMismatchError, match="wire -1 outside width 2"):
         Circuit(2, (MeasureOp(-1, 0),))
-    rus = RusOp(measured, predicate=((0, 0),), corrections=((0, inc, (1,)),))
+    rus = RusOp(measured, predicate=((0, 0),), corrections=((0, GateOp(inc, (1,))),))
     assert rus.wires == (0, 1)
     Circuit(2, (rus,))
 
@@ -301,10 +328,10 @@ def test_integer_like_wires_are_stored_as_ints():
     from terniq.circuit import CondGateOp, RusOp, gate_op
     inc = matrix_for_name("INC")
     rus = RusOp(Circuit(2, (MeasureOp(0, 0),)), predicate=((0, 0),),
-                corrections=((0, inc, (np.int64(1),)),))
+                corrections=((0, GateOp(inc, (np.int64(1),))),))
     for wires in (GateOp(inc, (np.int64(1),)).wires, GateOp(inc, (True,)).wires,
-                  CondGateOp(0, 0, inc, (np.int64(1),)).wires, gate_op("INC", np.int64(1)).wires,
-                  rus.corrections[0][2]):
+                  CondGateOp(0, 0, GateOp(inc, (np.int64(1),))).wires, gate_op("INC", np.int64(1)).wires,
+                  rus.corrections[0][1].wires):
         assert wires == (1,) and type(wires[0]) is int
     text = serialize(Circuit(2, (GateOp(inc, (np.int64(1),)),)))
     assert text == "circuit 2\ngate INC 1\n" and deserialize(text).instructions[0].wires == (1,)

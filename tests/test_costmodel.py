@@ -212,6 +212,13 @@ def test_cost_model_inputs_raise_size_error(make):
         make()
 
 
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -5.0, 0.0, "x", None], ids=repr)
+def test_scenario_gamma_is_a_finite_positive_real(gamma):
+    # nan and -5.0 priced a distillation width of nan and 2.0e-06; "x" raised a bare TypeError
+    with pytest.raises(SizeError, match="gamma"):
+        Scenario(16, platform="binary-CliffordT-reference", gamma=gamma)
+
+
 def test_parallel_magic_rate():
     from terniq.costmodel import parallel_magic_rate
     assert parallel_magic_rate(64) == 64

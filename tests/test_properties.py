@@ -329,7 +329,7 @@ def instructions(draw, width, gates, depth=0):
         return MeasureOp(draw(st.integers(0, width - 1)), draw(st.integers(0, 3)))
     if kind == "cc":
         return CondGateOp(draw(st.integers(0, 3)), draw(st.integers(0, 2)),
-                          *draw(gate_slots(width, gates)))
+                          GateOp(*draw(gate_slots(width, gates))))
     body = draw(st.lists(instructions(width, gates, depth + 1), max_size=4))
     body.insert(draw(st.integers(0, len(body))),
                 MeasureOp(draw(st.integers(0, width - 1)), draw(st.integers(0, 3))))
@@ -344,7 +344,7 @@ def instructions(draw, width, gates, depth=0):
                                                     max_size=4)),
                                frozenset(draw(st.lists(states, max_size=3)))),
                 "outcome_slot": draw(slots)}
-    corrections = tuple((draw(st.integers(0, 4)), *draw(gate_slots(width, gates)))
+    corrections = tuple((draw(st.integers(0, 4)), GateOp(*draw(gate_slots(width, gates))))
                         for _ in range(draw(st.integers(0, 2))))
     return RusOp(Circuit(width, tuple(body)), corrections=corrections,
                  max_iters=draw(st.integers(1, 5000)),
@@ -413,14 +413,14 @@ def _reference_count(a: Circuit) -> ResourceCount:
     def visit(op):
         nonlocal meas
         if isinstance(op, (GateOp, CondGateOp)):
-            visit_gate(op.gate, op.wires)
+            visit_gate((op.op if isinstance(op, CondGateOp) else op).gate, op.wires)
         elif isinstance(op, MeasureOp):
             meas += 1
         else:
             for sub in op.body.instructions:
                 visit(sub)
-            for _, gate, wires in op.corrections:
-                visit_gate(gate, wires)
+            for _, g in op.corrections:
+                visit_gate(g.gate, g.wires)
             rus_expected.append((op.label or "rus", op.expected_trials))
 
     for op in a.instructions:
@@ -482,7 +482,8 @@ def planner_ops(draw, width, in_rus=False):
     if kind == "measure":
         return [MeasureOp(draw(wire), draw(slot))]
     if kind == "cond":
-        return [CondGateOp(draw(slot), draw(st.integers(0, 2)), *draw(planner_gate(width, every)))]
+        return [CondGateOp(draw(slot), draw(st.integers(0, 2)),
+                           GateOp(*draw(planner_gate(width, every))))]
     if kind != "rus":
         return [GateOp(*draw(planner_gate(width, fits[kind])))
                 for _ in range(draw(st.integers(1, 4)))]
@@ -496,7 +497,7 @@ def planner_ops(draw, width, in_rus=False):
         trans = {(q, m): draw(st.integers(0, 2)) for q in (0, 1) for m in range(3)}
         trans[(0, draw(st.integers(0, 2)))], trans[(1, draw(st.integers(0, 2)))] = 1, 2
         form = {"chain": Chain(0, trans, frozenset({2})), "outcome_slot": s}
-    corrections = tuple((draw(st.integers(0, 2)), *draw(planner_gate(width, every)))
+    corrections = tuple((draw(st.integers(0, 2)), GateOp(*draw(planner_gate(width, every))))
                         for _ in range(draw(st.integers(0, 2))))
     return [RusOp(Circuit(width, tuple(body)), corrections=corrections, max_iters=40,
                   label=draw(st.sampled_from(["", "a", "b"])), **form)]

@@ -148,7 +148,7 @@ def _diagonal_run_circuit(rng, width):
                                                                     replace=False))))
         a, b = (int(w) for w in rng.choice(width, size=2, replace=False))
         ops.append([g("H", a), g("SUM", a, b), MeasureOp(a, 0),
-                    CondGateOp(0, 1, matrix_for_name("P9"), (b,))][k % 4])
+                    CondGateOp(0, 1, GateOp(matrix_for_name("P9"), (b,)))][k % 4])
     return Circuit(width, tuple(ops))
 
 
@@ -277,7 +277,7 @@ def test_wire_exchange_runs_match_gate_by_gate(rng, monkeypatch, width, mode):
     # above width 8 a lone TSWAP, and one conditioned on a slot (unset slots read 0), is
     # one transpose as well
     check(Circuit(10, (g("TSWAP", 2, 7),)), 0)
-    check(Circuit(10, (CondGateOp(0, 0, matrix_for_name("TSWAP"), (0, 9)),)), 1)
+    check(Circuit(10, (CondGateOp(0, 0, GateOp(matrix_for_name("TSWAP"), (0, 9))),)), 1)
     assert transposes[12:] == [(("TSWAP", (2, 7)),), (("TSWAP", (0, 9)),)]
 
 
@@ -641,7 +641,7 @@ def test_injection_keeps_user_slots(name):
     # the protocol measures into its own slot 0, between the user's measure
     # into slot 0 and the gate conditioned on it
     circ = Circuit(2, (g("INC", 0), MeasureOp(0, 0), g(name, 1),
-                       CondGateOp(0, 1, matrix_for_name("INC"), (1,))))
+                       CondGateOp(0, 1, GateOp(matrix_for_name("INC"), (1,)))))
     for seed in range(20):
         rec = run(circ, seed=seed, gate_mode="injected")
         assert rec.slots == {0: 1}

@@ -250,18 +250,6 @@ def test_add_binary_control_generic():
     assert count_resources(ccc2).p9_count == 18
 
 
-def test_ancillas_restored_on_binary_inputs():
-    for circ, n_data in ((widgets.toffoli_emulated("one_clean"), 3),
-                         (widgets.ccc_not("two_clean"), 4)):
-        u = circuit_unitary(circ, cap=8)
-        dim_data = 3**n_data
-        for bits in product((0, 1), repeat=n_data):
-            i = index_of_trits(list(bits) + [0] * (circ.width - n_data))
-            col = u[:, i]
-            support = np.nonzero(np.abs(col) > 1e-10)[0]
-            assert all(s < dim_data for s in support)  # ancilla trits all zero
-
-
 # ------------------------------------------------------------ Horner gates
 
 def test_horner_lsum_truth():
@@ -447,7 +435,7 @@ def test_eta_measurement_yields_psi_at_most_half():
 
     # the factory's emitting branches deliver psi exactly after correction
     out = (u @ eta).reshape(3, 3)
-    corrections = {state: g.matrix for state, g, _ in rus.corrections}
+    corrections = {state: g.gate.matrix for state, g in rus.corrections}
     emitted = 0.0
     for m in range(3):
         state = rus.chain.transitions[(rus.chain.start, m)]
