@@ -88,11 +88,9 @@ class ShiftSpec:
                             f"{self.control} control; expected one of {modes}")
         base = 2 if self.encoding == "binary" else 3
         if self.modulus is None:
-            if not 0 <= self.constant < base**self.digits:
-                raise SizeError("constant out of register range")
+            as_int(self.constant, "constant in the register", 0, base**self.digits - 1)
         else:
-            if not 0 <= self.constant < self.modulus:
-                raise SizeError("modular constant must satisfy a < N")
+            as_int(self.constant, "modular constant a < N", 0, self.modulus - 1)
             if base**self.digits < 2 * self.modulus:
                 raise SizeError(f"need base^digits >= 2N; got {base**self.digits} < {2 * self.modulus}")
 
@@ -365,11 +363,12 @@ def compare_ops(encoding: str, t: int, data, carry_in: int, result: int, pool=()
 
 
 def compare_to_threshold(t: int, digits: int, encoding: str = "binary") -> AdderCircuit:
-    """Standalone comparator: data wires 1..digits, result wire digits+1."""
-    spec = ShiftSpec(t % (2 if encoding == "binary" else 3)**digits, digits, encoding)
-    digits = spec.digits
+    """Standalone comparator: data wires 1..digits, result wire digits+1; the
+    threshold t in [0, radix^digits)."""
+    spec = ShiftSpec(t, digits, encoding)
+    t, digits = spec.constant, spec.digits
     A, data, R = 0, tuple(range(1, digits + 1)), digits + 1
-    npool = 0 if encoding == "binary" else _pool_size([spec.constant], digits)
+    npool = 0 if encoding == "binary" else _pool_size([t], digits)
     pool = list(range(R + 1, R + 1 + npool))
     ops = compare_ops(encoding, t, data, A, R, pool)
     circ = Circuit(R + 1 + npool, tuple(ops), ancillas=frozenset({A, *pool}),

@@ -23,6 +23,7 @@ from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from numbers import Real
 from typing import Mapping, Optional, Sequence, Union
 
 from . import gates
@@ -148,8 +149,16 @@ class RusOp:
         if (self.chain is None) == (not self.predicate):
             raise SizeError("RusOp needs exactly one of predicate or chain")
         int_fields(self, max_iters=1, outcome_slot=None)
-        if not 0 < self.expected_trials < math.inf:
-            raise SizeError(f"RusOp needs positive, finite expected trials, got {self.expected_trials!r}")
+        trials = self.expected_trials
+        if not (isinstance(trials, Real) and 0 < trials < math.inf):
+            raise SizeError(f"RusOp needs positive, finite expected trials, got {trials!r}")
+        object.__setattr__(self, "expected_trials", float(trials))   # its text is a float's repr
+        for what in ("predicate", "consumes"):
+            if not all(isinstance(p, tuple) and len(p) == 2 for p in getattr(self, what)):
+                raise SizeError(f"RusOp {what} {getattr(self, what)!r} is not a tuple of pairs")
+        for text in (self.label, *(n for n, _ in self.consumes)):
+            if not isinstance(text, str):
+                raise SizeError(f"RusOp label or consumes name {text!r} is not a string")
         object.__setattr__(self, "predicate", tuple(
             (as_int(s, "RusOp predicate slot"), as_int(v, "RusOp predicate value"))
             for s, v in self.predicate))

@@ -4,7 +4,9 @@ The accumulator product is built digit by digit from the exponent register:
 for each exponent digit, an out-of-place controlled modular multiply writes
 acc * A^(k_j) into a fresh register through doubly-controlled modular
 additive shifts with precomputed constants, the registers are swapped, and
-the stale copy is uncomputed with the inverse multiplier.
+the stale copy is uncomputed with the inverse multiplier.  The layout fixes
+every wire of a modular addition, so one build makes each distinct constant's
+addition once and shares its ops wherever the constant repeats.
 
 Binary exponent digits select the multiply with one strict control; ternary
 digits are handled as the strict pair C_1(S_1) C_2(S_2), with the residual
@@ -91,7 +93,7 @@ def _registers(spec: ModExpSpec) -> _Registers:
                       tuple(range(s, s + n_scratch)))
 
 
-def _binary_ctrl_mult_ops(kappa, regs, mult, N):
+def _binary_ctrl_mult_ops(kappa, regs, mult, N, adds):
     """acc2 (=0) <- d_kappa * acc * mult; then swap; then uncompute acc2.
 
     The uncompute pass adds acc * (-mult^-1), which clears acc2 after the swap.
@@ -106,8 +108,10 @@ def _binary_ctrl_mult_ops(kappa, regs, mult, N):
             w = (2**ell * factor) % N
             if w == 0:
                 continue
+            if w not in adds:
+                adds[w] = tuple(mod_add_ops("binary", w, N, acc2, A, T, x, marker, u=mu))
             pro = and_ops(kappa, acc[ell], mu)
-            ops += pro + mod_add_ops("binary", w, N, acc2, A, T, x, marker, u=mu) + adjoint_ops(pro)
+            ops += [*pro, *adds[w], *adjoint_ops(pro)]
             shifts += 1
         if not uncompute:
             for ell in range(len(acc)):   # controlled swap of acc and acc2
@@ -116,7 +120,7 @@ def _binary_ctrl_mult_ops(kappa, regs, mult, N):
     return ops, shifts
 
 
-def _ternary_ctrl_mult_ops(kappa, regs, a_pow, N):
+def _ternary_ctrl_mult_ops(kappa, regs, a_pow, N, adds):
     """Ternary-digit controlled multiply: acc2 <- acc * a_pow^(k) for k on kappa.
 
     As in the binary multiply, the uncompute pass adds acc * (-a_pow^-f).
@@ -135,9 +139,10 @@ def _ternary_ctrl_mult_ops(kappa, regs, a_pow, N):
                     w = (gval * 3**ell * factor) % N
                     if w == 0:
                         continue
-                    body += [gate_op(f"C{gval}[SUM]", acc[ell], u1, u)]
-                    body += mod_add_ops("ternary", w, N, acc2, A, T, x, marker, pool, u=u)
-                    body += [gate_op(f"C{gval}[SUM]_INV", acc[ell], u1, u)]
+                    if w not in adds:
+                        adds[w] = tuple(mod_add_ops("ternary", w, N, acc2, A, T, x, marker, pool, u=u))
+                    body += [gate_op(f"C{gval}[SUM]", acc[ell], u1, u), *adds[w],
+                             gate_op(f"C{gval}[SUM]_INV", acc[ell], u1, u)]
                     shifts += 1
             ops += strict_ops(f, kappa, u1, body)
         if uncompute:
@@ -149,9 +154,11 @@ def _ternary_ctrl_mult_ops(kappa, regs, a_pow, N):
     return ops, shifts
 
 
-def _ctrl_mult_ops(spec: ModExpSpec, regs: _Registers, kappa: int, mult: int):
+def _ctrl_mult_ops(spec: ModExpSpec, regs: _Registers, kappa: int, mult: int, adds=None):
+    """One round's controlled multiply.  ``adds`` maps a constant w to its ``mod_add_ops``
+    tuple on this layout; one build passes the same dict to every round."""
     build = _binary_ctrl_mult_ops if spec.encoding == "binary" else _ternary_ctrl_mult_ops
-    return build(kappa, regs, mult, spec.modulus)
+    return build(kappa, regs, mult, spec.modulus, {} if adds is None else adds)
 
 
 def modexp_circuit(spec: ModExpSpec) -> ModExpLayout:
@@ -159,12 +166,12 @@ def modexp_circuit(spec: ModExpSpec) -> ModExpLayout:
     N, base, d = spec.modulus, spec.base, spec.radix
     regs = _registers(spec)
     ops = [gate_op("TAU1[0,1]" if d == 2 else "INC", regs.acc[0])]  # acc <- 1
-    total_shifts = 0
+    total_shifts, adds = 0, {}
     for j, kappa in enumerate(regs.exponent):
         mult = pow(base, d**j, N)
         if mult == 1:
             continue
-        sub, shifts = _ctrl_mult_ops(spec, regs, kappa, mult)
+        sub, shifts = _ctrl_mult_ops(spec, regs, kappa, mult, adds)
         ops += sub
         total_shifts += shifts
     circ = Circuit(regs.scratch[-1] + 1, tuple(ops),
@@ -173,30 +180,39 @@ def modexp_circuit(spec: ModExpSpec) -> ModExpLayout:
     return ModExpLayout(circ, regs.exponent, regs.acc, regs.scratch, total_shifts)
 
 
-@lru_cache(maxsize=16)
 def controlled_multiply(encoding: str, N: int, multiplier: int) -> CompiledCircuit:
     """Compiled acc <- acc * multiplier^c, one semiclassical round's multiply.
 
     Wires as in ``modexp_circuit`` with a one-digit exponent: the control c
     on wire 0, the accumulator from wire 1, least significant digit first.
+    The arguments are checked by ``ModExpSpec`` before the memo.
     """
-    spec = ModExpSpec(multiplier, N, encoding, exponent_digits=1)
-    regs = _registers(spec)
-    ops, _ = _ctrl_mult_ops(spec, regs, regs.exponent[0], multiplier)
-    return compile_classical(Circuit(regs.scratch[-1] + 1, tuple(ops)))
+    return _controlled_multiply(ModExpSpec(multiplier, N, encoding, exponent_digits=1))
 
 
 @lru_cache(maxsize=16)
+def _controlled_multiply(spec: ModExpSpec) -> CompiledCircuit:
+    regs = _registers(spec)
+    ops, _ = _ctrl_mult_ops(spec, regs, regs.exponent[0], spec.base)
+    return compile_classical(Circuit(regs.scratch[-1] + 1, tuple(ops)))
+
+
 def round_map(encoding: str, N: int, mult: int) -> tuple[tuple[int, ...], ...]:
     """``table[c][acc]``: the accumulator ``controlled_multiply`` leaves.
 
     Walks the compiled multiply once for every control value c < d and every
     acc < N with clean scratch.  Raises ``RoundMapError``, naming c and acc,
     unless the control comes back unchanged, acc2 and the scratch back at 0,
-    and acc as digits < d of a value < N.
+    and acc as digits < d of a value < N.  The arguments are checked by
+    ``ModExpSpec`` before the memo.
     """
+    return _round_map(ModExpSpec(mult, N, encoding, exponent_digits=1))
+
+
+@lru_cache(maxsize=16)
+def _round_map(spec: ModExpSpec) -> tuple[tuple[int, ...], ...]:
+    encoding, N, mult = spec.encoding, spec.modulus, spec.base
     comp = controlled_multiply(encoding, N, mult)
-    spec = ModExpSpec(mult, N, encoding, exponent_digits=1)
     d, v = spec.radix, spec.value_digits
     table = []
     for c in range(d):

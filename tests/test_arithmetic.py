@@ -262,6 +262,19 @@ def test_comparator_ternary_exhaustive():
             assert ot[cmp3.result] == (b >= t)
 
 
+@pytest.mark.parametrize("enc,base", [("binary", 2), ("ternary", 3)])
+def test_comparator_takes_every_threshold_in_range_and_no_other(enc, base):
+    D = base**3
+    for t in range(D):
+        cmp3 = compare_to_threshold(t, 3, enc)
+        assert [ot[cmp3.result] for _, _, _, ot in classical_map(cmp3, base, range(D))] \
+            == [int(b >= t) for b in range(D)], t
+    for t in (-1, D, D + 5):
+        # t was reduced mod D: a comparator against another threshold
+        with pytest.raises(SizeError, match="out-of-range"):
+            compare_to_threshold(t, 3, enc)
+
+
 # ------------------------------------------------------------ modular shifts
 
 def digits_for(N, base):
@@ -440,7 +453,7 @@ def _builder_grid():
             for a in range(base**n):
                 for control, mode in kinds[enc]:
                     yield build(ShiftSpec(a, n, enc, control=control, control_mode=mode))
-            for t in range(base**n + 1):
+            for t in range(base**n):
                 yield compare_to_threshold(t, n, enc)
     for enc, moduli in (("binary", (2, 3, 5, 7, 13)), ("ternary", (2, 4, 5, 7, 13))):
         base = 2 if enc == "binary" else 3
@@ -453,7 +466,8 @@ def _builder_grid():
 
 
 def test_builder_outputs_are_pinned():
-    # one digest over the text, layout and ancillas of every build in the grid
+    # one digest over the text, layout and ancillas of every build in the grid; recorded
+    # on the builders before a comparator threshold of radix^digits was refused
     from terniq.textfmt import serialize
     h, count = hashlib.sha256(), 0
     for ac in _builder_grid():
@@ -462,4 +476,4 @@ def test_builder_outputs_are_pinned():
         h.update(serialize(ac.circuit).encode() + repr(fields).encode())
         count += 1
     assert (count, h.hexdigest()) == (
-        1626, "6e9cfc63d0174e684aaabc09891aec9eddca77fa164b3928da4ea531e6fd40fc")
+        1619, "ac837decd88d47bb0e886eb3312e9b971c6ab00e73b8363d6b2d19b22d3acd23")

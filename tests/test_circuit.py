@@ -307,6 +307,27 @@ def test_rus_loop_fields_are_checked(bad):
         RusOp(Circuit(1, (MeasureOp(0, 0),)), predicate=((0, 0),), **bad)
 
 
+@pytest.mark.parametrize("bad", [{"expected_trials": "x"}, {"label": 3},
+                                 {"consumes": ((5, 1),)}, {"predicate": ((0,),)},
+                                 {"consumes": (("psi",),)}],
+                         ids=["expected trials 'x'", "label 3", "consumes name 5",
+                              "one-element predicate", "one-element consumes"])
+def test_rus_text_and_pair_fields_are_checked(bad):
+    # each raised a bare TypeError or ValueError, or was accepted and serialize raised
+    fields = {"predicate": ((0, 0),), **bad}
+    with pytest.raises(SizeError):
+        RusOp(Circuit(1, (MeasureOp(0, 0),)), **fields)
+
+
+@pytest.mark.parametrize("trials", [np.float64(1.5), 2, True], ids=repr)
+def test_rus_expected_trials_round_trip_as_a_float(trials):
+    # serialize wrote the repr of the value given, and the reader refused 'np.float64(1.5)'
+    c = Circuit(1, (RusOp(Circuit(1, (MeasureOp(0, 0),)), predicate=((0, 0),),
+                          expected_trials=trials),))
+    assert type(c.instructions[0].expected_trials) is float
+    assert deserialize(serialize(c)) == c
+
+
 def test_every_instruction_checks_the_circuit_width():
     # a wire at the width, in each kind of instruction, in a width-2 circuit
     from terniq.circuit import CondGateOp, RusOp

@@ -386,7 +386,20 @@ def test_round_map_rejects_a_faulty_multiply(monkeypatch, wire, fault):
     faulty = CompiledCircuit(comp.width, comp.ops + extra.ops)
     monkeypatch.setattr(modexp, "controlled_multiply", lambda *args: faulty)
     with pytest.raises(RoundMapError, match=f"control 0, acc 0: {fault}"):
-        round_map.__wrapped__("binary", 15, 7)   # uncached: the real map may be memoised
+        # uncached: the real map may be memoised
+        modexp._round_map.__wrapped__(ModExpSpec(7, 15, "binary", exponent_digits=1))
+
+
+@pytest.mark.parametrize("call", [lambda: round_map("binary", [15], 2),
+                                  lambda: round_map({}, 15, 2),
+                                  lambda: controlled_multiply("binary", 15, {}),
+                                  lambda: controlled_multiply(["binary"], 15, 7)],
+                         ids=["round_map modulus", "round_map encoding",
+                              "multiply multiplier", "multiply encoding"])
+def test_unhashable_round_arguments_raise_size_error(call):
+    # the memo hashed them first: a bare TypeError
+    with pytest.raises(SizeError):
+        call()
 
 
 @pytest.mark.parametrize("a,N,enc", [(2, N, enc) for N in (15, 21, 33, 35)
@@ -596,3 +609,72 @@ def test_modexp_text_and_count_are_pinned(enc, base, N):
     digest, fields = MODEXP_GOLDEN[enc, base, N]
     assert hashlib.sha256(serialize(circ).encode()).hexdigest() == digest
     assert astuple(count_resources(circ)) == fields
+
+
+# sha256 of serialize() and the dctrl_shift_count of modexp circuits beyond the
+# benchmark's bases, recorded before each distinct modular addition was built
+# once per build: the memo may not move a gate
+MODEXP_LARGER_GOLDEN = {
+    ("binary", 2, 33): ("f4b1101e0f0eb691f27732e6fade0359fba3f956ab8e78fd4c37a079af8028b6", 168),
+    ("binary", 7, 33): ("86291fca3014d621ed215abd7a7e5a9bbc1f1f9e6fd4866e50d7135064da6c97", 168),
+    ("ternary", 2, 33): ("dac5e3a8ff78c2e8ac366d0539a9aec3b7bd30385943f8388272f544a8281218", 256),
+    ("ternary", 7, 33): ("481f880782884dab418a9dc0a2bbcc8e176ac631f41aa096faea955094d58d40", 256),
+    ("binary", 2, 35): ("a74df52bc3b31ad460c4ecaa95c6692f0046fb46b3134303f4471613f2d2825a", 168),
+    ("binary", 3, 35): ("f9ff749c5f72e706abc8d49f4126b46eeb239fff800262ea013274c70f84862c", 168),
+    ("ternary", 2, 35): ("3cfca9f85ab50845fc8059373ffdcb982bf944bdcbd3abdb8d91453ffa12fb53", 256),
+    ("ternary", 3, 35): ("e2492462b318b258387c16f48fbcefc03b145de34dc7e0da99914b339e75d505", 256),
+    ("binary", 2, 1023): ("954cec29af531fcee5ffb9ace4aee5a68fee3f624ba9ba9acc6e4d30d7d35819", 440),
+    ("ternary", 2, 727): ("ab32736f98d066f29d472ccfbc123fa25e4daad0de8fc02eeac463703d49b521", 672),
+}
+
+
+@pytest.mark.parametrize("enc,base,N", [
+    key if key[2] < 100 else pytest.param(*key, marks=pytest.mark.slow)
+    for key in MODEXP_LARGER_GOLDEN], ids=str)
+def test_larger_modexp_text_and_shift_count_are_pinned(enc, base, N):
+    layout = modexp_circuit(ModExpSpec(base, N, enc))
+    assert (hashlib.sha256(serialize(layout.circuit).encode()).hexdigest(),
+            layout.dctrl_shift_count) == MODEXP_LARGER_GOLDEN[enc, base, N]
+
+
+# sha256 over every compiled controlled multiply at N in {15, 21, 33, 35}, both
+# encodings, each coprime multiplier: its steps with tables numbered by first
+# use, then the tables in that order
+CONTROLLED_MULTIPLY_DIGEST = "65f69b3e616eacc7dcf3646635825fda9c4d6b23131292485c74be1c170e3e4a"
+
+
+def test_controlled_multiply_steps_are_pinned():
+    tables, steps = {}, []
+    for N in (15, 21, 33, 35):
+        for enc in ("binary", "ternary"):
+            for mult in range(2, N):
+                if gcd(mult, N) == 1:
+                    comp = controlled_multiply(enc, N, mult)
+                    steps.append((enc, N, mult, comp.width,
+                                  tuple((a, wires, tables.setdefault(table, len(tables)))
+                                        for a, wires, table in comp.ops)))
+    assert len(steps) == 120
+    digest = hashlib.sha256(repr((steps, list(tables))).encode()).hexdigest()
+    assert digest == CONTROLLED_MULTIPLY_DIGEST
+
+
+# distinct modular-addition constants w in one modexp build, counted on the
+# builder that built every repeat again: 20, 120, 192, 192, 168 and 256 calls
+DISTINCT_ADDITIONS = {("binary", 7, 15): 8, ("binary", 2, 21): 12, ("ternary", 2, 15): 12,
+                      ("ternary", 2, 21): 16, ("binary", 2, 33): 10, ("ternary", 2, 35): 24}
+
+
+@pytest.mark.parametrize("enc,base,N", sorted(DISTINCT_ADDITIONS), ids=str)
+def test_one_build_makes_each_modular_addition_once(monkeypatch, enc, base, N):
+    made, real = [], modexp.mod_add_ops
+    monkeypatch.setattr(modexp, "mod_add_ops",
+                        lambda encoding, w, *args, **kw: made.append(w) or real(encoding, w, *args, **kw))
+    spec = ModExpSpec(base, N, enc)
+    modexp_circuit(spec)
+    assert len(made) == len(set(made)) == DISTINCT_ADDITIONS[enc, base, N]
+    modexp_circuit(spec)   # the memo lasts one build
+    assert len(made) == 2 * DISTINCT_ADDITIONS[enc, base, N]
+    made.clear()
+    regs = _registers(spec)
+    _ctrl_mult_ops(spec, regs, regs.exponent[0], base)
+    assert len(made) == len(set(made))
