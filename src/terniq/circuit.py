@@ -23,6 +23,7 @@ from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import chain
 from numbers import Real
 from typing import Mapping, Optional, Sequence, Union
 
@@ -154,8 +155,10 @@ class RusOp:
             raise SizeError(f"RusOp needs positive, finite expected trials, got {trials!r}")
         object.__setattr__(self, "expected_trials", float(trials))   # its text is a float's repr
         for what in ("predicate", "consumes"):
-            if not all(isinstance(p, tuple) and len(p) == 2 for p in getattr(self, what)):
-                raise SizeError(f"RusOp {what} {getattr(self, what)!r} is not a tuple of pairs")
+            pairs = getattr(self, what)
+            if not (isinstance(pairs, (tuple, list))
+                    and all(isinstance(p, tuple) and len(p) == 2 for p in pairs)):
+                raise SizeError(f"RusOp {what} {pairs!r} is not a tuple of pairs")
         for text in (self.label, *(n for n, _ in self.consumes)):
             if not isinstance(text, str):
                 raise SizeError(f"RusOp label or consumes name {text!r} is not a string")
@@ -179,17 +182,34 @@ class Circuit:
 
     ``ancillas`` declares wires expected to start in |0> (or in a declared
     resource state) and be restored by the circuit.
+
+    ``blocks``: op tuples whose concatenation is ``instructions``, outside
+    equality.  Pass it instead of ``instructions`` to share a tuple where it
+    repeats (a modexp build shares each modular addition); a flat list is one
+    block.  The wire check, ``count_resources``, ``textfmt.serialize`` and
+    ``sim.compile_classical`` handle each distinct block once.
     """
 
     width: int
-    instructions: tuple[Instruction, ...]
+    instructions: tuple[Instruction, ...] = ()
     ancillas: frozenset[int] = frozenset()
     name: str = ""
+    blocks: tuple[tuple[Instruction, ...], ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "width", as_int(self.width, "width", 0))
-        # shared ops repeat their wire tuples: check each distinct tuple once
-        for wires in dict.fromkeys(op.wires for op in self.instructions):
+        if self.blocks:
+            blocks = tuple(b if type(b) is tuple else tuple(b) for b in self.blocks if b)
+            flat = tuple(chain.from_iterable(blocks))
+            if self.instructions and self.instructions != flat:
+                raise SizeError("Circuit blocks do not concatenate to its instructions")
+            object.__setattr__(self, "instructions", flat)
+        else:
+            blocks = (self.instructions,) if self.instructions else ()
+        object.__setattr__(self, "blocks", blocks)
+        # shared blocks and ops repeat their wire tuples: check each distinct tuple once
+        distinct = {id(b): b for b in blocks}.values()
+        for wires in dict.fromkeys(op.wires for b in distinct for op in b):
             for w in wires:
                 if not 0 <= w < self.width:
                     raise WidthMismatchError(f"wire {w} outside width {self.width} in {self.name or 'circuit'}")
@@ -202,8 +222,8 @@ def compose(a: Circuit, b: Circuit, name: str = "") -> Circuit:
     """Concatenate: run ``a`` then ``b``.  Counts add."""
     if a.width != b.width:
         raise WidthMismatchError(f"compose: widths {a.width} != {b.width}")
-    return Circuit(a.width, a.instructions + b.instructions, a.ancillas | b.ancillas,
-                   name or f"{a.name}+{b.name}")
+    return Circuit(a.width, ancillas=a.ancillas | b.ancillas, name=name or f"{a.name}+{b.name}",
+                   blocks=a.blocks + b.blocks)
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: a wire 1.0 never finds the op of wire 1
@@ -313,12 +333,17 @@ def _gate_class(name: str):
 
 
 def count_resources(a: Circuit) -> ResourceCount:
-    meas, names, rus_expected = 0, [], []  # names: of every gate, counted per name at the end
+    """Counts of ``a``: each distinct block is tallied once and scaled by its uses.  The ASAP
+    frontier is shift-invariant, so a repeated block's exit frontier on its wires is memoised
+    on its entry there minus the entry's minimum; a miss walks the block on the real frontier."""
     steps: dict[str, int] = {}  # depth each gate name adds: 0 for a Clifford
     frontier = [0] * a.width  # non-Clifford depth reached per wire
+    uses = Counter(map(id, a.blocks))
+    sums, rus_expected = {}, []  # sums: per distinct block, its (names, measurements, RUS entries)
+    wires_of, exits = {}, {}  # per repeated block its sorted wires; per (block, entry) its exit
 
-    def walk(ops):
-        nonlocal meas
+    def walk(ops, names, rus) -> int:  # names: of every gate, counted per name at the end
+        meas = 0
         for op in ops:
             cls = type(op)
             if cls is not GateOp:
@@ -326,9 +351,9 @@ def count_resources(a: Circuit) -> ResourceCount:
                     meas += 1
                     continue
                 if cls is RusOp:
-                    walk(op.body.instructions)
-                    walk(g for _, g in op.corrections)
-                    rus_expected.append((op.label or "rus", op.expected_trials))
+                    meas += walk(op.body.instructions, names, rus)
+                    meas += walk((g for _, g in op.corrections), names, rus)
+                    rus.append((op.label or "rus", op.expected_trials))
                     continue
                 op = op.op  # a CondGateOp counts its gate op
             name = op.gate.name
@@ -349,15 +374,42 @@ def count_resources(a: Circuit) -> ResourceCount:
                 level = max([frontier[w] for w in wires]) + step
                 for w in wires:
                     frontier[w] = level
+        return meas
 
-    walk(a.instructions)
-    p9, kinds, tally = 0, Counter(), Counter()
-    for name, n in Counter(names).items():
-        kind, gp9, _ = _gate_class(name)
-        p9 += gp9 * n
-        kinds[kind] += n
-        if kind == "costed":
-            tally[name.removesuffix("_INV")] += n
+    for block in a.blocks:
+        key = id(block)
+        repeated = uses[key] > 1
+        if repeated:
+            if key not in wires_of:
+                wires_of[key] = sorted({w for ws in dict.fromkeys(op.wires for op in block) for w in ws})
+            bw = wires_of[key]
+            entry = [frontier[w] for w in bw]
+            low = min(entry)
+            memo_key = (key, tuple([f - low for f in entry]))
+            out = exits.get(memo_key)
+            if out is not None:
+                for w, f in zip(bw, out):
+                    frontier[w] = low + f
+                rus_expected += sums[key][2]
+                continue
+        names, rus = [], []
+        meas = walk(block, names, rus)
+        sums.setdefault(key, (names, meas, rus))
+        if repeated:
+            exits[memo_key] = tuple([frontier[w] - low for w in bw])
+        rus_expected += rus
+
+    meas, p9, kinds, tally = 0, 0, Counter(), Counter()
+    for key, (names, block_meas, _) in sums.items():
+        uses_of = uses[key]
+        meas += block_meas * uses_of
+        for name, n in Counter(names).items():
+            kind, gp9, _ = _gate_class(name)
+            n *= uses_of
+            p9 += gp9 * n
+            kinds[kind] += n
+            if kind == "costed":
+                tally[name.removesuffix("_INV")] += n
 
     return ResourceCount(
         p9_count=p9,

@@ -310,10 +310,6 @@ def allclose_up_to_phase(a: np.ndarray, b: np.ndarray, atol: float = 1e-10) -> b
     return bool(np.allclose(a, phase * b, atol=atol))
 
 
-def states_equal_up_to_phase(u: np.ndarray, v: np.ndarray, atol: float = 1e-10) -> bool:
-    return allclose_up_to_phase(u.reshape(-1, 1), v.reshape(-1, 1), atol)
-
-
 # ------------------------------------------------------- Clifford test
 
 @lru_cache(maxsize=8)

@@ -6,7 +6,9 @@ acc * A^(k_j) into a fresh register through doubly-controlled modular
 additive shifts with precomputed constants, the registers are swapped, and
 the stale copy is uncomputed with the inverse multiplier.  The layout fixes
 every wire of a modular addition, so one build makes each distinct constant's
-addition once and shares its ops wherever the constant repeats.
+addition once and holds its op tuple as one shared block (``Circuit.blocks``)
+wherever the constant repeats, so checking, counting, writing and compiling
+the circuit handle each distinct addition once.
 
 Binary exponent digits select the multiply with one strict control; ternary
 digits are handled as the strict pair C_1(S_1) C_2(S_2), with the residual
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .circuit import Circuit, GateOp, adjoint_ops, gate_op
+from .circuit import Circuit, adjoint_ops, gate_op
 from .errors import RoundMapError, SizeError, int_fields
 from .sim import CompiledCircuit, compile_classical, index_of_trits, run_compiled, trits_of_index
 from .arithmetic import and_ops, mcx_ops, mod_add_ops, strict_ops
@@ -93,14 +95,23 @@ def _registers(spec: ModExpSpec) -> _Registers:
                       tuple(range(s, s + n_scratch)))
 
 
-def _binary_ctrl_mult_ops(kappa, regs, mult, N, adds):
+class _Blocks(list):
+    """The blocks of one build: each shared addition tuple is its own block, and the
+    glue ops between two of them gather into one list."""
+
+    def glue(self, *ops):
+        if not self or type(self[-1]) is tuple:
+            self.append([])
+        self[-1] += ops
+
+
+def _binary_ctrl_mult_ops(kappa, regs, mult, N, adds, blocks):
     """acc2 (=0) <- d_kappa * acc * mult; then swap; then uncompute acc2.
 
     The uncompute pass adds acc * (-mult^-1), which clears acc2 after the swap.
     """
     acc, acc2 = regs.acc, regs.acc2
     A, T, x, marker, mu = regs.scratch
-    ops: list[GateOp] = []
     shifts = 0
     for uncompute, sign in enumerate((1, -1)):
         factor = sign * pow(mult, sign, N)
@@ -111,16 +122,18 @@ def _binary_ctrl_mult_ops(kappa, regs, mult, N, adds):
             if w not in adds:
                 adds[w] = tuple(mod_add_ops("binary", w, N, acc2, A, T, x, marker, u=mu))
             pro = and_ops(kappa, acc[ell], mu)
-            ops += [*pro, *adds[w], *adjoint_ops(pro)]
+            blocks.glue(*pro)
+            blocks.append(adds[w])
+            blocks.glue(*adjoint_ops(pro))
             shifts += 1
         if not uncompute:
             for ell in range(len(acc)):   # controlled swap of acc and acc2
                 swap = mcx_ops((acc2[ell],), acc[ell])
-                ops += swap + mcx_ops((kappa, acc[ell]), acc2[ell], (marker,)) + swap
-    return ops, shifts
+                blocks.glue(*swap, *mcx_ops((kappa, acc[ell]), acc2[ell], (marker,)), *swap)
+    return shifts
 
 
-def _ternary_ctrl_mult_ops(kappa, regs, a_pow, N, adds):
+def _ternary_ctrl_mult_ops(kappa, regs, a_pow, N, adds, blocks):
     """Ternary-digit controlled multiply: acc2 <- acc * a_pow^(k) for k on kappa.
 
     As in the binary multiply, the uncompute pass adds acc * (-a_pow^-f).
@@ -128,12 +141,12 @@ def _ternary_ctrl_mult_ops(kappa, regs, a_pow, N, adds):
     acc, acc2 = regs.acc, regs.acc2
     A, T, x, marker, u1, u, *pool = regs.scratch
     m = len(acc)
-    ops: list[GateOp] = []
     shifts = 0
     for uncompute, sign in enumerate((1, -1)):
         for f in (1, 2):
             factor = sign * pow(a_pow, sign * f, N)
-            body: list[GateOp] = []
+            mark, unmark = strict_ops(f, kappa, u1, ())  # strict on kappa == f around the body
+            blocks.glue(mark)
             for ell in range(m):
                 for gval in (1, 2):
                     w = (gval * 3**ell * factor) % N
@@ -141,42 +154,43 @@ def _ternary_ctrl_mult_ops(kappa, regs, a_pow, N, adds):
                         continue
                     if w not in adds:
                         adds[w] = tuple(mod_add_ops("ternary", w, N, acc2, A, T, x, marker, pool, u=u))
-                    body += [gate_op(f"C{gval}[SUM]", acc[ell], u1, u), *adds[w],
-                             gate_op(f"C{gval}[SUM]_INV", acc[ell], u1, u)]
+                    blocks.glue(gate_op(f"C{gval}[SUM]", acc[ell], u1, u))
+                    blocks.append(adds[w])
+                    blocks.glue(gate_op(f"C{gval}[SUM]_INV", acc[ell], u1, u))
                     shifts += 1
-            ops += strict_ops(f, kappa, u1, body)
+            blocks.glue(unmark)
         if uncompute:
-            ops += [gate_op("C0[SUM]_INV", kappa, acc[ell], acc2[ell]) for ell in range(m)]
+            blocks.glue(*[gate_op("C0[SUM]_INV", kappa, acc[ell], acc2[ell]) for ell in range(m)])
         else:
             # k = 0 branch: digitwise copy, then swap
-            ops += [gate_op("C0[SUM]", kappa, acc[ell], acc2[ell]) for ell in range(m)]
-            ops += [gate_op("TSWAP", acc[ell], acc2[ell]) for ell in range(m)]
-    return ops, shifts
+            blocks.glue(*[gate_op("C0[SUM]", kappa, acc[ell], acc2[ell]) for ell in range(m)])
+            blocks.glue(*[gate_op("TSWAP", acc[ell], acc2[ell]) for ell in range(m)])
+    return shifts
 
 
-def _ctrl_mult_ops(spec: ModExpSpec, regs: _Registers, kappa: int, mult: int, adds=None):
-    """One round's controlled multiply.  ``adds`` maps a constant w to its ``mod_add_ops``
-    tuple on this layout; one build passes the same dict to every round."""
+def _ctrl_mult_ops(spec: ModExpSpec, regs: _Registers, kappa: int, mult: int, adds=None, blocks=None):
+    """One round's controlled multiply appended to ``blocks``: returns them and its number of
+    modular additions.  ``adds`` maps a constant w to its ``mod_add_ops`` tuple on this layout;
+    one build passes the same dict and blocks to every round."""
     build = _binary_ctrl_mult_ops if spec.encoding == "binary" else _ternary_ctrl_mult_ops
-    return build(kappa, regs, mult, spec.modulus, {} if adds is None else adds)
+    blocks = _Blocks() if blocks is None else blocks
+    return blocks, build(kappa, regs, mult, spec.modulus, {} if adds is None else adds, blocks)
 
 
 def modexp_circuit(spec: ModExpSpec) -> ModExpLayout:
     """Full-register modular exponentiation circuit."""
     N, base, d = spec.modulus, spec.base, spec.radix
     regs = _registers(spec)
-    ops = [gate_op("TAU1[0,1]" if d == 2 else "INC", regs.acc[0])]  # acc <- 1
+    blocks = _Blocks()
+    blocks.glue(gate_op("TAU1[0,1]" if d == 2 else "INC", regs.acc[0]))  # acc <- 1
     total_shifts, adds = 0, {}
     for j, kappa in enumerate(regs.exponent):
         mult = pow(base, d**j, N)
         if mult == 1:
             continue
-        sub, shifts = _ctrl_mult_ops(spec, regs, kappa, mult, adds)
-        ops += sub
-        total_shifts += shifts
-    circ = Circuit(regs.scratch[-1] + 1, tuple(ops),
-                   ancillas=frozenset(regs.acc2) | frozenset(regs.scratch),
-                   name=f"modexp-{base}^k mod {N}-{spec.encoding}")
+        total_shifts += _ctrl_mult_ops(spec, regs, kappa, mult, adds, blocks)[1]
+    circ = Circuit(regs.scratch[-1] + 1, ancillas=frozenset(regs.acc2) | frozenset(regs.scratch),
+                   name=f"modexp-{base}^k mod {N}-{spec.encoding}", blocks=blocks)
     return ModExpLayout(circ, regs.exponent, regs.acc, regs.scratch, total_shifts)
 
 
@@ -193,8 +207,8 @@ def controlled_multiply(encoding: str, N: int, multiplier: int) -> CompiledCircu
 @lru_cache(maxsize=16)
 def _controlled_multiply(spec: ModExpSpec) -> CompiledCircuit:
     regs = _registers(spec)
-    ops, _ = _ctrl_mult_ops(spec, regs, regs.exponent[0], spec.base)
-    return compile_classical(Circuit(regs.scratch[-1] + 1, tuple(ops)))
+    blocks, _ = _ctrl_mult_ops(spec, regs, regs.exponent[0], spec.base)
+    return compile_classical(Circuit(regs.scratch[-1] + 1, blocks=blocks))
 
 
 def round_map(encoding: str, N: int, mult: int) -> tuple[tuple[int, ...], ...]:

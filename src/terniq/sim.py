@@ -629,22 +629,52 @@ def _run_steps(names: tuple, wires: tuple) -> tuple:
     return ((len(order), order, table),) if table else ()
 
 
-def compile_classical(c: Circuit) -> CompiledCircuit:
-    """Flatten a measurement-free permutation circuit for fast walks: one table per maximal run
-    of consecutive gates on at most 5 wires, identity runs left out."""
-    ops, run, names, wires = [], set(), [], []
-    for op in c.instructions:
+def _grow(steps: list, ops, run: set, names: list, wires: list, stop: bool = False):
+    """Extend the open run (its wire set, gate names and wires) over ``ops``.  A gate that
+    would touch a sixth wire closes the run into ``steps`` and opens the next; with
+    ``stop`` the walk returns None there instead, before the closing gate joins."""
+    for op in ops:
         if not isinstance(op, GateOp):
             raise NonUnitaryError(f"classical path cannot run {type(op).__name__}")
         if not run.issuperset(op.wires):
             run = run.union(op.wires)
             if len(run) > 5:
-                ops += _run_steps(tuple(names), tuple(wires))
+                steps += _run_steps(tuple(names), tuple(wires))
+                if stop:
+                    return None
                 run, names, wires = set(op.wires), [], []
         names.append(op.gate.name)
         wires += op.wires
-    ops += _run_steps(tuple(names), tuple(wires))
-    return CompiledCircuit(c.width, tuple(ops))
+    return run, names, wires
+
+
+def compile_classical(c: Circuit) -> CompiledCircuit:
+    """Flatten a measurement-free permutation circuit for fast walks: one table per maximal run
+    of consecutive gates on at most 5 wires, identity runs left out.  A repeated block's gates
+    join the open run up to the gate ``i`` that closes it; its steps from there and the run it
+    leaves open depend only on (block, ``i``), so they are memoised on that pair."""
+    steps, uses, tails = [], Counter(map(id, c.blocks)), {}
+    state = set(), [], []
+    for block in c.blocks:
+        if uses[id(block)] == 1:
+            state = _grow(steps, block, *state)
+            continue
+        joined = len(state[1])
+        grown = _grow(steps, block, *state, stop=True)
+        if grown is not None:  # the whole block joined the open run
+            state = grown
+            continue
+        i = len(state[1]) - joined
+        tail = tails.get((id(block), i))
+        if tail is None:
+            mark = len(steps)
+            end = _grow(steps, block[i:], set(), [], [])
+            tail = tails[id(block), i] = (steps[mark:], *end)
+        else:
+            steps += tail[0]
+        state = set(tail[1]), list(tail[2]), list(tail[3])
+    steps += _run_steps(tuple(state[1]), tuple(state[2]))
+    return CompiledCircuit(c.width, tuple(steps))
 
 
 def run_compiled(compiled: CompiledCircuit, index: int) -> int:

@@ -19,8 +19,9 @@
 A modexp circuit is a few hundred distinct instructions repeated thousands
 of times, so each call handles a distinct line once: ``deserialize`` parses
 each distinct ``gate``, ``measure`` and ``cc`` line once per document (a
-repeat shares the frozen op), and ``serialize`` formats each distinct
-top-level gate once.
+repeat shares the frozen op), and ``serialize`` formats each distinct block
+of ``Circuit.blocks`` once and, in it, each distinct top-level gate once.
+The text holds no block marks: it reads back as one block.
 """
 
 from __future__ import annotations
@@ -46,19 +47,25 @@ def serialize(c: Circuit) -> str:
     lines = [f"circuit {c.width}" + (f" {c.name}" if c.name else "")]
     if c.ancillas:
         lines.append("ancilla " + " ".join(str(w) for w in sorted(c.ancillas)))
-    # each distinct (gate name, wires) is formatted once, from wire numbers
-    # spelled once (Circuit keeps every wire inside the width)
-    gate_lines = {}
+    # each distinct block and (gate name, wires) is formatted once, from wire
+    # numbers spelled once (Circuit keeps every wire inside the width)
+    gate_lines, block_text = {}, {}
     wire_text = [str(w) for w in range(c.width)].__getitem__
-    for op in c.instructions:
-        if isinstance(op, GateOp):
-            key = (op.gate.name, op.wires)
-            line = gate_lines.get(key)
-            if line is None:
-                line = gate_lines[key] = _gate_text(*key, wire_text)
-            lines.append(line)
-        else:
-            lines.extend(_emit(op))
+    for block in c.blocks:
+        text = block_text.get(id(block))
+        if text is None:
+            out = []
+            for op in block:
+                if isinstance(op, GateOp):
+                    key = (op.gate.name, op.wires)
+                    line = gate_lines.get(key)
+                    if line is None:
+                        line = gate_lines[key] = _gate_text(*key, wire_text)
+                    out.append(line)
+                else:
+                    out.extend(_emit(op))
+            text = block_text[id(block)] = "\n".join(out)
+        lines.append(text)
     return "\n".join(lines) + "\n"
 
 

@@ -21,7 +21,7 @@ from terniq.arithmetic import (
     ripple_add_const_ternary,
 )
 from terniq.circuit import Circuit, GateOp, MeasureOp, count_resources
-from terniq.gates import is_clifford, matrix_for_name, states_equal_up_to_phase
+from terniq.gates import allclose_up_to_phase, is_clifford, matrix_for_name
 from terniq.modexp import ModExpSpec, modexp_circuit
 from terniq.qft import dft_matrix, qft3n
 from terniq.shor import (
@@ -163,8 +163,8 @@ def test_criterion_04_resource_state_factories():
         p9.append(rec.p9_executed)
         if s < 500:
             out = rec.state.amps.reshape(3, 3, 3, 3)[0, :, 0, rec.slots[2]]
-            if not states_equal_up_to_phase(out / np.linalg.norm(out),
-                                            resource_state("psi"), 1e-10):
+            if not allclose_up_to_phase(out / np.linalg.norm(out),
+                                        resource_state("psi"), 1e-10):
                 psi_exact = False
     p9_mean = float(np.mean(p9))
     # Each eta trial ends the psi loop with probability p = acceptance * emit,

@@ -43,6 +43,22 @@ def test_compose_inverse_identity():
     assert np.allclose(u, np.eye(27), atol=1e-12)
 
 
+def test_blocks_concatenate_to_the_instructions():
+    add = (g("SUM", 0, 1), g("INC", 2))
+    c = Circuit(3, blocks=[add, [g("TSWAP", 1, 2)], add, ()], name="shared")
+    assert c.instructions == add + (g("TSWAP", 1, 2),) + add
+    assert c.blocks[0] is c.blocks[2] is add and len(c.blocks) == 3  # empty blocks drop out
+    flat = Circuit(3, c.instructions, name="shared")
+    assert flat.blocks == (c.instructions,) and flat == c and hash(flat) == hash(c)
+    assert replace(c, name="renamed").blocks[0] is add
+    both = compose(c, c)
+    assert both.blocks == c.blocks + c.blocks and both.blocks[3] is add
+    with pytest.raises(SizeError, match="concatenate"):
+        Circuit(3, add, blocks=[add, add])
+    with pytest.raises(WidthMismatchError):
+        Circuit(2, blocks=[add])
+
+
 def test_compose_width_mismatch():
     with pytest.raises(WidthMismatchError):
         compose(x_ladder(2), x_ladder(3))
@@ -265,12 +281,16 @@ def test_every_gate_slot_checks_its_wires(wires):
     lambda: RusOp(_MEASURED, predicate=((0, 0),), outcome_slot="a"),
     lambda: RusOp(_MEASURED, chain=Chain(0, {(0, 0): "z"}, frozenset({1}))),
     lambda: RusOp(_MEASURED, predicate=((0, 0),), consumes=(("psi", "a"),)),
+    lambda: RusOp(_MEASURED, predicate=5),
+    lambda: RusOp(_MEASURED, predicate=((0, 0),), consumes=7),
 ], ids=["wire 1.0", "slot 'a'", "wire None", "slot 'x'", "value 1.5", "remapped wire", "run",
         "correction key 'x'", "predicate slot 0.5", "outcome slot 'a'", "chain target 'z'",
-        "consumes count 'a'"])
-def test_measure_and_condition_fields_are_integers(make):
-    # each would fail later: a bare TypeError in a run, or text that the reader rejects
-    with pytest.raises(SizeError, match="non-integer"):
+        "consumes count 'a'", "predicate 5", "consumes 7"])
+def test_measure_and_condition_fields_are_integers(request, make):
+    # each would fail later: a bare TypeError in a run, or text that the reader rejects;
+    # a predicate or consumes that is no sequence at all is not a tuple of pairs
+    whole = request.node.callspec.id in ("predicate 5", "consumes 7")
+    with pytest.raises(SizeError, match="not a tuple of pairs" if whole else "non-integer"):
         make()
 
 

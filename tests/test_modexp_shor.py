@@ -364,7 +364,7 @@ def test_modexp_circuit_is_its_round_multiplies(a, N, enc):
     e = spec.exp_digits
     regs = _registers(spec)
     circ = modexp_circuit(spec).circuit
-    blocks = [(kappa, mult, _ctrl_mult_ops(spec, regs, kappa, mult)[0])
+    blocks = [(kappa, mult, [op for block in _ctrl_mult_ops(spec, regs, kappa, mult)[0] for op in block])
               for kappa, mult in zip(regs.exponent, _round_multipliers(spec)) if mult != 1]
     init = gate_op("TAU1[0,1]" if enc == "binary" else "INC", regs.acc[0])
     assert circ.instructions == (init, *(op for _, _, ops in blocks for op in ops))

@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import astuple
 from itertools import product
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from terniq import widgets
 from terniq.arithmetic import ShiftSpec, mcx_ops, mod_add_const
 from terniq.circuit import (Chain, Circuit, CondGateOp, GateOp, MeasureOp, ResourceCount, RusOp, _gate_class,
                             count_resources, gate_op)
-from terniq.errors import ParseError, RusCapError
+from terniq.errors import NonUnitaryError, ParseError, RusCapError
 from terniq.gates import MAX_ARITY, matrix_for_name
 from terniq.modexp import ModExpSpec, modexp_circuit
 from terniq.sim import (StateVector, basis_state, choice_draw, circuit_unitary, compile_classical,
@@ -452,6 +453,60 @@ def counted_circuits(draw):
 @example(Circuit(0, ()))
 def test_count_resources_matches_the_per_instruction_visitor(circ):
     assert count_resources(circ) == _reference_count(circ)
+
+
+# ------------------------------------------------------- shared blocks
+
+def _compiled(circ):
+    try:
+        return compile_classical(circ).ops
+    except NonUnitaryError as exc:  # a measurement or a gate that is no permutation
+        return str(exc)
+
+
+def _assert_blocks_change_nothing(circ, index=None):
+    """``circ`` and the one-block circuit of its flat ops count, write and compile alike,
+    and at width <= 8 a permutation runs alike on the dense path from basis ``index``."""
+    flat = Circuit(circ.width, circ.instructions, circ.ancillas, circ.name)
+    assert len(flat.blocks) <= 1 and flat == circ
+    assert astuple(count_resources(circ)) == astuple(count_resources(flat))
+    assert serialize(circ) == serialize(flat)
+    compiled = _compiled(circ)
+    assert compiled == _compiled(flat)
+    if not isinstance(compiled, str) and index is not None and circ.width <= 8:
+        init = basis_state(circ.width, index)
+        assert np.array_equal(run(circ, init).state.amps, run(flat, init).state.amps)
+
+
+@st.composite
+def blocked_circuits(draw):
+    """(circuit, basis index): up to four distinct blocks, each reused up to a dozen times in a
+    random order, of permutation gates on 1 to 8 wires or of any instruction on 1 to 5."""
+    permutations = draw(st.booleans())
+    width = draw(st.integers(1, 8 if permutations else 5))
+    names = draw(st.lists(gate_names(permutations=permutations), min_size=1, max_size=4))
+    gates = [g for g in map(matrix_for_name, names) if g.arity <= width] or [matrix_for_name("INC")]
+    op = (gate_slots(width, gates).map(lambda slot: GateOp(*slot)) if permutations
+          else instructions(width, gates))
+    shared = [tuple(draw(st.lists(op, min_size=1, max_size=12))) for _ in range(draw(st.integers(1, 4)))]
+    order = draw(st.lists(st.sampled_from(shared), min_size=1, max_size=12))
+    circ = Circuit(width, ancillas=frozenset(draw(st.lists(st.integers(0, width - 1)))), blocks=order)
+    return circ, draw(st.integers(0, 3**width - 1))
+
+
+@settings(max_examples=200)
+@given(blocked_circuits())
+def test_shared_blocks_count_write_and_compile_as_their_flat_ops(case):
+    _assert_blocks_change_nothing(*case)
+
+
+@pytest.mark.parametrize("enc,N", [(enc, N) for N in (15, 21, 33, 35) for enc in ("binary", "ternary")]
+                         + [pytest.param("binary", 1023, marks=pytest.mark.slow),
+                            pytest.param("ternary", 727, marks=pytest.mark.slow)])
+def test_modexp_blocks_count_write_and_compile_as_their_flat_ops(enc, N):
+    circ = modexp_circuit(ModExpSpec(2, N, enc)).circuit
+    assert len(circ.blocks) < len(circ.instructions) / 50  # the additions are shared blocks
+    _assert_blocks_change_nothing(circ)
 
 
 # the planner's gate classes: diagonal (P9, P9_INV and R2 are injected in injected mode),

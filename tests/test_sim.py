@@ -10,7 +10,7 @@ from conftest import (assert_clean, classical_map, moveaxis_apply, random_state_
                       reference_run, tallies)
 from terniq.circuit import Circuit, CondGateOp, GateOp, MeasureOp
 from terniq.errors import NonUnitaryError, RusCapError, SizeError, WidthCapError
-from terniq.gates import matrix_for_name, states_equal_up_to_phase
+from terniq.gates import allclose_up_to_phase, matrix_for_name
 from terniq.qft import qft3n
 from terniq import sim
 from terniq.sim import (
@@ -170,7 +170,7 @@ def test_injected_mode_does_not_fuse_p9_runs(rng):
     rec = run(circ, init, seed=4, gate_mode="injected")
     assert rec.consumed["mu"] == 2 and rec.p9_executed == 2
     pool0 = rec.state.amps.reshape(3, -1)
-    assert states_equal_up_to_phase(pool0[0], run(circ, init).state.amps, 1e-9)
+    assert allclose_up_to_phase(pool0[0], run(circ, init).state.amps, 1e-9)
 
 
 @pytest.mark.parametrize("n", [6, 7, 8, 9, 10])
@@ -615,7 +615,7 @@ def test_injected_equivalence_all_widgets(rng):
             inj = run(circ, init, seed=9999 - i, gate_mode="injected").state
             pool0 = inj.amps.reshape(3, -1)
             assert np.linalg.norm(pool0[1:]) < 1e-10  # pool wire back to |0>
-            assert states_equal_up_to_phase(pool0[0], ideal.amps, 1e-9), circ.name
+            assert allclose_up_to_phase(pool0[0], ideal.amps, 1e-9), circ.name
 
 
 def test_injected_consumption_tally(rng):
@@ -632,7 +632,7 @@ def test_injected_r2_gate():
         rec = run(circ, StateVector(1, v), seed=seed, gate_mode="injected")
         out = rec.state.amps.reshape(3, 3)[0]
         want = matrix_for_name("R2").matrix @ v
-        assert states_equal_up_to_phase(out, want, 1e-10)
+        assert allclose_up_to_phase(out, want, 1e-10)
         assert rec.consumed["psi"] == rec.rus_trials["injected-r2"][0]
 
 

@@ -6,7 +6,7 @@ import pytest
 from conftest import binary_truth_ok, random_state_vector
 from terniq.circuit import Circuit, GateOp, MeasureOp, count_resources
 from terniq.errors import SizeError
-from terniq.gates import matrix_for_name, states_equal_up_to_phase
+from terniq.gates import allclose_up_to_phase, matrix_for_name
 from terniq.sim import (
     basis_state,
     circuit_unitary,
@@ -39,7 +39,7 @@ def test_p9_injection_fixes_middle_level():
         rec = run(w, product_state([1, resource_state("mu")]), seed=seed)
         m = rec.slots[0]
         out = rec.state.amps.reshape(3, 3)[m]
-        assert states_equal_up_to_phase(out, np.array([0, 1.0, 0]), 1e-12)
+        assert allclose_up_to_phase(out, np.array([0, 1.0, 0]), 1e-12)
 
 
 def test_p9_injection_on_plus_02(rng):
@@ -49,7 +49,7 @@ def test_p9_injection_on_plus_02(rng):
     for seed in range(12):
         rec = run(w, product_state([v, resource_state("mu")]), seed=seed)
         out = rec.state.amps.reshape(3, 3)[rec.slots[0]]
-        assert states_equal_up_to_phase(out, want, 1e-12)
+        assert allclose_up_to_phase(out, want, 1e-12)
 
 
 @pytest.mark.parametrize("inverse", [False, True])
@@ -89,7 +89,7 @@ def test_r2_fixes_zero_state():
     for seed in range(10):
         rec = run(w, product_state([0, 0]), seed=seed)
         out = rec.state.amps.reshape(3, 3)[rec.slots[0]]
-        assert states_equal_up_to_phase(out, np.array([1.0, 0, 0]), 1e-12)
+        assert allclose_up_to_phase(out, np.array([1.0, 0, 0]), 1e-12)
 
 
 def test_r2_exact_on_random_states(rng):
@@ -121,7 +121,7 @@ def test_r2_markov_sign_patterns(rng):
         rec = run(Circuit(2, body.instructions), product_state([v, 0]), seed=seed)
         out = rec.state.amps.reshape(3, 3)[rec.slots[0]]
         out /= np.linalg.norm(out)
-        assert any(states_equal_up_to_phase(out, p * v, 1e-10) for p in patterns)
+        assert any(allclose_up_to_phase(out, p * v, 1e-10) for p in patterns)
 
 
 def test_r2_trial_statistics():
@@ -319,8 +319,8 @@ def test_plus_state_factories():
             rec = run(w, basis_state(2, 0), seed=seed)
             trials.append(rec.rus_trials[name][0])
             out = rec.state.amps.reshape(3, 3)[0]
-            assert states_equal_up_to_phase(out / np.linalg.norm(out),
-                                            resource_state(name), 1e-10)
+            assert allclose_up_to_phase(out / np.linalg.norm(out),
+                                        resource_state(name), 1e-10)
         assert abs(np.mean(trials) - 1.5) < 0.1
 
 
@@ -331,7 +331,7 @@ def test_eta_factory():
         rec = run(w, basis_state(4, 0), seed=seed)
         amps = rec.state.amps.reshape(3, 3, 3, 3)
         out = amps[0, :, 0, :].reshape(-1)
-        assert states_equal_up_to_phase(out / np.linalg.norm(out), want, 1e-10)
+        assert allclose_up_to_phase(out / np.linalg.norm(out), want, 1e-10)
 
 
 def test_psi_factory_exact_every_branch():
@@ -343,8 +343,8 @@ def test_psi_factory_exact_every_branch():
         seen.add(m)
         amps = rec.state.amps.reshape(3, 3, 3, 3)
         out = amps[0, :, 0, m].reshape(-1)
-        assert states_equal_up_to_phase(out / np.linalg.norm(out),
-                                        resource_state("psi"), 1e-10)
+        assert allclose_up_to_phase(out / np.linalg.norm(out),
+                                    resource_state("psi"), 1e-10)
     assert seen == {0, 1}  # outcome 2 restarts; 0 and 1 deliver
 
 
@@ -442,8 +442,8 @@ def test_eta_measurement_yields_psi_at_most_half():
         if state in rus.chain.accept:
             v = corrections.get(state, np.eye(3)) @ out[m]
             emitted += float(np.vdot(v, v).real)
-            assert states_equal_up_to_phase(v / np.linalg.norm(v),
-                                            resource_state("psi"), 1e-10)
+            assert allclose_up_to_phase(v / np.linalg.norm(v),
+                                        resource_state("psi"), 1e-10)
     assert abs(emitted - 0.5) < 1e-12
 
 
