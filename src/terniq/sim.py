@@ -35,6 +35,15 @@ Two gate modes:
     every use.  The protocols keep their own classical slots, so they never
     touch the circuit's.
 
+Each :func:`run` call owns two complex128 states of its exec width, made on
+first use, and never writes the caller's initial array.  A step above width 5
+writes its full state into the run's state that is not its input; a diagonal
+run multiplies in place when its input is the run's own, and builds its full
+diagonal in the other.  A fused operator (width 5 or less) or a measurement
+returns a new array.  A real or integer initial state is first copied into one
+of the two.  The record keeps the final state, so records of two runs share no
+memory.
+
 :func:`run` checks the norm of the final state; every measurement checks
 the norm of the state it measures.
 
@@ -228,8 +237,14 @@ def _diagonal_run(key: tuple):
     return tuple(union), tuple(factors), _tally(tuple(name for name, _ in key))
 
 
-def _apply_diagonal(amps: np.ndarray, diag: np.ndarray, wires, width: int) -> np.ndarray:
-    """Multiply by ``diag`` (axes in descending ``wires`` order); adjacent wires share an axis."""
+def _view(out, shape):
+    """``out`` reshaped to ``shape`` (no copy), or None: the kernel allocates its output."""
+    return None if out is None else out.reshape(shape)
+
+
+def _apply_diagonal(amps: np.ndarray, diag: np.ndarray, wires, width: int, out=None) -> np.ndarray:
+    """Multiply by ``diag`` (axes in descending ``wires`` order), into ``out`` if given (it may be
+    ``amps``); adjacent wires share an axis."""
     shape, top = [], width
     for w in wires:
         if w == top - 1 and shape:
@@ -239,7 +254,7 @@ def _apply_diagonal(amps: np.ndarray, diag: np.ndarray, wires, width: int) -> np
         top = w
     shape.append(amps.size // 3 ** (width - top))
     d = diag.reshape([n if k % 2 else 1 for k, n in enumerate(shape)])
-    return (amps.reshape(shape) * d).reshape(amps.shape)
+    return np.multiply(amps.reshape(shape), d, out=_view(out, shape)).reshape(amps.shape)
 
 
 @lru_cache(maxsize=1024)
@@ -253,14 +268,15 @@ def _slice_moves(name: str, wires: tuple) -> tuple:
                  for loc, out in enumerate(trit_table(name)))
 
 
-def _permute_slices(amps: np.ndarray, name: str, wires: tuple, width: int) -> np.ndarray:
-    """Apply a permutation gate as 3^arity slice copies on its wires' split view."""
+def _permute_slices(amps: np.ndarray, name: str, wires: tuple, width: int, out=None) -> np.ndarray:
+    """Apply a permutation gate as 3^arity slice copies on its wires' split view, into ``out``
+    if given."""
     tops = [width, *sorted(wires, reverse=True)]
     view = amps.reshape([n for hi, lo in zip(tops, tops[1:]) for n in (3**(hi - lo - 1), 3)] + [-1])
-    out = np.empty_like(view)
+    moved = np.empty_like(view) if out is None else out.reshape(view.shape)
     for dst, src in _slice_moves(name, wires):
-        out[dst] = view[src]
-    return out.reshape(amps.shape)
+        moved[dst] = view[src]
+    return moved.reshape(amps.shape)
 
 
 @lru_cache(maxsize=128)  # used up to width 8, where an index is 52 KB and the cache <= 6.7 MB
@@ -276,27 +292,32 @@ def _kron_eye_t(gate: GateMatrix, rows: int) -> np.ndarray:
 
 
 def _kernel(gate: GateMatrix, wires: tuple, width: int, batch: int = 1):
-    """``amps -> amps`` applying ``gate`` to a (3**width,) or (3**width, batch) array; see the
-    module docstring."""
+    """``kernel(amps, out=None) -> amps`` applying ``gate`` to a (3**width,) or (3**width, batch)
+    array, into ``out`` (not ``amps``) if given; see the module docstring."""
     a, mat = gate.arity, gate.matrix
     if _diagonal(gate) is not None:
         union, (diag,), _ = _diagonal_run(((gate.name, wires),))
-        return lambda amps: _apply_diagonal(amps, diag, union, width)
+        return lambda amps, out=None: _apply_diagonal(amps, diag, union, width, out)
     if a == 1:
         rows = 3 ** wires[0] * batch
         if rows > 9:
-            return lambda amps: np.matmul(mat, amps.reshape(-1, 3, rows)).reshape(amps.shape)
+            return lambda amps, out=None: np.matmul(
+                mat, amps.reshape(-1, 3, rows), out=_view(out, (-1, 3, rows))).reshape(amps.shape)
         kron = _kron_eye_t(gate, rows)
-        return lambda amps: (amps.reshape(-1, 3 * rows) @ kron).reshape(amps.shape)
+        return lambda amps, out=None: np.matmul(
+            amps.reshape(-1, 3 * rows), kron, out=_view(out, (-1, 3 * rows))).reshape(amps.shape)
     if trit_table(gate.name) is not None:
-        return lambda amps: _permute_slices(amps, gate.name, wires, width)
+        return lambda amps, out=None: _permute_slices(amps, gate.name, wires, width, out)
     # axis for wire w is (width-1-w); gate tensor row axes follow wires order
     axes = [width - 1 - w for w in wires]
 
-    def moveaxis(amps):
-        moved = np.moveaxis(amps.reshape([3] * width + list(amps.shape[1:])), axes, range(a))
-        out = (mat @ moved.reshape(3**a, -1)).reshape([3] * a + list(moved.shape[a:]))
-        return np.moveaxis(out, range(a), axes).reshape(amps.shape)
+    def moveaxis(amps, out=None):
+        shape = [3] * width + list(amps.shape[1:])
+        moved = np.moveaxis(amps.reshape(shape), axes, range(a))
+        prod = (mat @ moved.reshape(3**a, -1)).reshape(moved.shape)
+        out = np.empty(amps.shape, prod.dtype) if out is None else out
+        np.copyto(np.moveaxis(out.reshape(shape), axes, range(a)), prod)
+        return out
     return moveaxis
 
 
@@ -418,17 +439,24 @@ def _fused_step(key: tuple, width: int):
 def _diagonal_step(key: tuple, width: int):
     """One multiply for a run of diagonal gates."""
     union, factors, tally = _diagonal_run(key)
+    shape, size = (3,) * len(union), 3 ** len(union)
 
     def diagonal_run(ex, amps, slots):
-        # in C order, so that the product's reshape onto the split view is no copy
-        diag = reduce(lambda x, y: np.multiply(x, y, order="C"), factors)
-        return _apply_diagonal(amps, diag, union, width)
+        out = amps if ex.owns(amps) else ex.spare(amps)
+        # in C order, so that the product's reshape onto the split view is no copy; the full
+        # product lands in the run's other state, which this step leaves unused
+        diag = reduce(lambda x, y: np.multiply(x, y, order="C"), factors[1:-1], factors[0])
+        if len(factors) > 1:
+            diag = np.multiply(diag, factors[-1], out=ex.spare(out)[:size].reshape(shape))
+        _apply_diagonal(amps, diag, union, width, out)
+        return out
     return _counting(diagonal_run, tally)
 
 
 def _gather_step(key: tuple, width: int):
     """One gather for a run of permutation gates; it tallies nothing: none is a P9, R2 or loader."""
-    return lambda ex, amps, slots: amps[_perm_run(key, width)]
+    # mode "clip" (the indices are in range) lets take write into ``out`` without a buffer
+    return lambda ex, amps, slots: amps.take(_perm_run(key, width), out=ex.spare(amps), mode="clip")
 
 
 def _transpose_step(key: tuple, width: int):
@@ -437,7 +465,12 @@ def _transpose_step(key: tuple, width: int):
     for _, (a, b) in key:
         src[a], src[b] = src[b], src[a]
     axes = tuple(width - 1 - src[width - 1 - k] for k in range(width))  # axis k is wire width-1-k
-    return lambda ex, amps, slots: amps.reshape((3,) * width).transpose(axes).reshape(-1)
+
+    def transpose(ex, amps, slots):
+        out = ex.spare(amps)
+        np.copyto(out.reshape((3,) * width), amps.reshape((3,) * width).transpose(axes))
+        return out
+    return transpose
 
 
 def _gate_step(op: GateOp, width: int, mode: str):
@@ -449,7 +482,12 @@ def _gate_step(op: GateOp, width: int, mode: str):
     if kind := _run_kind(gate, width, mode):
         return kind(((gate.name, wires),), width)
     kernel = _kernel(gate, wires, width)
-    return _counting(lambda ex, amps, slots: kernel(amps), _tally((gate.name,)))
+
+    def apply(ex, amps, slots):
+        out = ex.spare(amps)
+        kernel(amps, out)
+        return out
+    return _counting(apply, _tally((gate.name,)))
 
 
 def _instruction_step(op, width: int, mode: str):
@@ -491,6 +529,19 @@ class _Exec:
     def __init__(self, seed, record):
         self.rng = seeded_rng(seed)
         self.record = record
+        self.bufs = (None, None)  # the run's two complex128 states, made on first use
+
+    def owns(self, amps) -> bool:
+        """Whether ``amps`` is one of the run's own states, which a step may overwrite."""
+        a, b = self.bufs
+        return amps is a or amps is b
+
+    def spare(self, amps) -> np.ndarray:
+        """The run's own state that ``amps`` is not, for a step to write its output into."""
+        a, b = self.bufs
+        if a is None:
+            a, b = self.bufs = np.empty(amps.size, np.complex128), np.empty(amps.size, np.complex128)
+        return b if amps is a else a
 
     def count(self, tally):
         p9, r2, loads = tally
@@ -552,7 +603,11 @@ def run(c: Circuit, initial: StateVector | None = None, seed: int = 0,
         raise SizeError(f"initial width {initial.width} does not match circuit width {c.width}")
     record = RunRecord(state=state, slots={}, seed=seed)
     ex = _Exec(seed, record)
-    amps = ex.run_steps(state.amps, _plan(c.instructions, width, gate_mode), record.slots)
+    amps = state.amps
+    if amps.dtype != np.complex128:  # every step then sees complex amplitudes
+        amps = ex.spare(amps)
+        amps[...] = state.amps
+    amps = ex.run_steps(amps, _plan(c.instructions, width, gate_mode), record.slots)
     record.state = StateVector(width, amps)
     if abs(record.state.norm() - 1.0) > _NORM_TOL:
         raise NonUnitaryError(f"final state norm {record.state.norm()}")

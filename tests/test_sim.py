@@ -8,7 +8,7 @@ import pytest
 
 from conftest import (assert_clean, classical_map, moveaxis_apply, random_state_vector,
                       reference_run, tallies)
-from terniq.circuit import Circuit, CondGateOp, GateOp, MeasureOp
+from terniq.circuit import Circuit, CondGateOp, GateOp, MeasureOp, remap_wires
 from terniq.errors import NonUnitaryError, RusCapError, SizeError, WidthCapError
 from terniq.gates import allclose_up_to_phase, matrix_for_name
 from terniq.qft import qft3n
@@ -192,7 +192,15 @@ def test_run_approximate_qft_matches_gate_by_gate(n):
 
 def test_qft_run_peak_stays_at_three_states():
     # a run's fused diagonal is built C-contiguous: reshaping it must not copy
-    n = 10
+    assert _qft_run_peak(10) < 3.5
+
+
+def test_qft_run_peak_stays_at_three_states_at_width_12():
+    assert _qft_run_peak(12) < 3.5
+
+
+def _qft_run_peak(n):
+    """Traced peak of a warm ``run(qft3n(n))`` in states, the caller's state not counted."""
     circ, v = qft3n(n), random_state_vector(np.random.default_rng(5), n)
     run(circ, StateVector(n, v))
     tracemalloc.start()
@@ -201,7 +209,61 @@ def test_qft_run_peak_stays_at_three_states():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * v.nbytes
+    return peak / v.nbytes
+
+
+QFT_DIGESTS = {9: "0dcd6fe9f3a0a285d73bff56f15db267bbe1f2d936c88cc1053a125977437fb5",
+               10: "1e25cf36bafb963ff57012b5530de5f3362148a4f693a55f0b87c3792b4e8d4a",
+               11: "0d54e09b17410dbe347b7d6b68fa8b185831d914368d8b0d87552ce2f4b21fb6",
+               12: "59fd576ffc97857d554e1684e87d75ae3d3789d740eaa4db9883bd804db3ed13"}
+
+
+@pytest.mark.parametrize("n", sorted(QFT_DIGESTS))
+def test_qft_run_amplitudes_are_unchanged(n):
+    # recorded while every step still allocated its output: writing into the run's own two
+    # states must not move an amplitude bit
+    rng = np.random.default_rng(2700 + n)
+    v = rng.standard_normal(3**n) + 1j * rng.standard_normal(3**n)
+    amps = run(qft3n(n), StateVector(n, v / np.linalg.norm(v))).state.amps
+    assert hashlib.sha256(amps.tobytes()).hexdigest() == QFT_DIGESTS[n]
+
+
+@pytest.mark.parametrize("n", [7, 9, 10])
+def test_real_and_integer_initial_states_run_as_complex(n):
+    v = np.random.default_rng(n).standard_normal(3**n)
+    basis = np.zeros(3**n, np.int64)
+    basis[3**n // 2] = 1
+    for init in (v / np.linalg.norm(v), basis):
+        want = run(qft3n(n), StateVector(n, init.astype(np.complex128))).state.amps
+        assert np.array_equal(run(qft3n(n), StateVector(n, init)).state.amps, want)
+    # a measurement first: its post-measurement state is complex too
+    circ = Circuit(n, (MeasureOp(0, 0), g("H", n - 1)))
+    want = run(circ, StateVector(n, basis.astype(np.complex128)), seed=3).state.amps
+    assert np.array_equal(run(circ, StateVector(n, basis), seed=3).state.amps, want)
+
+
+@pytest.mark.parametrize("mode", ["ideal", "injected"])
+@pytest.mark.parametrize("width", range(6, 13))
+def test_run_states_share_no_memory(rng, width, mode):
+    # a run writes into two states of its own: never into the caller's array, and never into
+    # a state that another run returned
+    n = width - (mode == "injected")
+    psi = widgets.resource_state_prep("psi")
+    circ = Circuit(n, (g("L[PHASE[1,9]]", 0, 1),)  # a diagonal first: it may not run in place
+                   + remap_wires(psi, dict(enumerate(range(4))), n).instructions
+                   + qft3n(n).instructions + (g("P9", 1), g("R2", n - 1), g("SUM", 0, n - 2)))
+    init = random_state_vector(rng, width)
+    before = init.copy()
+    first = run(circ, StateVector(width, init), seed=7, gate_mode=mode)
+    kept = first.state.amps.copy()
+    second = run(circ, StateVector(width, init), seed=7, gate_mode=mode)
+    assert np.array_equal(init, before)
+    assert first.rus_trials["psi"] and first.measurements > 1
+    for rec in (first, second):
+        assert not np.shares_memory(rec.state.amps, init)
+    assert not np.shares_memory(first.state.amps, second.state.amps)
+    assert np.array_equal(first.state.amps, kept)
+    assert np.array_equal(second.state.amps, kept)
 
 
 def _permutation_run_circuit(rng, width):
