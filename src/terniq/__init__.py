@@ -6,7 +6,6 @@ from .gates import (
     controlled,
     is_clifford,
     matrix_for_name,
-    primitive_matrix,
     two_level_reflection,
 )
 from .sim import StateVector, RunRecord, basis_state, product_state, run
@@ -14,8 +13,7 @@ from .textfmt import deserialize, serialize
 
 __all__ = [
     "Circuit", "ResourceCount", "compose", "count_resources", "inverse",
-    "GateMatrix", "controlled", "is_clifford", "matrix_for_name",
-    "primitive_matrix", "two_level_reflection",
+    "GateMatrix", "controlled", "is_clifford", "matrix_for_name", "two_level_reflection",
     "StateVector", "RunRecord", "basis_state", "product_state", "run",
     "serialize", "deserialize",
 ]

@@ -10,7 +10,8 @@ Both encodings are supported:
 
 One carry ladder serves both encodings: adders and comparators run the same
 per-digit gadgets forward and unwind them digit by digit.  Every shift lays out
-A, data, T (modular: x, marker), the controls, their flags, then the pool.
+A, data, T if it has a carry-out (modular: T, x, marker), the controls, their
+flags, then the pool: as many wires as its ternary ladders draw.
 
 Gates are emitted as costed primitives (C?[INC], C?[SUM], TAU2[..], L[SUM]),
 which keeps every instruction a basis permutation so that the classical
@@ -33,6 +34,7 @@ strict-strict decomposition used when full ternary multipliers are needed).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from .circuit import Circuit, GateOp, adjoint_ops, gate_op
 from .errors import SizeError, as_int, int_fields
@@ -193,6 +195,29 @@ class _Ladder:
         self.ops = [op for step in self.steps for op in step]
 
 
+class _Pool:
+    """Ladder ancillas from wire ``start`` on.  Each ladder draws in order from
+    ``start`` off a counter of its own, so the highest next wire of any counter
+    ends the pool."""
+
+    def __init__(self, start: int):
+        self.start, self.counters = start, []
+
+    def __iter__(self):
+        self.counters.append(count(self.start))
+        return self.counters[-1]
+
+
+def _adder(named: int, emit, name: str, ancillas, data, carry_out, controls, result) -> AdderCircuit:
+    """The shift of ops ``emit(pool)`` over ``named`` laid-out wires and the pool
+    wires after them that its ternary ladders draw."""
+    pool = _Pool(named)
+    ops = tuple(emit(pool))
+    stop = max(map(next, pool.counters), default=named)
+    circ = Circuit(stop, ops, ancillas=frozenset({*ancillas, *range(named, stop)}), name=name)
+    return AdderCircuit(circ, data, carry_out, controls, result)
+
+
 # ---------------------------------------------------------------- binary adder
 
 def binary_add_ops(a: int, data, carry_in: int, carry_out: int | None,
@@ -215,20 +240,19 @@ def binary_add_ops(a: int, data, carry_in: int, carry_out: int | None,
     return ops
 
 
-def _ripple(spec: ShiftSpec, npool: int, name: str, emit) -> AdderCircuit:
-    """Lay out A, data, T, the controls, their flags (binary: a marker each;
-    ternary: u or the helper) and ``npool`` pool wires; ``emit(data, A, carry_out,
-    controls, flags, pool)`` gives the ops.  A ternary double has no carry-out."""
+def _ripple(spec: ShiftSpec, name: str, emit) -> AdderCircuit:
+    """Lay out A, data, T if the shift has a carry-out (a ternary double has
+    none), the controls, their flags (binary: a marker each; ternary: u or the
+    helper), then the pool; ``emit(data, A, carry_out, controls, flags, pool)``
+    gives the ops."""
     n, k = spec.digits, ("none", "single", "double").index(spec.control)
-    A, data, T = 0, tuple(range(1, n + 1)), n + 1
-    n_flags = k if spec.encoding == "binary" else min(k, 1)
-    layout = range(n + 2, n + 2 + k + n_flags + npool)
-    controls, flags, pool = tuple(layout[:k]), layout[k:k + n_flags], list(layout[k + n_flags:])
-    carry_out = None if spec.encoding == "ternary" and k == 2 else T
-    ops = emit(data, A, carry_out, controls, flags, pool)
-    circ = Circuit(n + 2 + len(layout), tuple(ops),
-                   ancillas=frozenset({A, carry_out, *flags, *pool} - {None}), name=name)
-    return AdderCircuit(circ, data, carry_out, controls)
+    binary = spec.encoding == "binary"
+    A, data, T = 0, tuple(range(1, n + 1)), n + 1 if binary or k < 2 else None
+    first = n + 1 + (T is not None)
+    layout = range(first, first + k + (k if binary else min(k, 1)))
+    controls, flags = tuple(layout[:k]), layout[k:]
+    return _adder(layout.stop, lambda pool: emit(data, A, T, controls, flags, pool), name,
+                  {A, T, *flags} - {None}, data, T, controls, None)
 
 
 def ripple_add_const(spec: ShiftSpec) -> AdderCircuit:
@@ -241,7 +265,7 @@ def ripple_add_const(spec: ShiftSpec) -> AdderCircuit:
         if controls and spec.control_mode == 0:
             ops = [gate_op("TAU1[0,1]", controls[0])] + ops + [gate_op("TAU1[0,1]", controls[0])]
         return ops
-    return _ripple(spec, 0, f"add{spec.constant}n{spec.digits}-{spec.control}", emit)
+    return _ripple(spec, f"add{spec.constant}n{spec.digits}-{spec.control}", emit)
 
 
 # ---------------------------------------------------------------- ternary adder
@@ -263,7 +287,7 @@ def strict_ops(level: int, control: int, flag: int, body) -> list[GateOp]:
 
 
 def ternary_add_ops(a: int, data, carry_in: int, carry_out: int | None,
-                    pool: list[int], u: int | None = None,
+                    pool, u: int | None = None,
                     double: tuple[int, int, int, int] | None = None,
                     xor_top_marker: int | None = None) -> list[GateOp]:
     """Ternary shift |b> -> |b + a mod 3^m>, optionally controlled.
@@ -305,13 +329,6 @@ def ternary_add_ops(a: int, data, carry_in: int, carry_out: int | None,
     return ops
 
 
-def _pool_size(constants, m: int) -> int:
-    need = 1
-    for c in constants:
-        need = max(need, m - ones_weight(c % 3**m))
-    return need
-
-
 def ripple_add_const_ternary(spec: ShiftSpec) -> AdderCircuit:
     """Ternary ripple shift; 30m / 34m / 53m P9 by control level."""
     if spec.encoding != "ternary" or spec.modulus is not None:
@@ -339,8 +356,7 @@ def ripple_add_const_ternary(spec: ShiftSpec) -> AdderCircuit:
         u = flags[0]
         return [op for f, c in lanes
                 for op in strict_ops(f, controls[0], u, ternary_add_ops(c, data, A, T, pool, u=u))]
-    return _ripple(spec, _pool_size([c for _, c in lanes], m),
-                   f"tadd{a}m{m}{tag}", emit)
+    return _ripple(spec, f"tadd{a}m{m}{tag}", emit)
 
 
 # ---------------------------------------------------------------- comparators
@@ -367,13 +383,9 @@ def compare_to_threshold(t: int, digits: int, encoding: str = "binary") -> Adder
     threshold t in [0, radix^digits)."""
     spec = ShiftSpec(t, digits, encoding)
     t, digits = spec.constant, spec.digits
-    A, data, R = 0, tuple(range(1, digits + 1)), digits + 1
-    npool = 0 if encoding == "binary" else _pool_size([t], digits)
-    pool = list(range(R + 1, R + 1 + npool))
-    ops = compare_ops(encoding, t, data, A, R, pool)
-    circ = Circuit(R + 1 + npool, tuple(ops), ancillas=frozenset({A, *pool}),
-                   name=f"cmp{t}-{encoding[0]}{digits}")
-    return AdderCircuit(circ, data, None, result=R)
+    data, R = tuple(range(1, digits + 1)), digits + 1
+    return _adder(R + 1, lambda pool: compare_ops(encoding, t, data, 0, R, pool),
+                  f"cmp{t}-{encoding[0]}{digits}", {0}, data, None, (), R)
 
 
 # ---------------------------------------------------------------- modular shifts
@@ -432,7 +444,7 @@ def mod_add_const(spec: ShiftSpec) -> AdderCircuit:
     Requires b < N at input (documented precondition, not checked).  Wires:
     A, data, T, x, marker, then the controls, then the wires they fold into
     (binary double: the AND flag u; ternary strict: u; ternary c-fold: d, u;
-    ternary double: u2, d, u), then the ternary constant pool.
+    ternary double: u2, d, u), then the pool wires the ternary adders draw.
     """
     if spec.modulus is None:
         raise SizeError("mod_add_const needs a modulus")
@@ -442,29 +454,25 @@ def mod_add_const(spec: ShiftSpec) -> AdderCircuit:
     k = ("none", "single", "double").index(spec.control)
     folded = not binary and (k == 2 or mode == "ternary")
     n_flags = max(k - 1, 0) if binary else k + folded
-    D = 3**dig
-    npool = 0 if binary else _pool_size([(a - N) % D, (2 * (a - N)) % D, N % D, a % D,
-                                         (2 * a) % D, abs(2 * a - N) % D], dig)
-    layout = range(dig + 4, dig + 4 + k + n_flags + npool)
-    controls, flags, pool = tuple(layout[:k]), layout[k:k + n_flags], list(layout[k + n_flags:])
-    ancillas = frozenset({A, T, x, marker, *flags, *pool})
-    if a == 0 and spec.control != "double":
-        return AdderCircuit(Circuit(dig + 4 + len(layout), (), ancillas=ancillas,
-                                    name="mod-add-identity"), data, T, controls)
+    layout = range(dig + 4, dig + 4 + k + n_flags)
+    controls, flags = tuple(layout[:k]), layout[k:]
+    identity = a == 0 and spec.control != "double"
     wires = (*controls, *flags)
     u = wires[-1] if k else None   # the single binary control, or the last flag
-    pro = []
-    if k == 2:
-        pro = and_ops(*controls, u) if binary else [gate_op(f"C{mode}[SUM]", *controls, flags[0])]
-    ops = pro + mod_add_ops(spec.encoding, a, N, data, A, T, x, marker, pool, u=u,
-                            fold=wires[-3:] if folded else None) + adjoint_ops(pro)
-    tag = "-" + "c" * k if k else ""
-    if binary and k and mode == 0:
-        ops = [gate_op("TAU1[0,1]", controls[0])] + ops + [gate_op("TAU1[0,1]", controls[0])]
-    elif k == 1 and folded:
-        tag = "-fold"
-    elif k == 1 and not binary:
-        tag, ops = f"-c{mode}", strict_ops(mode, controls[0], u, ops)
-    circ = Circuit(dig + 4 + len(layout), tuple(ops), ancillas=ancillas,
-                   name=f"modadd{a}N{N}{'b' if binary else 't'}{tag}")
-    return AdderCircuit(circ, data, T, controls)
+
+    def emit(pool):
+        if identity:
+            return ()
+        pro = []
+        if k == 2:
+            pro = and_ops(*controls, u) if binary else [gate_op(f"C{mode}[SUM]", *controls, flags[0])]
+        ops = pro + mod_add_ops(spec.encoding, a, N, data, A, T, x, marker, pool, u=u,
+                                fold=wires[-3:] if folded else None) + adjoint_ops(pro)
+        if binary and k and mode == 0:
+            return [gate_op("TAU1[0,1]", controls[0])] + ops + [gate_op("TAU1[0,1]", controls[0])]
+        if k == 1 and not binary and not folded:
+            return strict_ops(mode, controls[0], u, ops)
+        return ops
+    tag = ("-fold" if folded else f"-c{mode}") if k == 1 and not binary else "-" + "c" * k if k else ""
+    name = "mod-add-identity" if identity else f"modadd{a}N{N}{'b' if binary else 't'}{tag}"
+    return _adder(layout.stop, emit, name, {A, T, x, marker, *flags}, data, T, controls, None)

@@ -126,8 +126,7 @@ class RusOp:
     """Repeat the body until a predicate over classical slots succeeds.
 
     Exactly one of ``predicate`` (all listed slots must equal their values)
-    or ``chain`` (driven by ``outcome_slot``) must be given.  ``consumes``
-    names resource states loaded per trial, for bookkeeping.  ``corrections``
+    or ``chain`` (driven by ``outcome_slot``) must be given.  ``corrections``
     holds ``(key, GateOp)`` pairs: on success each op whose key is the final
     chain state (or the outcome) is applied, in order.
     """
@@ -138,7 +137,6 @@ class RusOp:
     outcome_slot: int = 0
     corrections: tuple[tuple[int, GateOp], ...] = ()
     max_iters: int = 1000
-    consumes: tuple[tuple[str, int], ...] = ()
     expected_trials: float = 1.0
     label: str = ""
     #: every wire the body and the corrections touch, sorted
@@ -154,19 +152,14 @@ class RusOp:
         if not (isinstance(trials, Real) and 0 < trials < math.inf):
             raise SizeError(f"RusOp needs positive, finite expected trials, got {trials!r}")
         object.__setattr__(self, "expected_trials", float(trials))   # its text is a float's repr
-        for what in ("predicate", "consumes"):
-            pairs = getattr(self, what)
-            if not (isinstance(pairs, (tuple, list))
-                    and all(isinstance(p, tuple) and len(p) == 2 for p in pairs)):
-                raise SizeError(f"RusOp {what} {pairs!r} is not a tuple of pairs")
-        for text in (self.label, *(n for n, _ in self.consumes)):
-            if not isinstance(text, str):
-                raise SizeError(f"RusOp label or consumes name {text!r} is not a string")
+        if not (isinstance(self.predicate, (tuple, list))
+                and all(isinstance(p, tuple) and len(p) == 2 for p in self.predicate)):
+            raise SizeError(f"RusOp predicate {self.predicate!r} is not a tuple of pairs")
+        if not isinstance(self.label, str):
+            raise SizeError(f"RusOp label {self.label!r} is not a string")
         object.__setattr__(self, "predicate", tuple(
             (as_int(s, "RusOp predicate slot"), as_int(v, "RusOp predicate value"))
             for s, v in self.predicate))
-        object.__setattr__(self, "consumes", tuple(
-            (n, as_int(k, "RusOp consumes count")) for n, k in self.consumes))
         object.__setattr__(self, "corrections", tuple(map(_correction, self.corrections)))
         touched = {w for op in self.body.instructions for w in op.wires}
         touched.update(w for _, op in self.corrections for w in op.wires)
@@ -302,9 +295,6 @@ class ResourceCount:
     rus_expected: tuple[tuple[str, float], ...] = ()
     #: non-Clifford gates costed externally (exact phase gates etc.)
     synthesis_gate_count: int = 0
-
-    def tally(self) -> dict:
-        return dict(self.costed_primitive_tally)
 
 
 @lru_cache(maxsize=None)

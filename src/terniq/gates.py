@@ -73,9 +73,6 @@ class GateMatrix:
             return self
         return GateMatrix(toggle_inverse(self.name), self.arity, self.matrix.conj().T.copy())
 
-    def is_identity(self) -> bool:
-        return np.allclose(self.matrix, np.eye(self.dim), atol=ATOL)
-
     def __eq__(self, other):
         return (
             isinstance(other, GateMatrix)
@@ -258,13 +255,14 @@ def controlled(u: GateMatrix, mode) -> GateMatrix:
 
 
 @lru_cache(maxsize=None)
-def _resolve(name: str) -> GateMatrix:
+def matrix_for_name(name: str) -> GateMatrix:
+    """Resolve any name of the gate grammar to its exact matrix."""
     if name.endswith("_INV"):
-        return _resolve(name[:-4]).adjoint()
+        return matrix_for_name(name[:-4]).adjoint()
     m = _CTRL_RE.match(name)
     if m:
         mode = "ternary" if m.group(1) == "L" else int(m.group(1)[1])
-        return controlled(_resolve(m.group(2)), mode)
+        return controlled(matrix_for_name(m.group(2)), mode)
     if name in _FIXED:
         arity, builder = _FIXED[name]
         return GateMatrix(name, arity, builder())
@@ -281,18 +279,6 @@ def _resolve(name: str) -> GateMatrix:
     if m:
         return injection_correction(int(m.group(2)), inverse=m.group(1) is not None)
     raise CatalogError(f"unknown gate name {name!r}")
-
-
-def matrix_for_name(name: str) -> GateMatrix:
-    """Resolve any name of the gate grammar to its exact matrix."""
-    return _resolve(name)
-
-
-def primitive_matrix(name: str) -> GateMatrix:
-    """Catalog lookup restricted to the named primitive gates."""
-    if name.endswith("_INV") and name[:-4] in _FIXED or name in _FIXED or _PAULI_RE.match(name):
-        return _resolve(name)
-    raise CatalogError(f"{name!r} is not a catalog primitive")
 
 
 # ------------------------------------------------------- comparisons

@@ -7,7 +7,7 @@
     cc c<k>==<v> gate <NAME> <wire...>
     rus {
       <body lines>
-    } until <pred> [maxiter <n>] [expected <r>] [label <s>] [consumes <name>:<k>,...] [corrections {
+    } until <pred> [maxiter <n>] [expected <r>] [label <s>] [corrections {
       <key>: gate <NAME> <wire...>
     }]
 
@@ -31,10 +31,9 @@ from .errors import CircuitNameError, NonUnitaryError, ParseError, SizeError
 from .gates import matrix_for_name
 
 
-def _check_text(kind: str, text: str, space_ok: bool, marks: str = "#") -> None:
-    # the reader strips '#' comments, splits lines, strips or splits on
-    # whitespace and splits a consumes list on ',' and ':'
-    cut = [ch for ch in text if ch in marks or ch.splitlines() != [ch]
+def _check_text(kind: str, text: str, space_ok: bool) -> None:
+    # the reader strips '#' comments, splits lines and strips or splits on whitespace
+    cut = [ch for ch in text if ch == "#" or ch.splitlines() != [ch]
            or (ch.isspace() and not space_ok)]
     if cut:
         raise CircuitNameError(f"{kind} {text!r} holds {cut[0]!r}, which the reader cuts")
@@ -89,10 +88,6 @@ def _emit(op) -> list[str]:
         if op.label:
             _check_text("rus label", op.label, space_ok=False)
             tail += f" label {op.label}"
-        if op.consumes:
-            for n, _ in op.consumes:
-                _check_text("resource name", n, space_ok=False, marks="#,:")
-            tail += " consumes " + ",".join(f"{n}:{k}" for n, k in op.consumes)
         if op.corrections:
             out.append(tail + " corrections {")
             for key, g in op.corrections:
@@ -188,14 +183,6 @@ def _int(tok: str, ln: int) -> int:
         raise ParseError(f"expected integer, got {tok!r}", ln) from None
 
 
-def _consumed(item: str, ln: int) -> tuple[str, int]:
-    # "<name>:<k>"
-    name, sep, k = item.partition(":")
-    if not sep:
-        raise ParseError(f"expected <name>:<k>, got {item!r}", ln)
-    return name, _int(k, ln)
-
-
 def _gate_line(parts, ln, width, start=1) -> GateOp:
     """The shared op of ``gate <NAME> <wire...>``, read from ``parts[start - 1]`` on."""
     if len(parts) < start + 2:
@@ -286,12 +273,11 @@ def _parse_rus(cur, width):
         predicate = tuple(_parse_slot(t, ln) for t in tail[i].split("&&"))
         i += 1
     max_iters, expected, label = 1000, 1.0, ""
-    consumes: tuple = ()
     corrections = []
     seen = set()
     while i < len(tail):
         tok = tail[i]
-        if tok not in ("maxiter", "expected", "label", "consumes", "corrections"):
+        if tok not in ("maxiter", "expected", "label", "corrections"):
             raise ParseError(f"unknown rus option {tok!r}", ln)
         if tok in seen:
             raise ParseError(f"repeated rus option {tok!r}", ln)
@@ -309,8 +295,6 @@ def _parse_rus(cur, width):
                 raise ParseError(f"expected a number, got {value!r}", ln) from None
         elif tok == "label":
             label = value
-        elif tok == "consumes":
-            consumes = tuple(_consumed(item, ln) for item in value.split(","))
         else:
             if value != "{":
                 raise ParseError("expected 'corrections {'", ln)
@@ -330,6 +314,6 @@ def _parse_rus(cur, width):
             i = len(tail)
     try:
         return RusOp(Circuit(width, tuple(body_ops)), predicate, chain, outcome_slot,
-                     tuple(corrections), max_iters, consumes, expected, label)
+                     tuple(corrections), max_iters, expected, label)
     except (NonUnitaryError, SizeError) as exc:
         raise ParseError(str(exc), ln) from None

@@ -327,8 +327,7 @@ def r2_injection_rus() -> Circuit:
         gate_op("SUM", 0, 1),
         MeasureOp(1, 0),
     ))
-    rus = RusOp(body, chain=R2_CHAIN, outcome_slot=0,
-                consumes=(("psi", 1),), expected_trials=3.0, label="r2-rus")
+    rus = RusOp(body, chain=R2_CHAIN, outcome_slot=0, expected_trials=3.0, label="r2-rus")
     return Circuit(2, (rus,), ancillas=frozenset({1}), name="r2-injection")
 
 

@@ -218,11 +218,11 @@ def test_ternary_count_ledger():
 
 
 def test_ternary_width_scaling():
-    # width tracks 2m - w1(a) plus a constant overhead
-    for m, a in ((3, 13), (5, 121), (6, 400)):
-        ac = ripple_add_const_ternary(ShiftSpec(a, m, "ternary"))
-        from terniq.arithmetic import ones_weight
-        assert ac.circuit.width - (2 * m - ones_weight(a)) <= 3
+    # A, m data trits, T and one pool wire per digit that is not 1: 2m + 2 - w1(a)
+    for m in range(1, 6):
+        for a in range(3**m):
+            ac = ripple_add_const_ternary(ShiftSpec(a, m, "ternary"))
+            assert ac.circuit.width == 2 * m + 2 - ones_weight(a), (m, a)
 
 
 def test_digit_cost_per_trit_uniform():
@@ -442,7 +442,8 @@ def test_encoded_integer_and_leakage():
 # ------------------------------------------------------------ pinned builds
 
 def _builder_grid():
-    """Every builder, both encodings, every control kind and mode, small sizes."""
+    """Every builder, both encodings, every control kind and mode, small sizes, as
+    (spec, build) pairs; a comparator's spec is its threshold's."""
     modes = {"binary": (0, 1), "ternary": (0, 1, 2)}
     kinds = {enc: [(c, f) for c in ("none", "single", "double") for f in modes[enc]]
              + ([("single", "ternary")] if enc == "ternary" else []) for enc in modes}
@@ -452,28 +453,48 @@ def _builder_grid():
         for n in sizes:
             for a in range(base**n):
                 for control, mode in kinds[enc]:
-                    yield build(ShiftSpec(a, n, enc, control=control, control_mode=mode))
+                    spec = ShiftSpec(a, n, enc, control=control, control_mode=mode)
+                    yield spec, build(spec)
             for t in range(base**n):
-                yield compare_to_threshold(t, n, enc)
+                yield ShiftSpec(t, n, enc), compare_to_threshold(t, n, enc)
     for enc, moduli in (("binary", (2, 3, 5, 7, 13)), ("ternary", (2, 4, 5, 7, 13))):
         base = 2 if enc == "binary" else 3
         for N in moduli:
             for dig in (digits_for(N, base), digits_for(N, base) + 1):
                 for a in range(N):
                     for control, mode in kinds[enc]:
-                        yield mod_add_const(ShiftSpec(a, dig, enc, modulus=N, control=control,
-                                                      control_mode=mode))
+                        spec = ShiftSpec(a, dig, enc, modulus=N, control=control, control_mode=mode)
+                        yield spec, mod_add_const(spec)
 
 
 def test_builder_outputs_are_pinned():
-    # one digest over the text, layout and ancillas of every build in the grid; recorded
-    # on the builders before a comparator threshold of radix^digits was refused
+    # one digest per encoding over the text, layout and ancillas of every build in the
+    # grid; the binary one recorded before a comparator threshold of radix^digits was
+    # refused, the ternary one when builds stopped laying out wires that no op touches
     from terniq.textfmt import serialize
-    h, count = hashlib.sha256(), 0
-    for ac in _builder_grid():
+    digests = {enc: [0, hashlib.sha256()] for enc in ("binary", "ternary")}
+    for spec, ac in _builder_grid():
         fields = (ac.data, ac.controls, ac.carry_out, ac.result,
                   sorted(ac.circuit.ancillas), ac.circuit.width)
-        h.update(serialize(ac.circuit).encode() + repr(fields).encode())
-        count += 1
-    assert (count, h.hexdigest()) == (
-        1619, "ac837decd88d47bb0e886eb3312e9b971c6ab00e73b8363d6b2d19b22d3acd23")
+        digests[spec.encoding][0] += 1
+        digests[spec.encoding][1].update(serialize(ac.circuit).encode() + repr(fields).encode())
+    assert {enc: (count, h.hexdigest()) for enc, (count, h) in digests.items()} == {
+        "binary": (570, "1ca442b1e7ff7d87ccc17579dabea5f0551be0d5212423cb5849fe0b2f090dfd"),
+        "ternary": (1049, "aee5fac9060d08f47427f6bdd0c360d9431e4a31d1d87b94b4ede931b502a166"),
+    }
+
+
+def test_every_wire_is_touched_or_named():
+    # a build lays out its named wires (A, data, T, modular x and marker, the controls,
+    # then their flags) and only the pool wires that its ops draw
+    for spec, ac in _builder_grid():
+        k, binary = ("none", "single", "double").index(spec.control), spec.encoding == "binary"
+        named = {0, *ac.data, *ac.controls, ac.carry_out, ac.result} - {None}
+        if spec.modulus is None:
+            n_flags = k if binary else min(k, 1)
+        else:
+            named |= {ac.data[-1] + 2, ac.data[-1] + 3}
+            n_flags = max(k - 1, 0) if binary else k + (k == 2 or spec.control_mode == "ternary")
+        named |= set(range(max(named) + 1, max(named) + 1 + n_flags))
+        touched = {w for op in ac.circuit.instructions for w in op.wires}
+        assert set(range(ac.circuit.width)) <= touched | named, ac.circuit.name

@@ -188,19 +188,11 @@ def _rus_with(**fields):
     pytest.param("a b", "label", repr(" "), id="label-space"),
     pytest.param("x#y", "label", repr("#"), id="label-hash"),
     pytest.param("a\nb", "label", repr("\n"), id="label-newline"),
-] + [
-    pytest.param(n, "consumes", repr(n[1]), id=f"consumes-{n}") for n in ("p s", "p,s", "p:s", "p#s")
 ])
 def test_serialize_rejects_names_the_reader_would_cut(name, field, message):
-    # the reader strips '#' comments, splits lines, strips the header line,
-    # splits a rus tail on whitespace and a consumes list on ',' and ':', so
-    # these would not round trip
-    if field == "name":
-        circ = Circuit(1, (), name=name)
-    elif field == "label":
-        circ = _rus_with(label=name)
-    else:
-        circ = _rus_with(consumes=((name, 1),))
+    # the reader strips '#' comments, splits lines, strips the header line and
+    # splits a rus tail on whitespace, so these would not round trip
+    circ = Circuit(1, (), name=name) if field == "name" else _rus_with(label=name)
     with pytest.raises(CircuitNameError, match=re.escape(message)):
         serialize(circ)
 
@@ -280,16 +272,14 @@ def test_every_gate_slot_checks_its_wires(wires):
     lambda: RusOp(_MEASURED, predicate=((0.5, 0),)),
     lambda: RusOp(_MEASURED, predicate=((0, 0),), outcome_slot="a"),
     lambda: RusOp(_MEASURED, chain=Chain(0, {(0, 0): "z"}, frozenset({1}))),
-    lambda: RusOp(_MEASURED, predicate=((0, 0),), consumes=(("psi", "a"),)),
     lambda: RusOp(_MEASURED, predicate=5),
-    lambda: RusOp(_MEASURED, predicate=((0, 0),), consumes=7),
 ], ids=["wire 1.0", "slot 'a'", "wire None", "slot 'x'", "value 1.5", "remapped wire", "run",
         "correction key 'x'", "predicate slot 0.5", "outcome slot 'a'", "chain target 'z'",
-        "consumes count 'a'", "predicate 5", "consumes 7"])
+        "predicate 5"])
 def test_measure_and_condition_fields_are_integers(request, make):
     # each would fail later: a bare TypeError in a run, or text that the reader rejects;
-    # a predicate or consumes that is no sequence at all is not a tuple of pairs
-    whole = request.node.callspec.id in ("predicate 5", "consumes 7")
+    # a predicate that is no sequence at all is not a tuple of pairs
+    whole = request.node.callspec.id == "predicate 5"
     with pytest.raises(SizeError, match="not a tuple of pairs" if whole else "non-integer"):
         make()
 
@@ -327,11 +317,8 @@ def test_rus_loop_fields_are_checked(bad):
         RusOp(Circuit(1, (MeasureOp(0, 0),)), predicate=((0, 0),), **bad)
 
 
-@pytest.mark.parametrize("bad", [{"expected_trials": "x"}, {"label": 3},
-                                 {"consumes": ((5, 1),)}, {"predicate": ((0,),)},
-                                 {"consumes": (("psi",),)}],
-                         ids=["expected trials 'x'", "label 3", "consumes name 5",
-                              "one-element predicate", "one-element consumes"])
+@pytest.mark.parametrize("bad", [{"expected_trials": "x"}, {"label": 3}, {"predicate": ((0,),)}],
+                         ids=["expected trials 'x'", "label 3", "one-element predicate"])
 def test_rus_text_and_pair_fields_are_checked(bad):
     # each raised a bare TypeError or ValueError, or was accepted and serialize raised
     fields = {"predicate": ((0, 0),), **bad}

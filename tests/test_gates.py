@@ -11,7 +11,6 @@ from terniq.gates import (
     is_clifford,
     matrix_for_name,
     phase_gate,
-    primitive_matrix,
     root_of_unity,
     two_level_reflection,
 )
@@ -61,8 +60,6 @@ def test_h_powers():
 def test_unknown_name_raises():
     with pytest.raises(CatalogError):
         matrix_for_name("NOPE")
-    with pytest.raises(CatalogError):
-        primitive_matrix("TAU1[0,1]")
 
 
 def test_controlled_ternary_inc_is_sum():
@@ -157,7 +154,7 @@ def test_phase_gate_reductions():
     g = phase_gate(1, 9)
     p9 = matrix_for_name("P9").matrix
     assert allclose_up_to_phase(g.matrix, p9)
-    assert phase_gate(0, 27).is_identity()
+    assert np.allclose(phase_gate(0, 27).matrix, np.eye(3), atol=1e-12)
 
 
 def test_adjoint_names_and_matrices():
@@ -199,3 +196,9 @@ def test_gate_names_read_back_as_the_same_gate(make):
 def test_gate_constructors_reject_non_integer_arguments(make):
     with pytest.raises(SizeError):
         make()
+
+
+def test_every_export_resolves():
+    # a name left in __all__ after its definition is gone breaks `from terniq import *`
+    import terniq
+    assert [name for name in terniq.__all__ if not hasattr(terniq, name)] == []

@@ -311,7 +311,7 @@ def test_choice_draw_is_generator_choice(d, weights, seed, at_uniform):
 
 # ------------------------------------------------------- text round trips
 
-_TEXT = "abcxyz019_[]{}()=&|.-"  # names, labels and resources: no '#', ',', ':' or space
+_TEXT = "abcxyz019_[]{}()=&|.-,:"  # names and labels: no '#' or space
 
 
 @st.composite
@@ -349,8 +349,6 @@ def instructions(draw, width, gates, depth=0):
                         for _ in range(draw(st.integers(0, 2))))
     return RusOp(Circuit(width, tuple(body)), corrections=corrections,
                  max_iters=draw(st.integers(1, 5000)),
-                 consumes=tuple(draw(st.lists(st.tuples(st.text(_TEXT, min_size=1, max_size=5),
-                                                        st.integers(0, 9)), max_size=3))),
                  expected_trials=draw(st.floats(1e-3, 1e6)),
                  label=draw(st.text(_TEXT, max_size=6)), **form)
 
