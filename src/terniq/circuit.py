@@ -171,7 +171,10 @@ Instruction = Union[GateOp, MeasureOp, CondGateOp, RusOp]
 
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered instruction list over ``width`` qutrits.
+    """Ordered instruction tuple over ``width`` qutrits.
+
+    ``instructions`` and each block are kept as tuples (a list passed in is
+    converted), so a circuit is hashable and equals its text round trip.
 
     ``ancillas`` declares wires expected to start in |0> (or in a declared
     resource state) and be restored by the circuit.
@@ -191,14 +194,16 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "width", as_int(self.width, "width", 0))
+        instructions = tuple(self.instructions)
         if self.blocks:
-            blocks = tuple(b if type(b) is tuple else tuple(b) for b in self.blocks if b)
+            blocks = tuple(tuple(b) for b in self.blocks if b)
             flat = tuple(chain.from_iterable(blocks))
-            if self.instructions and self.instructions != flat:
+            if instructions and instructions != flat:
                 raise SizeError("Circuit blocks do not concatenate to its instructions")
-            object.__setattr__(self, "instructions", flat)
+            instructions = flat
         else:
-            blocks = (self.instructions,) if self.instructions else ()
+            blocks = (instructions,) if instructions else ()
+        object.__setattr__(self, "instructions", instructions)
         object.__setattr__(self, "blocks", blocks)
         # shared blocks and ops repeat their wire tuples: check each distinct tuple once
         distinct = {id(b): b for b in blocks}.values()

@@ -29,40 +29,32 @@ def controlled_phase_norm(d: int) -> float:
     return float(abs(root_of_unity(4, r) - 1.0)) if r > 8 else 2.0
 
 
+def _drop_threshold(n: int, delta: float) -> tuple[int, float]:
+    """The checked QFT size and the norm delta/n below which a controlled phase is dropped."""
+    n = as_int(n, "QFT size (integer n >= 1)", 1)
+    if not 0 <= delta < np.inf:
+        raise SizeError(f"delta {delta!r} is not a finite real >= 0")
+    return n, delta / n
+
+
 def qft3n(n: int, delta: float = 0.0) -> Circuit:
     """QFT over Z_{3^n} on an n-qutrit little-endian register.
 
     ``delta > 0`` drops controlled phases below the delta/n threshold; the
     dropped error is bounded by the sum of the dropped gate norms.
     """
-    n = as_int(n, "QFT size (integer n >= 1)", 1)
-    if not 0 <= delta < np.inf:
-        raise SizeError(f"delta {delta!r} is not a finite real >= 0")
+    n, threshold = _drop_threshold(n, delta)
     ops: list[GateOp] = []
-    threshold = delta / n if delta > 0 else 0.0
     for w in reversed(range(n)):
         ops.append(gate_op("H", w))
-        for i in reversed(range(w)):
-            d = w - i
-            if threshold and controlled_phase_norm(d) < threshold:
-                continue
-            name = f"L[PHASE[1,{3 ** (d + 1)}]]"
-            ops.append(gate_op(name, i, w))
-    for w in range(n // 2):
-        ops.append(gate_op("TSWAP", w, n - 1 - w))
+        ops += (gate_op(f"L[PHASE[1,{3 ** (w - i + 1)}]]", i, w) for i in reversed(range(w))
+                if not threshold or controlled_phase_norm(w - i) >= threshold)
+    ops += (gate_op("TSWAP", w, n - 1 - w) for w in range(n // 2))
     return Circuit(n, tuple(ops), name=f"qft3^{n}" + (f"~{delta}" if delta else ""))
 
 
 def dropped_phase_error(n: int, delta: float) -> float:
-    """Upper bound on ||exact - approximate|| from the dropped phases."""
-    n = as_int(n, "QFT size (integer n >= 1)", 1)
-    if not 0 <= delta < np.inf:
-        raise SizeError(f"delta {delta!r} is not a finite real >= 0")
-    total = 0.0
-    threshold = delta / n
-    for w in reversed(range(n)):
-        for i in reversed(range(w)):
-            norm = controlled_phase_norm(w - i)
-            if norm < threshold:
-                total += norm
-    return total
+    """Upper bound on ||exact - approximate|| from the phases that ``qft3n`` drops."""
+    n, threshold = _drop_threshold(n, delta)
+    return sum((norm for w in reversed(range(n)) for i in reversed(range(w))
+                if (norm := controlled_phase_norm(w - i)) < threshold), 0.0)

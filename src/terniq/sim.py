@@ -36,13 +36,13 @@ Two gate modes:
     touch the circuit's.
 
 Each :func:`run` call owns two complex128 states of its exec width, made on
-first use, and never writes the caller's initial array.  A step above width 5
-writes its full state into the run's state that is not its input; a diagonal
-run multiplies in place when its input is the run's own, and builds its full
-diagonal in the other.  A fused operator (width 5 or less) or a measurement
-returns a new array.  A real or integer initial state is first copied into one
-of the two.  The record keeps the final state, so records of two runs share no
-memory.
+first use, and never writes the caller's initial array.  Every step writes its
+whole state into the run's state that is not its input (``_Exec.spare``),
+except that a diagonal run multiplies in place on a state of the run's own and
+an untaken conditioned gate returns its input.  A real or integer initial state
+is first copied into one of the two, and a run in which no step wrote keeps a
+copy of it, so records of two runs share no memory.  The planner counts each
+step's P9 and R2 gates and loaded resource states once, before it runs.
 
 :func:`run` checks the norm of the final state; every measurement checks
 the norm of the state it measures.
@@ -185,17 +185,16 @@ def _tally(names: tuple) -> tuple:
 def _product(key: tuple, width: int) -> np.ndarray:
     """Operator of the gates ``key``: their kernels applied in turn to the identity."""
     dim = 3**width
-    return reduce(lambda mat, op: _kernel(matrix_for_name(op[0]), op[1], width, dim)(mat),
-                  key, np.eye(dim, dtype=np.complex128))
+    return reduce(lambda mat, op: _kernel(matrix_for_name(op[0]), op[1], width, dim)(
+        mat, np.empty_like(mat)), key, np.eye(dim, dtype=np.complex128))
 
 
 @lru_cache(maxsize=1024)
-def _fused_segment(width: int, key: tuple):
-    """Product operator of consecutive gates, as its gather index if it permutes, plus its tally."""
+def _fused_segment(width: int, key: tuple) -> np.ndarray:
+    """Product operator of consecutive gates, as its gather index if it permutes."""
     mat = _product(key, width)
     rows, src = mat.nonzero()
-    op = src if len(src) == len(mat) and (mat[rows, src] == 1).all() else mat
-    return op, _tally(tuple(name for name, _ in key))
+    return src if len(src) == len(mat) and (mat[rows, src] == 1).all() else mat
 
 
 @lru_cache(maxsize=256)
@@ -226,7 +225,7 @@ def _diagonal(gate: GateMatrix):
 
 @lru_cache(maxsize=1024)
 def _diagonal_run(key: tuple):
-    """Descending wire union, per-gate broadcast factors and tally of a run of diagonal gates."""
+    """Descending wire union and per-gate broadcast factors of a run of diagonal gates."""
     union = sorted({w for _, wires in key for w in wires}, reverse=True)
     factors = []
     # lowest wire first (they commute): the product's full-size steps get long inner loops
@@ -234,17 +233,12 @@ def _diagonal_run(key: tuple):
         order = sorted(range(len(wires)), key=lambda k: -wires[k])
         shape = [3 if w in wires else 1 for w in union]
         factors.append(_diagonal(matrix_for_name(name)).transpose(order).reshape(shape))
-    return tuple(union), tuple(factors), _tally(tuple(name for name, _ in key))
+    return tuple(union), tuple(factors)
 
 
-def _view(out, shape):
-    """``out`` reshaped to ``shape`` (no copy), or None: the kernel allocates its output."""
-    return None if out is None else out.reshape(shape)
-
-
-def _apply_diagonal(amps: np.ndarray, diag: np.ndarray, wires, width: int, out=None) -> np.ndarray:
-    """Multiply by ``diag`` (axes in descending ``wires`` order), into ``out`` if given (it may be
-    ``amps``); adjacent wires share an axis."""
+def _apply_diagonal(amps: np.ndarray, diag: np.ndarray, wires, width: int, out) -> np.ndarray:
+    """Multiply by ``diag`` (axes in descending ``wires`` order) into ``out``, which may be
+    ``amps``, and return ``out``; adjacent wires share an axis."""
     shape, top = [], width
     for w in wires:
         if w == top - 1 and shape:
@@ -254,7 +248,8 @@ def _apply_diagonal(amps: np.ndarray, diag: np.ndarray, wires, width: int, out=N
         top = w
     shape.append(amps.size // 3 ** (width - top))
     d = diag.reshape([n if k % 2 else 1 for k, n in enumerate(shape)])
-    return np.multiply(amps.reshape(shape), d, out=_view(out, shape)).reshape(amps.shape)
+    np.multiply(amps.reshape(shape), d, out=out.reshape(shape))
+    return out
 
 
 @lru_cache(maxsize=1024)
@@ -268,21 +263,22 @@ def _slice_moves(name: str, wires: tuple) -> tuple:
                  for loc, out in enumerate(trit_table(name)))
 
 
-def _permute_slices(amps: np.ndarray, name: str, wires: tuple, width: int, out=None) -> np.ndarray:
-    """Apply a permutation gate as 3^arity slice copies on its wires' split view, into ``out``
-    if given."""
+def _permute_slices(amps: np.ndarray, name: str, wires: tuple, width: int, out) -> np.ndarray:
+    """Apply a permutation gate as 3^arity slice copies on its wires' split view into ``out``
+    (not ``amps``), and return ``out``."""
     tops = [width, *sorted(wires, reverse=True)]
     view = amps.reshape([n for hi, lo in zip(tops, tops[1:]) for n in (3**(hi - lo - 1), 3)] + [-1])
-    moved = np.empty_like(view) if out is None else out.reshape(view.shape)
+    moved = out.reshape(view.shape)
     for dst, src in _slice_moves(name, wires):
         moved[dst] = view[src]
-    return moved.reshape(amps.shape)
+    return out
 
 
 @lru_cache(maxsize=128)  # used up to width 8, where an index is 52 KB and the cache <= 6.7 MB
 def _perm_run(key: tuple, width: int) -> np.ndarray:
     """``src`` with ``amps[src]`` the permutation run ``key``: its slice copies on the indices."""
-    return reduce(lambda src, op: _permute_slices(src, *op, width), key, np.arange(3**width))
+    return reduce(lambda src, op: _permute_slices(src, *op, width, np.empty_like(src)), key,
+                  np.arange(3**width))
 
 
 @lru_cache(maxsize=256)
@@ -292,31 +288,33 @@ def _kron_eye_t(gate: GateMatrix, rows: int) -> np.ndarray:
 
 
 def _kernel(gate: GateMatrix, wires: tuple, width: int, batch: int = 1):
-    """``kernel(amps, out=None) -> amps`` applying ``gate`` to a (3**width,) or (3**width, batch)
-    array, into ``out`` (not ``amps``) if given; see the module docstring."""
+    """``kernel(amps, out) -> out`` writing ``gate`` applied to a (3**width,) or
+    (3**width, batch) array ``amps`` into ``out`` (not ``amps``); see the module docstring."""
     a, mat = gate.arity, gate.matrix
     if _diagonal(gate) is not None:
-        union, (diag,), _ = _diagonal_run(((gate.name, wires),))
-        return lambda amps, out=None: _apply_diagonal(amps, diag, union, width, out)
+        union, (diag,) = _diagonal_run(((gate.name, wires),))
+        return lambda amps, out: _apply_diagonal(amps, diag, union, width, out)
     if a == 1:
         rows = 3 ** wires[0] * batch
-        if rows > 9:
-            return lambda amps, out=None: np.matmul(
-                mat, amps.reshape(-1, 3, rows), out=_view(out, (-1, 3, rows))).reshape(amps.shape)
-        kron = _kron_eye_t(gate, rows)
-        return lambda amps, out=None: np.matmul(
-            amps.reshape(-1, 3 * rows), kron, out=_view(out, (-1, 3 * rows))).reshape(amps.shape)
+        kron = None if rows > 9 else _kron_eye_t(gate, rows)
+
+        def single(amps, out):
+            if kron is None:
+                np.matmul(mat, amps.reshape(-1, 3, rows), out=out.reshape(-1, 3, rows))
+            else:
+                np.matmul(amps.reshape(-1, 3 * rows), kron, out=out.reshape(-1, 3 * rows))
+            return out
+        return single
     if trit_table(gate.name) is not None:
-        return lambda amps, out=None: _permute_slices(amps, gate.name, wires, width, out)
+        return lambda amps, out: _permute_slices(amps, gate.name, wires, width, out)
     # axis for wire w is (width-1-w); gate tensor row axes follow wires order
     axes = [width - 1 - w for w in wires]
 
-    def moveaxis(amps, out=None):
+    def moveaxis(amps, out):
         shape = [3] * width + list(amps.shape[1:])
         moved = np.moveaxis(amps.reshape(shape), axes, range(a))
-        prod = (mat @ moved.reshape(3**a, -1)).reshape(moved.shape)
-        out = np.empty(amps.shape, prod.dtype) if out is None else out
-        np.copyto(np.moveaxis(out.reshape(shape), axes, range(a)), prod)
+        np.copyto(np.moveaxis(out.reshape(shape), axes, range(a)),
+                  (mat @ moved.reshape(3**a, -1)).reshape(moved.shape))
         return out
     return moveaxis
 
@@ -348,8 +346,9 @@ def choice_draw(p: list, rng) -> int:
     return (u >= c0 / c2) + (u >= c1 / c2)
 
 
-def _measure(amps: np.ndarray, shape: tuple, rng) -> tuple[int, np.ndarray]:
-    """Outcome and post-measurement amplitudes of the wire that ``shape`` splits out."""
+def _measure(amps: np.ndarray, shape: tuple, rng, out) -> tuple[int, np.ndarray]:
+    """Outcome of the wire that ``shape`` splits out, and ``out`` (not ``amps``) holding the
+    post-measurement amplitudes."""
     p = _born(amps, shape).tolist()
     total = p[0] + p[1] + p[2]
     if abs(total - 1.0) > 1e-8:
@@ -358,16 +357,17 @@ def _measure(amps: np.ndarray, shape: tuple, rng) -> tuple[int, np.ndarray]:
     norm = math.sqrt(p[outcome])
     if norm < 1e-12:
         raise NonUnitaryError("measured a zero-probability branch")
-    out = np.zeros(shape, amps.dtype)
-    np.divide(amps.reshape(shape)[:, outcome], norm, out=out[:, outcome])
-    return outcome, out.reshape(-1)
+    out.fill(0)
+    np.divide(amps.reshape(shape)[:, outcome], norm, out=out.reshape(shape)[:, outcome])
+    return outcome, out
 
 
 # ------------------------------------------------------------ step plans
 #
 # A plan is the tuple of steps that runs one instruction list at one exec width in one gate
-# mode; a step is a function ``step(ex, amps, slots) -> amps``.  Plans are built once and
-# looked up by the identity of the instruction tuple, never by its hash.
+# mode; a step is a function ``step(ex, amps, slots) -> amps`` that writes into
+# ``ex.spare(amps)`` and returns it (see the module docstring for the two exceptions).  Plans
+# are built once and looked up by the identity of the instruction tuple, never by its hash.
 
 _PLAN_CAP = 256
 _plans: dict = {}  # (id(instructions), width, mode) -> (instructions, steps)
@@ -379,10 +379,9 @@ def _plan(instructions, width: int, mode: str) -> tuple:
     if entry is None:
         # the entry keeps the tuple alive: its id cannot pass to another object while cached
         entry = (instructions, _build_plan(instructions, width, mode))
-        if type(instructions) is tuple:
-            if len(_plans) >= _PLAN_CAP:
-                _plans.pop(next(iter(_plans)), None)  # the oldest
-            _plans[(id(instructions), width, mode)] = entry
+        if len(_plans) >= _PLAN_CAP:
+            _plans.pop(next(iter(_plans)), None)  # the oldest
+        _plans[(id(instructions), width, mode)] = entry
     return entry[1]
 
 
@@ -411,14 +410,17 @@ def _build_plan(instructions, width: int, mode: str) -> tuple:
     for kind, ops in groupby(instructions, lambda op: isinstance(op, GateOp)
                              and _run_kind(op.gate, width, mode)):
         if kind:
-            steps.append(kind(tuple((op.gate.name, op.wires) for op in ops), width))
+            key = tuple((op.gate.name, op.wires) for op in ops)
+            steps.append(_counting(kind(key, width), tuple(name for name, _ in key)))
         else:
             steps += (_instruction_step(op, width, mode) for op in ops)
     return tuple(steps)
 
 
-def _counting(step, tally):
-    """``step``, first adding ``tally`` to the record unless it is empty."""
+def _counting(step, names: tuple):
+    """``step``, first adding the P9 and R2 counts and loaded states of the gates ``names`` to
+    the record unless there are none."""
+    tally = _tally(names)
     if tally == (0, 0, ()):
         return step
 
@@ -430,15 +432,15 @@ def _counting(step, tally):
 
 def _fused_step(key: tuple, width: int):
     """One cached product operator for a run of gates, one gather if the product permutes."""
-    op, tally = _fused_segment(width, key)
-    if op.ndim == 1:
-        return _counting(lambda ex, amps, slots: amps[op], tally)
-    return _counting(lambda ex, amps, slots: op @ amps, tally)
+    op = _fused_segment(width, key)
+    if op.ndim == 1:  # mode "clip" (the indices are in range) lets take write into ``out``
+        return lambda ex, amps, slots: amps.take(op, out=ex.spare(amps), mode="clip")
+    return lambda ex, amps, slots: np.matmul(op, amps, out=ex.spare(amps))
 
 
 def _diagonal_step(key: tuple, width: int):
     """One multiply for a run of diagonal gates."""
-    union, factors, tally = _diagonal_run(key)
+    union, factors = _diagonal_run(key)
     shape, size = (3,) * len(union), 3 ** len(union)
 
     def diagonal_run(ex, amps, slots):
@@ -448,14 +450,12 @@ def _diagonal_step(key: tuple, width: int):
         diag = reduce(lambda x, y: np.multiply(x, y, order="C"), factors[1:-1], factors[0])
         if len(factors) > 1:
             diag = np.multiply(diag, factors[-1], out=ex.spare(out)[:size].reshape(shape))
-        _apply_diagonal(amps, diag, union, width, out)
-        return out
-    return _counting(diagonal_run, tally)
+        return _apply_diagonal(amps, diag, union, width, out)
+    return diagonal_run
 
 
 def _gather_step(key: tuple, width: int):
-    """One gather for a run of permutation gates; it tallies nothing: none is a P9, R2 or loader."""
-    # mode "clip" (the indices are in range) lets take write into ``out`` without a buffer
+    """One gather for a run of permutation gates through a cached index."""
     return lambda ex, amps, slots: amps.take(_perm_run(key, width), out=ex.spare(amps), mode="clip")
 
 
@@ -478,16 +478,13 @@ def _gate_step(op: GateOp, width: int, mode: str):
     gate, wires = op.gate, op.wires
     if _injects(gate, mode):
         steps = _plan(_injection(gate.name, wires[0], width), width, mode)
-        return _counting(lambda ex, amps, slots: ex.run_steps(amps, steps, {}), _tally((gate.name,)))
-    if kind := _run_kind(gate, width, mode):
-        return kind(((gate.name, wires),), width)
-    kernel = _kernel(gate, wires, width)
-
-    def apply(ex, amps, slots):
-        out = ex.spare(amps)
-        kernel(amps, out)
-        return out
-    return _counting(apply, _tally((gate.name,)))
+        step = lambda ex, amps, slots: ex.run_steps(amps, steps, {})
+    elif kind := _run_kind(gate, width, mode):
+        step = kind(((gate.name, wires),), width)
+    else:
+        kernel = _kernel(gate, wires, width)
+        step = lambda ex, amps, slots: kernel(amps, ex.spare(amps))
+    return _counting(step, (gate.name,))
 
 
 def _instruction_step(op, width: int, mode: str):
@@ -497,7 +494,7 @@ def _instruction_step(op, width: int, mode: str):
         shape, slot = _split(width, op.wire), op.slot
 
         def measure(ex, amps, slots):
-            slots[slot], amps = _measure(amps, shape, ex.rng)
+            slots[slot], amps = _measure(amps, shape, ex.rng, ex.spare(amps))
             ex.record.measurements += 1
             return amps
         return measure
@@ -608,6 +605,8 @@ def run(c: Circuit, initial: StateVector | None = None, seed: int = 0,
         amps = ex.spare(amps)
         amps[...] = state.amps
     amps = ex.run_steps(amps, _plan(c.instructions, width, gate_mode), record.slots)
+    if not ex.owns(amps):  # no step wrote: keep a copy, not the caller's array
+        amps = amps.copy()
     record.state = StateVector(width, amps)
     if abs(record.state.norm() - 1.0) > _NORM_TOL:
         raise NonUnitaryError(f"final state norm {record.state.norm()}")

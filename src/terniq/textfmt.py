@@ -26,6 +26,8 @@ The text holds no block marks: it reads back as one block.
 
 from __future__ import annotations
 
+from itertools import takewhile
+
 from .circuit import Chain, Circuit, CondGateOp, GateOp, MeasureOp, RusOp, gate_op
 from .errors import CircuitNameError, NonUnitaryError, ParseError, SizeError
 from .gates import matrix_for_name
@@ -232,6 +234,21 @@ def _parse_op(line, ln, cur, width):
     raise ParseError(f"unknown instruction {parts[0]!r}", ln)
 
 
+def _options(pairs, names: tuple, what: str, ln: int) -> dict:
+    """The ``[name, value]`` pairs as a dict; ``ParseError`` for a name not in ``names``, a
+    repeated name or a missing value."""
+    opts = {}
+    for name, *value in pairs:
+        if name not in names:
+            raise ParseError(f"unknown {what} {name!r}", ln)
+        if name in opts:
+            raise ParseError(f"repeated {what} {name!r}", ln)
+        if not value:
+            raise ParseError(f"{what} {name!r} needs a value", ln)
+        opts[name] = value[0]
+    return opts
+
+
 def _parse_rus(cur, width):
     body_ops = []
     line, ln = cur.read_ops(width, body_ops, "}")
@@ -240,80 +257,52 @@ def _parse_rus(cur, width):
     tail = line[1:].strip().split()
     if len(tail) < 2 or tail[0] != "until":
         raise ParseError("expected '} until <pred> ...'", ln)
-    i = 1
-    predicate: tuple = ()
-    chain = None
-    outcome_slot = 0
-    if tail[i].startswith("chain(c"):
-        head = tail[i]
-        if not head.endswith(")"):
-            raise ParseError(f"expected chain(c<k>), got {head!r}", ln)
-        outcome_slot = _int(head[len("chain(c"):-1], ln)
-        opts = {}
-        i += 1
-        while i < len(tail) and "=" in tail[i] and tail[i].split("=")[0] in ("start", "accept", "trans"):
-            k, v = tail[i].split("=", 1)
-            if k in opts:
-                raise ParseError(f"repeated chain field {k!r}", ln)
-            opts[k] = v
-            i += 1
+    predicate, chain, outcome_slot, rest = (), None, 0, tail[2:]
+    if tail[1].startswith("chain(c"):
+        if not tail[1].endswith(")"):
+            raise ParseError(f"expected chain(c<k>), got {tail[1]!r}", ln)
+        outcome_slot = _int(tail[1][len("chain(c"):-1], ln)
+        names = ("start", "accept", "trans")
+        pairs = [tok.split("=", 1) for tok in takewhile(
+            lambda tok: "=" in tok and tok.split("=")[0] in names, rest)]
+        rest = rest[len(pairs):]
+        fields = _options(pairs, names, "chain field", ln)
         transitions = {}
-        if opts.get("trans"):
-            for item in opts["trans"].split("|"):
-                smt = [_int(x, ln) for x in item.split(",")]
-                if len(smt) != 3:
-                    raise ParseError(f"expected <s>,<m>,<s'>, got {item!r}", ln)
-                if (smt[0], smt[1]) in transitions:
-                    raise ParseError(f"repeated transition {item!r}", ln)
-                transitions[(smt[0], smt[1])] = smt[2]
-        chain = Chain(_int(opts.get("start", "0"), ln),
-                      transitions,
-                      frozenset(_int(x, ln) for x in opts.get("accept", "").split("|") if x))
+        for item in fields["trans"].split("|") if fields.get("trans") else ():
+            smt = [_int(x, ln) for x in item.split(",")]
+            if len(smt) != 3:
+                raise ParseError(f"expected <s>,<m>,<s'>, got {item!r}", ln)
+            if (smt[0], smt[1]) in transitions:
+                raise ParseError(f"repeated transition {item!r}", ln)
+            transitions[(smt[0], smt[1])] = smt[2]
+        chain = Chain(_int(fields.get("start", "0"), ln), transitions,
+                      frozenset(_int(x, ln) for x in fields.get("accept", "").split("|") if x))
     else:
-        predicate = tuple(_parse_slot(t, ln) for t in tail[i].split("&&"))
-        i += 1
-    max_iters, expected, label = 1000, 1.0, ""
-    corrections = []
-    seen = set()
-    while i < len(tail):
-        tok = tail[i]
-        if tok not in ("maxiter", "expected", "label", "corrections"):
-            raise ParseError(f"unknown rus option {tok!r}", ln)
-        if tok in seen:
-            raise ParseError(f"repeated rus option {tok!r}", ln)
-        seen.add(tok)
-        if i + 1 == len(tail):
-            raise ParseError(f"rus option {tok!r} needs a value", ln)
-        value = tail[i + 1]
-        i += 2
-        if tok == "maxiter":
-            max_iters = _int(value, ln)
-        elif tok == "expected":
-            try:
-                expected = float(value)
-            except ValueError:
-                raise ParseError(f"expected a number, got {value!r}", ln) from None
-        elif tok == "label":
-            label = value
-        else:
-            if value != "{":
-                raise ParseError("expected 'corrections {'", ln)
-            while True:
-                cline, cln = cur.next_line()
-                if cline is None:
-                    raise ParseError("unterminated corrections block", cln)
-                if cline.startswith("}"):
-                    break
-                if ":" not in cline:
-                    raise ParseError("corrections entries are 'key: gate ...'", cln)
-                key_s, rest = cline.split(":", 1)
-                parts = rest.split()
-                if not parts or parts[0] != "gate":
-                    raise ParseError("corrections entries are 'key: gate ...'", cln)
-                corrections.append((_int(key_s, cln), _gate_line(parts, cln, width)))
-            i = len(tail)
+        predicate = tuple(_parse_slot(t, ln) for t in tail[1].split("&&"))
+    if "corrections" in rest[::2]:  # its block ends the options
+        rest = rest[:2 * rest[::2].index("corrections") + 2]
+    opts = _options((rest[k:k + 2] for k in range(0, len(rest), 2)),
+                    ("maxiter", "expected", "label", "corrections"), "rus option", ln)
+    max_iters, corrections = _int(opts.get("maxiter", "1000"), ln), []
+    try:
+        expected = float(opts.get("expected", "1.0"))
+    except ValueError:
+        raise ParseError(f"expected a number, got {opts['expected']!r}", ln) from None
+    if "corrections" in opts:
+        if opts["corrections"] != "{":
+            raise ParseError("expected 'corrections {'", ln)
+        while True:
+            cline, cln = cur.next_line()
+            if cline is None:
+                raise ParseError("unterminated corrections block", cln)
+            if cline.startswith("}"):
+                break
+            key_s, colon, parts = cline.partition(":")
+            if not colon or parts.split()[:1] != ["gate"]:
+                raise ParseError("corrections entries are 'key: gate ...'", cln)
+            corrections.append((_int(key_s, cln), _gate_line(parts.split(), cln, width)))
     try:
         return RusOp(Circuit(width, tuple(body_ops)), predicate, chain, outcome_slot,
-                     tuple(corrections), max_iters, expected, label)
+                     tuple(corrections), max_iters, expected, opts.get("label", ""))
     except (NonUnitaryError, SizeError) as exc:
         raise ParseError(str(exc), ln) from None

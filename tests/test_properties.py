@@ -20,7 +20,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import classical_map, random_state_vector, reference_run, tallies
 import terniq
-from terniq import widgets
+from terniq import sim, widgets
 from terniq.arithmetic import ShiftSpec, mcx_ops, mod_add_const
 from terniq.circuit import (Chain, Circuit, CondGateOp, GateOp, MeasureOp, ResourceCount, RusOp, _gate_class,
                             count_resources, gate_op)
@@ -575,6 +575,34 @@ def test_planned_runs_match_the_reference_executor(width, mode, data, seed, stat
     ref = reference_run(circ, init, seed, mode)
     assert np.abs(rec.state.amps - ref.amps).max() < 1e-12
     assert tallies(rec) == tallies(ref)
+
+
+@pytest.mark.parametrize("mode", ["ideal", "injected"])
+@pytest.mark.parametrize("width", range(1, 11))
+@settings(max_examples=8)
+@given(data=st.data(), seed=st.integers(0, 2**16), state_seed=st.integers(0, 2**16))
+def test_every_planned_step_returns_its_input_or_a_run_state(width, mode, data, seed, state_seed):
+    """The one step contract, over the planner-wide circuits above: a step writes into one of
+    the run's two states and returns it; only a diagonal run (in place on a run state) or an
+    untaken conditioned gate returns its input."""
+    runs = data.draw(st.lists(planner_ops(width), min_size=1, max_size=6))
+    circ = Circuit(width, tuple(op for ops in runs for op in ops))
+    init = random_state_vector(np.random.default_rng(state_seed), width)
+
+    def run_steps(ex, amps, steps, slots):
+        for step in steps:
+            out = step(ex, amps, slots)
+            assert out is amps or ex.owns(out), step
+            amps = out
+        return amps
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim._Exec, "run_steps", run_steps)
+        try:
+            rec = run(circ, StateVector(width, init), seed=seed, gate_mode=mode)
+        except RusCapError:
+            return
+    assert not np.shares_memory(rec.state.amps, init)
 
 
 def test_a_failing_property_is_reported_with_its_example(tmp_path):

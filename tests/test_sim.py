@@ -8,7 +8,7 @@ import pytest
 
 from conftest import (assert_clean, classical_map, moveaxis_apply, random_state_vector,
                       reference_run, tallies)
-from terniq.circuit import Circuit, CondGateOp, GateOp, MeasureOp, remap_wires
+from terniq.circuit import Circuit, CondGateOp, GateOp, MeasureOp, gate_op, remap_wires
 from terniq.errors import NonUnitaryError, RusCapError, SizeError, WidthCapError
 from terniq.gates import allclose_up_to_phase, matrix_for_name
 from terniq.qft import qft3n
@@ -34,6 +34,7 @@ from terniq.sim import (
 from terniq import widgets
 from terniq.arithmetic import ShiftSpec, ripple_add_const
 from terniq.modexp import ModExpSpec, modexp_circuit
+from terniq.textfmt import deserialize, serialize
 
 
 def g(name, *wires):
@@ -119,7 +120,9 @@ def test_gate_kernel_matches_moveaxis_formula(rng, width):
             *(g(name, w) for name in ("H", "INC") for w in (0, 1, 2, 3, width - 1))]
     for op in ops:
         amps = random_state_vector(rng, width)
-        got = sim._kernel(op.gate, op.wires, width)(amps)
+        out = np.empty_like(amps)
+        got = sim._kernel(op.gate, op.wires, width)(amps, out)
+        assert got is out
         want = moveaxis_apply(amps, op.gate.matrix, op.wires, width)
         assert np.abs(got - want).max() < 1e-12, (op.gate.name, op.wires)
 
@@ -242,8 +245,8 @@ def test_real_and_integer_initial_states_run_as_complex(n):
     assert np.array_equal(run(circ, StateVector(n, basis), seed=3).state.amps, want)
 
 
-@pytest.mark.parametrize("mode", ["ideal", "injected"])
-@pytest.mark.parametrize("width", range(6, 13))
+@pytest.mark.parametrize("width,mode", [(w, mode) for mode in ("ideal", "injected")
+                                        for w in range(4 + (mode == "injected"), 13)])
 def test_run_states_share_no_memory(rng, width, mode):
     # a run writes into two states of its own: never into the caller's array, and never into
     # a state that another run returned
@@ -390,14 +393,41 @@ def test_measurement_is_the_choice_draw_on_the_masked_state():
         assert np.abs(rec.state.amps - want).max() < 1e-14
 
 
-@pytest.mark.parametrize("width", [6, 12])
+@pytest.mark.parametrize("width", [4, 5, 6, 12])
 def test_run_leaves_initial_amplitudes_alone(rng, width):
     init = StateVector(width, random_state_vector(rng, width))
     before = init.amps.copy()
     for op in (g("P9", 2), g("L[PHASE[1,9]]", 0, 1), g("H", 0), g("H", width - 1),
-               g("SUM", 3, 1), MeasureOp(4, 0)):
+               g("SUM", 3, 1), MeasureOp(min(4, width - 1), 0)):
         run(Circuit(width, (op,)), init, seed=1)
         assert np.array_equal(init.amps, before), op
+
+
+def test_runs_in_which_no_step_writes_return_a_copy(rng):
+    # no step of an empty circuit or of an untaken conditioned gate writes: the record still
+    # holds a state of its own, never the caller's array
+    init = StateVector(2, random_state_vector(rng, 2))
+    before = init.amps.copy()
+    circuits = (Circuit(2, ()), Circuit(2, (CondGateOp(0, 1, g("INC", 0)),)))
+    records = [run(circ, init) for circ in circuits for _ in range(2)]
+    for k, rec in enumerate(records):
+        assert np.array_equal(rec.state.amps, before)
+        assert not np.shares_memory(rec.state.amps, init.amps)
+        assert not any(np.shares_memory(rec.state.amps, r.state.amps) for r in records[:k])
+
+
+def test_a_circuit_given_a_list_holds_a_tuple(monkeypatch):
+    op = gate_op("SUM", 0, 1)
+    listed = Circuit(2, [op])
+    assert type(listed.instructions) is tuple and listed.blocks == ((op,),)
+    assert hash(listed) == hash(Circuit(2, (op,)))
+    assert listed == Circuit(2, (op,)) == deserialize(serialize(listed))
+    built = []
+    monkeypatch.setattr(sim, "_build_plan",
+                        lambda ins, w, mode: built.append(ins) or _build_plan(ins, w, mode))
+    for _ in range(2):
+        run(listed, basis_state(2, 1))
+    assert built == [listed.instructions]
 
 
 def test_factory_body_plans_are_built_once(monkeypatch):
@@ -458,8 +488,9 @@ def test_measure_uniform_frequencies():
     rng = np.random.default_rng(7)
     amps = run(Circuit(1, (g("H", 0),))).state.amps
     counts = np.zeros(3)
+    out = np.empty_like(amps)
     for _ in range(100_000):
-        m, _ = sim._measure(amps, (1, 3, 1), rng)
+        m, _ = sim._measure(amps, (1, 3, 1), rng, out)
         counts[m] += 1
     freqs = counts / counts.sum()
     assert np.all(np.abs(freqs - 1 / 3) < 0.02)
