@@ -284,9 +284,6 @@ for _base, _cost in list(COSTED_PRIMITIVES.items()):
     _head, _inner = _base.split("[")
     COSTED_PRIMITIVES[f"{_head}[{_inner[:-1]}_INV]"] = _cost
 
-_TAU2_RE = re.compile(r"^TAU2\[\d+,\d+\]$")
-
-
 @dataclass(frozen=True)
 class ResourceCount:
     p9_count: int
@@ -313,7 +310,7 @@ def _gate_class(name: str):
     if base in COSTED_PRIMITIVES:
         p9, depth = COSTED_PRIMITIVES[base]
         return ("costed", p9, depth)
-    if _TAU2_RE.match(base):
+    if (m := gates._TAU_RE.match(base)) and m[1] == "2":
         return ("costed", 15, 5)
     m = re.match(r"^PHASE\[(\d+),9\]$", base)
     if m and int(m.group(1)) % 9:

@@ -1,7 +1,7 @@
 """Closed-form resource estimates for period-finding circuits.
 
 Leading-order formulas only: additive constants and O(log log) terms are
-dropped, and every report carries a ``leading_order`` flag.  Platforms:
+dropped.  Platforms:
 
   * ``generic-P9-distillation``  -- ternary computer with distilled magic
     states; preparation width scales like (3 log2 n)^3 per clean state.
@@ -36,7 +36,8 @@ PLATFORMS = (
 
 
 def trit_size(n: int) -> int:
-    return math.ceil(LOG3_2 * n)
+    """Trits that hold as many values as ``n`` bits, ``n >= 0``: ceil(n log3 2)."""
+    return math.ceil(LOG3_2 * as_int(n, "bitsize", 0))
 
 
 @dataclass(frozen=True)
@@ -45,11 +46,10 @@ class Scenario:
     encoding: str = "binary"            # "binary" (emulated) | "ternary"
     adder: str = "ripple"               # "ripple" | "lookahead"
     platform: str = "MTQC-P9-preparation"
-    control_level: int = 0
     gamma: float = GAMMA_DEFAULT
 
     def __post_init__(self):
-        int_fields(self, bitsize=2, control_level=None)
+        int_fields(self, bitsize=2)
         if self.encoding not in ("binary", "ternary"):
             raise SizeError(f"encoding {self.encoding!r}")
         if self.platform not in PLATFORMS:
@@ -74,29 +74,15 @@ class CostReport:
     prep_width_formula: str
     prep_width: float
     count_basis: str
-    leading_order: bool = True
     notes: tuple[str, ...] = field(default=())
 
 
 # ------------------------------------------------------------ shift ledgers
 
+#: P9 of one ripple additive shift with 0, 1 and 2 controls, per bit of the bitsize in
+#: either encoding, and per trit of the ternary register
 RIPPLE_PER_BIT = {"binary": (12, 18, 24), "ternary": (19, 21, 33)}
 RIPPLE_PER_TRIT = (30, 34, 53)
-
-
-def _ripple_level(level: int) -> int:
-    return as_int(level, "control level", 0, 2)
-
-
-def ripple_shift_costs(scenario: Scenario) -> int:
-    """P9 count of one ripple additive shift at the scenario's control level."""
-    if scenario.adder != "ripple":
-        raise SizeError("ripple_shift_costs needs a ripple scenario")
-    return RIPPLE_PER_BIT[scenario.encoding][_ripple_level(scenario.control_level)] * scenario.bitsize
-
-
-def ripple_shift_costs_per_trit(level: int) -> int:
-    return RIPPLE_PER_TRIT[_ripple_level(level)]
 
 
 def lookahead_costs(scenario: Scenario) -> dict:

@@ -41,8 +41,9 @@ ATOL = 1e-12
 
 
 def root_of_unity(k: int, order: int) -> complex:
-    """exp(2*pi*i*k/order), built from the exact angle."""
-    return complex(np.exp(2j * np.pi * (k % order) / order))
+    """exp(2*pi*i*k/order), built from the exact angle; ``SizeError`` unless order >= 1."""
+    order = as_int(order, "root order", 1)
+    return complex(np.exp(2j * np.pi * (as_int(k, "root numerator") % order) / order))
 
 
 OMEGA3 = root_of_unity(1, 3)
@@ -218,7 +219,6 @@ def phase_gate(a: int, r: int, binary: bool = False) -> GateMatrix:
     return GateMatrix(f"PHASE[{a},{r}]", 1, m)
 
 
-@lru_cache(maxsize=None)
 def _cmu_matrix(m: int, inv: bool) -> np.ndarray:
     # Correction gate of the P9 state-injection protocol for measurement
     # outcome m: (P9 INC P9^dag)^(-m) INC^m, conjugated for the adjoint gate.
@@ -231,7 +231,7 @@ def _cmu_matrix(m: int, inv: bool) -> np.ndarray:
 def injection_correction(m: int, inverse: bool = False) -> GateMatrix:
     m = as_int(m, "measurement outcome", 0)
     name = f"CMU_INV[{m}]" if inverse else f"CMU[{m}]"
-    return GateMatrix(name, 1, _cmu_matrix(m % 3, inverse).copy())
+    return GateMatrix(name, 1, _cmu_matrix(m % 3, inverse))
 
 
 def controlled(u: GateMatrix, mode) -> GateMatrix:
@@ -298,7 +298,7 @@ def allclose_up_to_phase(a: np.ndarray, b: np.ndarray, atol: float = 1e-10) -> b
 
 # ------------------------------------------------------- Clifford test
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8)  # held: rebuilding the 81 products per arity-2 classification raises peak RSS
 def _pauli_products(n: int):
     """All n-qutrit Pauli tensor products X^a Z^b per wire, modulo phase."""
     singles = [[_pauli(a, b) for b in range(3)] for a in range(3)]

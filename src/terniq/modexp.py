@@ -112,7 +112,6 @@ def _binary_ctrl_mult_ops(kappa, regs, mult, N, adds, blocks):
     """
     acc, acc2 = regs.acc, regs.acc2
     A, T, x, marker, mu = regs.scratch
-    shifts = 0
     for uncompute, sign in enumerate((1, -1)):
         factor = sign * pow(mult, sign, N)
         for ell in range(len(acc)):
@@ -125,12 +124,10 @@ def _binary_ctrl_mult_ops(kappa, regs, mult, N, adds, blocks):
             blocks.glue(*pro)
             blocks.append(adds[w])
             blocks.glue(*adjoint_ops(pro))
-            shifts += 1
         if not uncompute:
             for ell in range(len(acc)):   # controlled swap of acc and acc2
                 swap = mcx_ops((acc2[ell],), acc[ell])
                 blocks.glue(*swap, *mcx_ops((kappa, acc[ell]), acc2[ell], (marker,)), *swap)
-    return shifts
 
 
 def _ternary_ctrl_mult_ops(kappa, regs, a_pow, N, adds, blocks):
@@ -141,7 +138,6 @@ def _ternary_ctrl_mult_ops(kappa, regs, a_pow, N, adds, blocks):
     acc, acc2 = regs.acc, regs.acc2
     A, T, x, marker, u1, u, *pool = regs.scratch
     m = len(acc)
-    shifts = 0
     for uncompute, sign in enumerate((1, -1)):
         for f in (1, 2):
             factor = sign * pow(a_pow, sign * f, N)
@@ -157,7 +153,6 @@ def _ternary_ctrl_mult_ops(kappa, regs, a_pow, N, adds, blocks):
                     blocks.glue(gate_op(f"C{gval}[SUM]", acc[ell], u1, u))
                     blocks.append(adds[w])
                     blocks.glue(gate_op(f"C{gval}[SUM]_INV", acc[ell], u1, u))
-                    shifts += 1
             blocks.glue(unmark)
         if uncompute:
             blocks.glue(*[gate_op("C0[SUM]_INV", kappa, acc[ell], acc2[ell]) for ell in range(m)])
@@ -165,16 +160,16 @@ def _ternary_ctrl_mult_ops(kappa, regs, a_pow, N, adds, blocks):
             # k = 0 branch: digitwise copy, then swap
             blocks.glue(*[gate_op("C0[SUM]", kappa, acc[ell], acc2[ell]) for ell in range(m)])
             blocks.glue(*[gate_op("TSWAP", acc[ell], acc2[ell]) for ell in range(m)])
-    return shifts
 
 
 def _ctrl_mult_ops(spec: ModExpSpec, regs: _Registers, kappa: int, mult: int, adds=None, blocks=None):
-    """One round's controlled multiply appended to ``blocks``: returns them and its number of
-    modular additions.  ``adds`` maps a constant w to its ``mod_add_ops`` tuple on this layout;
-    one build passes the same dict and blocks to every round."""
+    """One round's controlled multiply appended to ``blocks``, which it returns.  ``adds`` maps
+    a constant w to its ``mod_add_ops`` tuple on this layout; one build passes the same dict
+    and blocks to every round."""
     build = _binary_ctrl_mult_ops if spec.encoding == "binary" else _ternary_ctrl_mult_ops
     blocks = _Blocks() if blocks is None else blocks
-    return blocks, build(kappa, regs, mult, spec.modulus, {} if adds is None else adds, blocks)
+    build(kappa, regs, mult, spec.modulus, {} if adds is None else adds, blocks)
+    return blocks
 
 
 def modexp_circuit(spec: ModExpSpec) -> ModExpLayout:
@@ -183,15 +178,16 @@ def modexp_circuit(spec: ModExpSpec) -> ModExpLayout:
     regs = _registers(spec)
     blocks = _Blocks()
     blocks.glue(gate_op("TAU1[0,1]" if d == 2 else "INC", regs.acc[0]))  # acc <- 1
-    total_shifts, adds = 0, {}
+    adds = {}
     for j, kappa in enumerate(regs.exponent):
         mult = pow(base, d**j, N)
-        if mult == 1:
-            continue
-        total_shifts += _ctrl_mult_ops(spec, regs, kappa, mult, adds, blocks)[1]
+        if mult != 1:
+            _ctrl_mult_ops(spec, regs, kappa, mult, adds, blocks)
     circ = Circuit(regs.scratch[-1] + 1, ancillas=frozenset(regs.acc2) | frozenset(regs.scratch),
                    name=f"modexp-{base}^k mod {N}-{spec.encoding}", blocks=blocks)
-    return ModExpLayout(circ, regs.exponent, regs.acc, regs.scratch, total_shifts)
+    # each modular addition is one shared tuple block; the glue between them is a list
+    shifts = sum(type(block) is tuple for block in blocks)
+    return ModExpLayout(circ, regs.exponent, regs.acc, regs.scratch, shifts)
 
 
 def controlled_multiply(encoding: str, N: int, multiplier: int) -> CompiledCircuit:
@@ -199,15 +195,11 @@ def controlled_multiply(encoding: str, N: int, multiplier: int) -> CompiledCircu
 
     Wires as in ``modexp_circuit`` with a one-digit exponent: the control c
     on wire 0, the accumulator from wire 1, least significant digit first.
-    The arguments are checked by ``ModExpSpec`` before the memo.
+    The arguments are checked by ``ModExpSpec``.
     """
-    return _controlled_multiply(ModExpSpec(multiplier, N, encoding, exponent_digits=1))
-
-
-@lru_cache(maxsize=16)
-def _controlled_multiply(spec: ModExpSpec) -> CompiledCircuit:
+    spec = ModExpSpec(multiplier, N, encoding, exponent_digits=1)
     regs = _registers(spec)
-    blocks, _ = _ctrl_mult_ops(spec, regs, regs.exponent[0], spec.base)
+    blocks = _ctrl_mult_ops(spec, regs, regs.exponent[0], spec.base)
     return compile_classical(Circuit(regs.scratch[-1] + 1, blocks=blocks))
 
 

@@ -14,7 +14,7 @@ Three period-finding executions are provided:
     Python floats with ``Generator.choice``'s operations through
     ``sim.choice_draw``, as ``sim`` measures, so every seed keeps its outcome.
   * ``semiclassical-gate`` -- the same round with each multiply read off its
-    gate-level circuit: ``modexp.round_map`` walks the memoised controlled
+    gate-level circuit: ``modexp.round_map`` walks the compiled controlled
     multiply over every control value and accumulator, checked.
 
 The round's multiply is a move table over the orbit, built once per spec
@@ -199,10 +199,8 @@ def period_finding_run(spec: ModExpSpec, seed: int = 0,
     if mode == "full-register":
         p = full_register_distribution(spec)
         j = int(rng.choice(Q, p=p / p.sum()))
-    elif mode == "semiclassical":
-        j = semiclassical_period_rounds(spec, rng)
     else:
-        j = _sample(_move_table(spec, True), rng)
+        j = _sample(_move_table(spec, mode == "semiclassical-gate"), rng)
     return classical_postprocess(j, Q, spec.modulus, spec.base)
 
 

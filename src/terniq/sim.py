@@ -13,15 +13,16 @@ The executor turns each instruction list into a step plan once per
 (instruction tuple, exec width, gate mode), found by the identity of the tuple,
 so a RUS trial only dispatches over its body's steps on the bare amplitude
 array.  :func:`_run_kind` is the one rule table; each maximal run of
-consecutive gates of one kind is one step.  A gate that the mode does not
-inject joins, up to width 5, a run fused into one cached operator (one gather
-when the operator permutes); wider, a diagonal gate joins a run applied as one
-multiply; at widths 6 to 8 a permutation gate joins a run applied as one gather
-through a cached index; above width 8 a ``TSWAP`` joins a run applied as one
-transpose copy of the ``(3,) * w`` view.  Any other gate is its kernel.  A
-measurement reduces the view splitting out its wire once for the three Born
-probabilities, draws the outcome in Python floats with the float operations of
-``Generator.choice``, and keeps the measured slice.
+consecutive gates of one kind is one step, which holds every table it reads.
+A gate that the mode does not inject joins, up to width 5, a run fused into
+one cached operator (one gather when the operator permutes); wider, a diagonal
+gate joins a run applied as one multiply; at widths 6 to 8 a permutation gate
+joins a run applied as one gather through a cached index; above width 8 a
+``TSWAP`` joins a run applied as one transpose copy of the ``(3,) * w`` view.
+Any other gate is its kernel.  A measurement reduces the view splitting out
+its wire once for the three Born probabilities, draws the outcome in Python
+floats with the float operations of ``Generator.choice``, and keeps the
+measured slice.
 
 Two gate modes:
 
@@ -263,13 +264,13 @@ def _slice_moves(name: str, wires: tuple) -> tuple:
                  for loc, out in enumerate(trit_table(name)))
 
 
-def _permute_slices(amps: np.ndarray, name: str, wires: tuple, width: int, out) -> np.ndarray:
-    """Apply a permutation gate as 3^arity slice copies on its wires' split view into ``out``
+def _permute_slices(amps: np.ndarray, moves: tuple, wires: tuple, width: int, out) -> np.ndarray:
+    """Apply a permutation gate as its ``_slice_moves`` on its wires' split view into ``out``
     (not ``amps``), and return ``out``."""
     tops = [width, *sorted(wires, reverse=True)]
     view = amps.reshape([n for hi, lo in zip(tops, tops[1:]) for n in (3**(hi - lo - 1), 3)] + [-1])
     moved = out.reshape(view.shape)
-    for dst, src in _slice_moves(name, wires):
+    for dst, src in moves:
         moved[dst] = view[src]
     return out
 
@@ -277,11 +278,12 @@ def _permute_slices(amps: np.ndarray, name: str, wires: tuple, width: int, out) 
 @lru_cache(maxsize=128)  # used up to width 8, where an index is 52 KB and the cache <= 6.7 MB
 def _perm_run(key: tuple, width: int) -> np.ndarray:
     """``src`` with ``amps[src]`` the permutation run ``key``: its slice copies on the indices."""
-    return reduce(lambda src, op: _permute_slices(src, *op, width, np.empty_like(src)), key,
-                  np.arange(3**width))
+    src = np.arange(3**width)
+    for name, wires in key:
+        src = _permute_slices(src, _slice_moves(name, wires), wires, width, np.empty_like(src))
+    return src
 
 
-@lru_cache(maxsize=256)
 def _kron_eye_t(gate: GateMatrix, rows: int) -> np.ndarray:
     """``(G ⊗ I_rows)^T``: one gemm applies a single-wire gate to rows of length ``3·rows``."""
     return np.kron(gate.matrix, np.eye(rows)).T.copy()
@@ -306,7 +308,8 @@ def _kernel(gate: GateMatrix, wires: tuple, width: int, batch: int = 1):
             return out
         return single
     if trit_table(gate.name) is not None:
-        return lambda amps, out: _permute_slices(amps, gate.name, wires, width, out)
+        moves = _slice_moves(gate.name, wires)
+        return lambda amps, out: _permute_slices(amps, moves, wires, width, out)
     # axis for wire w is (width-1-w); gate tensor row axes follow wires order
     axes = [width - 1 - w for w in wires]
 
@@ -456,7 +459,8 @@ def _diagonal_step(key: tuple, width: int):
 
 def _gather_step(key: tuple, width: int):
     """One gather for a run of permutation gates through a cached index."""
-    return lambda ex, amps, slots: amps.take(_perm_run(key, width), out=ex.spare(amps), mode="clip")
+    src = _perm_run(key, width)
+    return lambda ex, amps, slots: amps.take(src, out=ex.spare(amps), mode="clip")
 
 
 def _transpose_step(key: tuple, width: int):

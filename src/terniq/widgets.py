@@ -24,6 +24,7 @@ from .arithmetic import and_ops, mcx_ops
 from .circuit import (Chain, Circuit, CondGateOp, GateOp, MeasureOp, RusOp, adjoint_ops, gate_op,
                       remap_wires)
 from .errors import SizeError, as_int
+from .gates import _TAU_RE
 
 __all__ = [
     "p9_injection_widget", "r2_injection_rus",
@@ -166,7 +167,6 @@ def tau2_ops(x: int, y: int, p1: tuple[int, int], p2: tuple[int, int]) -> list[G
 # ------------------------------------------------------------ CNOT / Toffoli family
 
 _C_INC_RE = re.compile(r"^C([012])\[INC(_INV)?\](_INV)?$")
-_TAU2_RE = re.compile(r"^TAU2\[(\d+),(\d+)\]$")
 
 
 def _expand(ops, helper: int | None = None) -> list[GateOp]:
@@ -182,8 +182,8 @@ def _expand(ops, helper: int | None = None) -> list[GateOp]:
         if m := _C_INC_RE.match(name):
             out += _c_inc_ops(*op.wires, level=int(m[1]), dagger=bool(m[2]) != bool(m[3]),
                               helper=helper)
-        elif m := _TAU2_RE.match(name):
-            out += tau2_ops(*op.wires, divmod(int(m[1]), 3), divmod(int(m[2]), 3))
+        elif (m := _TAU_RE.match(name)) and m[1] == "2":
+            out += tau2_ops(*op.wires, divmod(int(m[2]), 3), divmod(int(m[3]), 3))
         else:
             out.append(op)
     return out

@@ -321,8 +321,7 @@ def test_criterion_08_count_scaling():
     # leading term grows, i.e. the per-digit delta vanishes
     deltas = []
     for n in (12, 16):
-        model = costmodel.ripple_shift_costs(
-            costmodel.Scenario(n, "binary", control_level=2))
+        model = costmodel.RIPPLE_PER_BIT["binary"][2] * n
         built = count_resources(ripple_add_const(
             ShiftSpec(1, n, "binary", control="double")).circuit).p9_count
         deltas.append(abs(built - model))

@@ -14,16 +14,8 @@ from terniq.costmodel import (
     lookahead_costs,
     modeled_shift_count,
     modexp_cost,
-    ripple_shift_costs,
     synthesis_cost,
 )
-
-
-def test_ripple_shift_ledger():
-    assert ripple_shift_costs(Scenario(16, "binary", control_level=2)) == 384
-    assert ripple_shift_costs(Scenario(16, "ternary", control_level=0)) == 304
-    assert costmodel.ripple_shift_costs_per_trit(2) == 53
-    assert costmodel.ripple_shift_costs_per_trit(1) == 34
 
 
 def test_lookahead_figures():
@@ -158,12 +150,12 @@ def test_cost_model_matches_constructed_counts():
     from terniq.circuit import count_resources
     n = 12
     for level, control in ((0, "none"), (1, "single"), (2, "double")):
-        model = ripple_shift_costs(Scenario(n, "binary", control_level=level))
+        model = costmodel.RIPPLE_PER_BIT["binary"][level] * n
         built = count_resources(ripple_add_const(
             ShiftSpec(1, n, "binary", control=control)).circuit).p9_count
         assert abs(built - model) <= n
     for level, control in ((0, "none"), (1, "single"), (2, "double")):
-        model = costmodel.ripple_shift_costs_per_trit(level) * n
+        model = costmodel.RIPPLE_PER_TRIT[level] * n
         built = count_resources(ripple_add_const_ternary(
             ShiftSpec(1, n, "ternary", control=control)).circuit).p9_count
         assert abs(built - model) <= n
@@ -194,19 +186,18 @@ def test_scenario_validation():
 
 
 @pytest.mark.parametrize("make", [
-    lambda: costmodel.ripple_shift_costs_per_trit(-1),
-    lambda: costmodel.ripple_shift_costs_per_trit(3),
-    lambda: costmodel.ripple_shift_costs_per_trit(1.0),
     lambda: costmodel.parallel_magic_rate(1, average=True),
     lambda: costmodel.parallel_magic_rate(0),
     lambda: Scenario(2.5),
-    lambda: Scenario(16, control_level=1.5),
-    lambda: ripple_shift_costs(Scenario(16, control_level=3)),
     lambda: fidelity_budget(0.5, math.nan, 2), lambda: fidelity_budget(0.5, math.inf, 2),
     lambda: fidelity_budget(0.5, 0.1, 1.5),
-], ids=["per-trit level -1", "per-trit level 3", "per-trit level 1.0", "average rate of 1 digit",
-        "rate of 0 digits", "bitsize", "scenario level", "shift level 3", "budget epsilon nan",
-        "budget epsilon inf", "budget depth 1.5"])
+    lambda: costmodel.trit_size(-5), lambda: costmodel.trit_size(math.nan),
+    lambda: Scenario(16, adder="x"),
+    lambda: synthesis_cost("reflection-R", 0.0), lambda: synthesis_cost("reflection-R", 1.0),
+    lambda: synthesis_cost("T-gate", 0.01),
+], ids=["average rate of 1 digit", "rate of 0 digits", "bitsize", "budget epsilon nan",
+        "budget epsilon inf", "budget depth 1.5", "trit size of -5 bits", "trit size of nan bits",
+        "adder", "synthesis delta 0", "synthesis delta 1", "synthesis kind"])
 def test_cost_model_inputs_raise_size_error(make):
     with pytest.raises(SizeError):
         make()

@@ -4,8 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from terniq.circuit import MeasureOp
-from terniq.errors import SizeError, as_int, int_fields
+from terniq import widgets
+from terniq.arithmetic import (ShiftSpec, mcx_ops, mod_add_const, ripple_add_const,
+                               ripple_add_const_ternary)
+from terniq.circuit import Chain, Circuit, MeasureOp, RusOp, gate_op
+from terniq.errors import (NonUnitaryError, ParseError, SizeError, WidthCapError, as_int,
+                           int_fields)
+from terniq.gates import is_clifford, matrix_for_name
+from terniq.sim import StateVector, circuit_unitary, run
+from terniq.textfmt import deserialize
 
 SRC = Path(__file__).parents[1] / "src" / "terniq"
 
@@ -46,3 +53,45 @@ def test_only_the_errors_module_checks_integer_ness():
     offenders = [f"{path.name}:{n}" for path in sorted(SRC.glob("*.py")) if path.name != "errors.py"
                  for n, line in enumerate(path.read_text().splitlines(), 1) if idioms.search(line)]
     assert offenders == [] and idioms.search((SRC / "errors.py").read_text())
+
+
+def _rus(**form):
+    return RusOp(Circuit(1, (gate_op("INC", 0), MeasureOp(0, 0))), **form)
+
+
+# error paths that no other test reaches: each raises its TerniqError, not a bare exception
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: mcx_ops((0, 1, 2), 3), SizeError, "3 controls need 2 markers"),
+    (lambda: ripple_add_const(ShiftSpec(1, 4, "ternary")), SizeError, "binary encoding"),
+    (lambda: ripple_add_const(ShiftSpec(1, 4, modulus=7)), SizeError, "no modulus"),
+    (lambda: ripple_add_const_ternary(ShiftSpec(1, 4)), SizeError, "ternary encoding"),
+    (lambda: mod_add_const(ShiftSpec(1, 4)), SizeError, "needs a modulus"),
+    (lambda: _rus(predicate=((0, 1),), chain=Chain(0, {(0, 1): 1}, frozenset({1}))),
+     SizeError, "exactly one of predicate or chain"),
+    (lambda: run(Circuit(1, ()), gate_mode="x"), SizeError, "gate_mode 'x'"),
+    (lambda: run(Circuit(1, (MeasureOp(0, 0),)), StateVector(1, np.array([2, 0, 0], complex))),
+     NonUnitaryError, "norm drifted to 4"),
+    (lambda: run(Circuit(1, (_rus(chain=Chain(0, {(0, 0): 1}, frozenset({1}))),))),
+     SizeError, "no transition from state 0 on outcome 1"),
+    (lambda: circuit_unitary(Circuit(3, ()), cap=2), WidthCapError, "width 3 > 2"),
+    (lambda: circuit_unitary(Circuit(1, (MeasureOp(0, 0),))), NonUnitaryError, "unitary circuit"),
+    (lambda: is_clifford(matrix_for_name("C1[SUM]")), SizeError, "arity <= 2"),
+    (lambda: deserialize("circuit 1\nrus {\nmeasure 0 -> c0\n} until c0==0 expected x\n"),
+     ParseError, "expected a number, got 'x'"),
+    (lambda: deserialize("circuit 1\nrus {\nmeasure 0 -> c0\n} until c0==0 corrections x\n"),
+     ParseError, "expected 'corrections {'"),
+    (lambda: widgets.toffoli_emulated("x"), SizeError, "ancilla_mode 'x'"),
+    (lambda: widgets.ccc_not("x"), SizeError, "ancilla_mode 'x'"),
+    (lambda: widgets.horner_gates("x"), SizeError, "unknown horner kind 'x'"),
+    (lambda: widgets.resource_state_prep("x"), SizeError, "unknown resource state 'x'"),
+    (lambda: widgets.add_binary_control(widgets.cnot_emulated(), 2), SizeError,
+     "control wire 2 undeclared"),
+    (lambda: widgets.tau2_ops(0, 1, (0, 2), (0, 2)), SizeError, "degenerate reflection"),
+], ids=["mcx markers", "binary adder encoding", "binary adder modulus", "ternary adder encoding",
+        "modular adder modulus", "rus predicate and chain", "gate mode", "unnormalised measurement",
+        "rus chain without transition", "unitary above cap", "unitary of a measurement",
+        "clifford arity 3", "reader expected", "reader corrections", "toffoli mode", "ccc mode",
+        "horner kind", "resource state", "binary control wire", "tau2 of one pair"])
+def test_reachable_error_paths_raise_their_error(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()

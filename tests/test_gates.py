@@ -190,9 +190,9 @@ def test_gate_names_read_back_as_the_same_gate(make):
     lambda: phase_gate(1, 9.0), lambda: phase_gate(1.5, 9), lambda: controlled(INC, 1.0),
     lambda: controlled(INC, 3), lambda: two_level_reflection(0.0, 1),
     lambda: two_level_reflection(0, 1, 1.0), lambda: injection_correction(1.0),
-    lambda: injection_correction(-1),
+    lambda: injection_correction(-1), lambda: root_of_unity(1, 0),
 ], ids=["phase order 9.0", "phase numerator 1.5", "control 1.0", "control 3", "reflected 0.0",
-        "arity 1.0", "outcome 1.0", "outcome -1"])
+        "arity 1.0", "outcome 1.0", "outcome -1", "root order 0"])
 def test_gate_constructors_reject_non_integer_arguments(make):
     with pytest.raises(SizeError):
         make()

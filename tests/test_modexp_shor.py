@@ -118,6 +118,18 @@ def test_shift_block_tally():
     assert 0 < layout.dctrl_shift_count <= 2 * (2 * 4 * 4)
 
 
+@pytest.mark.parametrize("a,N,shifts,modeled", [(2, 9, 64, 96), (5, 18, 144, 192),
+                                                (2, 27, 144, 192)])
+def test_ternary_builds_count_only_the_shifts_they_make(a, N, shifts, modeled):
+    # N divides 2 * 3^(v-1): the ternary multiply skips each shift by w = 0 mod N, and the
+    # count leaves it out
+    spec = ModExpSpec(a, N, "ternary")
+    assert (modexp_circuit(spec).dctrl_shift_count, modeled_shift_count(spec)) == (shifts, modeled)
+    for mult in {pow(a, 3**j, N) for j in range(spec.exp_digits)} - {1}:
+        assert round_map("ternary", N, mult) == tuple(
+            tuple(acc * pow(mult, c, N) % N for acc in range(N)) for c in range(3)), mult
+
+
 # ------------------------------------------------------------ distributions
 
 def test_full_register_distribution_peaks():
@@ -307,10 +319,9 @@ def test_period_finding_run_rejects_a_bad_mode_at_a_trivial_base():
 
 
 @pytest.mark.parametrize("enc,mult", [("binary", 7), ("ternary", 2)])
-def test_controlled_multiply_memoised(enc, mult):
-    """Control on wire 0, accumulator from wire 1: acc <- acc * mult^c; built once."""
+def test_controlled_multiply_multiplies_the_accumulator(enc, mult):
+    """Control on wire 0, accumulator from wire 1: acc <- acc * mult^c."""
     comp = controlled_multiply(enc, 15, mult)
-    assert controlled_multiply(enc, 15, mult) is comp
     d = 2 if enc == "binary" else 3
     v = ModExpSpec(mult, 15, enc).value_digits
     for c in range(d):
@@ -326,7 +337,7 @@ def test_controlled_multiply_memoised(enc, mult):
 
 # ------------------------------------------------------------ round maps
 # The structural test shows that the modexp circuit is acc <- 1 followed by
-# one controlled multiply per round, each the memoised one-digit circuit on
+# one controlled multiply per round, each the one-digit circuit on
 # the shared layout; the exhaustive test checks that circuit on every
 # control value and accumulator.  Together they prove every exponent.
 
@@ -364,7 +375,7 @@ def test_modexp_circuit_is_its_round_multiplies(a, N, enc):
     e = spec.exp_digits
     regs = _registers(spec)
     circ = modexp_circuit(spec).circuit
-    blocks = [(kappa, mult, [op for block in _ctrl_mult_ops(spec, regs, kappa, mult)[0] for op in block])
+    blocks = [(kappa, mult, [op for block in _ctrl_mult_ops(spec, regs, kappa, mult) for op in block])
               for kappa, mult in zip(regs.exponent, _round_multipliers(spec)) if mult != 1]
     init = gate_op("TAU1[0,1]" if enc == "binary" else "INC", regs.acc[0])
     assert circ.instructions == (init, *(op for _, _, ops in blocks for op in ops))

@@ -40,6 +40,13 @@ def test_dropped_phase_error_needs_a_qutrit(n):
         dropped_phase_error(n, 0.1)
 
 
+@pytest.mark.parametrize("n", [-2, 0, 1.5])
+def test_dft_matrix_needs_a_qutrit(n):
+    # -2 used to give [[3]], which is not unitary
+    with pytest.raises(SizeError, match="integer n >= 1"):
+        dft_matrix(n)
+
+
 @pytest.mark.parametrize("make", [
     lambda: qft3n(3, float("nan")), lambda: qft3n(3, -1), lambda: qft3n(3, float("inf")),
     lambda: dropped_phase_error(3, float("nan")), lambda: dropped_phase_error(3, -1),

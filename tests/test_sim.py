@@ -19,6 +19,7 @@ from terniq.sim import (
     _build_plan,
     _perm_run,
     _plans,
+    _slice_moves,
     _transpose_step,
     basis_state,
     circuit_unitary,
@@ -310,6 +311,21 @@ def test_wide_permutation_runs_leave_the_gather_cache_alone(rng):
     assert np.abs(run(circ, StateVector(10, init)).state.amps - want).max() < 1e-12
     run(qft3n(12))
     assert _perm_run.cache_info() == before  # no lookup: a full cache keeps its size
+
+
+def test_built_steps_look_no_table_up(rng):
+    # a gather step holds its index and a permutation kernel its slice moves, so runs of a
+    # planned circuit leave both caches alone
+    gather = Circuit(7, (g("SUM", 0, 1), g("C1[INC]", 2, 6), g("TSWAP", 3, 5)))
+    kernel = Circuit(10, (g("H", 0), g("SUM", 2, 7)))
+    for circ, cache in ((gather, _perm_run), (kernel, _slice_moves)):
+        init = StateVector(circ.width, random_state_vector(rng, circ.width))
+        first = run(circ, init).state.amps
+        assert np.abs(first - reference_run(circ, init.amps).amps).max() < 1e-12
+        before = cache.cache_info()
+        for _ in range(3):
+            assert np.array_equal(run(circ, init).state.amps, first)
+        assert cache.cache_info() == before
 
 
 def _wire_exchange_run_circuit(rng, width):
