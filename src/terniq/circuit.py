@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import chain
 from numbers import Real
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 from . import gates
 from .errors import CatalogError, NonUnitaryError, SizeError, WidthMismatchError, as_int, int_fields
@@ -166,12 +166,12 @@ class RusOp:
         object.__setattr__(self, "wires", tuple(sorted(touched)))
 
 
-Instruction = Union[GateOp, MeasureOp, CondGateOp, RusOp]
+Instruction = GateOp | MeasureOp | CondGateOp | RusOp
 
 
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered instruction tuple over ``width`` qutrits.
+    """Ordered instruction tuple over ``width`` qutrits; ``SizeError`` for any other op.
 
     ``instructions`` and each block are kept as tuples (a list passed in is
     converted), so a circuit is hashable and equals its text round trip.
@@ -205,9 +205,14 @@ class Circuit:
             blocks = (instructions,) if instructions else ()
         object.__setattr__(self, "instructions", instructions)
         object.__setattr__(self, "blocks", blocks)
-        # shared blocks and ops repeat their wire tuples: check each distinct tuple once
-        distinct = {id(b): b for b in blocks}.values()
-        for wires in dict.fromkeys(op.wires for b in distinct for op in b):
+        # shared blocks and ops repeat: check each distinct block's ops, then each wire tuple, once
+        wire_tuples = {}
+        for b in {id(b): b for b in blocks}.values():
+            for op in b:
+                if not isinstance(op, Instruction):
+                    raise SizeError(f"{op!r} is not an instruction in {self.name or 'circuit'}")
+                wire_tuples[op.wires] = None
+        for wires in wire_tuples:
             for w in wires:
                 if not 0 <= w < self.width:
                     raise WidthMismatchError(f"wire {w} outside width {self.width} in {self.name or 'circuit'}")

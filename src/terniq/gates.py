@@ -254,9 +254,21 @@ def controlled(u: GateMatrix, mode) -> GateMatrix:
     return GateMatrix(f"C{mode}[{u.name}]", u.arity + 1, out)
 
 
-@lru_cache(maxsize=None)
+_RESOLVED: dict[str, GateMatrix] = {}
+
+
 def matrix_for_name(name: str) -> GateMatrix:
-    """Resolve any name of the gate grammar to its exact matrix."""
+    """Resolve any name of the gate grammar to its exact matrix, once per name; ``CatalogError``
+    for a name outside the grammar or not a string."""
+    try:
+        return _RESOLVED[name]
+    except (KeyError, TypeError):  # not resolved yet, or unhashable
+        if not isinstance(name, str):
+            raise CatalogError(f"gate name {name!r} is not a string") from None
+    return _RESOLVED.setdefault(name, _resolve(name))
+
+
+def _resolve(name: str) -> GateMatrix:
     if name.endswith("_INV"):
         return matrix_for_name(name[:-4]).adjoint()
     m = _CTRL_RE.match(name)
@@ -298,22 +310,17 @@ def allclose_up_to_phase(a: np.ndarray, b: np.ndarray, atol: float = 1e-10) -> b
 
 # ------------------------------------------------------- Clifford test
 
-@lru_cache(maxsize=8)  # held: rebuilding the 81 products per arity-2 classification raises peak RSS
-def _pauli_products(n: int):
-    """All n-qutrit Pauli tensor products X^a Z^b per wire, modulo phase."""
-    singles = [[_pauli(a, b) for b in range(3)] for a in range(3)]
-    out = []
-    choices = [(a, b) for a in range(3) for b in range(3)]
-
-    def build(i, acc):
-        if i == n:
-            out.append(acc)
-            return
-        for a, b in choices:
-            build(i + 1, np.kron(acc, singles[a][b]))
-
-    build(0, np.eye(1, dtype=np.complex128))
-    return out
+def _is_pauli(m: np.ndarray, n: int, atol: float) -> bool:
+    """True when ``m`` is one n-qutrit Pauli X^a Z^b up to phase.  Column 0 holds its one
+    entry at row a; the unit column of wire w picks up the phase omega^(b_w) against it."""
+    shift = int(np.argmax(np.abs(m[:, 0])))
+    pauli = np.eye(1, dtype=np.complex128)
+    for w in range(n):
+        unit = 3 ** (n - 1 - w)  # the first wire is the most significant digit
+        row = int(np.argmax(np.abs(m[:, unit])))
+        b = round(float(np.angle(m[row, unit] / m[shift, 0])) * 3 / (2 * np.pi))
+        pauli = np.kron(pauli, _pauli(shift // unit % 3, b))
+    return allclose_up_to_phase(m, pauli, atol)
 
 
 def is_clifford(u: GateMatrix, atol: float = 1e-10) -> bool:
@@ -321,18 +328,6 @@ def is_clifford(u: GateMatrix, atol: float = 1e-10) -> bool:
     n = u.arity
     if n > 2:
         raise SizeError("is_clifford supports arity <= 2")
-    paulis = _pauli_products(n)
-    gens = []
-    for w in range(n):
-        for g in (_inc(), _z()):
-            ops = [np.eye(3, dtype=np.complex128)] * n
-            ops[w] = g
-            acc = np.eye(1, dtype=np.complex128)
-            for o in ops:
-                acc = np.kron(acc, o)
-            gens.append(acc)
-    for g in gens:
-        conj = u.matrix @ g @ u.matrix.conj().T
-        if not any(allclose_up_to_phase(conj, p, atol) for p in paulis):
-            return False
-    return True
+    gens = (np.kron(np.kron(np.eye(3**w), g), np.eye(3 ** (n - 1 - w)))
+            for w in range(n) for g in (_inc(), _z()))
+    return all(_is_pauli(u.matrix @ gen @ u.matrix.conj().T, n, atol) for gen in gens)

@@ -341,10 +341,13 @@ def seeded_rng(seed) -> np.random.Generator:
 def choice_draw(p: list, rng) -> int:
     """The index ``rng.choice(3, p=p / sum(p))`` draws for Python floats p (pad two with 0.0),
     in its float operations without its checks: cumsum, over its last entry, searchsorted right."""
-    total = p[0] + p[1] + p[2]
-    c0 = p[0] / total
-    c1 = c0 + p[1] / total
-    c2 = c1 + p[2] / total
+    try:
+        total = p[0] + p[1] + p[2]
+        c0 = p[0] / total
+        c1 = c0 + p[1] / total
+        c2 = c1 + p[2] / total
+    except (IndexError, KeyError, TypeError):
+        raise SizeError(f"choice_draw needs three probabilities, got {p!r}") from None
     u = rng.random()
     return (u >= c0 / c2) + (u >= c1 / c2)
 
@@ -505,11 +508,9 @@ def _instruction_step(op, width: int, mode: str):
     if isinstance(op, CondGateOp):
         gate, slot, value = _gate_step(op.op, width, mode), op.slot, op.value
         return lambda ex, amps, slots: gate(ex, amps, slots) if slots.get(slot, 0) == value else amps
-    if isinstance(op, RusOp):
-        body = _plan(op.body.instructions, width, mode)
-        corrections = tuple((k, _gate_step(g, width, mode)) for k, g in op.corrections)
-        return lambda ex, amps, slots: ex.run_rus(amps, op, body, corrections, slots)
-    raise TypeError(op)
+    body = _plan(op.body.instructions, width, mode)  # a RusOp: Circuit checks every op's type
+    corrections = tuple((k, _gate_step(g, width, mode)) for k, g in op.corrections)
+    return lambda ex, amps, slots: ex.run_rus(amps, op, body, corrections, slots)
 
 
 # ------------------------------------------------------------ run records

@@ -81,24 +81,22 @@ def _emit(op) -> list[str]:
         return [f"measure {op.wire} -> c{op.slot}"]
     if isinstance(op, CondGateOp):
         return [f"cc c{op.slot}=={op.value} " + _gate_text(op.op.gate.name, op.wires)]
-    if isinstance(op, RusOp):
-        out = ["rus {"]
-        for sub in op.body.instructions:
-            out.extend("  " + ln for ln in _emit(sub))
-        tail = "} until " + _emit_pred(op)
-        tail += f" maxiter {op.max_iters} expected {op.expected_trials!r}"
-        if op.label:
-            _check_text("rus label", op.label, space_ok=False)
-            tail += f" label {op.label}"
-        if op.corrections:
-            out.append(tail + " corrections {")
-            for key, g in op.corrections:
-                out.append(f"  {key}: " + _gate_text(g.gate.name, g.wires))
-            out.append("}")
-        else:
-            out.append(tail)
-        return out
-    raise TypeError(op)
+    out = ["rus {"]  # a RusOp: Circuit checks every op's type
+    for sub in op.body.instructions:
+        out.extend("  " + ln for ln in _emit(sub))
+    tail = "} until " + _emit_pred(op)
+    tail += f" maxiter {op.max_iters} expected {op.expected_trials!r}"
+    if op.label:
+        _check_text("rus label", op.label, space_ok=False)
+        tail += f" label {op.label}"
+    if op.corrections:
+        out.append(tail + " corrections {")
+        for key, g in op.corrections:
+            out.append(f"  {key}: " + _gate_text(g.gate.name, g.wires))
+        out.append("}")
+    else:
+        out.append(tail)
+    return out
 
 
 def _emit_pred(op: RusOp) -> str:

@@ -57,27 +57,71 @@ def random_unitary(rng, dim):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+_compiled = [None, None]  # the circuit last walked and its compiled form
+
+
 def classical_map(adder, base, values, controls=None):
     """Run a compiled permutation circuit over data values; return the map.
 
     ``values`` iterates data-register values; yields (value, out_value,
     carry, full trit tuple) per input.  Ancillas are asserted restored by
-    the caller.
+    the caller.  A circuit walked again, at other control values, is
+    compiled once.
     """
-    comp = compile_classical(adder.circuit)
-    width = adder.circuit.width
+    if _compiled[0] is not adder.circuit:
+        _compiled[:] = adder.circuit, compile_classical(adder.circuit)
+    comp, width = _compiled[1], adder.circuit.width
+    held = sum(v * 3**w for w, v in zip(adder.controls, controls or ()))  # the controls' index
     for b in values:
-        trits = [0] * width
-        for j, w in enumerate(adder.data):
-            trits[w] = (b // base**j) % base
-        if controls:
-            for w, v in zip(adder.controls, controls):
-                trits[w] = v
-        out = run_compiled(comp, index_of_trits(trits))
-        ot = trits_of_index(out, width)
+        index = held + sum(b // base**j % base * 3**w for j, w in enumerate(adder.data))
+        ot = trits_of_index(run_compiled(comp, index), width)
         got = sum(ot[w] * base**j for j, w in enumerate(adder.data))
         carry = ot[adder.carry_out] if adder.carry_out is not None else None
         yield b, got, carry, ot
+
+
+def _multiplier(spec, cv) -> int:
+    """The c of the shift by c*a that the control values ``cv`` select."""
+    if not cv:
+        return 1
+    if spec.control_mode == "ternary":
+        return cv[0]
+    strict = int(cv[0] == spec.control_mode)  # the first control fires on one level
+    return strict * cv[1] if len(cv) == 2 else strict
+
+
+def expected(spec, adder, cv=()):
+    """What the build ``adder`` of ``spec`` must output with its controls at ``cv``: the
+    trit tuple out for each register value b it takes, as {b: trits}; None where the build
+    is not exact (the ternary double ripple shift at multiplier value 2).
+
+    An adder gives b + (c*a mod radix^n) mod radix^n and its carry-out; a comparator (whose
+    spec is its threshold's) flips ``result`` iff b >= t and keeps the register; a modular
+    shift gives (b + c*a) mod N for b < N.  The controls come back unchanged and every
+    other wire at 0.
+    """
+    base = 2 if spec.encoding == "binary" else 3
+    R, N, a, c = base**spec.digits, spec.modulus, spec.constant, _multiplier(spec, cv)
+    if c == 2 and spec.control == "double" and N is None:
+        return None
+    want = {}
+    for b in range(R if N is None else N):
+        trits = [0] * adder.circuit.width
+        for w, v in zip(adder.controls, cv):
+            trits[w] = v
+        if adder.result is not None:
+            value, trits[adder.result] = b, int(b >= a)
+        elif N is not None:
+            value = (b + c * a) % N
+        else:
+            total = b + c * a % R
+            value = total % R
+            if adder.carry_out is not None:
+                trits[adder.carry_out] = total // R
+        for j, w in enumerate(adder.data):
+            trits[w] = value // base**j % base
+        want[b] = tuple(trits)
+    return want
 
 
 def binary_truth_ok(circ, n_data, fn):

@@ -1,14 +1,13 @@
 import hashlib
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 import pytest
 
-from conftest import assert_clean, classical_map
+from conftest import assert_clean, classical_map, expected
 from terniq.circuit import count_resources
 from terniq.costmodel import trit_size
 from terniq.errors import SizeError
-from terniq.gates import matrix_for_name
 from terniq.sim import circuit_unitary, index_of_trits, trits_of_index
 from terniq.arithmetic import (
     ShiftSpec,
@@ -62,66 +61,6 @@ def test_y_gate_p9_count():
 
 # ------------------------------------------------------------ binary ripple
 
-def test_binary_adder_exhaustive_n4():
-    n = 4
-    for a in range(2**n):
-        ac = ripple_add_const(ShiftSpec(a, n, "binary"))
-        for b, got, carry, ot in classical_map(ac, 2, range(2**n)):
-            tot = a + b
-            assert got == tot % 2**n and carry == tot >> n
-            assert_clean(ac, ot)
-
-
-def test_binary_adder_zero_is_identity():
-    ac = ripple_add_const(ShiftSpec(0, 4, "binary"))
-    for b, got, carry, ot in classical_map(ac, 2, range(16)):
-        assert got == b and carry == 0
-
-
-@pytest.mark.parametrize("cv", [(0,), (1,)])
-def test_binary_adder_single_control(cv):
-    n = 4
-    for a in range(2**n):
-        ac = ripple_add_const(ShiftSpec(a, n, "binary", control="single"))
-        for b, got, carry, ot in classical_map(ac, 2, range(2**n), controls=cv):
-            tot = b + cv[0] * a
-            assert got == tot % 2**n and carry == tot >> n
-            assert_clean(ac, ot, cv)
-
-
-def test_binary_adder_control_level_zero():
-    ac = ripple_add_const(ShiftSpec(5, 4, "binary", control="single", control_mode=0))
-    for b, got, carry, ot in classical_map(ac, 2, range(16), controls=(0,)):
-        assert got == (b + 5) % 16
-    for b, got, carry, ot in classical_map(ac, 2, range(16), controls=(1,)):
-        assert got == b
-
-
-@pytest.mark.parametrize("cv", [(0, 0), (0, 1), (1, 0), (1, 1)])
-def test_binary_adder_double_control(cv):
-    n = 4
-    for a in (0, 1, 5, 11, 15):
-        ac = ripple_add_const(ShiftSpec(a, n, "binary", control="double"))
-        for b, got, carry, ot in classical_map(ac, 2, range(2**n), controls=cv):
-            tot = b + cv[0] * cv[1] * a
-            assert got == tot % 2**n and carry == tot >> n
-            assert_clean(ac, ot, cv)
-
-
-def test_binary_double_control_level_zero():
-    # control_mode 0 fires the first control on 0, for the adder and the modular shift
-    ac = ripple_add_const(ShiftSpec(5, 4, "binary", control="double", control_mode=0))
-    mod = mod_add_const(ShiftSpec(5, 5, "binary", modulus=13, control="double", control_mode=0))
-    for cv in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        fire = (1 - cv[0]) * cv[1]
-        for b, got, carry, ot in classical_map(ac, 2, range(16), controls=cv):
-            assert got == (b + 5 * fire) % 16 and carry == (b + 5 * fire) >> 4
-            assert_clean(ac, ot, cv)
-        for b, got, _, ot in classical_map(mod, 2, range(13), controls=cv):
-            assert got == (b + 5 * fire) % 13
-            assert_clean(mod, ot, cv)
-
-
 def test_binary_count_ledger():
     for n in (8, 12, 16):
         assert count_resources(ripple_add_const(ShiftSpec(5, n, "binary")).circuit).p9_count == 12 * n
@@ -158,53 +97,6 @@ def test_table_carry_truth_rows():
             assert out[2] == want and out[0] == c and out[1] == b, (digit, c, b)
 
 
-def test_ternary_adder_exhaustive_m3():
-    m = 3
-    for a in range(27):
-        ac = ripple_add_const_ternary(ShiftSpec(a, m, "ternary"))
-        for b, got, carry, ot in classical_map(ac, 3, range(27)):
-            tot = a + b
-            assert got == tot % 27 and carry == tot // 27
-            assert_clean(ac, ot)
-
-
-@pytest.mark.parametrize("f", [1, 2])
-def test_ternary_adder_strict_control(f):
-    for a in (0, 5, 7, 13, 26):
-        ac = ripple_add_const_ternary(ShiftSpec(a, 3, "ternary", control="single", control_mode=f))
-        for cv in ((0,), (1,), (2,)):
-            mult = 1 if cv[0] == f else 0
-            for b, got, carry, ot in classical_map(ac, 3, range(27), controls=cv):
-                tot = b + mult * a
-                assert got == tot % 27 and carry == tot // 27
-                assert_clean(ac, ot, cv)
-
-
-def test_ternary_adder_ternary_fold():
-    for a in range(27):
-        ac = ripple_add_const_ternary(ShiftSpec(a, 3, "ternary", control="single",
-                                                control_mode="ternary"))
-        for cv in ((0,), (1,), (2,)):
-            shift = (cv[0] * a) % 27
-            for b, got, carry, ot in classical_map(ac, 3, range(27), controls=cv):
-                assert got == (b + shift) % 27
-                assert carry == (1 if b + shift >= 27 else 0)
-                assert_clean(ac, ot, cv)
-
-
-def test_ternary_adder_double_control():
-    # strict level 1 on the first control, multiplier in {0,1} on the second
-    for a in (0, 5, 16, 25):
-        ac = ripple_add_const_ternary(ShiftSpec(a, 3, "ternary", control="double"))
-        for cv in ((0, 0), (0, 1), (1, 0), (1, 1), (2, 1), (1, 2)):
-            mult = (1 if cv[0] == 1 else 0) * cv[1]
-            exact = cv[1] in (0, 1) or cv[0] != 1
-            for b, got, carry, ot in classical_map(ac, 3, range(27), controls=cv):
-                if exact:
-                    assert got == (b + mult * a) % 27
-                    assert_clean(ac, ot, cv)
-
-
 def test_ternary_count_ledger():
     for m in (8, 12):
         assert count_resources(
@@ -237,38 +129,9 @@ def test_digit_cost_per_trit_uniform():
 
 # ------------------------------------------------------------ comparator
 
-def test_comparator_always_flips_at_zero():
-    cmp4 = compare_to_threshold(0, 4, "binary")
-    for b, _, _, ot in classical_map(cmp4, 2, range(16)):
-        assert ot[cmp4.result] == 1
-
-
-def test_comparator_binary_exhaustive():
-    for t in (1, 7, 9, 15):
-        cmp4 = compare_to_threshold(t, 4, "binary")
-        for b, got, _, ot in classical_map(cmp4, 2, range(16)):
-            assert got == b                      # register restored
-            assert ot[cmp4.result] == (b >= t)
-            for w in range(cmp4.circuit.width):
-                if w not in cmp4.data and w != cmp4.result:
-                    assert ot[w] == 0
-
-
-def test_comparator_ternary_exhaustive():
-    for t in (1, 5, 13, 22):
-        cmp3 = compare_to_threshold(t, 3, "ternary")
-        for b, got, _, ot in classical_map(cmp3, 3, range(27)):
-            assert got == b
-            assert ot[cmp3.result] == (b >= t)
-
-
 @pytest.mark.parametrize("enc,base", [("binary", 2), ("ternary", 3)])
-def test_comparator_takes_every_threshold_in_range_and_no_other(enc, base):
+def test_comparator_refuses_thresholds_out_of_range(enc, base):
     D = base**3
-    for t in range(D):
-        cmp3 = compare_to_threshold(t, 3, enc)
-        assert [ot[cmp3.result] for _, _, _, ot in classical_map(cmp3, base, range(D))] \
-            == [int(b >= t) for b in range(D)], t
     for t in (-1, D, D + 5):
         # t was reduced mod D: a comparator against another threshold
         with pytest.raises(SizeError, match="out-of-range"):
@@ -282,77 +145,6 @@ def digits_for(N, base):
     while base**d < 2 * N:
         d += 1
     return d
-
-
-@pytest.mark.parametrize("N", [13, 15])
-def test_mod_add_binary_exhaustive(N):
-    dig = digits_for(N, 2)
-    for a in range(N):
-        ac = mod_add_const(ShiftSpec(a, dig, "binary", modulus=N))
-        for b, got, _, ot in classical_map(ac, 2, range(N)):
-            assert got == (a + b) % N
-            assert_clean(ac, ot)
-
-
-@pytest.mark.parametrize("N", [13, 15])
-def test_mod_add_binary_controls(N):
-    dig = digits_for(N, 2)
-    for a in (1, N // 2, N - 1):
-        ac = mod_add_const(ShiftSpec(a, dig, "binary", modulus=N, control="single"))
-        for cv in ((0,), (1,)):
-            for b, got, _, ot in classical_map(ac, 2, range(N), controls=cv):
-                assert got == (b + cv[0] * a) % N
-                assert_clean(ac, ot, cv)
-        ac = mod_add_const(ShiftSpec(a, dig, "binary", modulus=N, control="double"))
-        for cv in ((0, 0), (1, 0), (0, 1), (1, 1)):
-            for b, got, _, ot in classical_map(ac, 2, range(N), controls=cv):
-                assert got == (b + cv[0] * cv[1] * a) % N
-                assert_clean(ac, ot, cv)
-
-
-@pytest.mark.parametrize("N", [13, 15])
-def test_mod_add_ternary_fold_exhaustive(N):
-    """Ternary modular shift with ternary control, both compile branches."""
-    dig = digits_for(N, 3)
-    seen_branches = set()
-    for a in range(N):
-        if a:
-            seen_branches.add(2 * a < N)
-        ac = mod_add_const(ShiftSpec(a, dig, "ternary", modulus=N,
-                                     control="single", control_mode="ternary"))
-        for cv in ((0,), (1,), (2,)):
-            for b, got, _, ot in classical_map(ac, 3, range(N), controls=cv):
-                assert got == (b + cv[0] * a) % N, (a, b, cv)
-                assert_clean(ac, ot, cv)
-    assert seen_branches == {True, False}
-
-
-def test_mod_add_ternary_uncontrolled_and_strict():
-    N, dig = 13, digits_for(13, 3)
-    for a in range(N):
-        ac = mod_add_const(ShiftSpec(a, dig, "ternary", modulus=N))
-        for b, got, _, ot in classical_map(ac, 3, range(N)):
-            assert got == (a + b) % N
-            assert_clean(ac, ot)
-    for a in (1, 6, 12):
-        ac = mod_add_const(ShiftSpec(a, dig, "ternary", modulus=N,
-                                     control="single", control_mode=2))
-        for cv in ((0,), (1,), (2,)):
-            mult = 1 if cv[0] == 2 else 0
-            for b, got, _, ot in classical_map(ac, 3, range(N), controls=cv):
-                assert got == (b + mult * a) % N
-                assert_clean(ac, ot, cv)
-
-
-def test_mod_add_ternary_double():
-    N, dig = 13, digits_for(13, 3)
-    for a in (2, 7, 11):
-        ac = mod_add_const(ShiftSpec(a, dig, "ternary", modulus=N, control="double"))
-        for cv in ((0, 0), (1, 1), (1, 2), (2, 2), (2, 1), (0, 2)):
-            mult = (1 if cv[0] == 1 else 0) * cv[1]
-            for b, got, _, ot in classical_map(ac, 3, range(N), controls=cv):
-                assert got == (b + mult * a) % N
-                assert_clean(ac, ot, cv)
 
 
 @pytest.mark.parametrize("encoding,control,mode", [
@@ -439,20 +231,31 @@ def test_encoded_integer_and_leakage():
     assert leak < 1e-10
 
 
-# ------------------------------------------------------------ pinned builds
+# ------------------------------------------------------------ the builder grid
+
+_KINDS = {enc: [(c, f) for c in ("none", "single", "double") for f in modes]
+          + ([("single", "ternary")] if enc == "ternary" else [])
+          for enc, modes in (("binary", (0, 1)), ("ternary", (0, 1, 2)))}
+
+
+def _modular_shifts(enc, N, dig):
+    """Every modular shift mod N in ``enc`` on ``dig`` digits, every control kind and
+    mode, as (spec, build) pairs."""
+    for a in range(N):
+        for control, mode in _KINDS[enc]:
+            spec = ShiftSpec(a, dig, enc, modulus=N, control=control, control_mode=mode)
+            yield spec, mod_add_const(spec)
+
 
 def _builder_grid():
     """Every builder, both encodings, every control kind and mode, small sizes, as
     (spec, build) pairs; a comparator's spec is its threshold's."""
-    modes = {"binary": (0, 1), "ternary": (0, 1, 2)}
-    kinds = {enc: [(c, f) for c in ("none", "single", "double") for f in modes[enc]]
-             + ([("single", "ternary")] if enc == "ternary" else []) for enc in modes}
     for enc, build, sizes in (("binary", ripple_add_const, (1, 2, 3, 4)),
                               ("ternary", ripple_add_const_ternary, (1, 2, 3))):
         base = 2 if enc == "binary" else 3
         for n in sizes:
             for a in range(base**n):
-                for control, mode in kinds[enc]:
+                for control, mode in _KINDS[enc]:
                     spec = ShiftSpec(a, n, enc, control=control, control_mode=mode)
                     yield spec, build(spec)
             for t in range(base**n):
@@ -461,10 +264,28 @@ def _builder_grid():
         base = 2 if enc == "binary" else 3
         for N in moduli:
             for dig in (digits_for(N, base), digits_for(N, base) + 1):
-                for a in range(N):
-                    for control, mode in kinds[enc]:
-                        spec = ShiftSpec(a, dig, enc, modulus=N, control=control, control_mode=mode)
-                        yield spec, mod_add_const(spec)
+                yield from _modular_shifts(enc, N, dig)
+
+
+def test_every_grid_build_computes_its_spec():
+    # every build of the grid and the N = 15 shifts on every data and control value
+    builds = chain(_builder_grid(), _modular_shifts("binary", 15, digits_for(15, 2)),
+                   _modular_shifts("ternary", 15, digits_for(15, 3)))
+    fold_branches, skipped = set(), 0
+    for spec, ac in builds:
+        base = 2 if spec.encoding == "binary" else 3
+        for cv in product(range(base), repeat=len(ac.controls)):
+            want = expected(spec, ac, cv)
+            if want is None:
+                skipped += 1
+                continue
+            got = {b: out for b, _, _, out in classical_map(ac, base, want, cv)}
+            assert got == want, (ac.circuit.name, cv)
+        if spec.control_mode == "ternary" and spec.modulus and spec.constant:
+            fold_branches.add(2 * spec.constant < spec.modulus)
+    # the ternary c-fold compiles two ways; the one skip per ternary double ripple shift
+    # (39 constants at m <= 3, three strict levels) is its firing level at multiplier 2
+    assert fold_branches == {True, False} and skipped == 117
 
 
 def test_builder_outputs_are_pinned():

@@ -8,10 +8,10 @@ from terniq import widgets
 from terniq.arithmetic import (ShiftSpec, mcx_ops, mod_add_const, ripple_add_const,
                                ripple_add_const_ternary)
 from terniq.circuit import Chain, Circuit, MeasureOp, RusOp, gate_op
-from terniq.errors import (NonUnitaryError, ParseError, SizeError, WidthCapError, as_int,
-                           int_fields)
+from terniq.errors import (CatalogError, NonUnitaryError, ParseError, SizeError, WidthCapError,
+                           as_int, int_fields)
 from terniq.gates import is_clifford, matrix_for_name
-from terniq.sim import StateVector, circuit_unitary, run
+from terniq.sim import StateVector, choice_draw, circuit_unitary, run
 from terniq.textfmt import deserialize
 
 SRC = Path(__file__).parents[1] / "src" / "terniq"
@@ -87,11 +87,21 @@ def _rus(**form):
     (lambda: widgets.add_binary_control(widgets.cnot_emulated(), 2), SizeError,
      "control wire 2 undeclared"),
     (lambda: widgets.tau2_ops(0, 1, (0, 2), (0, 2)), SizeError, "degenerate reflection"),
+    (lambda: matrix_for_name({}), CatalogError, "gate name {} is not a string"),
+    (lambda: matrix_for_name(5), CatalogError, "gate name 5 is not a string"),
+    (lambda: matrix_for_name(None), CatalogError, "gate name None is not a string"),
+    (lambda: matrix_for_name(b"INC"), CatalogError, "gate name b'INC' is not a string"),
+    (lambda: choice_draw("x", None), SizeError, "needs three probabilities, got 'x'"),
+    (lambda: choice_draw([0.5, 0.5], None), SizeError, "needs three probabilities"),
+    (lambda: choice_draw(None, None), SizeError, "needs three probabilities, got None"),
+    (lambda: Circuit(2, ("x",)), SizeError, "'x' is not an instruction in circuit"),
 ], ids=["mcx markers", "binary adder encoding", "binary adder modulus", "ternary adder encoding",
         "modular adder modulus", "rus predicate and chain", "gate mode", "unnormalised measurement",
         "rus chain without transition", "unitary above cap", "unitary of a measurement",
         "clifford arity 3", "reader expected", "reader corrections", "toffoli mode", "ccc mode",
-        "horner kind", "resource state", "binary control wire", "tau2 of one pair"])
+        "horner kind", "resource state", "binary control wire", "tau2 of one pair",
+        "gate name dict", "gate name int", "gate name None", "gate name bytes",
+        "draw from a string", "draw from two", "draw from None", "circuit of a string"])
 def test_reachable_error_paths_raise_their_error(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()

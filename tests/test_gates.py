@@ -130,6 +130,7 @@ def test_toffoli_is_tau_110_111():
 @pytest.mark.parametrize("name,expected", [
     ("INC", True), ("Z", True), ("H", True), ("Q", True),
     ("SUM", True), ("TSWAP", True), ("P9", False), ("R2", False),
+    ("L[Z]", True), ("C1[INC]", False), ("L[H]", False), ("HBIN", False),
 ])
 def test_clifford_classification(name, expected):
     assert is_clifford(matrix_for_name(name)) is expected

@@ -18,7 +18,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import Phase, assume, example, given, settings, strategies as st
 
-from conftest import classical_map, random_state_vector, reference_run, tallies
+from conftest import classical_map, expected, random_state_vector, reference_run, tallies
 import terniq
 from terniq import sim, widgets
 from terniq.arithmetic import ShiftSpec, mcx_ops, mod_add_const
@@ -116,16 +116,6 @@ def modular_shifts(draw):
     return ShiftSpec(draw(st.integers(0, N - 1)), digits, encoding, N, control, mode)
 
 
-def _multiplier(spec, cv) -> int:
-    """The c of the shift by c*a that the control values ``cv`` select."""
-    if not cv:
-        return 1
-    if spec.control_mode == "ternary":
-        return cv[0]
-    strict = int(cv[0] == spec.control_mode)  # the first control fires on one level
-    return strict * cv[1] if len(cv) == 2 else strict
-
-
 @settings(max_examples=300)
 @given(modular_shifts())
 @example(ShiftSpec(6, 5, "binary", 16, "single", 0))            # even binary N
@@ -134,14 +124,11 @@ def _multiplier(spec, cv) -> int:
 @example(ShiftSpec(0, 7, "binary", 40, "double", 0))
 def test_mod_add_const_shifts_by_c_times_a_and_restores_the_ancillas(spec):
     ac = mod_add_const(spec)
-    base, N, a = (2 if spec.encoding == "binary" else 3), spec.modulus, spec.constant
-    k = ("none", "single", "double").index(spec.control)
-    for cv in product(range(base), repeat=k):
-        c = _multiplier(spec, cv)
-        for b, got, _, out in classical_map(ac, base, range(N), controls=cv):
-            assert got == (b + c * a) % N, (cv, b)
-            assert [out[w] for w in ac.controls] == list(cv)
-            assert not any(out[w] for w in ac.circuit.ancillas), (cv, b)
+    base = 2 if spec.encoding == "binary" else 3
+    for cv in product(range(base), repeat=len(ac.controls)):
+        want = expected(spec, ac, cv)
+        for b, _, _, out in classical_map(ac, base, want, controls=cv):
+            assert out == want[b], (cv, b)
 
 
 # serialized widgets, RUS factories and a modexp circuit, and tokens of the
