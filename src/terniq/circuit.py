@@ -35,7 +35,7 @@ from .gates import GateMatrix
 @dataclass(frozen=True, slots=True)
 class GateOp:
     """``gate`` on distinct integer ``wires`` matching its arity, else ``SizeError``: the one
-    gate-on-wires value, alone, classically controlled or as a RUS correction."""
+    gate-on-wires value, alone or classically controlled."""
 
     gate: GateMatrix
     wires: tuple[int, ...]
@@ -115,31 +115,23 @@ class Chain:
         object.__setattr__(self, "accept", frozenset([as_int(s, "Chain state") for s in self.accept]))
 
 
-def _correction(item) -> tuple[int, GateOp]:
-    if not (isinstance(item, tuple) and len(item) == 2 and isinstance(item[1], GateOp)):
-        raise SizeError(f"RusOp correction {item!r} is not a (key, GateOp) pair")
-    return as_int(item[0], "RusOp correction key"), item[1]
-
-
 @dataclass(frozen=True)
 class RusOp:
     """Repeat the body until a predicate over classical slots succeeds.
 
     Exactly one of ``predicate`` (all listed slots must equal their values)
-    or ``chain`` (driven by ``outcome_slot``) must be given.  ``corrections``
-    holds ``(key, GateOp)`` pairs: on success each op whose key is the final
-    chain state (or the outcome) is applied, in order.
+    or ``chain`` (driven by ``outcome_slot``) must be given.  A gate that
+    depends on the outcome is a ``CondGateOp`` on its slot after the loop.
     """
 
     body: "Circuit"
     predicate: tuple[tuple[int, int], ...] = ()
     chain: Optional[Chain] = None
     outcome_slot: int = 0
-    corrections: tuple[tuple[int, GateOp], ...] = ()
     max_iters: int = 1000
     expected_trials: float = 1.0
     label: str = ""
-    #: every wire the body and the corrections touch, sorted
+    #: every wire the body touches, sorted
     wires: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -160,10 +152,8 @@ class RusOp:
         object.__setattr__(self, "predicate", tuple(
             (as_int(s, "RusOp predicate slot"), as_int(v, "RusOp predicate value"))
             for s, v in self.predicate))
-        object.__setattr__(self, "corrections", tuple(map(_correction, self.corrections)))
-        touched = {w for op in self.body.instructions for w in op.wires}
-        touched.update(w for _, op in self.corrections for w in op.wires)
-        object.__setattr__(self, "wires", tuple(sorted(touched)))
+        object.__setattr__(self, "wires", tuple(sorted({w for op in self.body.instructions
+                                                        for w in op.wires})))
 
 
 Instruction = GateOp | MeasureOp | CondGateOp | RusOp
@@ -259,15 +249,14 @@ def remap_wires(a: Circuit, mapping: Mapping[int, int], width: int, name: str = 
             raise WidthMismatchError(f"remap_wires: no new label for wire {missing[0]}")
         return tuple(mapping[w] for w in ws)
 
-    def move(op):  # a gate op moves the same way alone, conditioned or as a correction
+    def move(op):  # a gate op moves the same way alone or conditioned
         if isinstance(op, GateOp):
             return GateOp(op.gate, rw(op.wires))
         if isinstance(op, MeasureOp):
             return MeasureOp(*rw((op.wire,)), op.slot)
         if isinstance(op, CondGateOp):
             return CondGateOp(op.slot, op.value, move(op.op))
-        return replace(op, body=remap_wires(op.body, mapping, width),
-                       corrections=tuple((k, move(g)) for k, g in op.corrections))
+        return replace(op, body=remap_wires(op.body, mapping, width))
 
     return Circuit(width, tuple(map(move, a.instructions)), frozenset(rw(a.ancillas)), name or a.name)
 
@@ -349,7 +338,6 @@ def count_resources(a: Circuit) -> ResourceCount:
                     continue
                 if cls is RusOp:
                     meas += walk(op.body.instructions, names, rus)
-                    meas += walk((g for _, g in op.corrections), names, rus)
                     rus.append((op.label or "rus", op.expected_trials))
                     continue
                 op = op.op  # a CondGateOp counts its gate op

@@ -102,8 +102,8 @@ def lookahead_costs(scenario: Scenario) -> dict:
 
 def synthesis_cost(kind: str, delta: float) -> float:
     """Leading-term non-Clifford count to synthesize one gate at precision delta."""
-    if not 0 < delta < 1:
-        raise SizeError("delta in (0,1)")
+    if not (isinstance(delta, numbers.Real) and 0 < delta < 1):
+        raise SizeError(f"delta in (0,1), got {delta!r}")
     il3 = math.log(1 / delta, 3)
     if kind == "reflection-R":
         return 8 * il3
@@ -134,7 +134,8 @@ class FidelityBudget:
 
 def fidelity_budget(p_useful: float, epsilon: float, depth: int) -> FidelityBudget:
     """Useful-measurement bound p - 2 sqrt(p) eps and the derived tolerances."""
-    if not 0 < p_useful <= 1 or not 0 <= epsilon < math.inf:
+    if not (isinstance(p_useful, numbers.Real) and isinstance(epsilon, numbers.Real)
+            and 0 < p_useful <= 1 and 0 <= epsilon < math.inf):
         raise SizeError(f"need p in (0,1] and a finite eps >= 0, got p={p_useful!r}, eps={epsilon!r}")
     depth = as_int(depth, "depth", 1)
     return FidelityBudget(

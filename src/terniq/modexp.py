@@ -19,7 +19,6 @@ circuit is exact on every basis state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
 from .circuit import Circuit, adjoint_ops, gate_op
@@ -210,13 +209,9 @@ def round_map(encoding: str, N: int, mult: int) -> tuple[tuple[int, ...], ...]:
     acc < N with clean scratch.  Raises ``RoundMapError``, naming c and acc,
     unless the control comes back unchanged, acc2 and the scratch back at 0,
     and acc as digits < d of a value < N.  The arguments are checked by
-    ``ModExpSpec`` before the memo.
+    ``ModExpSpec``.
     """
-    return _round_map(ModExpSpec(mult, N, encoding, exponent_digits=1))
-
-
-@lru_cache(maxsize=16)
-def _round_map(spec: ModExpSpec) -> tuple[tuple[int, ...], ...]:
+    spec = ModExpSpec(mult, N, encoding, exponent_digits=1)
     encoding, N, mult = spec.encoding, spec.modulus, spec.base
     comp = controlled_multiply(encoding, N, mult)
     d, v = spec.radix, spec.value_digits

@@ -9,6 +9,8 @@ the identity is below delta/n are dropped.
 
 from __future__ import annotations
 
+from numbers import Real
+
 import numpy as np
 
 from .circuit import Circuit, GateOp, gate_op
@@ -25,14 +27,14 @@ def dft_matrix(n: int) -> np.ndarray:
 
 def controlled_phase_norm(d: int) -> float:
     """Operator distance ||L(diag(1,z,z^2)) - I|| for z of order 3^(d+1)."""
-    r = 3 ** (d + 1)
+    r = 3 ** (as_int(d, "wire distance", 0) + 1)
     return float(abs(root_of_unity(4, r) - 1.0)) if r > 8 else 2.0
 
 
 def _drop_threshold(n: int, delta: float) -> tuple[int, float]:
     """The checked QFT size and the norm delta/n below which a controlled phase is dropped."""
     n = as_int(n, "QFT size (integer n >= 1)", 1)
-    if not 0 <= delta < np.inf:
+    if not (isinstance(delta, Real) and 0 <= delta < np.inf):
         raise SizeError(f"delta {delta!r} is not a finite real >= 0")
     return n, delta / n
 

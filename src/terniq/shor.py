@@ -84,9 +84,11 @@ def _move_table(spec: ModExpSpec, gate_level: bool) -> np.ndarray:
     index[orbit] = np.arange(r)
     mults = [pow(a, d ** (e - 1 - t), N) for t in range(e)]
     images = np.array([[pow(m, c, N) for c in range(d)] for m in mults])[:, :, None] * orbit % N
-    for t, mult in enumerate(mults):
-        if gate_level and mult != 1:
-            images[t] = np.take(round_map(spec.encoding, N, mult), orbit, axis=1)
+    if gate_level:  # the round multipliers repeat: one map per distinct one
+        maps = {m: round_map(spec.encoding, N, m) for m in dict.fromkeys(mults) if m != 1}
+        for t, mult in enumerate(mults):
+            if mult != 1:
+                images[t] = np.take(maps[mult], orbit, axis=1)
     targets = index[images]
     faults = np.argwhere((np.sort(targets, axis=2) != np.arange(r)).any(axis=2))
     if len(faults):

@@ -154,7 +154,10 @@ def product_state(factors) -> StateVector:
 
 def index_of_trits(trits) -> int:
     """Basis index of ``trits``, wire 0 least significant; ``SizeError`` unless each is 0, 1 or 2."""
-    trits = tuple(trits)
+    try:
+        trits = tuple(trits)
+    except TypeError:
+        raise SizeError(f"trits {trits!r} are not a sequence") from None
     if not set(trits) <= {0, 1, 2}:
         raise SizeError(f"trits {trits} are not all 0, 1 or 2")
     return reduce(lambda index, t: 3 * index + int(t), reversed(trits), 0)
@@ -509,8 +512,7 @@ def _instruction_step(op, width: int, mode: str):
         gate, slot, value = _gate_step(op.op, width, mode), op.slot, op.value
         return lambda ex, amps, slots: gate(ex, amps, slots) if slots.get(slot, 0) == value else amps
     body = _plan(op.body.instructions, width, mode)  # a RusOp: Circuit checks every op's type
-    corrections = tuple((k, _gate_step(g, width, mode)) for k, g in op.corrections)
-    return lambda ex, amps, slots: ex.run_rus(amps, op, body, corrections, slots)
+    return lambda ex, amps, slots: ex.run_rus(amps, op, body, slots)
 
 
 # ------------------------------------------------------------ run records
@@ -557,7 +559,7 @@ class _Exec:
             amps = step(self, amps, slots)
         return amps
 
-    def run_rus(self, amps, op: RusOp, body, corrections, slots):
+    def run_rus(self, amps, op: RusOp, body, slots):
         chain = op.chain
         chain_state = chain.start if chain else None
         log = []
@@ -571,14 +573,9 @@ class _Exec:
                                     f"{chain_state} on outcome {m}")
                 chain_state = chain.transitions[(chain_state, m)]
                 done = chain_state in chain.accept
-                key = chain_state
             else:
                 done = all(slots.get(s, 0) == v for s, v in op.predicate)
-                key = slots.get(op.outcome_slot, 0)
             if done:
-                for k, correct in corrections:
-                    if k == key:
-                        amps = correct(self, amps, slots)
                 self.record.rus_trials.setdefault(op.label or "rus", []).append(trial)
                 return amps
         raise RusCapError(f"RUS {op.label or ''} exceeded {op.max_iters} iterations", log)

@@ -7,12 +7,11 @@
     cc c<k>==<v> gate <NAME> <wire...>
     rus {
       <body lines>
-    } until <pred> [maxiter <n>] [expected <r>] [label <s>] [corrections {
-      <key>: gate <NAME> <wire...>
-    }]
+    } until <pred> [maxiter <n>] [expected <r>] [label <s>]
 
 ``<pred>`` is either ``c<k>==<v>`` terms joined by ``&&`` or
-``chain(c<k>) start=<s> accept=<s|...> trans=<s,m,s'|...>``.
+``chain(c<k>) start=<s> accept=<s|...> trans=<s,m,s'|...>``.  A gate that
+depends on a loop's outcome is a ``cc`` line after the loop.
 ``#`` starts a comment.  Round trips are bit-exact: ``serialize`` raises
 ``CircuitNameError`` for a name or label the reader would cut.
 
@@ -89,13 +88,7 @@ def _emit(op) -> list[str]:
     if op.label:
         _check_text("rus label", op.label, space_ok=False)
         tail += f" label {op.label}"
-    if op.corrections:
-        out.append(tail + " corrections {")
-        for key, g in op.corrections:
-            out.append(f"  {key}: " + _gate_text(g.gate.name, g.wires))
-        out.append("}")
-    else:
-        out.append(tail)
+    out.append(tail)
     return out
 
 
@@ -277,30 +270,15 @@ def _parse_rus(cur, width):
                       frozenset(_int(x, ln) for x in fields.get("accept", "").split("|") if x))
     else:
         predicate = tuple(_parse_slot(t, ln) for t in tail[1].split("&&"))
-    if "corrections" in rest[::2]:  # its block ends the options
-        rest = rest[:2 * rest[::2].index("corrections") + 2]
     opts = _options((rest[k:k + 2] for k in range(0, len(rest), 2)),
-                    ("maxiter", "expected", "label", "corrections"), "rus option", ln)
-    max_iters, corrections = _int(opts.get("maxiter", "1000"), ln), []
+                    ("maxiter", "expected", "label"), "rus option", ln)
+    max_iters = _int(opts.get("maxiter", "1000"), ln)
     try:
         expected = float(opts.get("expected", "1.0"))
     except ValueError:
         raise ParseError(f"expected a number, got {opts['expected']!r}", ln) from None
-    if "corrections" in opts:
-        if opts["corrections"] != "{":
-            raise ParseError("expected 'corrections {'", ln)
-        while True:
-            cline, cln = cur.next_line()
-            if cline is None:
-                raise ParseError("unterminated corrections block", cln)
-            if cline.startswith("}"):
-                break
-            key_s, colon, parts = cline.partition(":")
-            if not colon or parts.split()[:1] != ["gate"]:
-                raise ParseError("corrections entries are 'key: gate ...'", cln)
-            corrections.append((_int(key_s, cln), _gate_line(parts.split(), cln, width)))
     try:
         return RusOp(Circuit(width, tuple(body_ops)), predicate, chain, outcome_slot,
-                     tuple(corrections), max_iters, expected, opts.get("label", ""))
+                     max_iters, expected, opts.get("label", ""))
     except (NonUnitaryError, SizeError) as exc:
         raise ParseError(str(exc), ln) from None

@@ -370,7 +370,8 @@ def resource_state_prep(target: str) -> Circuit:
     P9 per eta.  ``psi``: eta followed by an entangling measurement;
     outcomes 0 and 1 (probability 1/2) are Clifford-corrected to psi on
     wire 2, outcome 2 restarts from a fresh eta: 6 x 9/4 x 2 = 27 P9 per
-    psi on average.
+    psi on average.  Outcome 1's correction is a Z^dag on wire 2 after the
+    loop, classically controlled on slot 2, which holds the last outcome.
     """
     if target in ("plus_omega3", "plus_omega3_sq"):
         power = 1 if target == "plus_omega3" else 2
@@ -392,11 +393,11 @@ def resource_state_prep(target: str) -> Circuit:
             gate_op("H_INV", 0),
             MeasureOp(0, 2),
         ))
-        # outcome 0 -> psi; outcome 1 -> psi after Z^dag; outcome 2 -> retry
+        # outcome 0 -> psi; outcome 1 -> psi after Z^dag; outcome 2 -> retry.  Every trial
+        # starts in state 0, so the loop ends with outcome 1 in slot 2 only in state 2
         chain = Chain(start=0, transitions={(0, 0): 1, (0, 1): 2, (0, 2): 0},
                       accept=frozenset({1, 2}))
-        rus = RusOp(body, chain=chain, outcome_slot=2,
-                    corrections=((2, gate_op("Z_INV", 2)),),
-                    expected_trials=2.0, label="psi")
-        return Circuit(4, (rus,), ancillas=frozenset({0, 1, 3}), name="psi")
+        rus = RusOp(body, chain=chain, outcome_slot=2, expected_trials=2.0, label="psi")
+        fix = CondGateOp(2, 1, gate_op("Z_INV", 2))
+        return Circuit(4, (rus, fix), ancillas=frozenset({0, 1, 3}), name="psi")
     raise SizeError(f"unknown resource state {target!r}")

@@ -209,13 +209,10 @@ def reference_run(circ, init, seed=0, mode="ideal"):
         state = op.chain.start if op.chain else None
         for trial in range(1, op.max_iters + 1):
             amps = steps(op.body.instructions, amps, slots)
-            key = slots.get(op.outcome_slot, 0)
             if op.chain:
-                state = key = op.chain.transitions[(state, key)]
+                state = op.chain.transitions[(state, slots.get(op.outcome_slot, 0))]
             if state in op.chain.accept if op.chain else all(
                     slots.get(s, 0) == v for s, v in op.predicate):
-                for k, g in op.corrections:
-                    amps = gate(g.gate.name, g.wires, amps) if k == key else amps
                 rec.rus_trials.setdefault(op.label or "rus", []).append(trial)
                 return amps
         raise RusCapError(f"RUS {op.label} exceeded {op.max_iters} iterations", [])

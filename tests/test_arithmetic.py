@@ -1,4 +1,5 @@
 import hashlib
+from functools import cache
 from itertools import chain, product
 
 import numpy as np
@@ -247,9 +248,14 @@ def _modular_shifts(enc, N, dig):
             yield spec, mod_add_const(spec)
 
 
+@cache  # three tests walk the 1,619 builds: build them once
 def _builder_grid():
-    """Every builder, both encodings, every control kind and mode, small sizes, as
-    (spec, build) pairs; a comparator's spec is its threshold's."""
+    """Every builder, both encodings, every control kind and mode, small sizes, as a
+    tuple of (spec, build) pairs; a comparator's spec is its threshold's."""
+    return tuple(_grid_builds())
+
+
+def _grid_builds():
     for enc, build, sizes in (("binary", ripple_add_const, (1, 2, 3, 4)),
                               ("ternary", ripple_add_const_ternary, (1, 2, 3))):
         base = 2 if enc == "binary" else 3

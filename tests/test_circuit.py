@@ -247,15 +247,13 @@ def test_rus_body_requires_measurement():
 @pytest.mark.parametrize("wires", [(1, 1), (1,), (0, 1, 2), (0, 1.0), (0, 1.5), (0, "1"), (0, None)],
                          ids=str)
 def test_every_gate_slot_checks_its_wires(wires):
-    # GateOp, CondGateOp, a RusOp correction and gate_op refuse
+    # GateOp, CondGateOp and gate_op refuse
     # repeated wires, a wire count other than the arity and a non-integer wire alike
-    from terniq.circuit import CondGateOp, RusOp, gate_op
+    from terniq.circuit import CondGateOp, gate_op
     sum_gate = matrix_for_name("SUM")
     gate_op("SUM", 0, 1)  # the cached op on wires (0, 1) must not answer for (0, 1.0)
     for build in (lambda: GateOp(sum_gate, wires),
                   lambda: CondGateOp(0, 0, GateOp(sum_gate, wires)),
-                  lambda: RusOp(Circuit(3, (MeasureOp(0, 0),)), predicate=((0, 0),),
-                                corrections=((0, GateOp(sum_gate, wires)),)),
                   lambda: gate_op("SUM", *wires),
                   lambda: gate_op("SUM", *wires)):  # twice: lru_cache stores no exception
         with pytest.raises(SizeError):
@@ -268,13 +266,12 @@ def test_every_gate_slot_checks_its_wires(wires):
     lambda: CondGateOp(0, 1.5, GateOp(matrix_for_name("INC"), (0,))),
     lambda: remap_wires(Circuit(1, (MeasureOp(0, 0),)), {0: 1.5}, 2),
     lambda: run(Circuit(2, (MeasureOp(1.0, 0),))),
-    lambda: RusOp(_MEASURED, predicate=((0, 0),), corrections=(("x", g("INC", 0)),)),
     lambda: RusOp(_MEASURED, predicate=((0.5, 0),)),
     lambda: RusOp(_MEASURED, predicate=((0, 0),), outcome_slot="a"),
     lambda: RusOp(_MEASURED, chain=Chain(0, {(0, 0): "z"}, frozenset({1}))),
     lambda: RusOp(_MEASURED, predicate=5),
 ], ids=["wire 1.0", "slot 'a'", "wire None", "slot 'x'", "value 1.5", "remapped wire", "run",
-        "correction key 'x'", "predicate slot 0.5", "outcome slot 'a'", "chain target 'z'",
+        "predicate slot 0.5", "outcome slot 'a'", "chain target 'z'",
         "predicate 5"])
 def test_measure_and_condition_fields_are_integers(request, make):
     # each would fail later: a bare TypeError in a run, or text that the reader rejects;
@@ -288,14 +285,10 @@ def test_measure_and_condition_fields_are_integers(request, make):
     lambda: GateOp("INC", (0,)),
     lambda: CondGateOp(0, 1, "INC"),
     lambda: CondGateOp(0, 1, matrix_for_name("INC")),
-    lambda: RusOp(_MEASURED, predicate=((0, 0),), corrections=((0, matrix_for_name("INC"), (0,)),)),
-    lambda: RusOp(_MEASURED, predicate=((0, 0),), corrections=((0,),)),
-    lambda: RusOp(_MEASURED, predicate=((0, 0),), corrections=((0, matrix_for_name("INC")),)),
-], ids=["gate name", "conditioned name", "conditioned matrix", "three-field correction",
-        "short correction", "correction matrix"])
+], ids=["gate name", "conditioned name", "conditioned matrix"])
 def test_gate_slots_take_only_gate_ops(make):
     # each raised a bare AttributeError or ValueError, or was accepted and failed in a run
-    with pytest.raises(TerniqError, match="not a GateMatrix|not a GateOp|not a .key, GateOp. pair"):
+    with pytest.raises(TerniqError, match="not a GateMatrix|not a GateOp"):
         make()
 
 
@@ -339,27 +332,22 @@ def test_every_instruction_checks_the_circuit_width():
     # a wire at the width, in each kind of instruction, in a width-2 circuit
     from terniq.circuit import CondGateOp, RusOp
     inc = matrix_for_name("INC")
-    measured = Circuit(3, (MeasureOp(0, 0),))
     for op in (GateOp(inc, (2,)), MeasureOp(2, 0), CondGateOp(0, 0, GateOp(inc, (2,))),
-               RusOp(Circuit(3, (MeasureOp(2, 0),)), predicate=((0, 0),)),
-               RusOp(measured, predicate=((0, 0),), corrections=((0, GateOp(inc, (2,))),))):
+               RusOp(Circuit(3, (MeasureOp(2, 0),)), predicate=((0, 0),))):
         with pytest.raises(WidthMismatchError, match="wire 2 outside width 2 in circuit"):
             Circuit(2, (op,))
     with pytest.raises(WidthMismatchError, match="wire -1 outside width 2"):
         Circuit(2, (MeasureOp(-1, 0),))
-    rus = RusOp(measured, predicate=((0, 0),), corrections=((0, GateOp(inc, (1,))),))
+    rus = RusOp(Circuit(3, (GateOp(inc, (1,)), MeasureOp(0, 0))), predicate=((0, 0),))
     assert rus.wires == (0, 1)
     Circuit(2, (rus,))
 
 
 def test_integer_like_wires_are_stored_as_ints():
-    from terniq.circuit import CondGateOp, RusOp, gate_op
+    from terniq.circuit import CondGateOp, gate_op
     inc = matrix_for_name("INC")
-    rus = RusOp(Circuit(2, (MeasureOp(0, 0),)), predicate=((0, 0),),
-                corrections=((0, GateOp(inc, (np.int64(1),))),))
     for wires in (GateOp(inc, (np.int64(1),)).wires, GateOp(inc, (True,)).wires,
-                  CondGateOp(0, 0, GateOp(inc, (np.int64(1),))).wires, gate_op("INC", np.int64(1)).wires,
-                  rus.corrections[0][1].wires):
+                  CondGateOp(0, 0, GateOp(inc, (np.int64(1),))).wires, gate_op("INC", np.int64(1)).wires):
         assert wires == (1,) and type(wires[0]) is int
     text = serialize(Circuit(2, (GateOp(inc, (np.int64(1),)),)))
     assert text == "circuit 2\ngate INC 1\n" and deserialize(text).instructions[0].wires == (1,)
@@ -424,7 +412,8 @@ BAD_INSTRUCTIONS = [
     ("circuit 2\ngate SUM 0 0", 2),
     ("circuit 1\n# a body with no measurement\nrus {\ngate INC 0\n} until c0==0", 5),
     ("circuit 2\nmeasure 0 -> c0\ncc c0==0 gate SUM 1 1", 3),
-    ("circuit 2\nrus {\nmeasure 0 -> c0\n} until c0==0 corrections {\n0: gate SUM 1 1\n}", 5),
+    # corrections is no rus option: a gate on a loop's outcome is a cc line after the loop
+    ("circuit 2\nrus {\nmeasure 0 -> c0\n} until c0==0 corrections {\n0: gate INC 1\n}", 4),
     ("circuit 1\nrus {\nmeasure 0 -> c0\n} until c0==0 maxiter 0", 4),
     ("circuit 1\n\nrus {\nmeasure 0 -> c0\n} until c0==0 maxiter -2", 5),
     ("circuit 1\nrus {\nmeasure 0 -> c0\n} until c0==0 expected -1.0", 4),
@@ -446,7 +435,7 @@ BAD_INSTRUCTIONS = [
     "circuit 2\ncc c0=1 gate INC 0",
     "circuit 1\nrus {\n",
     "circuit 1\nrus {\ngate INC 0\n} until",
-    "circuit 1\nrus {\nmeasure 0 -> c0\n} until c0==0 corrections {\nbad\n}",
+    "circuit 1\nrus {\nmeasure 0 -> c0\n} until c0==0 corrections {",
     "circuit 2\ngate TAU2[1,99] 0 1",
     "circuit 1\ngate PHASE[1,0] 0",
     "circuit 1\nancilla 5\n",

@@ -6,7 +6,10 @@ import warnings
 
 import pytest
 
+from terniq.arithmetic import ShiftSpec, ripple_add_const
+from terniq.circuit import count_resources
 from terniq.cli import main
+from terniq.errors import SizeError
 from terniq.textfmt import serialize
 from terniq import widgets
 
@@ -88,6 +91,37 @@ def test_circuit_count_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "p9_count         12" in out
     assert "p9_depth         4" in out
+
+
+#: the widget-verify rows that count a widget's P9 gates, in order
+_LEDGER = ["CNOT", "Toffoli (ancilla-free)", "Toffoli (one clean)", "CCC(NOT) (two clean)",
+           "CCC(NOT) (one clean)", "C2(INC)", "L(SUM)", "LL(SUM)", "C_f(L(SUM))", "C_f(SUM)"]
+
+
+def test_circuit_count_prints_rus_and_costed_primitive_rows(tmp_path, capsys):
+    psi = tmp_path / "psi.tq"
+    psi.write_text(serialize(widgets.resource_state_prep("psi")))
+    assert run_cli(["circuit-count", str(psi)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["rus eta: expected x2.25", "rus psi: expected x2.0"]
+    adder = ripple_add_const(ShiftSpec(1, 4, "binary", control="double")).circuit
+    path = tmp_path / "adder.tq"
+    path.write_text(serialize(adder))
+    assert run_cli(["circuit-count", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = lines[lines.index("costed primitives:") + 1:]
+    tally = count_resources(adder).costed_primitive_tally
+    assert tally and rows == [f"  {name}  x{k}" for name, k in tally]
+
+
+def test_widget_verify_reports_a_failing_count(monkeypatch, capsys):
+    def fail(circ):
+        raise SizeError("no count")
+    monkeypatch.setattr("terniq.cli.count_resources", fail)
+    assert run_cli(["widget-verify"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:-1] == [f"[FAIL] {label}: no count" for label in _LEDGER]
+    assert lines[-1].startswith("[PASS] C1(Z) network: ")
 
 
 def test_circuit_sim_file(tmp_path, capsys):
@@ -196,9 +230,7 @@ def test_widget_verify_passes_every_ledger_entry(capsys):
     assert run_cli(["widget-verify"]) == 0
     lines = capsys.readouterr().out.splitlines()
     labels = [line.split("] ", 1)[1].split(":")[0] for line in lines]
-    assert labels == ["CNOT", "Toffoli (ancilla-free)", "Toffoli (one clean)",
-                      "CCC(NOT) (two clean)", "CCC(NOT) (one clean)", "C2(INC)", "L(SUM)",
-                      "LL(SUM)", "C_f(L(SUM))", "C_f(SUM)", "C1(Z) network"]
+    assert labels == [*_LEDGER, "C1(Z) network"]
     assert all(line.startswith("[PASS] ") for line in lines)
 
 

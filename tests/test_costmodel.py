@@ -195,9 +195,13 @@ def test_scenario_validation():
     lambda: Scenario(16, adder="x"),
     lambda: synthesis_cost("reflection-R", 0.0), lambda: synthesis_cost("reflection-R", 1.0),
     lambda: synthesis_cost("T-gate", 0.01),
+    # each raised a bare TypeError
+    lambda: fidelity_budget("x", 0.1, 3), lambda: fidelity_budget(0.5, None, 3),
+    lambda: synthesis_cost("reflection-R", None),
 ], ids=["average rate of 1 digit", "rate of 0 digits", "bitsize", "budget epsilon nan",
         "budget epsilon inf", "budget depth 1.5", "trit size of -5 bits", "trit size of nan bits",
-        "adder", "synthesis delta 0", "synthesis delta 1", "synthesis kind"])
+        "adder", "synthesis delta 0", "synthesis delta 1", "synthesis kind", "budget p 'x'",
+        "budget epsilon None", "synthesis delta None"])
 def test_cost_model_inputs_raise_size_error(make):
     with pytest.raises(SizeError):
         make()

@@ -78,8 +78,8 @@ def _rus(**form):
     (lambda: is_clifford(matrix_for_name("C1[SUM]")), SizeError, "arity <= 2"),
     (lambda: deserialize("circuit 1\nrus {\nmeasure 0 -> c0\n} until c0==0 expected x\n"),
      ParseError, "expected a number, got 'x'"),
-    (lambda: deserialize("circuit 1\nrus {\nmeasure 0 -> c0\n} until c0==0 corrections x\n"),
-     ParseError, "expected 'corrections {'"),
+    (lambda: deserialize("circuit 1\nrus {\nmeasure 0 -> c0\n} until c0==0 corrections {\n"),
+     ParseError, "line 4, col 1: unknown rus option 'corrections'"),
     (lambda: widgets.toffoli_emulated("x"), SizeError, "ancilla_mode 'x'"),
     (lambda: widgets.ccc_not("x"), SizeError, "ancilla_mode 'x'"),
     (lambda: widgets.horner_gates("x"), SizeError, "unknown horner kind 'x'"),

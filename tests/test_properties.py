@@ -308,17 +308,23 @@ def gate_slots(draw, width, gates):
     return gate, tuple(draw(st.permutations(range(width)))[:gate.arity])
 
 
+def _flat(runs):
+    return [op for ops in runs for op in ops]
+
+
 @st.composite
 def instructions(draw, width, gates, depth=0):
+    """One instruction as a list, or a RUS loop followed by up to two gates conditioned on
+    its outcome slot."""
     kind = draw(st.sampled_from(["gate", "gate", "measure", "cc"] + (["rus"] if depth < 2 else [])))
     if kind == "gate":
-        return GateOp(*draw(gate_slots(width, gates)))
+        return [GateOp(*draw(gate_slots(width, gates)))]
     if kind == "measure":
-        return MeasureOp(draw(st.integers(0, width - 1)), draw(st.integers(0, 3)))
+        return [MeasureOp(draw(st.integers(0, width - 1)), draw(st.integers(0, 3)))]
     if kind == "cc":
-        return CondGateOp(draw(st.integers(0, 3)), draw(st.integers(0, 2)),
-                          GateOp(*draw(gate_slots(width, gates))))
-    body = draw(st.lists(instructions(width, gates, depth + 1), max_size=4))
+        return [CondGateOp(draw(st.integers(0, 3)), draw(st.integers(0, 2)),
+                           GateOp(*draw(gate_slots(width, gates))))]
+    body = _flat(draw(st.lists(instructions(width, gates, depth + 1), max_size=4)))
     body.insert(draw(st.integers(0, len(body))),
                 MeasureOp(draw(st.integers(0, width - 1)), draw(st.integers(0, 3))))
     slots = st.integers(0, 3)
@@ -332,12 +338,12 @@ def instructions(draw, width, gates, depth=0):
                                                     max_size=4)),
                                frozenset(draw(st.lists(states, max_size=3)))),
                 "outcome_slot": draw(slots)}
-    corrections = tuple((draw(st.integers(0, 4)), GateOp(*draw(gate_slots(width, gates))))
-                        for _ in range(draw(st.integers(0, 2))))
-    return RusOp(Circuit(width, tuple(body)), corrections=corrections,
-                 max_iters=draw(st.integers(1, 5000)),
-                 expected_trials=draw(st.floats(1e-3, 1e6)),
-                 label=draw(st.text(_TEXT, max_size=6)), **form)
+    rus = RusOp(Circuit(width, tuple(body)), max_iters=draw(st.integers(1, 5000)),
+                expected_trials=draw(st.floats(1e-3, 1e6)),
+                label=draw(st.text(_TEXT, max_size=6)), **form)
+    return [rus] + [CondGateOp(rus.outcome_slot, draw(st.integers(0, 2)),
+                               GateOp(*draw(gate_slots(width, gates))))
+                    for _ in range(draw(st.integers(0, 2)))]
 
 
 @st.composite
@@ -347,7 +353,7 @@ def repetitive_circuits(draw):
     width = draw(st.integers(2, 5))
     gates = [g for g in map(matrix_for_name, draw(st.lists(gate_names(), min_size=1, max_size=3)))
              if g.arity <= width] or [matrix_for_name("INC")]
-    ops = draw(st.lists(instructions(width, gates), min_size=1, max_size=8))
+    ops = _flat(draw(st.lists(instructions(width, gates), min_size=1, max_size=8)))
     for _ in range(draw(st.integers(0, 12))):
         ops.insert(draw(st.integers(0, len(ops))), draw(st.sampled_from(ops)))
     ancillas = frozenset(draw(st.lists(st.integers(0, width - 1), max_size=width)))
@@ -405,8 +411,6 @@ def _reference_count(a: Circuit) -> ResourceCount:
         else:
             for sub in op.body.instructions:
                 visit(sub)
-            for _, g in op.corrections:
-                visit_gate(g.gate, g.wires)
             rus_expected.append((op.label or "rus", op.expected_trials))
 
     for op in a.instructions:
@@ -425,11 +429,11 @@ _COUNTED = ["P9", "P9_INV", "PHASE[3,9]", "R2", "R2_INV", "L[SUM]", "L[SUM]_INV"
 @st.composite
 def counted_circuits(draw):
     """Gates of every cost kind, conditioned gates, measurements and nested
-    repeat-until-success loops with corrections, on 1 to 5 wires."""
+    repeat-until-success loops with gates conditioned on their outcome, on 1 to 5 wires."""
     width = draw(st.integers(1, 5))
     names = draw(st.lists(st.one_of(st.sampled_from(_COUNTED), gate_names()), min_size=1, max_size=6))
     gates = [g for g in map(matrix_for_name, names) if g.arity <= width] or [matrix_for_name("P9")]
-    ops = draw(st.lists(instructions(width, gates), max_size=24))
+    ops = _flat(draw(st.lists(instructions(width, gates), max_size=24)))
     return Circuit(width, tuple(ops), frozenset(draw(st.lists(st.integers(0, width - 1)))))
 
 
@@ -471,9 +475,10 @@ def blocked_circuits(draw):
     width = draw(st.integers(1, 8 if permutations else 5))
     names = draw(st.lists(gate_names(permutations=permutations), min_size=1, max_size=4))
     gates = [g for g in map(matrix_for_name, names) if g.arity <= width] or [matrix_for_name("INC")]
-    op = (gate_slots(width, gates).map(lambda slot: GateOp(*slot)) if permutations
-          else instructions(width, gates))
-    shared = [tuple(draw(st.lists(op, min_size=1, max_size=12))) for _ in range(draw(st.integers(1, 4)))]
+    ops = (gate_slots(width, gates).map(lambda slot: [GateOp(*slot)]) if permutations
+           else instructions(width, gates))
+    shared = [tuple(_flat(draw(st.lists(ops, min_size=1, max_size=12))))
+              for _ in range(draw(st.integers(1, 4)))]
     order = draw(st.lists(st.sampled_from(shared), min_size=1, max_size=12))
     circ = Circuit(width, ancillas=frozenset(draw(st.lists(st.integers(0, width - 1)))), blocks=order)
     return circ, draw(st.integers(0, 3**width - 1))
@@ -516,7 +521,8 @@ def planner_gate(draw, width, names):
 
 @st.composite
 def planner_ops(draw, width, in_rus=False):
-    """A run of 1-4 gates of one class, a measurement, a conditioned gate or a RUS block."""
+    """A run of 1-4 gates of one class, a measurement, a conditioned gate, or a RUS block and
+    up to two gates conditioned on its outcome."""
     fits = {kind: [n for n in names if matrix_for_name(n).arity <= width]
             for kind, names in _PLANNER_GATES.items()}
     every = [n for names in fits.values() for n in names]
@@ -541,10 +547,11 @@ def planner_ops(draw, width, in_rus=False):
         trans = {(q, m): draw(st.integers(0, 2)) for q in (0, 1) for m in range(3)}
         trans[(0, draw(st.integers(0, 2)))], trans[(1, draw(st.integers(0, 2)))] = 1, 2
         form = {"chain": Chain(0, trans, frozenset({2})), "outcome_slot": s}
-    corrections = tuple((draw(st.integers(0, 2)), GateOp(*draw(planner_gate(width, every))))
-                        for _ in range(draw(st.integers(0, 2))))
-    return [RusOp(Circuit(width, tuple(body)), corrections=corrections, max_iters=40,
-                  label=draw(st.sampled_from(["", "a", "b"])), **form)]
+    rus = RusOp(Circuit(width, tuple(body)), max_iters=40,
+                label=draw(st.sampled_from(["", "a", "b"])), **form)
+    # a gate conditioned on the loop's outcome runs after it
+    return [rus] + [CondGateOp(s, draw(st.integers(0, 2)), GateOp(*draw(planner_gate(width, every))))
+                    for _ in range(draw(st.integers(0, 2)))]
 
 
 @pytest.mark.parametrize("mode", ["ideal", "injected"])

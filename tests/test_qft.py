@@ -4,7 +4,7 @@ import pytest
 from terniq.circuit import count_resources
 from terniq.errors import SizeError
 from terniq.gates import matrix_for_name
-from terniq.qft import dft_matrix, dropped_phase_error, qft3n
+from terniq.qft import controlled_phase_norm, dft_matrix, dropped_phase_error, qft3n
 from terniq.sim import circuit_unitary
 
 
@@ -50,11 +50,19 @@ def test_dft_matrix_needs_a_qutrit(n):
 @pytest.mark.parametrize("make", [
     lambda: qft3n(3, float("nan")), lambda: qft3n(3, -1), lambda: qft3n(3, float("inf")),
     lambda: dropped_phase_error(3, float("nan")), lambda: dropped_phase_error(3, -1),
-], ids=["qft nan", "qft -1", "qft inf", "bound nan", "bound -1"])
+    lambda: qft3n(3, None), lambda: dropped_phase_error(3, "x"),
+], ids=["qft nan", "qft -1", "qft inf", "bound nan", "bound -1", "qft None", "bound 'x'"])
 def test_delta_is_finite_and_non_negative(make):
-    # each used to build or bound the exact QFT without a word
+    # each used to build or bound the exact QFT without a word, or raised a bare TypeError
     with pytest.raises(SizeError):
         make()
+
+
+@pytest.mark.parametrize("d", [None, -3, 1.5], ids=repr)
+def test_controlled_phase_norm_needs_a_wire_distance(d):
+    # None raised a bare TypeError; -3 gave a norm of 2.0
+    with pytest.raises(SizeError, match="wire distance"):
+        controlled_phase_norm(d)
 
 
 def test_qft_approximate_drops_phases_eventually():

@@ -53,6 +53,13 @@ def test_little_endian_indexing():
         assert index_of_trits(trits) == sum(t * 3**i for i, t in enumerate(trits))
 
 
+@pytest.mark.parametrize("trits", [None, 5], ids=repr)
+def test_index_of_trits_needs_a_sequence(trits):
+    # each raised a bare TypeError
+    with pytest.raises(SizeError, match="not a sequence"):
+        index_of_trits(trits)
+
+
 def test_trit_conversions_reject_out_of_range_input():
     for index, width in ((27, 3), (-1, 3), (-3**5 - 7, 70), (3**70, 70), (1.0, 3)):
         with pytest.raises(SizeError, match="outside width"):

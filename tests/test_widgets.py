@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import binary_truth_ok, random_state_vector
-from terniq.circuit import Circuit, GateOp, MeasureOp, count_resources
+from terniq.circuit import Circuit, CondGateOp, GateOp, MeasureOp, count_resources
 from terniq.errors import SizeError
 from terniq.gates import allclose_up_to_phase, matrix_for_name
 from terniq.sim import (
@@ -418,7 +418,7 @@ def test_eta_measurement_yields_psi_at_most_half():
     assert len(measurements) == 40
     best = max(_psi_yield(p, eta) for p in measurements.values())
 
-    rus = widgets.resource_state_prep("psi").instructions[0]
+    rus, fix = widgets.resource_state_prep("psi").instructions
     final = [op for op in rus.body.instructions[1:] if isinstance(op, GateOp)]
     measured = next(op.wire for op in rus.body.instructions
                     if isinstance(op, MeasureOp) and op.slot == rus.outcome_slot)
@@ -433,14 +433,15 @@ def test_eta_measurement_yields_psi_at_most_half():
     assert abs(_psi_yield(factory, eta) - 0.5) < 1e-12
     assert abs(best - 0.5) < 1e-12
 
-    # the factory's emitting branches deliver psi exactly after correction
+    # the factory's emitting branches deliver psi exactly after its gate conditioned on
+    # the outcome; out[m] holds wire 2 after outcome m
     out = (u @ eta).reshape(3, 3)
-    corrections = {state: g.gate.matrix for state, g in rus.corrections}
+    assert isinstance(fix, CondGateOp) and fix.slot == rus.outcome_slot and fix.wires == (2,)
     emitted = 0.0
     for m in range(3):
         state = rus.chain.transitions[(rus.chain.start, m)]
         if state in rus.chain.accept:
-            v = corrections.get(state, np.eye(3)) @ out[m]
+            v = (fix.op.gate.matrix if m == fix.value else np.eye(3)) @ out[m]
             emitted += float(np.vdot(v, v).real)
             assert allclose_up_to_phase(v / np.linalg.norm(v),
                                         resource_state("psi"), 1e-10)
