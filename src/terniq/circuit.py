@@ -273,10 +273,6 @@ COSTED_PRIMITIVES = {
     "C1[INC]": (3, 1),
     "C2[INC]": (3, 1),
 }
-# adjoints cost the same whether the inverse is written inside or outside
-for _base, _cost in list(COSTED_PRIMITIVES.items()):
-    _head, _inner = _base.split("[")
-    COSTED_PRIMITIVES[f"{_head}[{_inner[:-1]}_INV]"] = _cost
 
 @dataclass(frozen=True)
 class ResourceCount:
@@ -295,27 +291,26 @@ class ResourceCount:
 
 @lru_cache(maxsize=None)
 def _gate_class(name: str):
-    """Classify a gate name: ('p9'|'r2'|'costed'|'clifford'|'synth', p9, depth)."""
-    base = name.removesuffix("_INV")
-    if base == "P9":
-        return ("p9", 1, 1)
-    if base == "R2":
-        return ("r2", 0, 1)
-    if base in COSTED_PRIMITIVES:
-        p9, depth = COSTED_PRIMITIVES[base]
-        return ("costed", p9, depth)
-    if (m := gates._TAU_RE.match(base)) and m[1] == "2":
-        return ("costed", 15, 5)
-    m = re.match(r"^PHASE\[(\d+),9\]$", base)
-    if m and int(m.group(1)) % 9:
-        # diag(1, w9^a, w9^{2a}) is P9^a up to a Clifford and global phase
-        return ("p9", 1, 1)
+    """Classify a gate: ('p9'|'r2'|'costed'|'clifford'|'synth', p9, depth, base); ``base``, its resolved
+    name (PHASE[-1,9] is PHASE[8,9]) with every ``_INV`` stripped, costs C1[INC_INV] as C1[INC]."""
     g = gates.matrix_for_name(name)
+    base = g.name.replace("_INV", "")
+    if base == "P9":
+        return ("p9", 1, 1, base)
+    if base == "R2":
+        return ("r2", 0, 1, base)
+    if base in COSTED_PRIMITIVES:
+        return ("costed", *COSTED_PRIMITIVES[base], base)
+    if (m := gates._TAU_RE.match(base)) and m[1] == "2":
+        return ("costed", 15, 5, base)
+    if (m := re.match(r"^PHASE\[(\d+),9\]$", base)) and int(m[1]) % 3:
+        # diag(1, w9^a, w9^{2a}) is P9^a up to a Clifford and global phase; 3 | a gives a Z power
+        return ("p9", 1, 1, base)
     if g.arity <= 2 and gates.is_clifford(g):
-        return ("clifford", 0, 0)
+        return ("clifford", 0, 0, base)
     # Non-Clifford gate outside the two native currencies: synthesized
     # externally (generic phase gates, the emulated binary Hadamard, ...).
-    return ("synth", 0, 1)
+    return ("synth", 0, 1, base)
 
 
 def count_resources(a: Circuit) -> ResourceCount:
@@ -389,12 +384,12 @@ def count_resources(a: Circuit) -> ResourceCount:
         uses_of = uses[key]
         meas += block_meas * uses_of
         for name, n in Counter(names).items():
-            kind, gp9, _ = _gate_class(name)
+            kind, gp9, _, base = _gate_class(name)
             n *= uses_of
             p9 += gp9 * n
             kinds[kind] += n
             if kind == "costed":
-                tally[name.removesuffix("_INV")] += n
+                tally[base] += n
 
     return ResourceCount(
         p9_count=p9,

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import costmodel
+from . import costmodel, widgets
 from .arithmetic import ShiftSpec, ripple_add_const, ripple_add_const_ternary
 from .circuit import count_resources
 from .errors import ParseError, SizeError, TerniqError
@@ -20,7 +20,7 @@ from .gates import matrix_for_name
 from .modexp import ModExpSpec
 from .qft import dft_matrix, qft3n
 from .shor import MODES, _factor_from_period, period_finding_run, shor_factor
-from .sim import circuit_unitary, run
+from .sim import basis_state, circuit_unitary, run, trits_of_index
 from .textfmt import deserialize
 
 
@@ -92,43 +92,29 @@ def _verify(checks) -> int:
     return 1 if failed else 0
 
 
+def _action_error(circ, gate: str, wires, binary: bool) -> float:
+    """Largest deviation of ``circ`` from catalog gate ``gate`` on ``wires`` (first wire most
+    significant): run from each binary or ternary input there, every other wire at 0, it must
+    give the gate's column on ``wires`` and 0 on every other wire."""
+    a, width = len(wires), circ.width
+    index = [sum(k // 3**(a - 1 - i) % 3 * 3**w for i, w in enumerate(wires)) for k in range(3**a)]
+    want = np.zeros((3**width, 3**a), dtype=np.complex128)
+    want[index] = matrix_for_name(gate).matrix
+    return max(float(np.abs(run(circ, basis_state(width, i)).state.amps - want[:, k]).max())
+               for k, i in enumerate(index) if not (binary and 2 in trits_of_index(i, width)))
+
+
 def cmd_widget_verify(args) -> int:
-    from . import widgets
-
-    ledger = (
-        ("CNOT", widgets.cnot_emulated(), 6, None),
-        ("Toffoli (ancilla-free)", widgets.toffoli_emulated("none"), 15, None),
-        ("Toffoli (one clean)", widgets.toffoli_emulated("one_clean"), 12, 4),
-        ("CCC(NOT) (two clean)", widgets.ccc_not("two_clean"), 18, 6),
-        ("CCC(NOT) (one clean)", widgets.ccc_not("one_clean"), 21, None),
-        ("C2(INC)", widgets.c_binary_inc(2), 3, None),
-        ("L(SUM)", widgets.horner_gates("LSUM"), 4, 2),
-        ("LL(SUM)", widgets.horner_gates("LLSUM"), 12, None),
-        ("C_f(L(SUM))", widgets.horner_gates("CF_LSUM"), 23, None),
-        ("C_f(SUM)", widgets.horner_gates("CF_SUM"), 15, None),
-    )
-
-    def check(name, circ, p9, depth):
+    def check(row):
         def fn():
-            rc = count_resources(circ)
-            ok = rc.p9_count == p9 and (depth is None or rc.p9_depth == depth)
-            want = f"{p9}" + (f" @ depth {depth}" if depth else "")
-            return ok, f"measured {rc.p9_count} @ depth {rc.p9_depth}, expected {want}"
+            circ = row.build()
+            rc, err = count_resources(circ), _action_error(circ, row.gate, row.data, row.binary)
+            ok = rc.p9_count == row.p9 and row.depth in (None, rc.p9_depth) and err < 1e-10
+            return ok, (f"measured {rc.p9_count} @ depth {rc.p9_depth}, expected {row.p9} @ depth "
+                        f"{row.depth or 'any'}; acts as {row.gate} to {err:.1e}")
         return fn
 
-    checks = [(name, check(name, circ, p9, depth)) for name, circ, p9, depth in ledger]
-
-    def c1z_exact():
-        u = circuit_unitary(widgets.c1z_from_p9())
-        w3 = np.exp(2j * np.pi / 3)
-        want = np.eye(9, dtype=complex)
-        for t in range(3):
-            want[1 + 3 * t, 1 + 3 * t] = w3**t
-        err = float(np.max(np.abs(u - want)))
-        return err < 1e-12, f"matrix error {err:.2e}"
-
-    checks.append(("C1(Z) network", c1z_exact))
-    return _verify(checks)
+    return _verify([(row.label, check(row)) for row in widgets.LEDGER])
 
 
 def cmd_adder_verify(args) -> int:

@@ -7,8 +7,8 @@ binary data there (``arithmetic.mcx_ops``).  The CNOT, Toffoli and CCC(NOT)
 widgets and ``add_binary_control`` expand those costed lists with
 ``_expand``: each C_l[INC] becomes its three-P9 network (depth one on a
 shared clean helper wire), each TAU2[j,k] the five-increment network
-conjugated by Clifford permutations.  ``tests/test_widgets.py`` pins the two
-representations to identical unitaries and P9 counts.
+conjugated by Clifford permutations.  ``LEDGER`` is the one widget ledger, each
+widget's gate, P9 count and depth, which ``terniq widget-verify`` and the tests check.
 
 Wire convention for every constructor: data wires first, then markers, then
 the shared depth-one helper wire, all listed in each docstring.
@@ -17,8 +17,8 @@ the shared depth-one helper wire, all listed in each docstring.
 from __future__ import annotations
 
 import re
-from collections import deque
-from functools import lru_cache
+from collections import deque, namedtuple
+from functools import lru_cache, partial
 
 from .arithmetic import and_ops, mcx_ops
 from .circuit import (Chain, Circuit, CondGateOp, GateOp, MeasureOp, RusOp, adjoint_ops, gate_op,
@@ -30,7 +30,7 @@ __all__ = [
     "p9_injection_widget", "r2_injection_rus",
     "c1z_from_p9", "c1z_depth_one", "c_binary_inc", "cnot_emulated",
     "toffoli_emulated", "ccc_not", "add_binary_control", "horner_gates",
-    "resource_state_prep", "tau2_ops", "reset_ops",
+    "resource_state_prep", "tau2_ops", "reset_ops", "LedgerRow", "LEDGER",
 ]
 
 
@@ -279,6 +279,38 @@ def horner_gates(kind: str, f: int = 1) -> Circuit:
         ops = [gate_op("L[SUM]", 1, 2, 4), gate_op(f"C{f}[SUM]", 0, 4, 3), gate_op("L[SUM]_INV", 1, 2, 4)]
         return Circuit(5, tuple(ops), ancillas=frozenset({4}), name=f"c{f}lsum")
     raise SizeError(f"unknown horner kind {kind!r}")
+
+
+# ------------------------------------------------------------ ledger
+
+#: ``build()`` acts as catalog gate ``gate`` on wires ``data`` (first wire most significant;
+#: TAU1[0,1] is NOT on bits) from every binary (``binary``) or ternary input, other wires at 0 and
+#: back at 0, for ``p9`` P9 at P9-depth ``depth`` (None: unclaimed); a builder: imports build nothing
+LedgerRow = namedtuple("LedgerRow", "label build gate data binary p9 depth")
+LEDGER = (
+    LedgerRow("C1(Z)", c1z_from_p9, "C1[Z]", (0, 1), False, 3, None),
+    LedgerRow("C1(Z) depth one", c1z_depth_one, "C1[Z]", (0, 1), False, 3, 1),
+    *(LedgerRow(f"C{lv}(INC)" + " depth one" * d, partial(c_binary_inc, lv, depth_one=d),
+                f"C{lv}[INC]", (0, 1), False, 3, 1 if d else None)
+      for d in (False, True) for lv in range(3)),
+    LedgerRow("C1(INC^-1)", partial(c_binary_inc, 1, dagger=True), "C1[INC_INV]", (0, 1), False, 3, None),
+    LedgerRow("CNOT", cnot_emulated, "C1[TAU1[0,1]]", (0, 1), True, 6, None),
+    LedgerRow("CNOT depth two", partial(cnot_emulated, depth_two=True), "C1[TAU1[0,1]]", (0, 1), True, 6, 2),
+    LedgerRow("Toffoli (ancilla-free)", partial(toffoli_emulated, "none"), "C1[C1[TAU1[0,1]]]",
+              (0, 1, 2), True, 15, None),
+    LedgerRow("Toffoli (one clean)", partial(toffoli_emulated, "one_clean"),
+              "C1[C1[TAU1[0,1]]]", (0, 1, 2), True, 12, 4),
+    LedgerRow("CCC(NOT) (two clean)", partial(ccc_not, "two_clean"), "C1[C1[C1[TAU1[0,1]]]]",
+              (0, 1, 2, 3), True, 18, 6),
+    LedgerRow("CCC(NOT) (one clean)", partial(ccc_not, "one_clean"), "C1[C1[C1[TAU1[0,1]]]]",
+              (0, 1, 2, 3), True, 21, None),
+    LedgerRow("L(SUM)", partial(horner_gates, "LSUM"), "L[SUM]", (0, 1, 2), False, 4, 2),
+    LedgerRow("LL(SUM)", partial(horner_gates, "LLSUM"), "L[L[SUM]]", (0, 1, 2, 3), False, 12, None),
+    *(LedgerRow(f"C{f}(L(SUM))", partial(horner_gates, "CF_LSUM", f), f"C{f}[L[SUM]]",
+                (0, 1, 2, 3), False, 23, None) for f in range(3)),
+    *(LedgerRow(f"C{f}(SUM)", partial(horner_gates, "CF_SUM", f), f"C{f}[SUM]", (0, 1, 2),
+                False, 15, None) for f in range(3)),
+)
 
 
 # ------------------------------------------------------------ injection widgets

@@ -7,7 +7,6 @@ import warnings
 from collections import Counter
 from contextlib import suppress
 from dataclasses import replace
-from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,8 +16,7 @@ from terniq import widgets
 from terniq.circuit import Circuit, CondGateOp, GateOp, MeasureOp, gate_op, remap_wires
 from terniq.errors import RusCapError
 from terniq.gates import matrix_for_name
-from terniq.sim import (circuit_unitary, compile_classical, index_of_trits, run_compiled,
-                        trits_of_index)
+from terniq.sim import compile_classical, run_compiled, trits_of_index
 
 try:
     from hypothesis import settings
@@ -124,19 +122,6 @@ def expected(spec, adder, cv=()):
     return want
 
 
-def binary_truth_ok(circ, n_data, fn):
-    """Exact action |x> -> |fn(x)> on every binary input of the ``n_data`` data wires, with
-    ancillas clean: each output column stays in the data wires' subspace."""
-    u = circuit_unitary(circ, cap=8)
-    for bits in product((0, 1), repeat=n_data):
-        i = index_of_trits(list(bits) + [0] * (circ.width - n_data))
-        j = index_of_trits(list(fn(*bits)) + [0] * (circ.width - n_data))
-        col = u[:, i]
-        if abs(abs(col[j]) - 1.0) > 1e-10 or np.any(np.abs(col[3**n_data:]) > 1e-10):
-            return False
-    return True
-
-
 def assert_clean(adder, ot, controls=None):
     """All non-data, non-carry wires back to their input values."""
     ctrl_map = dict(zip(adder.controls, controls or ()))
@@ -221,3 +206,21 @@ def reference_run(circ, init, seed=0, mode="ideal"):
     amps[:init.size] = init
     rec.amps = steps(circ.instructions, amps, rec.slots)
     return rec
+
+
+def acts_as(circ, gate, wires, binary=False):
+    """Whether ``circ`` acts as catalog gate ``gate`` on ``wires`` (first wire most significant,
+    as in gate kets): run by the reference executor from each binary (``binary``) or ternary
+    input there, every other wire at 0, it gives the gate's column on ``wires`` and 0 on every
+    other wire."""
+    g, a, dim = matrix_for_name(gate).matrix, len(wires), 3**circ.width
+    digits = [[k // 3**(a - 1 - i) % 3 for i in range(a)] for k in range(3**a)]
+    index = [sum(d * 3**w for d, w in zip(ds, wires)) for ds in digits]
+    for k, ds in enumerate(digits):
+        if binary and 2 in ds:
+            continue
+        init, want = np.zeros(dim, dtype=np.complex128), np.zeros(dim, dtype=np.complex128)
+        init[index[k]], want[index] = 1, g[:, k]
+        if not np.allclose(reference_run(circ, init).amps, want, rtol=0, atol=1e-10):
+            return False
+    return True

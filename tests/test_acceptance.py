@@ -6,12 +6,10 @@ against the P9 cost derived from its own circuits (see the README's psi cost
 ledger).
 """
 
-from itertools import product
-
 import numpy as np
 import pytest
 
-from conftest import (assert_clean, binary_truth_ok, classical_map, random_state_vector,
+from conftest import (acts_as, assert_clean, classical_map, random_state_vector,
                       random_unitary)
 from terniq import costmodel, widgets
 from terniq.arithmetic import (
@@ -186,54 +184,23 @@ def test_criterion_04_resource_state_factories():
 # ---------------------------------------------------------------- 5
 
 def test_criterion_05_widget_count_ledger():
-    checks = [
-        ("CNOT", count_resources(widgets.cnot_emulated()), 6, None),
-        ("Toffoli-free", count_resources(widgets.toffoli_emulated("none")), 15, None),
-        ("Toffoli-anc", count_resources(widgets.toffoli_emulated("one_clean")), 12, 4),
-        ("CCC-two", count_resources(widgets.ccc_not("two_clean")), 18, None),
-        ("CCC-one", count_resources(widgets.ccc_not("one_clean")), 21, None),
-        ("C2(INC)", count_resources(widgets.c_binary_inc(2)), 3, None),
-        ("LSUM", count_resources(widgets.horner_gates("LSUM")), 4, 2),
-        ("LLSUM", count_resources(widgets.horner_gates("LLSUM")), 12, None),
-        ("CF_LSUM", count_resources(widgets.horner_gates("CF_LSUM")), 23, None),
-        ("CF_SUM", count_resources(widgets.horner_gates("CF_SUM")), 15, None),
-    ]
-    bad = [f"{name}={rc.p9_count}(want {want})" for name, rc, want, _ in checks
-           if rc.p9_count != want]
-    bad += [f"{name} depth={rc.p9_depth}(want {wd})" for name, rc, _, wd in checks
-            if wd is not None and rc.p9_depth != wd]
+    counts = [(row, count_resources(row.build())) for row in widgets.LEDGER]
+    bad = [f"{row.label}={rc.p9_count}(want {row.p9})" for row, rc in counts
+           if rc.p9_count != row.p9]
+    bad += [f"{row.label} depth={rc.p9_depth}(want {row.depth})" for row, rc in counts
+            if row.depth not in (None, rc.p9_depth)]
     report(5, not bad, "all exact: " + ", ".join(
-        f"{n}={rc.p9_count}" for n, rc, _, _ in checks) if not bad else "; ".join(bad))
+        f"{row.label}={rc.p9_count}" for row, rc in counts) if not bad else "; ".join(bad))
 
 
 # ---------------------------------------------------------------- 6
 
 def test_criterion_06_functional_exhaustion():
-    ok_cnot = binary_truth_ok(widgets.cnot_emulated(), 2, lambda c, t: (c, t ^ c))
-    ok_t15 = binary_truth_ok(widgets.toffoli_emulated("none"), 3,
-                              lambda a, b, t: (a, b, t ^ (a & b)))
-    ok_t12 = binary_truth_ok(widgets.toffoli_emulated("one_clean"), 3,
-                              lambda a, b, t: (a, b, t ^ (a & b)))
-    ok_c18 = binary_truth_ok(widgets.ccc_not("two_clean"), 4,
-                              lambda a, b, c, t: (a, b, c, t ^ (a & b & c)))
-    ok_c21 = binary_truth_ok(widgets.ccc_not("one_clean"), 4,
-                              lambda a, b, c, t: (a, b, c, t ^ (a & b & c)))
-    u = circuit_unitary(widgets.horner_gates("LSUM"))
-    ok_ls = all(abs(u[index_of_trits([i, j, (k + i * j) % 3]),
-                     index_of_trits([i, j, k])] - 1) < 1e-10
-                for i, j, k in product(range(3), repeat=3))
-    u = circuit_unitary(widgets.horner_gates("LLSUM"))
-    ok_lls = all(abs(u[index_of_trits([i, j, k, (l + i * j * k) % 3, 0]),
-                      index_of_trits([i, j, k, l, 0])] - 1) < 1e-10
-                 for i, j, k, l in product(range(3), repeat=4))
-    u = circuit_unitary(widgets.horner_gates("CF_LSUM", f=1))
-    ok_cfl = all(abs(u[index_of_trits([i, j, k, (l + (i == 1) * j * k) % 3, 0]),
-                      index_of_trits([i, j, k, l, 0])] - 1) < 1e-10
-                 for i, j, k, l in product(range(3), repeat=4))
-    ok = all((ok_cnot, ok_t15, ok_t12, ok_c18, ok_c21, ok_ls, ok_lls, ok_cfl))
-    report(6, ok, f"CNOT {ok_cnot}, Toffoli {ok_t15}/{ok_t12}, CCC {ok_c18}/{ok_c21}, "
-                  f"LSUM(27) {ok_ls}, LLSUM(81) {ok_lls}, CF_LSUM(81) {ok_cfl}, "
-                  f"ancillas restored < 1e-10")
+    bad = [row.label for row in widgets.LEDGER
+           if not acts_as(row.build(), row.gate, row.data, row.binary)]
+    report(6, not bad, f"wrong action: {', '.join(bad)}" if bad else
+           f"all {len(widgets.LEDGER)} ledger widgets act as their catalog gates on every "
+           "binary or ternary data input, ancillas restored < 1e-10")
 
 
 # ---------------------------------------------------------------- 7

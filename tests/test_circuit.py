@@ -12,8 +12,10 @@ from terniq.circuit import (
     GateOp,
     MeasureOp,
     RusOp,
+    _gate_class,
     compose,
     count_resources,
+    gate_op,
     inverse,
     remap_wires,
 )
@@ -120,6 +122,24 @@ def test_costed_primitive_tally():
     rc = count_resources(c)
     assert rc.p9_count == 23
     assert dict(rc.costed_primitive_tally) == {"L[SUM]": 2, "C1[SUM]": 1}
+
+
+@pytest.mark.parametrize("name,other", [
+    ("PHASE[3,9]", "PHASE[1,3]"),     # Z: a Clifford, whichever way it is spelled
+    ("PHASE[6,9]", "Z_INV"),
+    ("PHASE[-1,9]", "PHASE[8,9]"),    # one P9
+    ("PHASE[1,9]_INV", "PHASE[8,9]"),
+    ("C1[INC_INV]", "C1[INC]_INV"),   # one costed row: the inverse inside or outside
+    ("L[SUM_INV]", "L[SUM]_INV"),
+    ("TAU2[6,1]", "TAU2[1,6]"),
+])
+def test_a_gate_costs_the_same_however_it_is_spelled(name, other):
+    a, b = matrix_for_name(name), matrix_for_name(other)
+    assert a.arity == b.arity and np.allclose(a.matrix, b.matrix, rtol=0, atol=1e-12)
+    assert _gate_class(name)[:3] == _gate_class(other)[:3]
+    one, two = (Circuit(a.arity, (gate_op(n, *range(a.arity)),)) for n in (name, other))
+    assert count_resources(one) == count_resources(two)
+    assert run(one).p9_executed == run(two).p9_executed
 
 
 def test_injection_widget_composes_to_p9_squared(rng):

@@ -10,6 +10,7 @@ from terniq.arithmetic import ShiftSpec, ripple_add_const
 from terniq.circuit import count_resources
 from terniq.cli import main
 from terniq.errors import SizeError
+from terniq.shor import FactorReport
 from terniq.textfmt import serialize
 from terniq import widgets
 
@@ -93,9 +94,8 @@ def test_circuit_count_file(tmp_path, capsys):
     assert "p9_depth         4" in out
 
 
-#: the widget-verify rows that count a widget's P9 gates, in order
-_LEDGER = ["CNOT", "Toffoli (ancilla-free)", "Toffoli (one clean)", "CCC(NOT) (two clean)",
-           "CCC(NOT) (one clean)", "C2(INC)", "L(SUM)", "LL(SUM)", "C_f(L(SUM))", "C_f(SUM)"]
+#: the widget-verify rows, in order
+_LEDGER = [row.label for row in widgets.LEDGER]
 
 
 def test_circuit_count_prints_rus_and_costed_primitive_rows(tmp_path, capsys):
@@ -120,8 +120,39 @@ def test_widget_verify_reports_a_failing_count(monkeypatch, capsys):
     monkeypatch.setattr("terniq.cli.count_resources", fail)
     assert run_cli(["widget-verify"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[:-1] == [f"[FAIL] {label}: no count" for label in _LEDGER]
-    assert lines[-1].startswith("[PASS] C1(Z) network: ")
+    assert lines == [f"[FAIL] {label}: no count" for label in _LEDGER]
+
+
+@pytest.mark.parametrize("field,value,detail", [
+    ("p9", 5, "expected 5 @ depth 2; acts as C1[TAU1[0,1]] to "),
+    ("depth", 3, "expected 6 @ depth 3; acts as C1[TAU1[0,1]] to "),
+    ("gate", "C1[TAU1[0,2]]", "expected 6 @ depth 2; acts as C1[TAU1[0,2]] to 1.0e+00"),
+], ids=["count", "depth", "action"])
+def test_widget_verify_fails_a_wrong_count_depth_or_action(field, value, detail, monkeypatch,
+                                                           capsys):
+    row = next(row for row in widgets.LEDGER if row.label == "CNOT depth two")
+    monkeypatch.setattr(widgets, "LEDGER", (row._replace(**{field: value}),))
+    assert run_cli(["widget-verify"]) == 1
+    assert capsys.readouterr().out.startswith(
+        f"[FAIL] CNOT depth two: measured 6 @ depth 2, {detail}")
+
+
+def test_adder_verify_reports_a_wrong_sum(monkeypatch, capsys):
+    # a walk that returns its input adds nothing: a = 0 passes, a = 1 fails at b = 0
+    monkeypatch.setattr("terniq.sim.run_compiled", lambda comp, index: index)
+    assert run_cli(["adder-verify"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "[FAIL] binary ripple n=4: a=1 b=0"
+    assert lines[-1].startswith("[PASS] count ledger: ")
+
+
+def test_shor_run_reports_a_failed_trial(monkeypatch, capsys):
+    trials = ((7, "no-period", None),)
+    monkeypatch.setattr("terniq.cli.shor_factor",
+                        lambda n, seed, **kw: FactorReport(None, trials, seed))
+    assert run_cli(["shor-run", "--n", "15", "--seed", "4", "--trials", "2"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"trial {i}: failed  log={trials}" for i in range(2)]
 
 
 def test_circuit_sim_file(tmp_path, capsys):
@@ -230,7 +261,7 @@ def test_widget_verify_passes_every_ledger_entry(capsys):
     assert run_cli(["widget-verify"]) == 0
     lines = capsys.readouterr().out.splitlines()
     labels = [line.split("] ", 1)[1].split(":")[0] for line in lines]
-    assert labels == [*_LEDGER, "C1(Z) network"]
+    assert labels == _LEDGER
     assert all(line.startswith("[PASS] ") for line in lines)
 
 

@@ -8,9 +8,10 @@ from terniq import widgets
 from terniq.arithmetic import (ShiftSpec, mcx_ops, mod_add_const, ripple_add_const,
                                ripple_add_const_ternary)
 from terniq.circuit import Chain, Circuit, MeasureOp, RusOp, gate_op
+from terniq.costmodel import Scenario, lookahead_costs
 from terniq.errors import (CatalogError, NonUnitaryError, ParseError, SizeError, WidthCapError,
                            as_int, int_fields)
-from terniq.gates import is_clifford, matrix_for_name
+from terniq.gates import GateMatrix, is_clifford, matrix_for_name
 from terniq.sim import StateVector, choice_draw, circuit_unitary, run
 from terniq.textfmt import deserialize
 
@@ -95,13 +96,16 @@ def _rus(**form):
     (lambda: choice_draw([0.5, 0.5], None), SizeError, "needs three probabilities"),
     (lambda: choice_draw(None, None), SizeError, "needs three probabilities, got None"),
     (lambda: Circuit(2, ("x",)), SizeError, "'x' is not an instruction in circuit"),
+    (lambda: lookahead_costs(Scenario(64)), SizeError, "needs a lookahead scenario"),
+    (lambda: GateMatrix("X", 1, np.eye(9)), SizeError, "X: matrix shape (9, 9) != arity 1"),
 ], ids=["mcx markers", "binary adder encoding", "binary adder modulus", "ternary adder encoding",
         "modular adder modulus", "rus predicate and chain", "gate mode", "unnormalised measurement",
         "rus chain without transition", "unitary above cap", "unitary of a measurement",
         "clifford arity 3", "reader expected", "reader corrections", "toffoli mode", "ccc mode",
         "horner kind", "resource state", "binary control wire", "tau2 of one pair",
         "gate name dict", "gate name int", "gate name None", "gate name bytes",
-        "draw from a string", "draw from two", "draw from None", "circuit of a string"])
+        "draw from a string", "draw from two", "draw from None", "circuit of a string",
+        "lookahead costs of a ripple scenario", "gate matrix of the wrong shape"])
 def test_reachable_error_paths_raise_their_error(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()

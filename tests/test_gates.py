@@ -158,6 +158,11 @@ def test_phase_gate_reductions():
     assert np.allclose(phase_gate(0, 27).matrix, np.eye(3), atol=1e-12)
 
 
+def test_allclose_up_to_phase_rejects_unequal_shapes():
+    assert not allclose_up_to_phase(np.eye(3), np.eye(9))
+    assert allclose_up_to_phase(1j * np.eye(3), np.eye(3))
+
+
 def test_adjoint_names_and_matrices():
     g = matrix_for_name("C2[INC]")
     assert np.allclose(g.adjoint().matrix, g.matrix.conj().T)

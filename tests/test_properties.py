@@ -385,14 +385,14 @@ def _reference_count(a: Circuit) -> ResourceCount:
 
     def visit_gate(gate, wires):
         nonlocal p9, r2, cliff, synth
-        kind, gp9, gdepth = _gate_class(gate.name)
+        kind, gp9, gdepth, _ = _gate_class(gate.name)
         if kind == "p9":
             p9 += gp9
         elif kind == "r2":
             r2 += 1
         elif kind == "costed":
             p9 += gp9
-            base = gate.name.removesuffix("_INV")
+            base = gate.name.replace("_INV", "")  # an adjoint is tallied as its gate
             tally[base] = tally.get(base, 0) + 1
         elif kind == "synth":
             synth += 1
@@ -419,8 +419,9 @@ def _reference_count(a: Circuit) -> ResourceCount:
                          tuple(sorted(tally.items())), tuple(rus_expected), synth)
 
 
-# every kind the count tells apart: P9 and its P9-like phases, R2, costed
-# primitives, externally synthesized gates and Cliffords on 1 to 4 wires
+# every kind the count tells apart: P9 and its P9-like phases (PHASE[3,9] is Z,
+# a Clifford), R2, costed primitives, externally synthesized gates and Cliffords
+# on 1 to 4 wires
 _COUNTED = ["P9", "P9_INV", "PHASE[3,9]", "R2", "R2_INV", "L[SUM]", "L[SUM]_INV", "C1[SUM]",
             "C0[INC_INV]", "C2[INC]_INV", "TAU2[1,5]", "HBIN", "PHASE[1,27]", "C1[C2[SUM]]",
             "INC", "H", "SUM", "TSWAP"]

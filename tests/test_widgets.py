@@ -3,18 +3,11 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import binary_truth_ok, random_state_vector
+from conftest import acts_as, random_state_vector
 from terniq.circuit import Circuit, CondGateOp, GateOp, MeasureOp, count_resources
 from terniq.errors import SizeError
 from terniq.gates import allclose_up_to_phase, matrix_for_name
-from terniq.sim import (
-    basis_state,
-    circuit_unitary,
-    index_of_trits,
-    product_state,
-    resource_state,
-    run,
-)
+from terniq.sim import basis_state, circuit_unitary, product_state, resource_state, run
 from terniq import widgets
 
 W3 = np.exp(2j * np.pi / 3)
@@ -137,60 +130,14 @@ def test_r2_trial_statistics():
     assert abs(np.mean(psi) - 3.0) < 0.15
 
 
-# ------------------------------------------------------------ C1(Z), C_l(INC)
+# ------------------------------------------------------------ the widget ledger
 
-def c1z_target():
-    t = np.eye(9, dtype=complex)
-    for tv in range(3):
-        t[1 + 3 * tv, 1 + 3 * tv] = W3**tv
-    return t
-
-
-def test_c1z_matrix_exact():
-    assert np.allclose(circuit_unitary(widgets.c1z_from_p9()), c1z_target(), atol=1e-12)
-
-
-def test_c1z_inactive_control():
-    u = circuit_unitary(widgets.c1z_from_p9())
-    for k in range(3):
-        i = index_of_trits([0, k])
-        e = np.zeros(9)
-        e[i] = 1
-        assert np.allclose(u @ e, e, atol=1e-12)
-
-
-def test_c1z_phase_on_11():
-    u = circuit_unitary(widgets.c1z_from_p9())
-    i = index_of_trits([1, 1])
-    assert abs(u[i, i] - W3) < 1e-12
-
-
-def test_c1z_depth_one():
-    circ = widgets.c1z_depth_one()
-    u = circuit_unitary(circ)
-    assert np.allclose(u[:9, :9], c1z_target(), atol=1e-12)
-    assert np.linalg.norm(u[9:, :9]) < 1e-12  # ancilla restored from |0>
+@pytest.mark.parametrize("row", widgets.LEDGER, ids=lambda row: row.label)
+def test_ledger_row(row):
+    circ = row.build()
+    assert acts_as(circ, row.gate, row.data, row.binary)
     rc = count_resources(circ)
-    assert rc.p9_count == 3 and rc.p9_depth == 1
-
-
-@pytest.mark.parametrize("level", [0, 1, 2])
-@pytest.mark.parametrize("depth_one", [False, True])
-def test_c_binary_inc(level, depth_one):
-    circ = widgets.c_binary_inc(level, depth_one=depth_one)
-    u = circuit_unitary(circ)
-    if depth_one:
-        u = u[:9, :9]
-    want = np.zeros((9, 9))
-    for c in range(3):
-        for t in range(3):
-            t2 = (t + (c == level)) % 3
-            want[c + 3 * t2, c + 3 * t] = 1.0
-    assert np.allclose(u, want, atol=1e-12)
-    rc = count_resources(circ)
-    assert rc.p9_count == 3
-    if depth_one:
-        assert rc.p9_depth == 1
+    assert rc.p9_count == row.p9 and row.depth in (None, rc.p9_depth)
 
 
 def test_c_binary_inc_names_its_level_as_an_int():
@@ -199,97 +146,17 @@ def test_c_binary_inc_names_its_level_as_an_int():
         widgets.c_binary_inc(1.0)
 
 
-def test_c2inc_truth_table_entries():
-    u = circuit_unitary(widgets.c_binary_inc(2))
-    i, j = index_of_trits([2, 2]), index_of_trits([2, 0])
-    assert abs(u[j, i] - 1.0) < 1e-12  # |2,2> -> |2,0>
-
-
-# ------------------------------------------------------------ CNOT / Toffoli
-
-def test_cnot_truth_table():
-    assert binary_truth_ok(widgets.cnot_emulated(), 2, lambda c, t: (c, t ^ c))
-    assert count_resources(widgets.cnot_emulated()).p9_count == 6
-
-
-def test_cnot_depth_two():
-    circ = widgets.cnot_emulated(depth_two=True)
-    assert binary_truth_ok(circ, 2, lambda c, t: (c, t ^ c))
-    rc = count_resources(circ)
-    assert rc.p9_count == 6 and rc.p9_depth == 2
-
-
-def test_toffoli_variants():
-    t15 = widgets.toffoli_emulated("none")
-    assert binary_truth_ok(t15, 3, lambda a, b, t: (a, b, t ^ (a & b)))
-    assert count_resources(t15).p9_count == 15
-    t12 = widgets.toffoli_emulated("one_clean")
-    assert binary_truth_ok(t12, 3, lambda a, b, t: (a, b, t ^ (a & b)))
-    rc = count_resources(t12)
-    assert rc.p9_count == 12 and rc.p9_depth == 4
-
-
-def test_ccc_not_variants():
-    c18 = widgets.ccc_not("two_clean")
-    assert binary_truth_ok(c18, 4, lambda a, b, c, t: (a, b, c, t ^ (a & b & c)))
-    rc = count_resources(c18)
-    assert rc.p9_count == 18 and rc.p9_depth == 6
-    c21 = widgets.ccc_not("one_clean")
-    assert binary_truth_ok(c21, 4, lambda a, b, c, t: (a, b, c, t ^ (a & b & c)))
-    assert count_resources(c21).p9_count == 21
-
-
 def test_add_binary_control_generic():
     tof = widgets.add_binary_control(widgets.cnot_emulated(), control=0)
     # wires: 0 = old control, 1 = target, 2 = new control, 3 = marker
-    assert binary_truth_ok(tof, 3, lambda c1, t, c2: (c1, t ^ (c1 & c2), c2))
+    assert acts_as(tof, "C1[C1[TAU1[0,1]]]", (2, 0, 1), binary=True)
     assert count_resources(tof).p9_count == 12
     ccc = widgets.add_binary_control(widgets.toffoli_emulated("none"), control=0)
+    assert acts_as(ccc, "C1[C1[C1[TAU1[0,1]]]]", (3, 0, 1, 2), binary=True)
     assert count_resources(ccc).p9_count == 21
     ccc2 = widgets.add_binary_control(tof, control=2)
+    assert acts_as(ccc2, "C1[C1[C1[TAU1[0,1]]]]", (4, 2, 0, 1), binary=True)
     assert count_resources(ccc2).p9_count == 18
-
-
-# ------------------------------------------------------------ Horner gates
-
-def test_horner_lsum_truth():
-    u = circuit_unitary(widgets.horner_gates("LSUM"))
-    i = index_of_trits([2, 2, 0])
-    col = np.nonzero(np.abs(u[:, i]) > 1e-10)[0]
-    assert list(col) == [index_of_trits([2, 2, 1])]  # 2*2 mod 3 = 1
-    rc = count_resources(widgets.horner_gates("LSUM"))
-    assert rc.p9_count == 4 and rc.p9_depth == 2
-
-
-def test_horner_llsum_exhaustive():
-    circ = widgets.horner_gates("LLSUM")
-    u = circuit_unitary(circ)
-    for i0, i1, i2, i3 in product(range(3), repeat=4):
-        src = index_of_trits([i0, i1, i2, i3, 0])
-        dst = index_of_trits([i0, i1, i2, (i3 + i0 * i1 * i2) % 3, 0])
-        assert abs(u[dst, src] - 1.0) < 1e-12
-    assert count_resources(circ).p9_count == 12
-
-
-@pytest.mark.parametrize("f", [0, 1, 2])
-def test_horner_cf_lsum_exhaustive(f):
-    circ = widgets.horner_gates("CF_LSUM", f=f)
-    u = circuit_unitary(circ)
-    for i0, i1, i2, i3 in product(range(3), repeat=4):
-        src = index_of_trits([i0, i1, i2, i3, 0])
-        dst = index_of_trits([i0, i1, i2, (i3 + (i0 == f) * i1 * i2) % 3, 0])
-        assert abs(u[dst, src] - 1.0) < 1e-12
-    assert count_resources(circ).p9_count == 23
-
-
-def test_horner_cf_sum():
-    circ = widgets.horner_gates("CF_SUM", f=1)
-    u = circuit_unitary(circ)
-    for i0, i1, i2 in product(range(3), repeat=3):
-        src = index_of_trits([i0, i1, i2])
-        dst = index_of_trits([i0, i1, (i2 + (i0 == 1) * i1) % 3])
-        assert abs(u[dst, src] - 1.0) < 1e-12
-    assert count_resources(circ).p9_count == 15
 
 
 # ------------------------------------------------------------ tau2 network
@@ -449,26 +316,6 @@ def test_eta_measurement_yields_psi_at_most_half():
 
 
 # ------------------------------------------------------------ primitive bridge
-
-@pytest.mark.parametrize("name,builder", [
-    ("C0[INC]", lambda: widgets.c_binary_inc(0)),
-    ("C1[INC]", lambda: widgets.c_binary_inc(1)),
-    ("C2[INC]", lambda: widgets.c_binary_inc(2)),
-    ("C1[INC_INV]", lambda: widgets.c_binary_inc(1, dagger=True)),
-])
-def test_costed_primitives_match_p9_networks(name, builder):
-    """The opaque primitives used by arithmetic equal their P9 networks."""
-    circ = builder()
-    u = circuit_unitary(circ)
-    g = matrix_for_name(name)
-    want = np.zeros((9, 9), dtype=complex)
-    for c in range(3):
-        for t in range(3):
-            for c2 in range(3):
-                for t2 in range(3):
-                    want[c2 + 3 * t2, c + 3 * t] = g.matrix[3 * c2 + t2, 3 * c + t]
-    assert np.allclose(u, want, atol=1e-11)
-
 
 def test_tau2_primitive_matches_network():
     g = matrix_for_name("TAU2[1,6]")  # |01> <-> |20> in gate kets
